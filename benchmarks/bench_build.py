@@ -1,21 +1,23 @@
 """Micro-benchmark: index construction — pointer STR vs array-native build.
 
-Not a paper figure — this tracks the *build pipeline* across PRs.  Three
-questions:
+Not a paper figure — this tracks the *build pipeline*.  Three questions:
 
 * **Single-index build** — what does constructing the per-space index
-  structures cost on the historical pointer path (``builder="pointer"``:
-  recursive STR into ``_Node`` objects, then freeze) versus the
-  array-native path (``builder="array"``: STR ordering and frozen
-  traversal arrays straight from the projected points)?  Both must
-  answer queries identically — the traversal arrays are byte-identical
-  by construction, which the tests pin and this benchmark re-checks at
-  the result level.
+  structures cost through a pointer tree (``RStarTree.bulk_load``:
+  recursive STR into ``_Node`` objects, then ``freeze``) versus the
+  array-native path ``DBLSH.fit`` uses (``build_flat_str``: STR ordering
+  and frozen traversal arrays straight from the projected points)?  Both
+  must produce byte-identical traversal arrays (``answers_identical``).
 * **Sharded build scaling** — does the process-pool shard build
   (``build_mode="process"``, workers return snapshot arrays) beat the
   GIL-bound threaded build wall-clock at shards ∈ {1, 2, 4}?
-* **Persistence** — with uncompressed snapshots, does ``save`` now cost
-  what ``load`` costs (it used to deflate 80 MB archives for seconds)?
+* **Persistence** — what do ``save`` and ``load`` cost?
+
+The ``*previous_pipeline*``, ``fit_to_ready_*`` and ``*_compressed``
+fields and the ``pointer`` row's ``fit_*`` columns of the recorded
+``BENCH_build.json`` come from an earlier version of this script,
+written when ``DBLSH`` still had a pointer builder and ``save_index`` a
+``compress`` option.
 
 Usage::
 
@@ -54,45 +56,19 @@ def _median(values):
     return float(np.median(values))
 
 
-def _legacy_estimate_nn_distance(data, sample=64, seed=12345):
-    """The pre-PR3 radius estimator: one full-dataset subtraction per
-    sample point.  Reconstructed here (verbatim semantics) so the
-    ``previous_pipeline`` row measures the fit pipeline exactly as the
-    repo ran it before the array-native build landed."""
-    data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
-    if n < 2:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(n, size=min(sample, n), replace=False)
-    nn = np.empty(idx.shape[0])
-    for row, i in enumerate(idx):
-        dists = np.linalg.norm(data - data[i], axis=1)
-        dists[i] = np.inf
-        nn[row] = dists.min()
-    finite = nn[np.isfinite(nn)]
-    return 0.0 if finite.size == 0 else float(np.median(finite))
+def bench_single(data, t, reps):
+    """Pointer-tree vs array-native construction of one DBLSH's tables.
 
-
-def bench_single(data, queries, k, t, reps):
-    """Pointer vs array-native construction of one DBLSH at this n.
-
-    The ``build_seconds`` rows time exactly the subsystem the
-    array-native path replaces — constructing all L per-space index
-    structures, query-ready, from the shared projections (STR bulk load
-    into ``_Node`` objects + freeze, versus ``build_flat_str``).  The
-    ``fit_to_ready_seconds`` rows put that in end-to-end context
-    (validation, projection GEMM and the radius estimate are common to
-    both builders), and the ``previous_pipeline`` row replays the full
-    pre-PR3 fit (pointer STR build *and* the loop-based radius
-    estimator) — the speedup a user refitting an index actually sees.
+    ``build_seconds`` times exactly the subsystem the array-native path
+    replaces — constructing all L per-space traversals, query-ready,
+    from the shared projections; ``fit_seconds`` puts the array path in
+    end-to-end context (validation, projection GEMM and the radius
+    estimate included).
     """
     from repro.hashing.compound import CompoundHasher
     from repro.index.rstar import RStarTree
     from repro.index.str_build import build_flat_str
 
-    common = dict(c=1.5, l_spaces=5, k_per_space=10, t=t, seed=0,
-                  auto_initial_radius=True)
     hasher = CompoundHasher(data.shape[1], 5, 10, 0)
     projections = hasher.project_all(data)
 
@@ -105,77 +81,50 @@ def bench_single(data, queries, k, t, reps):
 
     phases = {"pointer": build_pointer, "array": build_array}
     timings = {name: [] for name in phases}
-    for phase in phases.values():
-        phase()  # warm
+    built = {name: phase() for name, phase in phases.items()}  # warm
     for _ in range(reps):
         # Interleave the two builders so machine-load drift hits both.
         for name, phase in phases.items():
             started = time.perf_counter()
             phase()
             timings[name].append(time.perf_counter() - started)
-    rows = {}
-    for builder in phases:
-        index = DBLSH(builder=builder, **common)
-        started = time.perf_counter()
-        index.fit(data)
-        fit_elapsed = time.perf_counter() - started
-        started = time.perf_counter()
-        index._ensure_frozen()  # no-op on the array path
-        freeze_elapsed = time.perf_counter() - started
-        rows[builder] = {
-            "build_seconds": round(_median(timings[builder]), 3),
-            "fit_seconds": round(fit_elapsed, 3),
-            # fit's own accounting of the same phase — should track
-            # build_seconds (plus the pointer path's deferred freeze).
-            "fit_table_build_seconds": round(index.table_build_seconds, 3),
-            "fit_to_ready_seconds": round(fit_elapsed + freeze_elapsed, 3),
-            "results": index.query_batch(queries, k=k),
-        }
     identical = all(
-        a.ids == b.ids
-        for a, b in zip(rows["pointer"].pop("results"),
-                        rows["array"].pop("results"))
+        _flats_equal(a, b) for a, b in zip(built["pointer"], built["array"])
     )
 
-    # The pre-PR3 pipeline, replayed for real: pointer builder with the
-    # loop-based radius estimator swapped back in.
-    import repro.core.dblsh as dblsh_module
-
-    vectorized_estimator = dblsh_module.estimate_nn_distance
-    dblsh_module.estimate_nn_distance = _legacy_estimate_nn_distance
-    try:
-        index = DBLSH(builder="pointer", **common)
-        started = time.perf_counter()
-        index.fit(data)
-        index._ensure_frozen()
-        previous_seconds = time.perf_counter() - started
-    finally:
-        dblsh_module.estimate_nn_distance = vectorized_estimator
+    index = DBLSH(c=1.5, l_spaces=5, k_per_space=10, t=t, seed=0,
+                  auto_initial_radius=True)
+    started = time.perf_counter()
+    index.fit(data)
+    fit_seconds = time.perf_counter() - started
 
     row = {
-        "pointer": rows["pointer"],
-        "array": rows["array"],
-        "previous_pipeline": {"fit_to_ready_seconds": round(previous_seconds, 3)},
+        "pointer": {"build_seconds": round(_median(timings["pointer"]), 3)},
+        "array": {
+            "build_seconds": round(_median(timings["array"]), 3),
+            "fit_seconds": round(fit_seconds, 3),
+            # fit's own accounting of the same phase — should track
+            # build_seconds.
+            "fit_table_build_seconds": round(index.table_build_seconds, 3),
+        },
         "build_speedup": round(
-            rows["pointer"]["build_seconds"]
-            / max(rows["array"]["build_seconds"], 1e-9), 2
-        ),
-        "fit_to_ready_speedup": round(
-            rows["pointer"]["fit_to_ready_seconds"]
-            / max(rows["array"]["fit_to_ready_seconds"], 1e-9), 2
-        ),
-        "speedup_vs_previous_pipeline": round(
-            previous_seconds
-            / max(rows["array"]["fit_to_ready_seconds"], 1e-9), 2
+            _median(timings["pointer"]) / max(_median(timings["array"]), 1e-9), 2
         ),
         "answers_identical": bool(identical),
     }
     print(f"  n={data.shape[0]}: pointer build {row['pointer']['build_seconds']}s"
           f" -> array {row['array']['build_seconds']}s"
-          f" ({row['build_speedup']}x phase, "
-          f"{row['speedup_vs_previous_pipeline']}x vs pre-PR3 fit,"
-          f" identical={identical})")
+          f" ({row['build_speedup']}x phase, identical={identical})")
     return row
+
+
+def _flats_equal(a, b) -> bool:
+    """Every traversal array of two frozen trees is equal."""
+    arrays_a, arrays_b = a.to_arrays(), b.to_arrays()
+    return set(arrays_a) == set(arrays_b) and all(
+        np.array_equal(arrays_a[key], arrays_b[key], equal_nan=True)
+        for key in arrays_a
+    )
 
 
 def bench_sharded(data, queries, k, t, reps):
@@ -210,7 +159,7 @@ def bench_sharded(data, queries, k, t, reps):
 
 
 def bench_snapshot(data, queries, k, t, tmp_path):
-    """Uncompressed save/load roundtrip (and the compressed cost, for scale)."""
+    """Snapshot save/load roundtrip."""
     index = DBLSH(c=1.5, l_spaces=5, k_per_space=10, t=t, seed=0,
                   auto_initial_radius=True).fit(data)
     before = index.query_batch(queries, k=k)
@@ -225,25 +174,16 @@ def bench_snapshot(data, queries, k, t, tmp_path):
     load_seconds = time.perf_counter() - started
     after = restored.query_batch(queries, k=k)
 
-    started = time.perf_counter()
-    save_index(index, tmp_path, compress=True)
-    save_compressed_seconds = time.perf_counter() - started
-    compressed_mb = os.path.getsize(tmp_path) / 1e6
-
     row = {
         "save_seconds": round(save_seconds, 3),
         "load_seconds": round(load_seconds, 3),
         "snapshot_mb": round(size_mb, 2),
-        "save_seconds_compressed": round(save_compressed_seconds, 3),
-        "snapshot_mb_compressed": round(compressed_mb, 2),
         "results_identical_after_reload": bool(
             all(a.ids == b.ids for a, b in zip(before, after))
         ),
     }
     print(f"  snapshot: save {row['save_seconds']}s ({row['snapshot_mb']} MB)"
-          f" / load {row['load_seconds']}s"
-          f" ; compressed save {row['save_seconds_compressed']}s"
-          f" ({row['snapshot_mb_compressed']} MB)")
+          f" / load {row['load_seconds']}s")
     return row
 
 
@@ -290,7 +230,7 @@ def main(argv=None) -> int:
         rng = np.random.default_rng(2)
         queries = (data[rng.choice(n, m, replace=False)]
                    + 0.05 * rng.standard_normal((m, args.dim)))
-        report["single"][str(n)] = bench_single(data, queries, args.k, t, reps)
+        report["single"][str(n)] = bench_single(data, t, reps)
         if n == max_n:
             print(f"sharded build scaling: n={n}")
             report["sharded"] = bench_sharded(data, queries, args.k, t, reps)
@@ -303,9 +243,6 @@ def main(argv=None) -> int:
                 os.remove(snapshot_path)
 
     report["build_speedup_at_max_n"] = report["single"][str(max_n)]["build_speedup"]
-    report["speedup_vs_previous_pipeline_at_max_n"] = (
-        report["single"][str(max_n)]["speedup_vs_previous_pipeline"]
-    )
     report["process_beats_threads_at_4"] = bool(
         "4" in report["sharded"]
         and report["sharded"]["4"]["process_speedup_vs_thread"] > 1.0

@@ -1,12 +1,12 @@
-"""Micro-benchmark: legacy vs vectorized DB-LSH query engine.
+"""Micro-benchmark: DB-LSH query engine vs its per-candidate reference.
 
 Not a paper figure — this tracks the *implementation's* performance
-trajectory across PRs.  It builds DB-LSH twice on the same synthetic
-workload (same seed, so both engines index identical projections), runs
-the query set through the seed-era per-candidate engine
-(``engine="legacy"``) and the vectorized engine (flat R*-tree traversal +
-chunked verification + batched queries), checks that both return the same
-neighbors, and writes the numbers to ``BENCH_query_engine.json``.
+trajectory.  It builds DB-LSH on a synthetic workload, runs the query set
+through the per-candidate reference loop
+(:func:`repro.core.reference.sequential_query`) and through the engine
+(flat R*-tree traversal + chunked verification + batched queries) on the
+same index, checks that both return the same neighbors, and writes the
+numbers to ``BENCH_query_engine.json``.
 
 Two budget regimes are measured, mirroring the two DB-LSH variants of the
 fig5/7 benchmark:
@@ -23,8 +23,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_query_engine.py --smoke  # seconds
 
 The acceptance metric is ``speedup`` of the ``scaled_t`` regime (batch
-vectorized QPS over sequential legacy QPS) with ``neighbors_identical``
-true in both regimes.
+engine QPS over reference-loop QPS) with ``neighbors_identical`` true in
+both regimes.  The ``*_legacy`` and ``build_seconds_*`` columns of the
+recorded ``BENCH_query_engine.json`` come from an earlier version of this
+script that fit a second index with a since-removed engine.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from helpers import budget_t  # noqa: E402
 
 from repro import DBLSH  # noqa: E402
+from repro.core.reference import sequential_query  # noqa: E402
 from repro.data.generators import gaussian_mixture  # noqa: E402
 from repro.data.groundtruth import exact_knn  # noqa: E402
 from repro.eval.metrics import recall  # noqa: E402
@@ -51,7 +54,7 @@ DEFAULT_OUT = os.path.join(os.path.dirname(os.path.dirname(__file__)),
 
 
 def _median_seconds(fn, reps: int) -> float:
-    fn()  # warm caches and lazy freezes
+    fn()  # warm caches
     times = []
     for _ in range(reps):
         started = time.perf_counter()
@@ -62,52 +65,48 @@ def _median_seconds(fn, reps: int) -> float:
 
 def bench_regime(data, queries, k, t, reps, workers):
     """Measure one budget regime; returns a results dict."""
-    n = data.shape[0]
-    common = dict(c=1.5, l_spaces=5, k_per_space=10, t=t, seed=0,
+    index = DBLSH(c=1.5, l_spaces=5, k_per_space=10, t=t, seed=0,
                   auto_initial_radius=True)
-    legacy = DBLSH(engine="legacy", **common)
     started = time.perf_counter()
-    legacy.fit(data)
-    legacy_build = time.perf_counter() - started
-    vectorized = DBLSH(engine="vectorized", **common)
-    started = time.perf_counter()
-    vectorized.fit(data)
-    vectorized_build = time.perf_counter() - started
+    index.fit(data)
+    build_seconds = time.perf_counter() - started
 
-    legacy_results = [legacy.query(q, k=k) for q in queries]
-    vectorized_results = vectorized.query_batch(queries, k=k)
+    def reference_sweep():
+        return [sequential_query(index, q, k=k) for q in queries]
+
+    reference_results = reference_sweep()
+    vectorized_results = index.query_batch(queries, k=k)
     identical = all(
-        a.ids == b.ids for a, b in zip(legacy_results, vectorized_results)
+        a.ids == b.ids for a, b in zip(reference_results, vectorized_results)
     )
 
     gt_ids, _ = exact_knn(queries, data, k)
-    rec_legacy = float(np.mean([
-        recall(r.ids, gt_ids[i]) for i, r in enumerate(legacy_results)
+    rec_reference = float(np.mean([
+        recall(r.ids, gt_ids[i]) for i, r in enumerate(reference_results)
     ]))
     rec_vectorized = float(np.mean([
         recall(r.ids, gt_ids[i]) for i, r in enumerate(vectorized_results)
     ]))
 
     m = queries.shape[0]
-    legacy_s = _median_seconds(lambda: [legacy.query(q, k=k) for q in queries], reps)
-    vec_s = _median_seconds(lambda: vectorized.query_batch(queries, k=k), reps)
+    reference_s = _median_seconds(reference_sweep, reps)
+    vec_s = _median_seconds(lambda: index.query_batch(queries, k=k), reps)
     vec_workers_s = _median_seconds(
-        lambda: vectorized.query_batch(queries, k=k, workers=workers), reps
+        lambda: index.query_batch(queries, k=k, workers=workers), reps
     )
 
     return {
         "t": t,
         "budget_per_query": 2 * t * 5 + k,
-        "build_seconds_legacy": round(legacy_build, 3),
-        "build_seconds_vectorized": round(vectorized_build, 3),
-        "qps_legacy": round(m / legacy_s, 1),
+        "build_seconds": round(build_seconds, 3),
+        "qps_reference": round(m / reference_s, 1),
         "qps_vectorized": round(m / vec_s, 1),
         "qps_vectorized_workers": round(m / vec_workers_s, 1),
-        "query_ms_legacy": round(legacy_s / m * 1e3, 4),
+        "query_ms_reference": round(reference_s / m * 1e3, 4),
         "query_ms_vectorized": round(vec_s / m * 1e3, 4),
-        "speedup": round(legacy_s / vec_s, 2),
-        "speedup_workers": round(legacy_s / vec_workers_s, 2),
-        "recall_legacy": round(rec_legacy, 4),
+        "speedup": round(reference_s / vec_s, 2),
+        "speedup_workers": round(reference_s / vec_workers_s, 2),
+        "recall_reference": round(rec_reference, 4),
         "recall_vectorized": round(rec_vectorized, 4),
         "neighbors_identical": bool(identical),
         "mean_candidates": round(float(np.mean(
@@ -163,7 +162,7 @@ def main(argv=None) -> int:
     for name, t in [("fixed_t", 16), ("scaled_t", budget_t(n, l_spaces=5))]:
         regime = bench_regime(data, queries, args.k, t, reps, args.workers)
         report["regimes"][name] = regime
-        print(f"  {name:8s} (t={t}): legacy {regime['qps_legacy']} qps -> "
+        print(f"  {name:8s} (t={t}): reference {regime['qps_reference']} qps -> "
               f"vectorized {regime['qps_vectorized']} qps "
               f"({regime['speedup']}x, identical={regime['neighbors_identical']})")
     report["speedup"] = report["regimes"]["scaled_t"]["speedup"]

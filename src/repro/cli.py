@@ -147,7 +147,7 @@ def _cmd_save(args: argparse.Namespace) -> int:
     # save_index appends .npz when missing; report the path it actually wrote.
     out = args.out if args.out.endswith(".npz") else args.out + ".npz"
     started = time.perf_counter()
-    save_index(index, out, compress=args.compress, format=args.snapshot_format)
+    save_index(index, out, format=args.snapshot_format)
     save_seconds = time.perf_counter() - started
     size_mb = os.path.getsize(out) / 1e6
     print(index.describe())
@@ -957,11 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
                              default="arena", dest="snapshot_format",
                              help="container: arena (v3, zero-copy mmap "
                                   "loads) or npz (legacy v1)")
-            cmd.add_argument("--compress", action="store_true",
-                             help="deflate the snapshot archive (smaller file, "
-                                  "much slower save; forces the npz "
-                                  "container — deflated bytes cannot be "
-                                  "mapped)")
 
     load_cmd = sub.add_parser(
         "load", help="restore a snapshot (zero rebuild) and smoke-test it"

@@ -5,10 +5,8 @@ Indexing phase (§IV-B)
     spaces by ``L x K`` Gaussian LSH functions (Eq. 7) and the projected
     points of each space are stored in a multi-dimensional index — by
     default the *frozen array form* of an STR-packed R*-tree, built
-    directly from the projected points without materializing pointer
-    nodes (``builder="array"``; see :mod:`repro.index.str_build`).  The
-    mutable pointer tree only comes into existence lazily, when ``add()``
-    or a legacy-engine query needs one.
+    directly from the projected points (see :mod:`repro.index.str_build`).
+    The ablation backends keep their own structures.
 
 Query phase (§IV-C)
     An ``(r, c)``-NN query builds, per space, the query-centric hypercubic
@@ -27,28 +25,19 @@ The implementation keeps a per-query *seen set* so a point is verified at
 most once even though windows at successive radii nest; this matches the
 paper's accounting of "points accessed".
 
-Query engines
-    Two engines implement the same algorithm:
-
-    * ``"vectorized"`` (default) — the ``rstar`` backend traverses the
-      frozen array form of the tree (:class:`repro.index.flat.FlatRStarTree`,
-      level-wise MBR masks instead of per-node recursion), candidates are
-      verified chunk-at-a-time with precomputed squared norms and a single
-      matmul per chunk, and the per-query seen set is a generation-stamped
-      scratch buffer (:class:`repro.utils.scratch.GenerationMask`) reused
-      across queries instead of an O(n) allocation per query.  Chunk
-      consumption emulates the sequential semantics exactly (budget /
-      radius / patience stop at the same candidate boundary), so results
-      match the legacy engine candidate-for-candidate.
-    * ``"legacy"`` — the original pointer-chasing traversal with a
-      per-candidate Python verification loop; kept as the baseline for
-      ``benchmarks/bench_query_engine.py`` and the engine-equivalence
-      tests.
-
-    Both engines verify candidates in the same order, so budget-truncated
-    queries return identical neighbor sets at a fixed seed (distances may
-    differ in the last few ulps because the vectorized engine expands
-    ``|x - q|^2 = |x|^2 - 2 x.q + |q|^2``).
+Verification
+    The ``rstar`` backend traverses the frozen array form of the tree
+    (:class:`repro.index.flat.FlatRStarTree`, level-wise MBR masks instead
+    of per-node recursion); candidates are verified chunk-at-a-time with
+    precomputed squared norms and a single matmul per chunk, and the
+    per-query seen set is a generation-stamped scratch buffer
+    (:class:`repro.utils.scratch.GenerationMask`) reused across queries
+    instead of an O(n) allocation per query.  Chunk consumption emulates
+    the sequential per-candidate loop exactly (budget / radius / patience
+    stop at the same candidate boundary), so results match
+    :func:`repro.core.reference.sequential_query` candidate-for-candidate
+    (distances may differ in the last few ulps because the chunked path
+    expands ``|x - q|^2 = |x|^2 - 2 x.q + |q|^2``).
 """
 
 from __future__ import annotations
@@ -79,8 +68,6 @@ from repro.utils.validation import (
 )
 
 _BACKENDS = ("rstar", "rstar-insert", "kdtree", "grid")
-_ENGINES = ("vectorized", "legacy")
-_BUILDERS = ("array", "pointer")
 
 #: ``query_batch(workers=...)`` falls back to the serial loop when the
 #: per-query candidate budget ``2tL + k`` is below this.  Small-budget
@@ -131,22 +118,6 @@ class DBLSH:
         improve the current k-th distance.  The counter carries across
         radius rounds (a stall is a stall regardless of the radius at
         which it happens).  ``None`` disables it.
-    engine:
-        ``"vectorized"`` (default) or ``"legacy"`` — see the module
-        docstring.  Both return the same neighbors; the vectorized engine
-        is what the throughput numbers in ``BENCH_query_engine.json`` are
-        measured on.
-    builder:
-        How ``fit`` constructs the per-space indexes on the ``rstar``
-        backend with the vectorized engine.  ``"array"`` (default) builds
-        the frozen :class:`~repro.index.flat.FlatRStarTree` arrays
-        directly from the projected points
-        (:func:`repro.index.str_build.build_flat_str`) — no pointer tree
-        exists until ``add()`` or a legacy-engine query rematerializes
-        one lazily.  ``"pointer"`` keeps the historical path (STR bulk
-        load into ``_Node`` objects, frozen lazily on first query); it is
-        the baseline ``benchmarks/bench_build.py`` measures against.
-        Both builders produce byte-identical traversal arrays.
     seed:
         Seed for the projection tensor.
     """
@@ -163,18 +134,12 @@ class DBLSH:
         initial_radius: float = 1.0,
         auto_initial_radius: bool = False,
         patience: Optional[int] = None,
-        engine: str = "vectorized",
-        builder: str = "array",
         seed: SeedLike = 0,
     ) -> None:
         if c <= 1.0:
             raise ValueError(f"approximation ratio c must be > 1, got {c}")
         if backend not in _BACKENDS:
             raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        if engine not in _ENGINES:
-            raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-        if builder not in _BUILDERS:
-            raise ValueError(f"builder must be one of {_BUILDERS}, got {builder!r}")
         if patience is not None and patience < 1:
             raise ValueError(f"patience must be >= 1 or None, got {patience}")
         self.c = float(c)
@@ -183,8 +148,6 @@ class DBLSH:
         self._l_arg = l_spaces
         self.t = int(t)
         self.backend = backend
-        self.engine = engine
-        self.builder = builder
         self.max_entries = int(max_entries)
         self.initial_radius = check_positive("initial_radius", initial_radius)
         self.auto_initial_radius = bool(auto_initial_radius)
@@ -194,8 +157,8 @@ class DBLSH:
         self.params: Optional[DBLSHParams] = None
         self.dim: int = 0
         self._hasher: Optional[CompoundHasher] = None
+        # One window-query structure per projected space (see _build_table).
         self._tables: list = []
-        self._flat_tables: list = []
         self._table_low: list = []
         self._table_high: list = []
         self._cov_low: Optional[np.ndarray] = None
@@ -207,7 +170,7 @@ class DBLSH:
         # Rows ``[_frozen_n, _n)`` are the *delta buffer*: appended after
         # the frozen traversals were built, never projected, swept
         # brute-force at the start of every query until ``compact()``
-        # folds them in.  Non-flat paths keep ``_frozen_n == _n``.
+        # folds them in.
         self._frozen_n: int = 0
         # Tombstoned (deleted) row ids.  Rows stay physically in the
         # buffer — ids are never renumbered — and are pre-marked into the
@@ -219,10 +182,9 @@ class DBLSH:
         # breaking concurrent query() calls from user threads.
         self._scratch_locals = threading.local()
         self.build_seconds: float = 0.0
-        # Time spent constructing the per-space index structures inside
-        # fit() (excludes projection/validation; the build benchmark's
-        # subject).  The pointer builder's lazy freeze is *not* included;
-        # bench_build times _ensure_frozen() separately.
+        # Time spent constructing the per-space index structures by the
+        # last fit() or compact() (excludes projection/validation; the
+        # build benchmark's subject).
         self.table_build_seconds: float = 0.0
 
     # ------------------------------------------------------------------
@@ -239,11 +201,9 @@ class DBLSH:
     def fit(self, data: np.ndarray) -> "DBLSH":
         """Build the (K, L)-index over ``data`` (n, d).
 
-        With the default ``builder="array"`` (``rstar`` backend,
-        vectorized engine) the frozen traversal arrays are built directly
-        from the projected points and **no pointer tree is materialized**
-        — ``add()`` and legacy-engine queries rebuild one lazily through
-        the same machinery snapshot loading uses.
+        On the default ``rstar`` backend the frozen traversal arrays are
+        built directly from the projected points; no pointer tree is
+        ever materialized.
         """
         started = time.perf_counter()
         data = check_dataset(data)
@@ -266,32 +226,36 @@ class DBLSH:
         self._hasher = CompoundHasher(
             dim, self.params.l_spaces, self.params.k_per_space, self.seed
         )
-        projections = self._hasher.project_all(data)  # (L, n, K)
-        build_started = time.perf_counter()
-        if self.builder == "array" and self._uses_flat():
-            self._tables = [None] * self.params.l_spaces
-            self._flat_tables = [
-                build_flat_str(projections[i], max_entries=self.max_entries)
-                for i in range(self.params.l_spaces)
-            ]
-        else:
-            self._tables = [
-                self._build_table(projections[i])
-                for i in range(self.params.l_spaces)
-            ]
-            self._reset_flat_tables()
-        self.table_build_seconds = time.perf_counter() - build_started
-        self._table_low = [proj.min(axis=0) for proj in projections]
-        self._table_high = [proj.max(axis=0) for proj in projections]
-        self._refresh_cover_bounds()
+        self._index_projections(self._hasher.project_all(data))
         if self.auto_initial_radius:
             self.initial_radius = self._estimate_initial_radius(data)
         self.build_seconds = time.perf_counter() - started
         return self
 
+    def _index_projections(self, projections: np.ndarray) -> None:
+        """(Re)build every space's table and extent from ``(L, n, K)`` projections.
+
+        The one construction path: ``fit``, ``compact`` and snapshot
+        restore (for backends stored without traversal arrays) all land
+        here.
+        """
+        started = time.perf_counter()
+        self._tables = [self._build_table(proj) for proj in projections]
+        self.table_build_seconds = time.perf_counter() - started
+        self._table_low = [proj.min(axis=0) for proj in projections]
+        self._table_high = [proj.max(axis=0) for proj in projections]
+        self._refresh_cover_bounds()
+
     def _build_table(self, projected: np.ndarray):
+        """One space's window-query structure.
+
+        ``rstar`` builds the frozen :class:`~repro.index.flat.FlatRStarTree`
+        arrays straight from the points (byte-identical to freezing an
+        STR bulk-loaded :class:`RStarTree`); the ablation backends keep
+        their own structures.
+        """
         if self.backend == "rstar":
-            return RStarTree.bulk_load(projected, max_entries=self.max_entries)
+            return build_flat_str(projected, max_entries=self.max_entries)
         if self.backend == "rstar-insert":
             tree = RStarTree(projected.shape[1], max_entries=self.max_entries)
             for point_id, point in enumerate(projected):
@@ -303,48 +267,6 @@ class DBLSH:
             assert self.params is not None
             return GridIndex(projected, cell_width=self.params.w0)
         raise AssertionError(f"unknown backend {self.backend!r}")
-
-    def _uses_flat(self) -> bool:
-        """The frozen traversal serves the bulk-loaded ``rstar`` backend.
-
-        ``rstar-insert`` stays on the dynamic pointer path (its point is
-        the insertion ablation), and the alternative backends have their
-        own traversals.
-        """
-        return self.engine == "vectorized" and self.backend == "rstar"
-
-    def _reset_flat_tables(self) -> None:
-        """Drop any frozen traversals; they are rebuilt lazily on query."""
-        self._flat_tables = [None] * len(self._tables)
-
-    def _ensure_frozen(self) -> None:
-        """Freeze every table up front (before fanning out worker threads)."""
-        if self._uses_flat():
-            if any(
-                flat is None and self._tables[i] is None
-                for i, flat in enumerate(self._flat_tables)
-            ):
-                self._materialize_tables()
-            for i, flat in enumerate(self._flat_tables):
-                if flat is None:
-                    self._flat_tables[i] = self._tables[i].freeze()
-
-    def _materialize_tables(self) -> None:
-        """Rebuild any pointer trees a snapshot load left out.
-
-        Loading a snapshot restores only the frozen traversals — the
-        mutable R*-trees they were frozen from are not serialized.  The
-        vectorized query path never needs them; the first ``add()`` or
-        legacy-engine query does, and lands here to rebuild them from the
-        (recomputed) projections.
-        """
-        if all(table is not None for table in self._tables):
-            return
-        assert self._hasher is not None and self.data is not None
-        projections = self._hasher.project_all(self.data)
-        for i, table in enumerate(self._tables):
-            if table is None:
-                self._tables[i] = self._build_table(projections[i])
 
     def _get_scratch(self) -> GenerationMask:
         """This thread's reusable seen-set mask, sized to the buffer."""
@@ -378,16 +300,11 @@ class DBLSH:
         decoupled design: the dynamic bucketing never looks at bucket
         boundaries, so insertion never repartitions anything.
 
-        On the default configuration (``rstar`` backend, vectorized
-        engine, frozen traversals materialized — the state ``fit`` with
-        ``builder="array"`` and snapshot loading both leave the index in)
-        the new points land in the **delta buffer**: an O(m) append with
+        The new points land in the **delta buffer**: an O(m) append with
         no projection pass and no tree surgery.  Queries sweep the delta
         brute-force before the probe rounds, so the points are visible
-        immediately; :meth:`compact` folds them into fresh traversals
-        when the sweep grows noticeable.  The pointer paths (legacy
-        engine, ``rstar-insert``, unfrozen pointer builder) keep the
-        historical per-point R*-tree insertion.
+        immediately; :meth:`compact` folds them into fresh tables when
+        the sweep grows noticeable.
 
         The dataset lives in a capacity-doubling buffer, so a sequence of
         ``add`` calls costs amortised O(1) copies per point rather than a
@@ -397,11 +314,6 @@ class DBLSH:
             raise RuntimeError("fit() must be called before add()")
         if self.backend not in ("rstar", "rstar-insert"):
             raise NotImplementedError("add() requires an R*-tree backend")
-        delta_path = self._uses_flat() and all(
-            flat is not None for flat in self._flat_tables
-        )
-        if not delta_path:
-            self._materialize_tables()
         points = check_dataset(points)
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
@@ -423,24 +335,10 @@ class DBLSH:
         self._norms2[start_id:needed] = np.einsum(  # type: ignore[index]
             "ij,ij->i", points, points
         )
-        if delta_path:
-            # Delta append: the frozen traversals stay valid for rows
-            # [0, _frozen_n); the new rows are swept at query time.  No
-            # projections are computed until compact() folds them in.
-            self._n = needed
-            return
-        projections = self._hasher.project_all(points)  # (L, m, K)
-        for i, tree in enumerate(self._tables):
-            for offset, projected in enumerate(projections[i]):
-                tree.insert(start_id + offset, projected)
-            self._table_low[i] = np.minimum(self._table_low[i], projections[i].min(axis=0))
-            self._table_high[i] = np.maximum(self._table_high[i], projections[i].max(axis=0))
-        self._refresh_cover_bounds()
+        # The tables stay valid for rows [0, _frozen_n); the new rows are
+        # swept at query time.  No projections are computed until
+        # compact() folds them in.
         self._n = needed
-        self._frozen_n = needed
-        # The frozen traversals are stale snapshots now; refreeze lazily
-        # (per-thread scratch masks grow on their next use).
-        self._reset_flat_tables()
 
     def delete(self, ids) -> int:
         """Tombstone the given row ids; returns how many were newly deleted.
@@ -467,29 +365,20 @@ class DBLSH:
         return newly
 
     def compact(self) -> bool:
-        """Fold the delta buffer into fresh frozen traversals.
+        """Fold the delta buffer into fresh per-space tables.
 
-        Recomputes the projections over the whole buffer and rebuilds the
-        per-space frozen arrays (an O(n) rebuild — amortize it over many
+        Recomputes the projections over the whole buffer and rebuilds
+        every table (an O(n) rebuild on ``rstar`` — amortize it over many
         ``add`` calls), after which queries stop paying the per-query
         delta sweep.  Tombstones stay logical: rows are never removed,
         so ids never shift.  Returns ``True`` when a fold happened,
-        ``False`` when there was no delta to fold.  No-op (``False``) on
-        the pointer paths, which index inserts eagerly.
+        ``False`` when there was no delta to fold.
         """
         self._require_fitted()
-        if self._frozen_n >= self._n or not self._uses_flat():
+        if self._frozen_n >= self._n:
             return False
         assert self._hasher is not None
-        projections = self._hasher.project_all(self.data)  # (L, n, K)
-        self._flat_tables = [
-            build_flat_str(projections[i], max_entries=self.max_entries)
-            for i in range(len(self._flat_tables))
-        ]
-        self._tables = [None] * len(self._flat_tables)
-        self._table_low = [proj.min(axis=0) for proj in projections]
-        self._table_high = [proj.max(axis=0) for proj in projections]
-        self._refresh_cover_bounds()
+        self._index_projections(self._hasher.project_all(self.data))
         self._frozen_n = self._n
         return True
 
@@ -554,8 +443,6 @@ class DBLSH:
         m = queries.shape[0]
         if m == 0:
             return []
-        # Freeze up front so worker threads never race the lazy refreeze.
-        self._ensure_frozen()
         q_projs = self._hasher.project_queries(queries)  # (L, m, K)
         if (
             workers is not None
@@ -606,32 +493,11 @@ class DBLSH:
         heap = BoundedMaxHeap(k)
         budget = self.params.budget(k)
         no_improve_box = [0]
-        tombs = self._tombstone_array()
-        if self.engine == "legacy":
-            seen = np.zeros(self._n, dtype=bool)
-            if tombs is not None:
-                seen[tombs] = True
-            reason = self._probe_round_legacy(
-                query, q_proj, radius, heap, seen, budget, stats, no_improve_box
-            )
-        else:
-            scratch = self._get_scratch().begin()
-            if tombs is not None:
-                scratch.mark(tombs)
-            q_norm2 = float(query @ query)
-            if self._n > self._frozen_n:
-                self._sweep_delta(query, q_norm2, heap, scratch, stats)
-            reason = self._probe_round(
-                query,
-                q_proj,
-                q_norm2,
-                radius,
-                heap,
-                scratch,
-                budget,
-                stats,
-                no_improve_box,
-            )
+        scratch = self._get_scratch().begin()
+        q_norm2 = self._begin_query(query, heap, scratch, stats)
+        reason = self._probe_round(
+            query, q_proj, q_norm2, radius, heap, scratch, budget, stats, no_improve_box
+        )
         stats.terminated_by = reason if reason is not None else "no_result"
         stats.elapsed_seconds = time.perf_counter() - started
 
@@ -665,33 +531,14 @@ class DBLSH:
         # The no-improvement counter deliberately survives radius rounds;
         # the box is shared with every probe round of this query.
         no_improve_box = [0]
-        legacy = self.engine == "legacy"
-        tombs = self._tombstone_array()
-        if legacy:
-            seen: object = np.zeros(self._n, dtype=bool)
-            if tombs is not None:
-                seen[tombs] = True  # deleted rows count as already seen
-            q_norm2 = 0.0
-        else:
-            seen = scratch.begin()
-            if tombs is not None:
-                seen.mark(tombs)
-            q_norm2 = float(query @ query)
-            if self._n > self._frozen_n:
-                self._sweep_delta(query, q_norm2, heap, seen, stats)
-
+        seen = scratch.begin()
+        q_norm2 = self._begin_query(query, heap, seen, stats)
         while True:
             stats.rounds += 1
             stats.final_radius = radius
-            if legacy:
-                reason = self._probe_round_legacy(
-                    query, q_proj, radius, heap, seen, budget, stats, no_improve_box
-                )
-            else:
-                reason = self._probe_round(
-                    query, q_proj, q_norm2, radius, heap, seen, budget, stats,
-                    no_improve_box,
-                )
+            reason = self._probe_round(
+                query, q_proj, q_norm2, radius, heap, seen, budget, stats, no_improve_box
+            )
             if reason is not None:
                 stats.terminated_by = reason
                 break
@@ -702,6 +549,26 @@ class DBLSH:
 
         stats.elapsed_seconds = time.perf_counter() - started
         return QueryResult.from_heap(heap, stats)
+
+    def _begin_query(
+        self,
+        query: np.ndarray,
+        heap: BoundedMaxHeap,
+        seen: GenerationMask,
+        stats: QueryStats,
+    ) -> float:
+        """Pre-mark tombstones as seen, sweep the delta; returns ``|q|^2``.
+
+        Deleted rows count as already seen, so they are never verified,
+        never charged against the budget and never enter the heap.
+        """
+        tombs = self._tombstone_array()
+        if tombs is not None:
+            seen.mark(tombs)
+        q_norm2 = float(query @ query)
+        if self._n > self._frozen_n:
+            self._sweep_delta(query, q_norm2, heap, seen, stats)
+        return q_norm2
 
     # ------------------------------------------------------------------
     # Probe rounds (one (r, c)-NN pass over the L windows)
@@ -730,10 +597,10 @@ class DBLSH:
         ``"patience"``) or ``None``.
 
         Neighbors, ``candidates_verified``, rounds and termination reason
-        match the legacy engine exactly; ``distance_computations`` may
-        differ slightly because both engines charge whole chunks and the
-        chunk boundaries differ (per-leaf there, budget-trimmed merged
-        spans here).
+        match :func:`repro.core.reference.sequential_query` exactly;
+        ``distance_computations`` may differ slightly because both charge
+        whole chunks and the chunk boundaries differ (unhinted traversal
+        chunks there, budget-trimmed spans here).
         """
         assert self.params is not None
         width = self.params.w0 * radius
@@ -988,57 +855,6 @@ class DBLSH:
             return "budget"
         return None
 
-    def _probe_round_legacy(
-        self,
-        query: np.ndarray,
-        q_proj: np.ndarray,
-        radius: float,
-        heap: BoundedMaxHeap,
-        seen: np.ndarray,
-        budget: int,
-        stats: QueryStats,
-        no_improve_box: Optional[list] = None,
-    ) -> Optional[str]:
-        """The original per-candidate verification loop (``engine="legacy"``).
-
-        Returns the termination reason (``"budget"``, ``"radius"``,
-        ``"patience"``) or ``None`` when the round finished without
-        triggering Algorithm 1's conditions.
-        """
-        assert self.params is not None
-        data = self.data
-        assert data is not None
-        width = self.params.w0 * radius
-        cutoff = self.params.c * radius
-        no_improve = no_improve_box[0] if no_improve_box is not None else 0
-        for i in range(len(self._tables)):
-            w_low = q_proj[i] - width / 2.0
-            w_high = q_proj[i] + width / 2.0
-            stats.window_queries += 1
-            for chunk in self._iter_window(i, w_low, w_high):
-                fresh = chunk[~seen[chunk]]
-                if fresh.shape[0] == 0:
-                    continue
-                seen[fresh] = True
-                dists = np.linalg.norm(data[fresh] - query, axis=1)
-                stats.distance_computations += int(fresh.shape[0])
-                for point_id, dist in zip(fresh, dists):
-                    stats.candidates_verified += 1
-                    improved = heap.push(float(dist), int(point_id))
-                    if improved:
-                        no_improve = 0
-                    else:
-                        no_improve += 1
-                    if stats.candidates_verified >= budget:
-                        return "budget"
-                    if heap.full and heap.bound <= cutoff:
-                        return "radius"
-                    if self.patience is not None and no_improve >= self.patience:
-                        return "patience"
-        if no_improve_box is not None:
-            no_improve_box[0] = no_improve
-        return None
-
     def _iter_window(
         self,
         i: int,
@@ -1049,18 +865,13 @@ class DBLSH:
         """Stream candidate-id chunks of space ``i``'s window query.
 
         ``first_chunk`` sizes the flat traversal's initial chunk (the
-        caller's remaining verification budget); the pointer-based
-        backends yield per-leaf chunks and ignore it.
+        caller's remaining verification budget); the ablation backends
+        yield per-leaf (or per-cell) chunks and ignore it.
         """
-        if self._uses_flat():
-            flat = self._flat_tables[i]
-            if flat is None:  # pointer-built, not yet frozen: freeze now
-                if self._tables[i] is None:
-                    self._materialize_tables()
-                flat = self._flat_tables[i] = self._tables[i].freeze()
-            return flat.window_query_iter(w_low, w_high, first_chunk=first_chunk)
-        if self._tables[i] is None:  # snapshot-loaded; legacy/ablation path
-            self._materialize_tables()
+        if self.backend == "rstar":
+            return self._tables[i].window_query_iter(
+                w_low, w_high, first_chunk=first_chunk
+            )
         return self._tables[i].window_query_iter(w_low, w_high)
 
     def _refresh_cover_bounds(self) -> None:
@@ -1184,7 +995,6 @@ class DBLSH:
         l_spaces: int,
         t: int,
         backend: str,
-        engine: str,
         max_entries: int,
         initial_radius: float,
         patience: Optional[int],
@@ -1193,18 +1003,16 @@ class DBLSH:
         table_high: np.ndarray,
         flats: Optional[list],
         build_seconds: float = 0.0,
-        builder: str = "array",
         tombstones: Optional[np.ndarray] = None,
         norms2: Optional[np.ndarray] = None,
     ) -> "DBLSH":
-        """Reassemble a fitted index from snapshot state (no tree build).
+        """Reassemble a fitted index from snapshot state (no rebuild on ``rstar``).
 
         ``flats`` carries the restored frozen traversals (or ``None`` for
-        backends that snapshot without them); the mutable pointer trees
-        stay unmaterialized until :meth:`add` or a legacy-engine query
-        needs them.  ``tombstones`` restores logically deleted row ids —
-        the rows are physically present in ``data`` (ids never renumber)
-        but excluded from every query.  ``norms2`` adopts precomputed
+        backends that snapshot without them, whose tables are rebuilt
+        here from the projection tensor).  ``tombstones`` restores
+        logically deleted row ids — the rows are physically present in
+        ``data`` (ids never renumber) but excluded from every query.  ``norms2`` adopts precomputed
         squared norms shipped in the snapshot; without them restore pays
         an O(n*d) einsum over the dataset, which both costs time and
         faults every data page of a freshly mapped arena.
@@ -1219,8 +1027,6 @@ class DBLSH:
             max_entries=max_entries,
             initial_radius=initial_radius,
             patience=patience,
-            engine=engine,
-            builder=builder,
             seed=seed,
         )
         data = check_dataset(data)
@@ -1239,14 +1045,12 @@ class DBLSH:
             n, c=c, w0=w0, t=t, k_per_space=k_per_space, l_spaces=l_spaces
         )
         index._hasher = CompoundHasher.from_tensor(tensor)
-        index._tables = [None] * l_spaces
-        if flats is not None:
-            if len(flats) != l_spaces:
-                raise ValueError(f"expected {l_spaces} frozen tables, got {len(flats)}")
-            index._flat_tables = list(flats)
+        if flats is None:
+            index._index_projections(index._hasher.project_all(data))
+        elif len(flats) != l_spaces:
+            raise ValueError(f"expected {l_spaces} frozen tables, got {len(flats)}")
         else:
-            index._flat_tables = [None] * l_spaces
-            index._materialize_tables()
+            index._tables = list(flats)
         index._table_low = [np.asarray(row, dtype=np.float64) for row in table_low]
         index._table_high = [np.asarray(row, dtype=np.float64) for row in table_high]
         index._refresh_cover_bounds()
@@ -1261,5 +1065,5 @@ class DBLSH:
         return (
             f"DBLSH(n={self.num_points}, d={self.dim}, c={p.c}, w0={p.w0:.3g}, "
             f"K={p.k_per_space}, L={p.l_spaces}, t={p.t}, rho*={p.rho_star:.4f}, "
-            f"backend={self.backend}, engine={self.engine}, builder={self.builder})"
+            f"backend={self.backend})"
         )

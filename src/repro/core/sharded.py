@@ -126,9 +126,9 @@ class ShardedDBLSH:
         more than one CPU (threads are GIL-bound on the Python share of
         the build), threads on a single-CPU host (a process pool there
         pays fork/IPC overhead with no parallelism to buy).  Process
-        building requires the shard configuration to produce frozen
-        traversals (``rstar`` backend, vectorized engine) and falls back
-        to threads otherwise, or when no process pool can be started.
+        building requires the ``rstar`` backend (frozen traversals) and
+        falls back to threads otherwise, or when no process pool can be
+        started.
     build_workers:
         Workers used to build shards in parallel at ``fit`` time
         (default: one per shard; ``1`` forces a sequential build).
@@ -149,8 +149,6 @@ class ShardedDBLSH:
         initial_radius: float = 1.0,
         auto_initial_radius: bool = False,
         patience: Optional[int] = None,
-        engine: str = "vectorized",
-        builder: str = "array",
         seed: SeedLike = 0,
         budget: str = "full",
         build_mode: Optional[str] = None,
@@ -180,8 +178,6 @@ class ShardedDBLSH:
             initial_radius=initial_radius,
             auto_initial_radius=auto_initial_radius,
             patience=patience,
-            engine=engine,
-            builder=builder,
             seed=seed,
         )
         self.shards = int(shards)
@@ -191,8 +187,6 @@ class ShardedDBLSH:
         self._l_arg = l_spaces
         self.t = int(t)
         self.backend = backend
-        self.engine = engine
-        self.builder = builder
         self.max_entries = int(max_entries)
         self.initial_radius = float(initial_radius)
         self.auto_initial_radius = bool(auto_initial_radius)
@@ -236,8 +230,6 @@ class ShardedDBLSH:
             initial_radius=self.initial_radius,
             auto_initial_radius=False,
             patience=self.patience,
-            engine=self.engine,
-            builder=self.builder,
             seed=self.seed,  # same seed -> identical projection tensor
         )
 
@@ -350,14 +342,14 @@ class ShardedDBLSH:
         Workers return snapshot-form arrays (header + frozen traversals +
         projection tensor), which the parent adopts through the snapshot
         loader — the pointer-free mirror of how a saved index restores.
-        Only shard configurations that freeze their traversals profit
-        (``rstar`` backend, vectorized engine); anything else would
-        rebuild its tables in the parent anyway, so it stays on threads.
+        Only the ``rstar`` backend ships its tables as arrays; the
+        ablation backends would rebuild their tables in the parent
+        anyway, so they stay on threads.
         """
         import multiprocessing as mp
 
         config = self._shard_config()
-        if not (config["backend"] == "rstar" and config["engine"] == "vectorized"):
+        if config["backend"] != "rstar":
             return None
         from repro.io.snapshot import _unpack_dblsh
 
@@ -532,8 +524,6 @@ class ShardedDBLSH:
         if m == 0:
             return []
         started = time.perf_counter()
-        for shard in self._shards:
-            shard._ensure_frozen()
         q_projs = self._shards[0]._hasher.project_queries(queries)  # type: ignore[union-attr]
 
         def run(shard: DBLSH) -> List[QueryResult]:
@@ -616,8 +606,6 @@ class ShardedDBLSH:
             max_entries=first.max_entries,
             initial_radius=first.initial_radius,
             patience=first.patience,
-            engine=first.engine,
-            builder=first.builder,
             seed=first.seed,
             budget=budget,
         )
@@ -715,5 +703,5 @@ class ShardedDBLSH:
         return (
             f"ShardedDBLSH(shards={self.shards}, n={self.num_points}, d={self.dim}, "
             f"c={p.c}, w0={p.w0:.3g}, K={p.k_per_space}, L={p.l_spaces}, t={p.t}, "
-            f"budget={self.budget}, backend={self.backend}, engine={self.engine})"
+            f"budget={self.budget}, backend={self.backend})"
         )

@@ -18,9 +18,8 @@ plus named array members):
   ``.npz`` archive whose ``header`` entry is the JSON document and whose
   array payloads are plain ``.npy`` members, readable with nothing but
   numpy.  Loading copies members into private heap.  ``save_index``
-  keeps writing it under ``format="npz"`` (and always for
-  ``compress=True`` — deflated bytes cannot be mapped), and every
-  snapshot ever written by it keeps loading.
+  keeps writing it under ``format="npz"``, and every snapshot ever
+  written by it keeps loading.
 
 The loader sniffs the container from the file's first bytes, so paths
 keep their conventional ``.npz`` suffix regardless of container.
@@ -29,10 +28,9 @@ For the default ``rstar`` backend the payload includes the frozen
 :class:`~repro.index.flat.FlatRStarTree` arrays of every projected space.
 Loading adopts those arrays directly, so a restored index answers queries
 with **zero rebuild** — no projection pass, no STR bulk load, no tree
-construction.  The mutable pointer trees (needed only by ``add()`` and the
-legacy engine) are rebuilt lazily on first use.  The ablation backends
-(``kdtree``, ``grid``, ``rstar-insert``) snapshot without traversal arrays
-and rebuild their tables from the stored projection tensor at load time.
+construction.  The ablation backends (``kdtree``, ``grid``,
+``rstar-insert``) snapshot without traversal arrays and rebuild their
+tables from the stored projection tensor at load time.
 
 Sharded snapshots store one such payload per shard under a ``shard{i}.``
 key prefix; the shard partition is implicit in the stored shard sizes.
@@ -334,25 +332,6 @@ class _ArenaArchive:
 # ----------------------------------------------------------------------
 
 
-def _frozen_tables(index: DBLSH) -> Optional[List[FlatRStarTree]]:
-    """The frozen traversal of every space, freezing on demand.
-
-    Returns ``None`` for backends whose tables are not snapshotted in
-    array form (they rebuild from the projection tensor at load time).
-    When every traversal is already frozen — the array-native builder and
-    snapshot loading both leave the index in that state — no pointer tree
-    is materialized (or even consulted): saving costs serialization only.
-    """
-    if index.backend != "rstar":
-        return None
-    if any(flat is None for flat in index._flat_tables):
-        index._materialize_tables()
-        for i, flat in enumerate(index._flat_tables):
-            if flat is None:
-                index._flat_tables[i] = index._tables[i].freeze()
-    return list(index._flat_tables)
-
-
 def _pack_dblsh(
     index: DBLSH, prefix: str, *, mirrored_coords: bool = False
 ) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -370,9 +349,11 @@ def _pack_dblsh(
     params = index.params
     # A pending delta buffer has no traversal arrays to serialize: fold
     # it first so the snapshot round-trips add()ed points (a no-op when
-    # nothing is pending or the backend indexes inserts eagerly).
+    # nothing is pending).
     index.compact()
-    flats = _frozen_tables(index)
+    # Only rstar tables are stored; the ablation backends rebuild theirs
+    # from the projection tensor at load time.
+    flats = index._tables if index.backend == "rstar" else None
     header = {
         "n": int(index.num_points),
         "dim": int(index.dim),
@@ -382,8 +363,6 @@ def _pack_dblsh(
         "l_spaces": params.l_spaces,
         "t": params.t,
         "backend": index.backend,
-        "engine": index.engine,
-        "builder": index.builder,
         "max_entries": index.max_entries,
         "initial_radius": float(index.initial_radius),
         "patience": index.patience,
@@ -473,7 +452,6 @@ def _write_arena(path: str, header: dict, arrays: Dict[str, np.ndarray]) -> None
 def save_index(
     index,
     path: str,
-    compress: bool = False,
     *,
     format: str = "arena",
     uid: Optional[str] = None,
@@ -510,8 +488,7 @@ def save_index(
         appended if missing — for both containers; the loader sniffs
         the container from the file's first bytes, never the suffix).
     format:
-        ``"arena"`` (default) or ``"npz"``.  ``compress=True`` always
-        writes the npz container: deflated bytes cannot be mapped.
+        ``"arena"`` (default) or ``"npz"``.
     uid:
         Generation identity recorded in the header; a fresh random hex
         uid is generated when omitted.  The write-ahead log
@@ -525,13 +502,6 @@ def save_index(
         use).  Defaults to the physical row count; a serving layer that
         has deleted the highest ids passes its own counter so ids are
         never reused.
-    compress:
-        By default the archive is **uncompressed**: the payload is dense
-        float64 coordinates that deflate poorly (~10% on typical data),
-        and compressing them made ``save`` take several seconds per
-        100 MB while ``load`` stayed fast — saving now costs what
-        loading costs.  Pass ``True`` to trade save time for the smaller
-        archive.
 
     Raises
     ------
@@ -557,8 +527,6 @@ def save_index(
 
     if format not in ("arena", "npz"):
         raise ValueError(f"format must be 'arena' or 'npz', got {format!r}")
-    if compress:
-        format = "npz"  # a deflated arena could not be mapped
     version = ARENA_VERSION if format == "arena" else SNAPSHOT_VERSION
     mirrored = format == "arena"
     if isinstance(index, ShardedDBLSH):
@@ -602,11 +570,10 @@ def save_index(
     header["checksums"] = {
         name: _array_crc(array) for name, array in arrays.items()
     }
-    writer = np.savez_compressed if compress else np.savez
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as handle:
-            writer(handle, header=np.bytes_(json.dumps(header).encode()), **arrays)
+            np.savez(handle, header=np.bytes_(json.dumps(header).encode()), **arrays)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
@@ -728,7 +695,6 @@ def _unpack_dblsh(header: dict, archive, prefix: str) -> DBLSH:
         l_spaces=int(header["l_spaces"]),
         t=int(header["t"]),
         backend=str(header["backend"]),
-        engine=str(header["engine"]),
         max_entries=int(header["max_entries"]),
         initial_radius=float(header["initial_radius"]),
         patience=header.get("patience"),
@@ -740,7 +706,6 @@ def _unpack_dblsh(header: dict, archive, prefix: str) -> DBLSH:
         ),
         flats=_unpack_flats(header, archive, prefix),
         build_seconds=float(header.get("build_seconds", 0.0)),
-        builder=str(header.get("builder", "array")),
         tombstones=(
             archive[prefix + "tombstones"]
             if header.get("has_tombstones")

@@ -27,8 +27,6 @@ The JSON header binds the segment to one snapshot *generation*: it names
 the ``snapshot_uid`` the records apply on top of (and that snapshot's
 ``parent_uid``, so recovery can accept a log written just *before* a
 compaction flip), the id counter ``next_id``, and the segment's ordinal.
-A log created as a single regular file by older builds is migrated into
-the directory layout (the file becomes ``wal.000001.seg``) on open.
 
 Record payloads are binary, one mutation each:
 
@@ -176,10 +174,9 @@ def _fsync_dir(path: str) -> None:
 
 
 def wal_present(path: str) -> bool:
-    """True when a log (directory, legacy file, or mid-migration staging
-    directory) exists at ``path`` — the check recovery must use so a
-    crash mid-migration never looks like a missing log."""
-    return os.path.exists(path) or os.path.isdir(path + ".migrating")
+    """True when something exists at ``path`` — recovery opens it (and
+    :meth:`WriteAheadLog.open` refuses anything but a log directory)."""
+    return os.path.exists(path)
 
 
 def _parse_faults() -> List[Tuple[str, int]]:
@@ -382,7 +379,7 @@ class WriteAheadLog:
         The first segment's header is written and fsync'd (file and
         directory both) before :meth:`open` takes over, so a crash
         during creation leaves either no log or a replayable empty one.
-        An existing log (directory or legacy file) at ``path`` is
+        Whatever exists at ``path`` (a log directory or a file) is
         replaced.
         """
         if os.path.isdir(path):
@@ -412,31 +409,6 @@ class WriteAheadLog:
             segment_bytes=segment_bytes,
         )
 
-    @staticmethod
-    def _migrate_legacy(path: str) -> None:
-        """Turn a pre-segmentation single-file log into a directory.
-
-        The regular file becomes ``wal.000001.seg`` via a hardlink into
-        a staging directory, so every crash window leaves either the
-        original file, both, or the finished directory — never neither.
-        :meth:`open` (via this method) finishes an interrupted move.
-        """
-        staging = path + ".migrating"
-        if os.path.isfile(path):
-            if os.path.isdir(staging):
-                shutil.rmtree(staging)  # stale attempt; the file is intact
-            os.mkdir(staging)
-            os.link(path, os.path.join(staging, _segment_name(1)))
-            _fsync_dir(staging)
-            os.unlink(path)
-            _fsync_dir(os.path.dirname(path))
-            os.rename(staging, path)
-            _fsync_dir(os.path.dirname(path))
-        elif os.path.isdir(staging) and not os.path.exists(path):
-            # Crashed after unlinking the file, before the final rename.
-            os.rename(staging, path)
-            _fsync_dir(os.path.dirname(path))
-
     @classmethod
     def open(
         cls,
@@ -463,7 +435,6 @@ class WriteAheadLog:
         truncated only in the last segment; inside a sealed segment it
         is corruption and raises.
         """
-        cls._migrate_legacy(path)
         if not os.path.isdir(path):
             raise WALError(f"{path!r} is not a repro write-ahead log")
         entries: List[Tuple[int, str]] = []

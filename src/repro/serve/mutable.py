@@ -124,9 +124,8 @@ class MutableSnapshotServer(SnapshotServer):
     wal_path:
         Where the write-ahead log lives (a directory of segments);
         default ``<snapshot>.wal``.  An existing log found at
-        :meth:`start` is recovered (replayed, torn tail truncated,
-        legacy single-file logs migrated); a missing one is created
-        bound to the served snapshot's uid.
+        :meth:`start` is recovered (replayed, torn tail truncated); a
+        missing one is created bound to the served snapshot's uid.
     compact_threshold:
         Fold the delta buffer and tombstones into a fresh snapshot
         generation once their combined count reaches this; ``0``

@@ -3,12 +3,12 @@
 :func:`serve_shard` is the target function of every
 :class:`~repro.serve.server.SnapshotServer` worker process.  It loads
 exactly one shard of the snapshot (:func:`repro.io.snapshot.load_shard`
-reads only that shard's archive members), freezes its traversals once,
-reports readiness, and then answers ``("query", req_id, payload, k)``
-requests over its pipe until told to shut down.  Every query and ping
-reply echoes the coordinator's request id, which is what lets the
-coordinator's supervision retry re-scatter a block after a worker death
-and discard any stale answer a surviving worker delivers late.
+reads only that shard's archive members), reports readiness, and then
+answers ``("query", req_id, payload, k)`` requests over its pipe until
+told to shut down.  Every query and ping reply echoes the coordinator's
+request id, which is what lets the coordinator's supervision retry
+re-scatter a block after a worker death and discard any stale answer a
+surviving worker delivers late.
 
 Failure discipline: the worker never lets an exception escape the loop
 silently.  Startup failures and per-request failures are both reported
@@ -110,9 +110,6 @@ def serve_shard(path: str, shard: int, conn, peer=None, spawn: int = 0) -> None:
         from repro.io.snapshot import load_shard
 
         index = load_shard(path, shard)
-        # Freeze now so the first query doesn't pay a lazy rebuild (a
-        # no-op on rstar snapshots, which store the frozen arrays).
-        index._ensure_frozen()
         # The info dict rides third so older coordinators (which index
         # only [0] and [1]) keep working; "mapped" reports whether this
         # worker serves zero-copy mapped views (arena snapshot) or a

@@ -11,13 +11,15 @@ bare traceback.
 from __future__ import annotations
 
 import copy
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "tools"))
 
 import check_bench_gates as gates  # noqa: E402
 
@@ -343,3 +345,26 @@ def test_main_default_set_requires_all_files(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert gates.main([]) == 1
     assert capsys.readouterr().err.count("missing") == len(gates.CHECKERS)
+
+
+# ----------------------------------------------------------------------
+# Real smoke runs of the benchmark scripts, through their gates
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "script,checker",
+    [("bench_query_engine", gates.check_query_engine), ("bench_build", gates.check_build)],
+)
+def test_smoke_run_passes_its_gate(script, checker, tmp_path):
+    """The scripts themselves (not just fixtures) must produce reports
+    whose parity gates hold: the engine agrees with the per-candidate
+    reference, and the array-native build with the pointer tree."""
+    spec = importlib.util.spec_from_file_location(
+        f"smoke_{script}", REPO / "benchmarks" / f"{script}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / f"{script}.smoke.json"
+    assert module.main(["--smoke", "--out", str(out)]) == 0
+    assert checker(json.loads(out.read_text())) == []

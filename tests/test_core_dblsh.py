@@ -206,11 +206,12 @@ class TestBackends:
 
 
 class TestAdd:
-    def test_add_then_query(self):
+    @pytest.mark.parametrize("backend", ["rstar", "rstar-insert"])
+    def test_add_then_query(self, backend):
         data = gaussian_mixture(200, 8, n_clusters=4, seed=0)
-        index = DBLSH(l_spaces=3, k_per_space=4, seed=0, auto_initial_radius=True).fit(
-            data
-        )
+        index = DBLSH(
+            l_spaces=3, k_per_space=4, seed=0, auto_initial_radius=True, backend=backend
+        ).fit(data)
         # An isolated point: its projection sits at the window centre of a
         # self-query, so it is found in round 1 at distance 0 — no earlier
         # candidate can satisfy Algorithm 1's distance condition first.
@@ -220,6 +221,25 @@ class TestAdd:
         result = index.query(new_point, k=1)
         assert result.neighbors[0].id == 200
         assert result.neighbors[0].distance == pytest.approx(0.0)
+        assert index.num_pending == 1  # every add() lands in the delta
+
+    @pytest.mark.parametrize("backend", ["rstar", "rstar-insert"])
+    def test_add_then_compact_matches_fresh_fit(self, backend):
+        data = gaussian_mixture(300, 8, n_clusters=4, seed=1)
+        common = dict(l_spaces=3, k_per_space=4, t=8, seed=0, initial_radius=0.5,
+                      backend=backend)
+        index = DBLSH(**common).fit(data[:240])
+        index.add(data[240:270])
+        index.add(data[270:])
+        assert index.compact() is True
+        assert index.num_pending == 0
+        fresh = DBLSH(**common).fit(data)
+        queries = data[::30] + 0.05
+        for got, want in zip(index.query_batch(queries, k=5), fresh.query_batch(queries, k=5)):
+            assert got.ids == want.ids
+            assert got.distances == want.distances
+            assert got.stats.candidates_verified == want.stats.candidates_verified
+            assert got.stats.terminated_by == want.stats.terminated_by
 
     def test_add_requires_fit(self):
         with pytest.raises(RuntimeError, match="fit"):
@@ -227,9 +247,10 @@ class TestAdd:
 
     def test_add_requires_rstar(self):
         data = gaussian_mixture(100, 8, seed=0)
-        index = DBLSH(l_spaces=2, k_per_space=3, backend="kdtree", seed=0).fit(data)
-        with pytest.raises(NotImplementedError):
-            index.add(np.zeros((1, 8)))
+        for backend in ("kdtree", "grid"):
+            index = DBLSH(l_spaces=2, k_per_space=3, backend=backend, seed=0).fit(data)
+            with pytest.raises(NotImplementedError):
+                index.add(np.zeros((1, 8)))
 
     def test_add_dim_mismatch(self):
         data = gaussian_mixture(100, 8, seed=0)

@@ -5,9 +5,10 @@ Covers the vectorized query engine's contracts:
 * ``query_batch`` returns bitwise-identical neighbors and consistent
   work counters versus looping ``query``, for every backend, with and
   without thread workers;
-* the ``vectorized`` and ``legacy`` engines verify candidates in the
-  same order and therefore return the same neighbor ids even when the
-  budget truncates the scan;
+* the chunked query path and the per-candidate reference loop
+  (:func:`repro.core.reference.sequential_query`) verify candidates in
+  the same order and therefore return the same neighbor ids even when
+  the budget truncates the scan;
 * the patience counter survives radius rounds (regression test for the
   per-round reset bug);
 * ``add`` grows a capacity-doubling buffer instead of copying the whole
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro import DBLSH
+from repro.core.reference import sequential_query
 from repro.data.generators import gaussian_mixture
 
 BACKENDS = ["rstar", "rstar-insert", "kdtree", "grid"]
@@ -105,13 +107,11 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_vectorized_matches_legacy(self, workload, backend):
         data, queries = workload
-        kwargs = dict(l_spaces=3, k_per_space=5, t=16, seed=3, backend=backend,
-                      auto_initial_radius=True)
-        vec = DBLSH(engine="vectorized", **kwargs).fit(data)
-        leg = DBLSH(engine="legacy", **kwargs).fit(data)
+        index = DBLSH(l_spaces=3, k_per_space=5, t=16, seed=3, backend=backend,
+                      auto_initial_radius=True).fit(data)
         for q in queries:
-            a = vec.query(q, k=8)
-            b = leg.query(q, k=8)
+            a = index.query(q, k=8)
+            b = sequential_query(index, q, k=8)
             # Same candidates in the same order; distances agree to the
             # accumulation error of the expanded-norm formula.
             assert a.ids == b.ids
@@ -122,7 +122,7 @@ class TestEngineEquivalence:
             assert a.stats.terminated_by == b.stats.terminated_by
 
     def test_equivalence_with_duplicate_distances(self):
-        """Exact ties at the k-th boundary must not diverge the engines.
+        """Exact ties at the k-th boundary must not diverge from the reference.
 
         Duplicated points make every distance appear six times, so the
         merge fast path's partition would pick arbitrary tie survivors;
@@ -135,21 +135,16 @@ class TestEngineEquivalence:
         for t in (16, 1000):
             kwargs = dict(l_spaces=3, k_per_space=4, t=t, seed=1,
                           auto_initial_radius=True)
-            vec = DBLSH(**kwargs).fit(data)
-            leg = DBLSH(engine="legacy", **kwargs).fit(data)
+            index = DBLSH(**kwargs).fit(data)
             for k in (1, 5, 37):
-                a, b = vec.query(query, k=k), leg.query(query, k=k)
+                a, b = index.query(query, k=k), sequential_query(index, query, k=k)
                 assert a.ids == b.ids
                 assert a.stats.terminated_by == b.stats.terminated_by
 
     def test_invalid_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            DBLSH(engine="turbo")
-
-    def test_engine_reported(self, workload):
-        data, _ = workload
-        index = DBLSH(l_spaces=2, k_per_space=4, seed=0).fit(data)
-        assert "engine=vectorized" in index.describe()
+        # There is one query engine; the old selector is not a parameter.
+        with pytest.raises(TypeError, match="engine"):
+            DBLSH(engine="vectorized")
 
 
 class TestPatienceAcrossRounds:
@@ -180,12 +175,10 @@ class TestPatienceAcrossRounds:
         assert result.stats.rounds >= 3
         assert result.stats.candidates_verified <= 6
 
-        # The legacy engine shares the fixed round loop.
-        legacy = DBLSH(c=1.5, l_spaces=1, k_per_space=1, t=1000, seed=0,
-                       initial_radius=1.0, patience=4, engine="legacy").fit(data)
-        legacy_result = legacy.query(query, k=1)
-        assert legacy_result.stats.terminated_by == "patience"
-        assert legacy_result.stats.rounds == result.stats.rounds
+        # The per-candidate reference shares the fixed round loop.
+        reference = sequential_query(index, query, k=1)
+        assert reference.stats.terminated_by == "patience"
+        assert reference.stats.rounds == result.stats.rounds
 
 
 class TestAddGrowth:

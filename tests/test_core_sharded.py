@@ -7,6 +7,7 @@ import pytest
 
 from repro import DBLSH, ShardedDBLSH
 from repro.data.generators import gaussian_mixture
+from repro.index.rstar import RStarTree
 
 COMMON = dict(
     c=1.5, l_spaces=5, k_per_space=10, t=64, seed=0, auto_initial_radius=True
@@ -81,9 +82,8 @@ class TestBuildModes:
         process = ShardedDBLSH(shards=3, build_mode="process", **COMMON).fit(data)
         thread = ShardedDBLSH(shards=3, build_mode="thread", **COMMON).fit(data)
         for shard_p, shard_t in zip(process.shard_indexes, thread.shard_indexes):
-            shard_t._ensure_frozen()
             assert shard_p.num_points == shard_t.num_points
-            for flat_p, flat_t in zip(shard_p._flat_tables, shard_t._flat_tables):
+            for flat_p, flat_t in zip(shard_p._tables, shard_t._tables):
                 a, b = flat_p.to_arrays(), flat_t.to_arrays()
                 assert all(np.array_equal(a[key], b[key]) for key in a)
 
@@ -94,15 +94,21 @@ class TestBuildModes:
         sharded.add(isolated[None, :])
         assert sharded.query(isolated, k=1).neighbors[0].id == data.shape[0]
 
-    def test_non_flat_config_falls_back_to_threads(self, workload):
+    def test_non_flat_config_falls_back_to_threads(self, workload, monkeypatch):
+        import repro.core.sharded as sharded_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("rstar-insert shards must not use the process pool")
+
+        monkeypatch.setattr(sharded_module, "ProcessPoolExecutor", no_pool)
         data, queries = workload
         sharded = ShardedDBLSH(
-            shards=2, build_mode="process", engine="legacy", **COMMON
+            shards=2, build_mode="process", backend="rstar-insert", **COMMON
         ).fit(data)
-        # Thread-built legacy shards hold pointer tables; a shard that had
-        # gone through the process pool would have come back without them.
+        # Insert-built shards ship no traversal arrays, so they are built
+        # on threads and hold their pointer trees.
         for shard in sharded.shard_indexes:
-            assert all(table is not None for table in shard._tables)
+            assert all(isinstance(table, RStarTree) for table in shard._tables)
         assert sharded.query(queries[0], k=5).neighbors
 
     def test_invalid_build_mode(self):

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DBLSH
+from repro.core.reference import sequential_query
+from repro.index.flat import FlatRStarTree
 from repro.index.rstar import RStarTree
 from repro.index.str_build import build_flat_str, str_order
 
@@ -126,7 +128,7 @@ class TestByteIdenticalBuild:
 
 
 class TestBuilderEngineParity:
-    """DBLSH(builder=...) x engine parity: same neighbors everywhere."""
+    """DBLSH's array-built tables: pointer-free, and answer-identical."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -143,54 +145,47 @@ class TestBuilderEngineParity:
 
     def test_array_builder_skips_pointer_trees(self, workload):
         data, _ = workload
-        index = DBLSH(builder="array", **self.COMMON).fit(data)
-        assert all(table is None for table in index._tables)
-        assert all(flat is not None for flat in index._flat_tables)
-
-    def test_pointer_builder_keeps_pointer_trees(self, workload):
-        data, _ = workload
-        index = DBLSH(builder="pointer", **self.COMMON).fit(data)
-        assert all(table is not None for table in index._tables)
+        index = DBLSH(**self.COMMON).fit(data)
+        assert all(isinstance(table, FlatRStarTree) for table in index._tables)
 
     def test_builders_return_identical_results(self, workload):
+        # Swap in tables frozen from STR bulk-loaded pointer trees: the
+        # answers and the work done to reach them do not change.
         data, queries = workload
-        array_index = DBLSH(builder="array", **self.COMMON).fit(data)
-        pointer_index = DBLSH(builder="pointer", **self.COMMON).fit(data)
-        a = array_index.query_batch(queries, k=10)
-        b = pointer_index.query_batch(queries, k=10)
-        assert [r.ids for r in a] == [r.ids for r in b]
-        assert [r.stats.candidates_verified for r in a] == [
-            r.stats.candidates_verified for r in b
+        index = DBLSH(**self.COMMON).fit(data)
+        expected = index.query_batch(queries, k=10)
+        index._tables = [
+            RStarTree.bulk_load(proj).freeze() for proj in index._hasher.project_all(data)
+        ]
+        got = index.query_batch(queries, k=10)
+        assert [r.ids for r in got] == [r.ids for r in expected]
+        assert [r.stats.candidates_verified for r in got] == [
+            r.stats.candidates_verified for r in expected
         ]
 
     def test_builders_produce_identical_flat_arrays(self, workload):
         data, _ = workload
-        array_index = DBLSH(builder="array", **self.COMMON).fit(data)
-        pointer_index = DBLSH(builder="pointer", **self.COMMON).fit(data)
-        pointer_index._ensure_frozen()
-        for flat_a, flat_b in zip(
-            array_index._flat_tables, pointer_index._flat_tables
-        ):
-            assert_flats_identical(flat_b, flat_a)
+        index = DBLSH(**self.COMMON).fit(data)
+        projections = index._hasher.project_all(data)
+        for proj, flat in zip(projections, index._tables):
+            assert_flats_identical(RStarTree.bulk_load(proj).freeze(), flat)
 
     def test_array_builder_matches_legacy_engine(self, workload):
+        # The per-candidate reference loop is the old engine's semantics.
         data, queries = workload
-        array_index = DBLSH(builder="array", **self.COMMON).fit(data)
-        legacy = DBLSH(engine="legacy", **self.COMMON).fit(data)
+        index = DBLSH(**self.COMMON).fit(data)
         for q in queries:
-            assert array_index.query(q, k=10).ids == legacy.query(q, k=10).ids
+            assert index.query(q, k=10).ids == sequential_query(index, q, k=10).ids
 
     def test_add_appends_to_delta_without_rebuilding(self, workload):
-        # add() on a frozen array-built index lands in the delta buffer:
-        # no pointer tree is materialized, the frozen traversals stay
-        # valid, and the new point is immediately queryable.
+        # add() lands in the delta buffer: the frozen traversals stay
+        # valid and untouched, and the new point is immediately queryable.
         data, queries = workload
-        index = DBLSH(builder="array", **self.COMMON).fit(data)
-        flats_before = list(index._flat_tables)
+        index = DBLSH(**self.COMMON).fit(data)
+        tables_before = list(index._tables)
         far = data.mean(axis=0) + 300.0
         index.add(far[None, :])
-        assert all(table is None for table in index._tables)
-        assert index._flat_tables == flats_before
+        assert index._tables == tables_before
         assert index.num_pending == 1
         result = index.query(far, k=1)
         assert result.neighbors[0].id == data.shape[0]
@@ -201,14 +196,14 @@ class TestBuilderEngineParity:
         assert index.query(far, k=1).neighbors[0].id == data.shape[0]
 
     def test_invalid_builder_rejected(self):
-        with pytest.raises(ValueError, match="builder"):
-            DBLSH(builder="magic")
+        # There is one builder; the old selector is not a parameter.
+        with pytest.raises(TypeError, match="builder"):
+            DBLSH(builder="array")
 
     def test_non_flat_configs_build_eagerly(self, workload):
-        # builder="array" only applies to the rstar/vectorized pairing;
-        # other configurations keep their eager table builds.
+        # The ablation backends build their own structures at fit time.
         data, queries = workload
-        for kwargs in ({"backend": "kdtree"}, {"engine": "legacy"}):
-            index = DBLSH(builder="array", **{**self.COMMON, **kwargs}).fit(data)
-            assert all(table is not None for table in index._tables)
+        for backend in ("kdtree", "rstar-insert"):
+            index = DBLSH(backend=backend, **self.COMMON).fit(data)
+            assert not any(isinstance(t, FlatRStarTree) for t in index._tables)
             assert index.query(queries[0], k=5).neighbors

@@ -9,6 +9,7 @@ import pytest
 
 from repro import DBLSH, ShardedDBLSH
 from repro.data.generators import gaussian_mixture
+from repro.index.flat import FlatRStarTree
 from repro.io import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -53,10 +54,10 @@ class TestRoundtrip:
         path = str(tmp_path / "index.npz")
         save_index(fitted, path)
         restored = load_index(path)
-        assert all(flat is not None for flat in restored._flat_tables)
-        assert all(table is None for table in restored._tables)
+        assert all(isinstance(table, FlatRStarTree) for table in restored._tables)
+        tables = list(restored._tables)
         restored.query(queries[0], k=3)  # queries run off the flat arrays
-        assert all(table is None for table in restored._tables)
+        assert restored._tables == tables
 
     def test_batch_queries_after_load(self, workload, fitted, tmp_path):
         _, queries = workload
@@ -97,13 +98,12 @@ class TestArrayNativeRoundtrip:
         index = DBLSH(
             l_spaces=4, k_per_space=8, t=32, seed=0, auto_initial_radius=True
         ).fit(data)
-        assert all(table is None for table in index._tables)
+        tables = list(index._tables)
         path = str(tmp_path / "array.npz")
         save_index(index, path)
-        # Saving an already-frozen index must not rebuild pointer trees.
-        assert all(table is None for table in index._tables)
+        # Saving a compacted index serializes its tables; nothing is rebuilt.
+        assert index._tables == tables
         restored = load_index(path)
-        assert restored.builder == "array"
         batch = restored.query_batch(queries, k=5)
         assert [r.ids for r in batch] == [
             r.ids for r in index.query_batch(queries, k=5)
@@ -117,34 +117,26 @@ class TestArrayNativeRoundtrip:
         path = str(tmp_path / "bytes.npz")
         save_index(index, path)
         restored = load_index(path)
-        for flat_before, flat_after in zip(index._flat_tables, restored._flat_tables):
+        for flat_before, flat_after in zip(index._tables, restored._tables):
             a, b = flat_before.to_arrays(), flat_after.to_arrays()
             assert set(a) == set(b)
             assert all(np.array_equal(a[key], b[key]) for key in a)
 
-    def test_pointer_builder_survives_roundtrip(self, workload, tmp_path):
-        data, queries = workload
-        index = DBLSH(
-            builder="pointer", l_spaces=3, k_per_space=6, t=32, seed=0,
-            auto_initial_radius=True,
-        ).fit(data)
-        path = str(tmp_path / "pointer.npz")
-        save_index(index, path)
-        restored = load_index(path)
-        assert restored.builder == "pointer"
-        assert restored.describe() == index.describe()
-        assert restored.query(queries[0], k=5).ids == index.query(queries[0], k=5).ids
-
-    def test_compressed_snapshot_loads_identically(self, workload, fitted, tmp_path):
+    def test_pointer_builder_survives_roundtrip(self, workload, fitted, tmp_path):
+        """Snapshots written while DBLSH still had a pointer builder (their
+        headers carry ``engine`` and ``builder`` fields) keep loading; the
+        fields are ignored."""
         _, queries = workload
-        plain = str(tmp_path / "plain.npz")
-        packed = str(tmp_path / "packed.npz")
-        save_index(fitted, plain)
-        save_index(fitted, packed, compress=True)
-        from_plain = load_index(plain)
-        from_packed = load_index(packed)
+        path = str(tmp_path / "old.npz")
+        save_index(fitted, path, format="npz")
+        with np.load(path) as archive:
+            members = {name: archive[name] for name in archive.files}
+        header = json.loads(bytes(members.pop("header")).decode())
+        header["index"].update({"engine": "legacy", "builder": "pointer"})
+        np.savez(path, header=np.bytes_(json.dumps(header).encode()), **members)
+        restored = load_index(path)
         for q in queries[:4]:
-            assert from_plain.query(q, k=5).ids == from_packed.query(q, k=5).ids
+            assert restored.query(q, k=5).ids == fitted.query(q, k=5).ids
 
 
 class TestShardedRoundtrip:

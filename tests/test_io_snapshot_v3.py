@@ -212,7 +212,7 @@ class TestZeroCopyLoads:
 
     def test_flat_coords_adopted_without_mirror_copy(self, arena_path):
         index = load_index(arena_path)
-        for flat in index._flat_tables:
+        for flat in index._tables:
             assert _is_memmap_backed(flat._coords_cat)
             assert not flat._coords_cat.flags.writeable
 
@@ -223,12 +223,6 @@ class TestZeroCopyLoads:
         assert not index.is_mapped
         assert index._buffer.flags.writeable
         assert index.num_points == 405
-
-    def test_compress_forces_npz_container(self, fitted, tmp_path):
-        path = str(tmp_path / "packed.npz")
-        save_index(fitted, path, compress=True)
-        assert read_header(path)["version"] == SNAPSHOT_VERSION
-        assert not load_index(path).is_mapped
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ refuses to replay onto a snapshot generation it was not written against.
 On top of the classic single-segment contract this file pins the
 segmented layout (rotation at ``segment_bytes``, replay across segment
 boundaries, checkpoint rolls deleting folded segments, stale-segment
-cleanup, legacy single-file migration) and the group-commit path
+cleanup) and the group-commit path
 (concurrent appends sharing one fsync, acks only after the group's
 fsync, the ``mid-group`` and ``between-segment`` kill points).
 """
@@ -300,50 +300,6 @@ class TestCheckpointRoll:
         assert len(_segments(wal_path)) == 1
 
 
-class TestLegacyMigration:
-    def _write_legacy(self, path, records=((2, 1),)):
-        """A pre-segmentation single-file log: magic + header + records."""
-        frame = struct.Struct("<II")
-        header = json.dumps(
-            {"format": "repro-wal", "version": 1, "snapshot_uid": "old",
-             "parent_uid": None, "next_id": 3},
-            sort_keys=True,
-        ).encode()
-        with open(path, "wb") as handle:
-            handle.write(b"REPROWAL")
-            handle.write(frame.pack(len(header), crc32(header)))
-            handle.write(header)
-            for op, rec_id in records:
-                payload = struct.Struct("<BQ").pack(op, rec_id)
-                handle.write(frame.pack(len(payload), crc32(payload)))
-                handle.write(payload)
-
-    def test_single_file_log_migrates_to_a_directory(self, wal_path):
-        self._write_legacy(wal_path)
-        assert wal_present(wal_path)
-        with WriteAheadLog.open(wal_path, accept_uids={"old"}) as wal:
-            assert os.path.isdir(wal_path)
-            assert wal.recovered == [DeleteRecord(1)]
-            wal.append_insert(3, np.zeros(2))
-        with WriteAheadLog.open(wal_path) as wal:
-            assert [type(r).__name__ for r in wal.recovered] == [
-                "DeleteRecord", "InsertRecord"
-            ]
-
-    def test_interrupted_migration_is_finished_on_open(self, wal_path):
-        """Crash window: file already linked into the staging directory
-        and unlinked, before the final rename."""
-        self._write_legacy(wal_path)
-        staging = wal_path + ".migrating"
-        os.mkdir(staging)
-        os.link(wal_path, os.path.join(staging, "wal.000001.seg"))
-        os.unlink(wal_path)
-        assert wal_present(wal_path)  # mid-migration must not look missing
-        with WriteAheadLog.open(wal_path) as wal:
-            assert wal.recovered == [DeleteRecord(1)]
-        assert os.path.isdir(wal_path) and not os.path.exists(staging)
-
-
 class TestRejection:
     def test_uid_binding_refused(self, wal_path):
         WriteAheadLog.create(wal_path, snapshot_uid="gen0").close()
@@ -359,6 +315,27 @@ class TestRejection:
             handle.write(b"definitely not a log")
         with pytest.raises(WALError, match="not a repro write-ahead log"):
             WriteAheadLog.open(junk)
+
+    def test_regular_file_left_untouched(self, wal_path):
+        """A regular file at the log path — even one framed like a log —
+        is refused, and open() neither moves nor rewrites it."""
+        frame = struct.Struct("<II")
+        header = json.dumps(
+            {"format": "repro-wal", "version": 1, "snapshot_uid": "old",
+             "parent_uid": None, "next_id": 3},
+            sort_keys=True,
+        ).encode()
+        payload = struct.Struct("<BQ").pack(2, 1)
+        blob = (b"REPROWAL" + frame.pack(len(header), crc32(header)) + header
+                + frame.pack(len(payload), crc32(payload)) + payload)
+        with open(wal_path, "wb") as handle:
+            handle.write(blob)
+        assert wal_present(wal_path)
+        with pytest.raises(WALError, match="not a repro write-ahead log"):
+            WriteAheadLog.open(wal_path, accept_uids={"old"})
+        assert os.path.isfile(wal_path)
+        with open(wal_path, "rb") as handle:
+            assert handle.read() == blob
 
     def test_corrupt_header_refused(self, wal_path):
         WriteAheadLog.create(wal_path, snapshot_uid="gen0").close()
