@@ -10,49 +10,42 @@ Seven commands cover the practitioner loop without writing code:
   persist it as a versioned snapshot;
 * ``load``     — restore a snapshot with zero rebuild and smoke-test it
   against its own stored data;
-* ``serve``    — serve a snapshot from one worker process per shard and
-  listen for query connections on a socket;
-* ``query``    — connect to a running ``serve`` and answer a query set
-  over the wire.
+* ``serve``    — serve a snapshot from one worker process per shard
+  behind the HTTP/JSON gateway;
+* ``query``    — answer a query set against a running ``serve`` over
+  HTTP.
 
 Data sources: a registry stand-in name (``--dataset audio``) or an
 ``.fvecs`` file (``--fvecs path``).
 
-The ``serve``/``query`` pair speaks :mod:`multiprocessing.connection`
-framing (:mod:`repro.serve.protocol`) over a unix socket (``--listen
-/tmp/repro.sock``) or TCP (``--listen 127.0.0.1:7007``) — the
-fit → save → serve → query loop of the README's serving quickstart.
-``serve`` accepts any number of concurrent clients (one thread per
-connection, FIFO-fair onto the shared worker pool), supervises its
-workers (a killed worker is restarted and the request retried once),
-answers ``status`` and ``reload`` protocol verbs, and with ``--watch``
-hot-reloads a new snapshot generation when the file changes — in-flight
-queries finish on the generation they started on.  With ``--mutable``
-it also answers ``insert``/``delete``/``compact``: mutations are acked
-only after the write-ahead-log fsync, recovered on restart, and folded
-into fresh snapshot generations in the background; without the flag the
-same verbs are refused with a clear read-only error.  The client side
-retries its connection with exponential backoff (``--connect-timeout``),
-so scripts may start ``serve`` and ``query`` back to back.
+``serve --listen HOST:PORT`` opens one network front door, the gateway
+of :mod:`repro.serve.http`: ``POST /query`` with micro-batching and 429
+admission shedding, ``POST /insert``/``/delete``/``/compact`` when
+``--mutable``, ``POST /reload``, ``GET /healthz``/``/status``/``/metrics``
+and a loopback-only ``POST /shutdown`` — the fit → save → serve → query
+loop of the README's serving quickstart.  The server supervises its
+workers (a killed worker is restarted and the request retried once) and
+with ``--watch`` hot-reloads a new snapshot generation when the file
+changes — in-flight queries finish on the generation they started on.
+A mutable serve acks mutations only after the write-ahead-log fsync,
+recovers them on restart, and folds them into fresh snapshot generations
+in the background.  The serve stops on ``--max-requests``, ``POST
+/shutdown`` or Ctrl-C, and exits 1 when it can no longer keep its
+contract: a 503 from a query or mutation (the worker pool broke) or a
+500 from a mutation (a write that could not be made durable).
 
-``serve --http HOST:PORT`` additionally opens the HTTP/JSON front door
-(:mod:`repro.serve.http`): ``POST /query`` with micro-batching and 429
-admission shedding, ``POST /insert``/``/delete`` when ``--mutable``,
-``GET /healthz``/``/status``/``/metrics`` — composing with ``--watch``
-and ``--mutable``, since the gateway fronts the same server object the
-socket loop serves.  HTTP requests that reach the engine count toward
-``--max-requests`` exactly like raw-socket verbs.
+``query --server HOST:PORT`` posts the query set as one batch, retrying
+its connection with exponential backoff (``--connect-timeout``) so
+scripts may start ``serve`` and ``query`` back to back; ``--timeout-ms``
+becomes the ``X-Timeout-Ms`` deadline header, and ``--shutdown`` posts
+``/shutdown`` after the answer.
 
 Resilience knobs: ``--query-timeout`` bounds any single worker answer
 and arms the hang watchdog (``--hang-policy retry|fail`` decides
 whether a killed hung worker's request is re-dispatched or failed with
-a typed deadline error); ``query --timeout-ms`` sends a per-request
-budget the server enforces end to end; ``--idle-timeout`` /
-``--max-connections`` reap silent or excess raw-socket connections,
-and ``--http-default-timeout`` / ``--http-idle-timeout`` /
-``--http-max-connections`` do the same for the HTTP front door (HTTP
-clients can also set a per-request ``X-Timeout-Ms`` header, answered
-with 504 on overrun).
+a typed deadline error, answered 504); ``--http-default-timeout``,
+``--http-idle-timeout`` and ``--http-max-connections`` bound requests
+and connections at the gateway.
 """
 
 from __future__ import annotations
@@ -183,389 +176,56 @@ def _cmd_load(args: argparse.Namespace) -> int:
     return 0 if result.recall > 0.5 else 1
 
 
-def _parse_address(addr: str):
-    """``host:port`` -> TCP tuple; anything else -> unix socket path."""
-    host, _, port = addr.rpartition(":")
-    if host and port.isdigit():
-        return (host, int(port))
-    return addr
-
-
 def _parse_http_address(addr: str) -> tuple:
-    """``HOST:PORT``/``:PORT``/``PORT`` -> (host, port) for --http.
+    """``HOST:PORT``/``:PORT``/``PORT`` -> (host, port).
 
-    HTTP has no unix-socket mode here, so a bare port is accepted and a
-    missing host defaults to loopback (the gateway carries no auth; a
+    A missing host defaults to loopback (the gateway carries no auth; a
     non-loopback bind is the operator's deliberate choice).
     """
     host, _, port = addr.rpartition(":")
     if not port.isdigit():
-        raise SystemExit(
-            f"--http expects HOST:PORT, :PORT or PORT, got {addr!r}"
-        )
+        raise SystemExit(f"expected HOST:PORT, :PORT or PORT, got {addr!r}")
     return (host or "127.0.0.1", int(port))
 
 
-def _clear_stale_socket(address) -> Optional[str]:
-    """Unlink a dead unix-socket file left by an unclean server exit.
-
-    ``Listener`` only removes its socket path in ``close()``, so a
-    killed server leaves the file behind and a restart would fail with
-    EADDRINUSE.  A quick connect probe distinguishes a stale leftover
-    (refused -> safe to unlink) from a live server (connected -> refuse
-    to start).  Returns an error message instead of cleaning up when
-    the path is busy or not a socket.
-    """
-    import socket
-    import stat
-
-    if not isinstance(address, str) or not os.path.exists(address):
-        return None
-    try:
-        mode = os.stat(address).st_mode
-    except FileNotFoundError:
-        return None  # vanished since exists(): no stale socket after all
-    if not stat.S_ISSOCK(mode):
-        return (f"--listen path {address!r} exists and is not a socket; "
-                f"refusing to overwrite it")
-    if not hasattr(socket, "AF_UNIX"):
-        return f"--listen path {address!r} already exists"
-    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    probe.settimeout(0.25)
-    try:
-        probe.connect(address)
-    except OSError:
-        try:
-            os.unlink(address)  # nobody listening: stale leftover
-        except FileNotFoundError:
-            pass  # a concurrently restarting server beat us to it
-        return None
-    else:
-        return f"another server is already listening on {address!r}"
-    finally:
-        probe.close()
-
-
 class _ServeState:
-    """Thread-safe loop state of one ``repro serve`` run.
+    """Request counter, failure slot and stop event of one ``repro serve``.
 
-    The accept loop hands every client connection to its own thread, so
-    the request counter, the failure slot, and the stop signal are all
-    guarded here.  ``request_stop`` also closes the listener: that is
-    what unblocks the accept loop promptly instead of leaving it parked
-    in ``accept()`` until one more client happens to connect.
+    :meth:`observe` is the gateway's ``on_request`` hook, always called
+    from its one event-loop thread; the main thread parks on ``stop``.
     """
 
     def __init__(self, max_requests: Optional[int]) -> None:
         self.max_requests = max_requests
         self.handled = 0
         self.failure: Optional[str] = None
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._listener = None
-        self._address = None
-        self._listener_closed = False
+        self.stop = threading.Event()
         # --max-requests 0 means "bind, then stop": start already done.
         if max_requests is not None and max_requests <= 0:
-            self._stop.set()
+            self.stop.set()
 
-    @property
-    def stop(self) -> bool:
-        return self._stop.is_set()
-
-    def wait(self, timeout: float) -> bool:
-        """Sleep until stop is requested or ``timeout`` elapses."""
-        return self._stop.wait(timeout)
-
-    def attach_listener(self, listener, address) -> None:
-        with self._lock:
-            self._listener = listener
-            self._address = address
-
-    def request_stop(self) -> None:
-        self._stop.set()
-        with self._lock:
-            listener, self._listener = self._listener, None
-            address = getattr(self, "_address", None)
-            already = self._listener_closed
-            self._listener_closed = True
-        if listener is not None and not already:
-            # Closing a listening socket does NOT wake a thread already
-            # blocked in accept() on Linux; poke it with a throwaway
-            # connection first so the accept loop observes the stop.
-            self._poke(address)
-            try:
-                listener.close()
-            except OSError:
-                pass
-
-    @staticmethod
-    def _poke(address) -> None:
-        import socket
-
-        try:
-            if isinstance(address, tuple):
-                poke = socket.create_connection(address, timeout=1.0)
-            elif isinstance(address, str) and hasattr(socket, "AF_UNIX"):
-                poke = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                poke.settimeout(1.0)
-                poke.connect(address)
-            else:
-                return
-            poke.close()
-        except OSError:
-            pass  # nobody listening anymore: nothing to wake
-
-    def count_request(self) -> None:
-        with self._lock:
+    def observe(self, endpoint: str, status: int) -> None:
+        if endpoint == "shutdown":
+            if status == 200:
+                self.stop.set()
+        elif status in (200, 504):
+            # The request reached the engine (answered, or spent its
+            # deadline doing so): it counts toward --max-requests.
             self.handled += 1
-            reached = (self.max_requests is not None
-                       and self.handled >= self.max_requests)
-        if reached:
-            self.request_stop()
-
-    def fail(self, message: str) -> None:
-        with self._lock:
-            if self.failure is None:
-                self.failure = message
-        self.request_stop()
-
-
-class _ConnectionTable:
-    """Raw-socket connection lifecycle: a hard cap and idle reaping.
-
-    Every accepted connection is registered here; each received request
-    refreshes its last-active stamp.  When ``max_connections`` is set
-    and the table is full, admitting one more evicts the
-    least-recently-active connection (the client that went quiet first
-    loses its slot, not the newcomer).  A reaper thread periodically
-    closes connections idle past ``idle_timeout``.  Closing happens
-    from *this* side while the owning client thread is parked in
-    ``conn.poll``; the poll observes the closed handle as an ``OSError``
-    and the thread exits its loop cleanly — the double ``close()`` from
-    the thread's ``with conn:`` is a no-op on an already-closed
-    :class:`multiprocessing.connection.Connection`.
-    """
-
-    def __init__(self, max_connections: Optional[int] = None,
-                 idle_timeout: Optional[float] = None) -> None:
-        if max_connections is not None and max_connections < 1:
-            raise ValueError(
-                f"max_connections must be >= 1, got {max_connections}")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError(
-                f"idle_timeout must be > 0 seconds, got {idle_timeout}")
-        self.max_connections = max_connections
-        self.idle_timeout = idle_timeout
-        self.reaped_idle = 0
-        self.reaped_overflow = 0
-        self._lock = threading.Lock()
-        self._entries: dict = {}  # key -> [conn, last_active]
-        self._next_key = 0
-
-    def admit(self, conn):
-        """Register ``conn``; evict the least-recently-active one at cap."""
-        victim = None
-        with self._lock:
-            if (self.max_connections is not None
-                    and len(self._entries) >= self.max_connections):
-                oldest = min(self._entries,
-                             key=lambda k: self._entries[k][1])
-                victim = self._entries.pop(oldest)[0]
-                self.reaped_overflow += 1
-            key = self._next_key
-            self._next_key += 1
-            self._entries[key] = [conn, time.monotonic()]
-        if victim is not None:
-            self._close(victim)
-        return key
-
-    def touch(self, key) -> None:
-        """Refresh a connection's last-active stamp (one per request)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                entry[1] = time.monotonic()
-
-    def drop(self, key) -> None:
-        """Forget a connection that closed on its own (no reap counted)."""
-        with self._lock:
-            self._entries.pop(key, None)
-
-    def reap_idle(self) -> None:
-        """Close every connection idle past ``idle_timeout``."""
-        if self.idle_timeout is None:
-            return
-        cutoff = time.monotonic() - self.idle_timeout
-        victims = []
-        with self._lock:
-            for key in [k for k, (_, last) in self._entries.items()
-                        if last < cutoff]:
-                victims.append(self._entries.pop(key)[0])
-                self.reaped_idle += 1
-        for conn in victims:
-            self._close(conn)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @staticmethod
-    def _close(conn) -> None:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-def _connection_reaper(table: _ConnectionTable, state: _ServeState) -> None:
-    """Periodically reap idle raw-socket connections until the serve stops."""
-    interval = max(min(table.idle_timeout / 4.0, 1.0), 0.05)
-    while not state.wait(interval):
-        table.reap_idle()
-
-
-def _serve_one_client(conn, server, state: _ServeState,
-                      table: Optional[_ConnectionTable] = None,
-                      key=None) -> None:
-    """Answer one client connection until it disconnects or asks to stop.
-
-    One of these runs per client thread; ``server`` dispatches the
-    threads onto the worker pool in FIFO order, so clients cannot starve
-    each other.  Client-side misbehavior (vanishing mid-request,
-    resetting the connection) only ends *this* connection; a
-    ``ServerError`` from the worker pool — which supervision could not
-    recover — marks the run failed and stops the serve loop.  A
-    ``DeadlineExceeded`` is *not* such a failure: the request simply ran
-    out of its client-supplied ``timeout_ms`` budget, so it is answered
-    with a typed error and the connection keeps serving.
-    """
-    from repro.io import SnapshotError, WALError
-    from repro.serve import DeadlineExceeded, ReadOnlyError, ServerError
-    from repro.serve.protocol import encode_result
-
-    while not state.stop:
-        try:
-            # Bounded recv: wake periodically to observe a stop requested
-            # by another client's shutdown even if this connection's fd
-            # never EOFs (a worker forked while it was open would hold a
-            # copy; the spawn context avoids that, this bounds the rest).
-            if not conn.poll(0.2):
-                continue
-            message = conn.recv()
-        except (EOFError, ConnectionResetError, OSError):
-            return  # client went away (or the reaper closed this slot)
-        if table is not None:
-            table.touch(key)
-        try:
-            kind = message[0] if isinstance(message, tuple) and message else None
-            if kind == "query_batch":
-                queries = np.asarray(message[1], dtype=np.float64)
-                timeout_ms = message[3] if len(message) > 3 else None
-                try:
-                    if timeout_ms is not None:
-                        results = server.query_batch(
-                            queries, k=int(message[2]),
-                            timeout=float(timeout_ms) / 1000.0,
-                        )
-                    else:
-                        results = server.query_batch(queries, k=int(message[2]))
-                except DeadlineExceeded as exc:
-                    # Typed, expected, recoverable: the request spent its
-                    # budget.  Answer it and keep both the connection and
-                    # the serve loop alive (it still counts as handled —
-                    # the request reached the engine).
-                    conn.send(("error", f"deadline exceeded: {exc}"))
-                    state.count_request()
-                    if state.stop:
-                        return
-                    continue
-                except ValueError as exc:
-                    conn.send(("error", str(exc)))
-                    continue
-                except ServerError as exc:
-                    conn.send(("error", str(exc)))
-                    state.fail(str(exc))
-                    return
-                conn.send(("ok", [encode_result(r) for r in results]))
-                state.count_request()
-                if state.stop:
-                    return
-            elif kind in ("insert", "delete", "compact"):
-                # Mutation verbs: acked only after the WAL fsync inside
-                # the server method returns; a read-only serve refuses
-                # with a clear error instead of pretending.
-                if not hasattr(server, "insert"):
-                    conn.send(("error",
-                               f"server is read-only: {kind} refused "
-                               f"(restart serve with --mutable)"))
-                    continue
-                try:
-                    if kind == "insert":
-                        value = server.insert(
-                            np.asarray(message[1], dtype=np.float64)
-                        )
-                    elif kind == "delete":
-                        value = server.delete(int(message[1]))
-                    else:
-                        value = server.compact()
-                except (ValueError, ReadOnlyError) as exc:
-                    conn.send(("error", str(exc)))
-                    continue
-                except (WALError, OSError, ServerError) as exc:
-                    # A mutation that could not be made durable poisons
-                    # nothing that was already acked, but this serve can
-                    # no longer honor its durability contract: fail loud.
-                    conn.send(("error", str(exc)))
-                    state.fail(str(exc))
-                    return
-                conn.send(("ok", value))
-                state.count_request()
-                if state.stop:
-                    return
-            elif kind == "status":
-                conn.send(("ok", server.status()))
-            elif kind == "reload":
-                path = message[1] if len(message) > 1 and message[1] else None
-                try:
-                    conn.send(("ok", server.reload(path)))
-                except (SnapshotError, ServerError) as exc:
-                    # A refused reload (junk file, version skew, wrong
-                    # dimensionality) leaves the old generation serving;
-                    # report it to this client and keep the loop alive.
-                    conn.send(("error", str(exc)))
-            elif kind == "describe":
-                conn.send(("ok", server.describe()))
-            elif kind == "shutdown":
-                conn.send(("ok", "shutting down"))
-                state.request_stop()
-                return
-            else:
-                conn.send(("error", f"unknown request kind {kind!r}"))
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            return  # client vanished mid-reply; the work is already done
-        except (TypeError, ValueError, IndexError, KeyError) as exc:
-            # Malformed payload (ragged query list, missing fields, a
-            # non-tuple message): reject the request, keep the server.
-            try:
-                conn.send(("error", f"malformed request: {exc}"))
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                return
-
-
-def _client_thread(conn, server, state: _ServeState,
-                   table: Optional[_ConnectionTable] = None, key=None) -> None:
-    """Own one accepted connection for its lifetime (runs in a thread)."""
-    try:
-        with conn:
-            _serve_one_client(conn, server, state, table, key)
-    finally:
-        if table is not None:
-            table.drop(key)
+            if self.max_requests is not None and self.handled >= self.max_requests:
+                self.stop.set()
+        elif (status == 503 or (status == 500 and endpoint != "query")) and (
+            not self.stop.is_set()  # a 503 while draining is no breakage
+        ):
+            # The worker pool broke beyond supervision, or a mutation
+            # could not be made durable: this serve can no longer keep
+            # its contract, so fail loud instead of acking on.
+            self.failure = f"POST /{endpoint} answered {status}"
+            self.stop.set()
 
 
 def _watch_snapshot(server, path: str, interval: float,
-                    state: _ServeState) -> None:
+                    stop: threading.Event) -> None:
     """Poll ``path``'s mtime and hot-reload the server when it changes.
 
     A failed reload (half-written file, junk, version skew) keeps the
@@ -582,7 +242,7 @@ def _watch_snapshot(server, path: str, interval: float,
             return None  # mid-replace (writer unlinked first); retry
 
     last = _mtime()
-    while not state.wait(interval):
+    while not stop.wait(interval):
         stamp = _mtime()
         if stamp is None or stamp == last:
             continue
@@ -597,41 +257,18 @@ def _watch_snapshot(server, path: str, interval: float,
                   f"generation keeps serving", file=sys.stderr, flush=True)
 
 
-_LOOPBACK_HOSTS = frozenset({"127.0.0.1", "localhost", "::1"})
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import multiprocessing
-    from multiprocessing.connection import Listener
+    from repro.serve import (
+        GatewayError,
+        HttpGateway,
+        MutableSnapshotServer,
+        SnapshotServer,
+    )
 
-    from repro.serve import MutableSnapshotServer, SnapshotServer
-    from repro.serve.protocol import AUTHKEY, DEFAULT_AUTHKEY
-
-    address = _parse_address(args.listen)
-    if (isinstance(address, tuple)
-            and address[0] not in _LOOPBACK_HOSTS
-            and AUTHKEY == DEFAULT_AUTHKEY):
-        # The wire protocol is authenticated pickle: the key is code
-        # execution rights, and the default key is public.  Refuse to
-        # pair it with a non-loopback bind.
-        print(f"refusing to listen on {args.listen!r} with the default "
-              f"authkey: anyone reaching the port could execute code in "
-              f"this process. Set REPRO_SERVE_AUTHKEY (on server and "
-              f"clients) or bind to 127.0.0.1/a unix socket.",
-              file=sys.stderr)
-        return 1
-    problem = _clear_stale_socket(address)
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return 1
+    host, port = _parse_http_address(args.listen)
     state = _ServeState(args.max_requests)
-    table = _ConnectionTable(max_connections=args.max_connections,
-                             idle_timeout=args.idle_timeout)
-    client_threads = []
-    # Workers are spawned, not forked: the serve loop is multi-threaded
-    # and holds client sockets, and a forked worker would inherit copies
-    # of those fds — after which a client hanging up no longer EOFs its
-    # server-side connection (some process still holds the fd open).
+    # Workers are spawned, not forked: the gateway thread holds client
+    # sockets, and a forked worker would inherit copies of those fds.
     # Supervision restarts and reloads spawn workers mid-serve, so this
     # matters beyond startup.  --mp-context overrides for experiments.
     if args.mutable:
@@ -655,159 +292,82 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             hang_policy=args.hang_policy,
             mp_context=args.mp_context,
         )
-    gateway = None
     with server_factory as server:
-        listener = Listener(address, authkey=AUTHKEY)
-        state.attach_listener(listener, address)
+        try:
+            gateway = HttpGateway(
+                server, host, port,
+                batch_window=args.http_batch_window,
+                max_batch=args.http_max_batch,
+                queue_limit=args.http_queue_limit,
+                default_timeout=args.http_default_timeout,
+                idle_timeout=args.http_idle_timeout,
+                max_connections=args.http_max_connections,
+                on_request=state.observe,
+            ).start()
+        except GatewayError as exc:
+            print(f"could not open the HTTP front door: {exc}", file=sys.stderr)
+            return 1
         try:
             print(server.describe())
             mode = "mutable" if args.mutable else "read-only"
-            print(f"listening on {args.listen} "
-                  f"(workers: {len(server.worker_pids)}, {mode})", flush=True)
-            if args.http:
-                from repro.serve import GatewayError, HttpGateway
-
-                host, port = _parse_http_address(args.http)
-                try:
-                    gateway = HttpGateway(
-                        server, host, port,
-                        batch_window=args.http_batch_window,
-                        max_batch=args.http_max_batch,
-                        queue_limit=args.http_queue_limit,
-                        default_timeout=args.http_default_timeout,
-                        idle_timeout=args.http_idle_timeout,
-                        max_connections=args.http_max_connections,
-                        # HTTP requests that reach the engine count
-                        # toward --max-requests like raw-socket verbs.
-                        on_request=lambda endpoint: state.count_request(),
-                    ).start()
-                except GatewayError as exc:
-                    print(f"could not open the HTTP front door: {exc}",
-                          file=sys.stderr)
-                    return 1
-                print(f"http on {gateway.address} "
-                      f"(batch window {gateway.batch_window * 1e3:g} ms, "
-                      f"max batch {gateway.max_batch}, "
-                      f"queue limit {gateway.queue_limit})", flush=True)
+            print(f"listening on http://{gateway.address} "
+                  f"(workers: {len(server.worker_pids)}, {mode}; "
+                  f"batch window {gateway.batch_window * 1e3:g} ms, "
+                  f"max batch {gateway.max_batch}, "
+                  f"queue limit {gateway.queue_limit})", flush=True)
             if args.watch:
                 threading.Thread(
                     target=_watch_snapshot,
-                    args=(server, args.index, args.watch_interval, state),
+                    args=(server, args.index, args.watch_interval, state.stop),
                     name="repro-serve-watch",
                     daemon=True,
                 ).start()
-            if table.idle_timeout is not None:
-                threading.Thread(
-                    target=_connection_reaper, args=(table, state),
-                    name="repro-serve-reaper", daemon=True,
-                ).start()
-            while not state.stop:
-                try:
-                    conn = listener.accept()
-                except multiprocessing.AuthenticationError:
-                    print("rejected a connection with a bad authkey",
-                          file=sys.stderr)
-                    continue
-                except (ConnectionResetError, EOFError):
-                    # A probe/scanner connected and vanished mid-handshake
-                    # (repro serve's own stale-socket check does exactly
-                    # this); never let a client kill the server.
-                    continue
-                except OSError:
-                    if state.stop:
-                        break  # request_stop() closed the listener
-                    continue
-                # One thread per client: many connections multiplex onto
-                # the shared worker pool (the server's FIFO dispatch keeps
-                # it fair), and a slow client no longer blocks accept().
-                # Admission may evict the least-recently-active
-                # connection when --max-connections is reached.
-                key = table.admit(conn)
-                thread = threading.Thread(
-                    target=_client_thread, args=(conn, server, state,
-                                                 table, key),
-                    name="repro-serve-client", daemon=True,
-                )
-                thread.start()
-                # Prune finished connections so a long-lived serve does
-                # not retain one Thread object per connection ever made.
-                client_threads = [t for t in client_threads if t.is_alive()]
-                client_threads.append(thread)
+            try:
+                state.stop.wait()
+            except KeyboardInterrupt:
+                pass
         finally:
-            state.request_stop()  # closes the listener (idempotent)
-            if gateway is not None:
-                gateway.close()
-            for thread in client_threads:
-                thread.join(timeout=30.0)
-    handled, failure = state.handled, state.failure
-    if table.reaped_idle or table.reaped_overflow:
-        print(f"reaped {table.reaped_idle} idle and {table.reaped_overflow} "
-              f"over-cap connection(s)", flush=True)
-    if failure is not None:
+            state.stop.set()  # also ends the watcher
+            gateway.close()
+    if state.failure is not None:
         # Exit nonzero so supervisors (systemd, CI) see the crash for
         # what it is rather than a clean, intentional shutdown.
-        print(f"serving failed after {handled} request(s): {failure}",
-              file=sys.stderr)
+        print(f"serving failed after {state.handled} request(s): "
+              f"{state.failure}", file=sys.stderr)
         return 1
-    print(f"served {handled} request(s); shut down cleanly")
+    print(f"served {state.handled} request(s); shut down cleanly")
     return 0
 
 
-#: Consecutive connection *resets* tolerated before the dial gives up.
-#: A reset means somebody IS listening and actively dropped us — after
-#: this many in a row it is a refusal (authkey gate, a proxy, a port
-#: squatter), not a startup race, and retrying until the timeout just
-#: delays the inevitable error by the full --connect-timeout.
-_MAX_CONSECUTIVE_RESETS = 8
-
-
-def _connect_with_retry(address, timeout: float, *, initial_delay: float = 0.05,
-                        max_delay: float = 1.0, _sleep=time.sleep):
-    """Dial the server until it listens (covers serve's start-up window).
+def _connect_with_retry(address: tuple, timeout: float, *,
+                        io_timeout: Optional[float] = None,
+                        initial_delay: float = 0.05, max_delay: float = 1.0,
+                        _sleep=time.sleep):
+    """Dial the gateway until it listens (covers serve's start-up window).
 
     Scripts and tests race ``repro serve``'s startup all the time (shell
-    ``&``, CI jobs), so a refused-connect or not-yet-bound address is
-    retried with exponential backoff — ``initial_delay`` doubling up to
-    ``max_delay`` — until ``timeout`` is spent, then the last error
-    propagates.  The backoff keeps the early retries snappy (a server
-    that is milliseconds away from binding is caught within
-    ``initial_delay``) without hammering a socket that is seconds away
-    with hundreds of connect attempts.
-
-    Not every connect error means "keep trying": a
-    ``ConnectionResetError`` can be a listener mid-bind/mid-handshake
-    teardown (transient — retry), but a *streak* of them means a live
-    server is deliberately dropping this client, which no amount of
-    waiting fixes; after :data:`_MAX_CONSECUTIVE_RESETS` in a row the
-    dial fails immediately with a message saying so instead of burning
-    the whole timeout.  One refused/unbound attempt resets the streak —
-    a server restarting underneath us is back to being a startup race.
+    ``&``, CI jobs), so a refused connect is retried with exponential
+    backoff — ``initial_delay`` doubling up to ``max_delay`` — until
+    ``timeout`` is spent, then the last error propagates.  The backoff
+    keeps the early retries snappy without hammering a port that is
+    seconds away from binding.  Returns a connected
+    :class:`http.client.HTTPConnection` whose reads time out after
+    ``io_timeout`` seconds.
 
     ``_sleep`` is injectable so the regression test can record the
     backoff schedule instead of actually waiting it out.
     """
-    from multiprocessing.connection import Client
-
-    from repro.serve.protocol import AUTHKEY
+    import http.client
 
     deadline = time.monotonic() + timeout
     delay = initial_delay
-    resets = 0
     while True:
+        conn = http.client.HTTPConnection(*address, timeout=io_timeout)
         try:
-            return Client(address, authkey=AUTHKEY)
-        except (ConnectionRefusedError, FileNotFoundError) as exc:
-            resets = 0
-            error = exc
-        except ConnectionResetError as exc:
-            resets += 1
-            if resets >= _MAX_CONSECUTIVE_RESETS:
-                raise ConnectionResetError(
-                    f"server at {address!r} reset the connection {resets} "
-                    f"times in a row: something is listening but refusing "
-                    f"this client (authkey mismatch? not a repro serve?); "
-                    f"giving up early instead of retrying for the full "
-                    f"timeout") from exc
+            conn.connect()
+            return conn
+        except ConnectionRefusedError as exc:
+            conn.close()
             error = exc
         remaining = deadline - time.monotonic()
         if remaining <= 0:
@@ -816,40 +376,44 @@ def _connect_with_retry(address, timeout: float, *, initial_delay: float = 0.05,
         delay = min(delay * 2, max_delay)
 
 
+def _post_json(conn, path: str, payload: dict,
+               headers: Optional[dict] = None) -> tuple:
+    """One keep-alive ``POST`` round trip; returns (status, JSON body)."""
+    import json
+
+    conn.request("POST", path, body=json.dumps(payload),
+                 headers={"Content-Type": "application/json", **(headers or {})})
+    response = conn.getresponse()
+    return response.status, json.loads(response.read() or b"{}")
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.serve.protocol import decode_result
+    import http.client
 
-    address = _parse_address(args.server)
+    address = _parse_http_address(args.server)
     _, queries, label = _load_points(args)
-    import multiprocessing
-
     try:
-        client = _connect_with_retry(address, args.connect_timeout)
-    except multiprocessing.AuthenticationError:
-        print(f"authentication with {args.server} failed: the server was "
-              f"started with a different authkey (set the same "
-              f"REPRO_SERVE_AUTHKEY on both ends)", file=sys.stderr)
-        return 1
-    except (ConnectionRefusedError, FileNotFoundError, EOFError, OSError) as exc:
+        conn = _connect_with_retry(address, args.connect_timeout,
+                                   io_timeout=args.reply_timeout)
+    except OSError as exc:
         print(f"could not connect to {args.server} within "
               f"{args.connect_timeout:.0f}s: {exc}", file=sys.stderr)
         return 1
-    with client as conn:
+    # The server enforces --timeout-ms end to end and answers 504 on
+    # overrun.
+    headers = ({} if args.timeout_ms is None
+               else {"X-Timeout-Ms": f"{args.timeout_ms:g}"})
+    try:
         started = time.perf_counter()
         try:
-            if args.timeout_ms is not None:
-                # 4-tuple form: the server enforces this budget end to
-                # end and answers ("error", "deadline exceeded: ...") on
-                # overrun.  Older 3-tuple form kept for old servers.
-                conn.send(("query_batch", queries, args.k, args.timeout_ms))
-            else:
-                conn.send(("query_batch", queries, args.k))
-            if not conn.poll(args.reply_timeout):
-                print(f"server did not reply within {args.reply_timeout:.0f}s",
-                      file=sys.stderr)
-                return 1
-            reply = conn.recv()
-        except (EOFError, ConnectionResetError, BrokenPipeError, OSError):
+            status, reply = _post_json(
+                conn, "/query", {"queries": queries.tolist(), "k": args.k},
+                headers)
+        except TimeoutError:
+            print(f"server did not reply within {args.reply_timeout:.0f}s",
+                  file=sys.stderr)
+            return 1
+        except (OSError, http.client.HTTPException, ValueError):
             # The server stopped (crashed, --max-requests elsewhere, a
             # concurrent shutdown) between accept and reply.
             print("server closed the connection before replying",
@@ -858,27 +422,32 @@ def _cmd_query(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - started
         if args.shutdown:
             try:
-                conn.send(("shutdown",))
-                conn.recv()
-            except (EOFError, OSError):
-                pass  # server already closed this connection (it may
-                # have stopped on its own, e.g. --max-requests reached)
-    if reply[0] != "ok":
-        print(f"server error: {reply[1]}", file=sys.stderr)
+                code, answer = _post_json(conn, "/shutdown", {})
+            except (OSError, http.client.HTTPException, ValueError):
+                pass  # the server already stopped on its own (--max-requests)
+            else:
+                if code != 200:
+                    print(f"shutdown refused ({code}): {answer.get('error')}",
+                          file=sys.stderr)
+    finally:
+        conn.close()
+    if status != 200:
+        print(f"server error ({status}): {reply.get('error', reply)}",
+              file=sys.stderr)
         return 1
-    results = [decode_result(wire) for wire in reply[1]]
+    results = reply["results"]
     rows = [
         {
             "query": i,
-            "top1_id": r.ids[0] if r.ids else "-",
-            "top1_dist": round(r.distances[0], 4) if r.ids else "-",
-            "found": len(r.neighbors),
+            "top1_id": r["ids"][0] if r["ids"] else "-",
+            "top1_dist": round(r["distances"][0], 4) if r["ids"] else "-",
+            "found": len(r["ids"]),
         }
         for i, r in enumerate(results[:10])
     ]
     print(format_table(rows, title=f"Served answers: {label} (k={args.k})"))
     m = len(results)
-    print(f"{m} queries in {elapsed:.3f}s over the wire "
+    print(f"{m} queries in {elapsed:.3f}s over HTTP "
           f"({m / max(elapsed, 1e-9):.1f} qps incl. transport)")
     return 0
 
@@ -976,8 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.set_defaults(handler=_cmd_serve)
     serve_cmd.add_argument("--index", required=True,
                            help="snapshot path (.npz) to serve")
-    serve_cmd.add_argument("--listen", default="repro-serve.sock",
-                           help="unix socket path, or host:port for TCP")
+    serve_cmd.add_argument("--listen", default="127.0.0.1:8080",
+                           help="HTTP address: HOST:PORT, :PORT or PORT "
+                                "(loopback when the host is omitted)")
     serve_cmd.add_argument("--query-timeout", type=float, default=120.0,
                            dest="query_timeout",
                            help="seconds before a silent worker is declared "
@@ -989,20 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
                                 "worker, fail answers it with a typed "
                                 "deadline error (the worker restarts either "
                                 "way)")
-    serve_cmd.add_argument("--idle-timeout", type=float, default=None,
-                           dest="idle_timeout", metavar="SECONDS",
-                           help="close raw-socket connections idle this long "
-                                "(default: never reap)")
-    serve_cmd.add_argument("--max-connections", type=int, default=None,
-                           dest="max_connections",
-                           help="cap concurrent raw-socket connections; at "
-                                "the cap, admitting one more evicts the "
-                                "least-recently-active (default: unlimited)")
     serve_cmd.add_argument("--max-requests", type=int, default=None,
                            dest="max_requests",
-                           help="exit after this many query requests "
-                                "(default: serve until a client sends "
-                                "shutdown)")
+                           help="exit after this many query/mutation "
+                                "requests (default: serve until POST "
+                                "/shutdown or Ctrl-C)")
     serve_cmd.add_argument("--watch", action="store_true",
                            help="poll the snapshot file and hot-reload a new "
                                 "generation when it changes (in-flight "
@@ -1051,11 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="rotate the WAL to a new segment file once "
                                 "the live one reaches this size; compaction "
                                 "deletes whole checkpointed segments")
-    serve_cmd.add_argument("--http", default=None,
-                           help="also serve HTTP/JSON on HOST:PORT (or :PORT "
-                                "/ PORT, loopback by default): POST /query "
-                                "with micro-batching, GET /healthz /status "
-                                "/metrics; insert/delete need --mutable")
     serve_cmd.add_argument("--http-batch-window", type=float, default=0.002,
                            dest="http_batch_window", metavar="SECONDS",
                            help="micro-batch collection window: concurrent "
@@ -1094,8 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_cmd.set_defaults(handler=_cmd_query)
     query_cmd.add_argument("--server", required=True,
-                           help="address the serve is listening on "
-                                "(socket path or host:port)")
+                           help="HTTP address the serve is listening on "
+                                "(HOST:PORT, :PORT or PORT)")
     _add_source_args(query_cmd)
     query_cmd.add_argument("--k", type=int, default=10)
     query_cmd.add_argument("--connect-timeout", type=float, default=10.0,
@@ -1107,10 +663,11 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd.add_argument("--timeout-ms", type=float, default=None,
                            dest="timeout_ms",
                            help="per-request deadline budget in milliseconds, "
-                                "enforced end to end by the server (overrun "
-                                "answers a typed deadline-exceeded error)")
+                                "sent as X-Timeout-Ms and enforced end to end "
+                                "by the server (overrun answers 504)")
     query_cmd.add_argument("--shutdown", action="store_true",
-                           help="ask the server to shut down after answering")
+                           help="POST /shutdown after answering (loopback "
+                                "only)")
     return parser
 
 

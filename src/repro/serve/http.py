@@ -3,8 +3,9 @@
 :class:`HttpGateway` puts a stdlib-only asyncio HTTP/1.1 endpoint in
 front of a :class:`~repro.serve.server.SnapshotServer` (or the mutable
 variant), so any HTTP client — ``curl``, a load balancer's health
-checker, a service mesh — can use the engine without speaking the
-authenticated-pickle socket protocol.  Three ideas carry the design:
+checker, a service mesh, ``repro query --server`` — can use the engine.
+It is the only network front door ``repro serve`` opens.  Three ideas
+carry the design:
 
 * **Micro-batching.**  The engine's throughput lives in the one-GEMM
   ``query_batch`` path (PR 1): projecting 32 queries in one matmul costs
@@ -66,6 +67,10 @@ Endpoints (all bodies JSON)::
     POST /insert   {"point": [..]}    -> {"id": 7}        (mutable serves)
     POST /delete   {"id": 7}          -> {"deleted": true} (mutable serves)
     POST /compact  {}                 -> compaction summary (mutable serves)
+    POST /reload   {}                 -> status after re-reading the served
+                   snapshot file (409 refused, old generation keeps serving)
+    POST /shutdown {}                 -> {"shutting_down": true}; loopback
+                   peers only (403), and only when ``on_request`` is set (404)
     GET  /healthz  200 while serving, 503 stopped/broken (load balancers)
     GET  /status   the serving state machine + gateway configuration
     GET  /metrics  the GatewayMetrics snapshot
@@ -85,6 +90,7 @@ gateway never manages.
 from __future__ import annotations
 
 import asyncio
+import ipaddress
 import json
 import math
 import threading
@@ -93,6 +99,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.io import SnapshotError
 from repro.serve.metrics import GatewayMetrics
 from repro.serve.mutable import ReadOnlyError
 from repro.serve.server import DeadlineExceeded, ServerError
@@ -136,12 +143,16 @@ class _Pending:
         self.deadline = deadline
 
 
+#: Endpoints reported to the ``on_request`` hook (probes are not).
+_REPORTED = frozenset({"query", "insert", "delete", "compact", "shutdown"})
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     403: "Forbidden",
     404: "Not Found",
     405: "Method Not Allowed",
+    409: "Conflict",
     411: "Length Required",
     413: "Payload Too Large",
     429: "Too Many Requests",
@@ -192,10 +203,13 @@ class HttpGateway:
         Open-connection cap; a newcomer beyond it evicts the
         least-recently-active connection (``metrics.reaped_overflow``).
     on_request:
-        Optional callable invoked (from the event-loop thread) with the
-        endpoint name for every ``query``/``insert``/``delete``/
-        ``compact`` request that reached the engine — what lets the CLI
-        count HTTP traffic toward ``serve --max-requests``.
+        Optional callable invoked (from the event-loop thread, after the
+        response is written) with ``(endpoint, status)`` for every
+        ``query``/``insert``/``delete``/``compact``/``shutdown``
+        request.  It is the embedding CLI's one hook: it counts
+        ``--max-requests``, fails the serve on a 503/500 that breaks its
+        contract, and stops on ``/shutdown``, which exists only when this
+        hook is supplied.
     drain_timeout:
         Seconds :meth:`close` lets admitted work finish before failing
         stragglers with 503.
@@ -224,7 +238,7 @@ class HttpGateway:
         default_timeout: Optional[float] = None,
         idle_timeout: float = 60.0,
         max_connections: int = 512,
-        on_request: Optional[Callable[[str], None]] = None,
+        on_request: Optional[Callable[[str, int], None]] = None,
         drain_timeout: float = 5.0,
     ) -> None:
         if batch_window < 0:
@@ -508,9 +522,15 @@ class HttpGateway:
             victim.close()  # its handler sees EOF and unwinds
         self._connections[writer] = self._loop.time()
 
+    @staticmethod
+    def _peer_host(writer) -> str:
+        peer = writer.get_extra_info("peername")
+        return peer[0] if isinstance(peer, tuple) and peer else ""
+
     async def _handle_connection(self, reader, writer) -> None:
         assert self._loop is not None
         self._admit_connection(writer)
+        peer = self._peer_host(writer)
         try:
             while True:
                 try:
@@ -539,7 +559,7 @@ class HttpGateway:
                 self._inflight += 1
                 try:
                     endpoint, status, payload, extra = await self._route(
-                        method, path, headers, body
+                        method, path, headers, body, peer
                     )
                 finally:
                     self._inflight -= 1
@@ -555,16 +575,11 @@ class HttpGateway:
                 self.metrics.observe_request(
                     endpoint, status, self._loop.time() - started
                 )
-                if self._on_request is not None and status in (200, 504) and (
-                    endpoint in ("query", "insert", "delete", "compact")
-                ):
-                    # The request reached the engine (answered, or spent
-                    # its deadline doing so): it counts toward the CLI's
-                    # --max-requests budget like a raw-socket verb does.
+                if self._on_request is not None and endpoint in _REPORTED:
                     try:
-                        self._on_request(endpoint)
+                        self._on_request(endpoint, status)
                     except Exception:
-                        pass  # a budget hook must never kill a connection
+                        pass  # the hook must never kill a connection
                 self._connections[writer] = self._loop.time()
                 if not keep_alive:
                     return
@@ -737,7 +752,8 @@ class HttpGateway:
     # ------------------------------------------------------------------
 
     async def _route(
-        self, method: str, path: str, headers: Dict[str, str], body: bytes
+        self, method: str, path: str, headers: Dict[str, str], body: bytes,
+        peer: str,
     ) -> Tuple[str, int, dict, Optional[Dict[str, str]]]:
         """Dispatch one parsed request; returns (endpoint, status, payload, extra)."""
         if path == "/healthz":
@@ -761,7 +777,35 @@ class HttpGateway:
             if method != "POST":
                 return endpoint, 405, {"error": f"{endpoint} is POST-only"}, None
             return await self._handle_mutation(endpoint, body)
+        if path == "/reload":
+            if method != "POST":
+                return "reload", 405, {"error": "reload is POST-only"}, None
+            return await self._handle_reload()
+        if path == "/shutdown" and self._on_request is not None:
+            if method != "POST":
+                return "shutdown", 405, {"error": "shutdown is POST-only"}, None
+            if not _is_loopback(peer):
+                return "shutdown", 403, {"error": "shutdown is loopback-only"}, None
+            # The hook stops the serve once this answer is written.
+            return "shutdown", 200, {"shutting_down": True}, None
         return "unknown", 404, {"error": f"no such endpoint {path!r}"}, None
+
+    async def _handle_reload(self) -> Tuple[str, int, dict, None]:
+        """Re-read the snapshot file being served (no client-chosen path)."""
+        assert self._loop is not None
+        try:
+            info = await self._loop.run_in_executor(None, self.server.reload)
+        except (SnapshotError, ServerError) as exc:
+            # Refused while serving: the old generation keeps answering.
+            status = 409 if self._serving() else 503
+            return "reload", status, {"error": str(exc)}, None
+        return "reload", 200, info, None
+
+    def _serving(self) -> bool:
+        try:
+            return bool(self.server.status().get("serving"))
+        except Exception:  # a dying server is not serving
+            return False
 
     def _handle_healthz(self) -> Tuple[str, int, dict, None]:
         try:
@@ -987,3 +1031,12 @@ class HttpGateway:
             return endpoint, 503, {"error": str(exc)}, None
         except Exception as exc:  # noqa: BLE001 - durability errors (WAL/OS)
             return endpoint, 500, {"error": f"{type(exc).__name__}: {exc}"}, None
+
+
+def _is_loopback(host: str) -> bool:
+    """Whether a peer address is loopback (IPv4-mapped IPv6 included)."""
+    try:
+        addr = ipaddress.ip_address(host.split("%", 1)[0])
+    except ValueError:
+        return False
+    return (getattr(addr, "ipv4_mapped", None) or addr).is_loopback

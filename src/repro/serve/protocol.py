@@ -1,8 +1,7 @@
-"""Request framing shared by the serving coordinator, workers, and clients.
+"""Message framing between the serving coordinator and its workers.
 
-Every message on a serving connection — coordinator↔worker pipes and the
-CLI's listener socket alike — is one picklable tuple whose first element
-is the message kind:
+Every message on a coordinator↔worker pipe is one picklable tuple whose
+first element is the message kind:
 
 ========================  =============================================
 coordinator → worker      ``("query", req_id, payload, k[, deadline])``,
@@ -13,42 +12,23 @@ worker → coordinator      ``("ready", num_points)``,
                           ``("pong", token)``, ``("bye",)``,
                           ``("error", traceback_text)`` at startup /
                           ``("error", req_id, traceback_text)`` later
-client → CLI server       ``("query_batch", queries, k[, timeout_ms])``,
-                          ``("insert", point)``, ``("delete", id)``,
-                          ``("compact",)``,
-                          ``("status",)``, ``("reload", path_or_None)``,
-                          ``("describe",)``, ``("shutdown",)``
-CLI server → client       ``("ok", value)``, ``("error", message)``
 ========================  =============================================
+
+The pipes never leave the host: network clients reach the server only
+through the HTTP gateway (:mod:`repro.serve.http`), which speaks JSON.
 
 ``req_id`` is a coordinator-unique integer echoed back by the worker:
 the supervision retry re-scatters a query block under a *fresh* id after
 restarting a dead worker, so a stale answer from a surviving worker's
 abandoned attempt can be recognized and dropped instead of being
-mistaken for the retry's answer.  ``("status",)`` returns the server's
-lifecycle snapshot (generation, worker states, restart counters) and
-``("reload", path)`` hot-swaps the served snapshot generation — both are
-answered like any other request, on the same connection.
+mistaken for the retry's answer.
 
 ``deadline``, when present and not ``None``, is the request's absolute
 ``time.monotonic()`` deadline — valid across processes on one host
 because ``CLOCK_MONOTONIC`` is host-wide.  A worker that picks up a
 query whose deadline has already passed answers ``("expired", req_id)``
 instead of doing the work; the coordinator turns that into the typed
-``DeadlineExceeded``.  The client-side ``timeout_ms`` field of
-``query_batch`` is a *relative* budget in milliseconds (clients and
-servers do not share a clock origin guarantee at that layer); the CLI
-server converts it to seconds and passes it to
-``SnapshotServer.query_batch(timeout=...)``, answering a budget overrun
-with ``("error", "deadline exceeded: ...")`` while the connection and
-the server keep serving.
-
-``("insert", point)`` and ``("delete", id)`` are the mutation verbs: a
-``serve --mutable`` answers ``("ok", id)`` / ``("ok", deleted_bool)``
-only after the write-ahead-log append is fsync'd (the ack is a
-durability receipt), and ``("compact",)`` folds the delta into a fresh
-snapshot generation on demand.  A read-only serve refuses all three
-with a clear ``("error", ...)`` instead of pretending.
+``DeadlineExceeded``.
 
 Query blocks travel to workers either inline (pickled through the pipe,
 fine for a handful of vectors) or as a :class:`SharedMemory` block —
@@ -56,14 +36,13 @@ one copy into shared memory serves every worker, instead of S pickle
 round-trips of the same bytes.  The payload tuple says which:
 ``("inline", ndarray)`` or ``("shm", name, shape, dtype_str)``.
 
-Results cross the wire as plain arrays (ids, distances, stats fields)
+Results cross the pipe as plain arrays (ids, distances, stats fields)
 rather than pickled result objects, so the wire format is stable against
 refactors of the result classes and cheap to encode.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, fields
 from typing import Tuple
 
@@ -72,26 +51,12 @@ import numpy as np
 from repro.core.result import Neighbor, QueryResult, QueryStats
 
 __all__ = [
-    "AUTHKEY",
     "SHM_MIN_BYTES",
     "decode_result",
     "encode_result",
     "read_query_block",
     "write_query_block",
 ]
-
-#: Authentication key for the CLI's listener socket.  **Security note:**
-#: every message on these connections is a Python pickle, so anyone who
-#: completes the HMAC handshake can execute code in the serving process
-#: — holding the key *is* code-execution rights.  The default key is a
-#: public constant, acceptable only for unix sockets guarded by
-#: filesystem permissions or single-user localhost experiments.  For
-#: anything shared (any ``--listen host:port``), set a secret via the
-#: ``REPRO_SERVE_AUTHKEY`` environment variable on both server and
-#: client, and treat the port as you would an SSH key: reachability +
-#: key = shell.
-DEFAULT_AUTHKEY = b"repro-serve"
-AUTHKEY = os.environ.get("REPRO_SERVE_AUTHKEY", "").encode() or DEFAULT_AUTHKEY
 
 #: Query blocks at least this large go through shared memory; smaller
 #: ones are cheaper to pickle straight into the pipe than to round-trip

@@ -1157,6 +1157,9 @@ class SnapshotServer:
                 )
 
     def _dead_worker_detail(self, worker: _Worker, path: str) -> str:
+        # The closed pipe can be seen before the exit is reaped; wait
+        # briefly so the report carries the exit code.
+        worker.process.join(timeout=1.0)
         code = worker.process.exitcode
         state = "is still running" if code is None else f"exited with code {code}"
         return (

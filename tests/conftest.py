@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import socket
+import threading
+import time
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -43,3 +48,98 @@ def tiny_points() -> np.ndarray:
             [6.0, 3.5], [8.5, 2.0],
         ]
     )
+
+
+# ----------------------------------------------------------------------
+# `repro serve` as a thread on a free loopback port (CLI serve tests)
+# ----------------------------------------------------------------------
+
+
+def _free_port() -> int:
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+@pytest.fixture
+def free_port() -> int:
+    """A loopback port nobody is listening on right now."""
+    return _free_port()
+
+
+class ServeRun:
+    """One ``repro serve`` main() running in a daemon thread."""
+
+    def __init__(self, argv, delay: float = 0.0) -> None:
+        from repro.cli import main
+
+        self.address = f"127.0.0.1:{_free_port()}"
+        self.rc: list = []
+
+        def target():
+            time.sleep(delay)
+            self.rc.append(main(["serve", *argv, "--listen", self.address]))
+
+        self.thread = threading.Thread(target=target, daemon=True)
+        self.thread.start()
+
+    def connect(self, timeout: float = 30.0):
+        """A keep-alive HTTP connection, retried until the serve binds."""
+        from repro.cli import _connect_with_retry, _parse_http_address
+
+        return _connect_with_retry(_parse_http_address(self.address), timeout,
+                                   io_timeout=60.0)
+
+    @staticmethod
+    def rows(body: dict) -> list:
+        """``POST /query`` JSON rows as objects with ``ids``/``distances``."""
+        return [SimpleNamespace(**row) for row in body["results"]]
+
+    @staticmethod
+    def post(conn, path: str, payload=None, headers=None) -> tuple:
+        from repro.cli import _post_json
+
+        return _post_json(conn, path, payload or {}, headers)
+
+    @staticmethod
+    def get(conn, path: str) -> tuple:
+        import json
+
+        conn.request("GET", path)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+
+    def join(self, timeout: float = 60.0):
+        """Wait for the serve to exit; returns its exit code."""
+        self.thread.join(timeout)
+        assert not self.thread.is_alive(), "repro serve did not stop"
+        return self.rc[0]
+
+    def shutdown(self, timeout: float = 60.0):
+        """POST /shutdown on a fresh connection, then join."""
+        conn = self.connect()
+        try:
+            assert self.post(conn, "/shutdown")[0] == 200
+        finally:
+            conn.close()
+        return self.join(timeout)
+
+
+@pytest.fixture
+def serve_in_thread():
+    """``serve_in_thread(*argv)`` starts a :class:`ServeRun`; any run still
+    alive at teardown is shut down so no test leaks worker processes."""
+    runs = []
+
+    def start(*argv, delay: float = 0.0) -> ServeRun:
+        run = ServeRun(argv, delay)
+        runs.append(run)
+        return run
+
+    yield start
+    for run in runs:
+        if run.thread.is_alive():
+            try:
+                run.shutdown()
+            except Exception:
+                pass

@@ -342,42 +342,41 @@ class TestProtocol:
 
 
 class TestCLI:
-    """The serve/query commands speak the wire protocol end to end."""
+    """``repro serve`` and ``repro query`` talk HTTP end to end."""
 
-    def test_serve_and_query_over_unix_socket(self, snapshot_path, tmp_path, capsys):
-        import threading
-
+    def test_serve_and_query_over_http(self, snapshot_path, workload,
+                                       serve_in_thread, capsys):
         from repro.cli import main
 
-        sock = str(tmp_path / "serve.sock")
-        rc_box = []
-        thread = threading.Thread(
-            target=lambda: rc_box.append(main(
-                ["serve", "--index", snapshot_path, "--listen", sock,
-                 "--max-requests", "1"]
-            )),
-            daemon=True,
-        )
-        thread.start()
+        serve = serve_in_thread("--index", snapshot_path)
         rc = main([
-            "query", "--server", sock, "--dataset", "audio",
+            "query", "--server", serve.address, "--dataset", "audio",
             "--scale", "0.02", "--queries", "4", "--k", "3",
-            "--connect-timeout", "30", "--shutdown",
+            "--connect-timeout", "30",
         ])
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        # The snapshot is 16-d but the audio stand-in is 192-d: the serve
-        # side reports a clean dimension error (and keeps serving — a bad
-        # query must not kill the server), the client exits nonzero and
-        # its --shutdown stops the serve loop.
-        out = capsys.readouterr()
+        # The snapshot is 16-d but the audio stand-in is 192-d: the
+        # gateway answers 400 with a clean dimension error and the
+        # client exits nonzero.
+        err = capsys.readouterr().err
         assert rc == 1
-        assert "dimension" in out.err
+        assert "400" in err and "dimension" in err
+        # A bad query must not kill the server: it keeps answering.
+        _, queries = workload
+        conn = serve.connect()
+        try:
+            status, body = serve.post(conn, "/query",
+                                      {"queries": queries.tolist(), "k": 3})
+        finally:
+            conn.close()
+        assert status == 200
+        assert len(body["results"]) == queries.shape[0]
+        assert serve.shutdown() == 0
 
-    def test_query_round_trip_with_matching_dims(self, workload, tmp_path, capsys):
-        import threading
-
+    def test_query_round_trip_with_matching_dims(self, tmp_path, serve_in_thread,
+                                                 capsys, monkeypatch):
+        from repro import cli
         from repro.cli import main
+        from repro.data.datasets import make_dataset
 
         # Build server-side snapshot from the same registry stand-in the
         # query command samples, so dimensions line up.
@@ -385,156 +384,133 @@ class TestCLI:
         assert main(["save", "--dataset", "audio", "--scale", "0.02",
                      "--t", "8", "--queries", "4", "--shards", "2",
                      "--out", out_npz]) == 0
-        sock = str(tmp_path / "round.sock")
-        rc_box = []
-        thread = threading.Thread(
-            target=lambda: rc_box.append(main(
-                ["serve", "--index", out_npz, "--listen", sock,
-                 "--max-requests", "1"]
-            )),
-            daemon=True,
-        )
-        thread.start()
+        fetched = []
+        post_json = cli._post_json
+
+        def spy(conn, path, payload, headers=None):
+            status, body = post_json(conn, path, payload, headers)
+            if path == "/query":
+                fetched.append((status, body))
+            return status, body
+
+        monkeypatch.setattr(cli, "_post_json", spy)
+        serve = serve_in_thread("--index", out_npz, "--max-requests", "1")
         # --shutdown against a server that stops on its own after this
-        # very request (--max-requests 1 closes the connection first):
-        # the client must still print its table and exit 0, not
-        # traceback on the EOF of the shutdown round trip.
+        # very request (--max-requests 1): the client must still print
+        # its table and exit 0, not traceback on the shutdown round trip.
         rc = main([
-            "query", "--server", sock, "--dataset", "audio",
+            "query", "--server", serve.address, "--dataset", "audio",
             "--scale", "0.02", "--queries", "4", "--k", "3",
             "--connect-timeout", "30", "--shutdown",
         ])
-        thread.join(timeout=60)
         assert rc == 0
-        assert rc_box == [0]
+        assert serve.join() == 0
         out = capsys.readouterr().out
         assert "Served answers" in out
         assert "served 1 request(s)" in out
+        # The answers fetched over HTTP are the in-process answers.
+        queries = make_dataset("audio", n_queries=4, seed=0, scale=0.02).queries
+        expected = load_index(out_npz).query_batch(queries, k=3)
+        [(status, body)] = fetched
+        assert status == 200
+        assert [row["ids"] for row in body["results"]] == [r.ids for r in expected]
+        assert ([row["distances"] for row in body["results"]]
+                == [r.distances for r in expected])
+
+
+class TestListenAddress:
+    @pytest.mark.parametrize("addr, expected", [
+        ("10.0.0.5:7007", ("10.0.0.5", 7007)),
+        (":7007", ("127.0.0.1", 7007)),
+        ("7007", ("127.0.0.1", 7007)),
+    ])
+    def test_address_forms(self, addr, expected):
+        from repro.cli import _parse_http_address
+
+        assert _parse_http_address(addr) == expected
+
+    def test_socket_path_is_refused_before_any_worker_starts(self,
+                                                             snapshot_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="HOST:PORT"):
+            main(["serve", "--index", snapshot_path,
+                  "--listen", "/tmp/repro.sock"])
 
 
 class TestCLIFailurePaths:
-    def test_serve_cleans_stale_socket_and_restarts(self, snapshot_path,
-                                                    tmp_path, capsys):
-        import socket
-        import threading
-
-        from repro.cli import main
-
-        sock_path = str(tmp_path / "stale.sock")
-        # Simulate an unclean exit: a bound-but-dead socket file.
-        dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        dead.bind(sock_path)
-        dead.close()
-        assert os.path.exists(sock_path)
-        rc_box = []
-        thread = threading.Thread(
-            target=lambda: rc_box.append(main(
-                ["serve", "--index", snapshot_path, "--listen", sock_path,
-                 "--max-requests", "0"]
-            )),
-            daemon=True,
-        )
-        thread.start()
-        thread.join(timeout=30)
-        assert rc_box == [0], capsys.readouterr().err
-
-    def test_serve_refuses_nonloopback_tcp_with_default_authkey(
-            self, snapshot_path, capsys):
-        """The default key is public and the protocol is pickle: binding
-        beyond loopback with it would be remote code execution."""
-        from repro.cli import main
-
-        rc = main(["serve", "--index", snapshot_path,
-                   "--listen", "0.0.0.0:17007"])
-        assert rc == 1
-        assert "REPRO_SERVE_AUTHKEY" in capsys.readouterr().err
-
-    def test_serve_refuses_non_socket_listen_path(self, snapshot_path,
-                                                  tmp_path, capsys):
-        from repro.cli import main
-
-        plain = tmp_path / "not-a-socket"
-        plain.write_text("precious data")
-        rc = main(["serve", "--index", snapshot_path,
-                   "--listen", str(plain), "--max-requests", "0"])
-        assert rc == 1
-        assert "not a socket" in capsys.readouterr().err
-        assert plain.read_text() == "precious data"  # never clobbered
-
     def test_serve_survives_half_open_connections(self, snapshot_path,
-                                                  tmp_path):
-        """A probe that connects and vanishes mid-handshake (port scanner,
-        the stale-socket check of a second serve) must not kill the loop."""
+                                                  serve_in_thread):
+        """Probes that connect and vanish (port scanners, health checks
+        that give up mid-request) and malformed requests must not kill
+        the serve."""
         import socket
-        import threading
 
-        from multiprocessing.connection import Client
-
-        from repro.cli import main
-        from repro.serve.protocol import AUTHKEY
-
-        sock_path = str(tmp_path / "probe.sock")
-        rc_box = []
-        thread = threading.Thread(
-            target=lambda: rc_box.append(main(
-                ["serve", "--index", snapshot_path, "--listen", sock_path]
-            )),
-            daemon=True,
-        )
-        thread.start()
-        deadline = time.monotonic() + 30
-        while not os.path.exists(sock_path):
-            assert time.monotonic() < deadline
-            time.sleep(0.05)
-        for _ in range(3):  # hammer the handshake window
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            probe.connect(sock_path)
-            probe.close()
-        with Client(sock_path, authkey=AUTHKEY) as conn:
-            # Malformed payloads are rejected per-request, never fatal.
-            for bad in ("not-a-tuple", (), ("query_batch",),
-                        ("query_batch", ["a", ["b", "c"]], "x")):
-                conn.send(bad)
-                status, detail = conn.recv()
-                assert status == "error", (bad, detail)
-            conn.send(("describe",))
-            status, described = conn.recv()
-            assert status == "ok" and "SnapshotServer" in described
-            conn.send(("shutdown",))
-            conn.recv()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert rc_box == [0]
+        serve = serve_in_thread("--index", snapshot_path)
+        conn = serve.connect()
+        host, port = serve.address.rsplit(":", 1)
+        try:
+            for partial in (b"", b"POST /query HTTP/1.1\r\nContent-Le"):
+                with socket.create_connection((host, int(port))) as probe:
+                    probe.sendall(partial)
+            for bad in ({}, {"queries": "nope", "k": 1},
+                        {"queries": [["a", "b"]], "k": "x"}):
+                status, body = serve.post(conn, "/query", bad)
+                assert status == 400, (bad, body)
+            status, described = serve.get(conn, "/status")
+            assert status == 200 and described["serving"] is True
+        finally:
+            conn.close()
+        assert serve.shutdown() == 0
 
     def test_serve_exits_nonzero_when_server_breaks(self, snapshot_path,
-                                                    tmp_path, capsys,
+                                                    workload, tmp_path,
+                                                    serve_in_thread, capsys,
                                                     monkeypatch):
-        import threading
-
         from repro.cli import main
+        from repro.data.loaders import write_fvecs
 
-        def boom(self, queries, k=1):
+        def boom(self, queries, k=1, timeout=None):
             raise ServerError("worker 0 (pid 0) died")
 
         monkeypatch.setattr(SnapshotServer, "query_batch", boom)
-        sock = str(tmp_path / "broken.sock")
-        rc_box = []
-        thread = threading.Thread(
-            target=lambda: rc_box.append(main(
-                ["serve", "--index", snapshot_path, "--listen", sock]
-            )),
-            daemon=True,
-        )
-        thread.start()
+        # Queries of the served dimensionality, so the request passes
+        # validation and reaches the (broken) engine.
+        fvecs = str(tmp_path / "queries.fvecs")
+        write_fvecs(fvecs, workload[1])
+        serve = serve_in_thread("--index", snapshot_path)
         rc = main([
-            "query", "--server", sock, "--dataset", "audio",
-            "--scale", "0.02", "--queries", "2", "--k", "1",
-            "--connect-timeout", "30",
+            "query", "--server", serve.address, "--fvecs", fvecs,
+            "--queries", "2", "--k", "1", "--connect-timeout", "30",
         ])
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert rc == 1  # client saw the error reply
-        assert rc_box == [1]  # serve exited nonzero, not "clean shutdown"
+        assert rc == 1  # client saw the 503
+        assert serve.join() == 1  # serve exited nonzero, not "clean shutdown"
+        err = capsys.readouterr().err
+        assert "503" in err
+        assert "serving failed" in err
+
+    def test_serve_exits_nonzero_when_wal_fails_on_insert(
+            self, snapshot_path, tmp_path, serve_in_thread, capsys,
+            monkeypatch):
+        """A mutation that could not be made durable must stop the serve
+        instead of leaving it to ack writes after a failed fsync."""
+        from repro.io import WALError
+        from repro.serve import MutableSnapshotServer
+
+        def broken_fsync(self, point):
+            raise WALError("fsync failed: no space left on device")
+
+        monkeypatch.setattr(MutableSnapshotServer, "insert", broken_fsync)
+        serve = serve_in_thread("--index", snapshot_path, "--mutable",
+                                "--wal", str(tmp_path / "serve.wal"))
+        conn = serve.connect()
+        try:
+            status, body = serve.post(conn, "/insert", {"point": [0.0] * 16})
+        finally:
+            conn.close()
+        assert status == 500
+        assert "WALError" in body["error"]
+        assert serve.join() == 1
         assert "serving failed" in capsys.readouterr().err
 
 

@@ -156,78 +156,65 @@ class TestSharedServerThreads:
 
 
 class TestCLIClients:
-    def test_interleaved_clients_over_unix_socket(self, snapshots, queries,
-                                                  expected, tmp_path):
-        from multiprocessing.connection import Client
-
-        from repro.cli import main
-        from repro.serve.protocol import AUTHKEY, decode_result
-
+    def test_interleaved_clients_over_http(self, snapshots, queries, expected,
+                                           tmp_path, serve_in_thread):
         path_a, path_b = snapshots
         expected_a, expected_b = expected
-        sock = str(tmp_path / "stress.sock")
-        rc_box = []
-        serve_thread = threading.Thread(
-            target=lambda: rc_box.append(main(
-                ["serve", "--index", path_a, "--listen", sock]
-            )),
-            daemon=True,
-        )
-        serve_thread.start()
-        deadline = time.monotonic() + 30
-        while not os.path.exists(sock):
-            assert time.monotonic() < deadline
-            time.sleep(0.05)
+        live = str(tmp_path / "live.npz")
+        staged = str(tmp_path / "staged.npz")
+        for src_path, dst_path in ((path_a, live), (path_b, staged)):
+            with open(src_path, "rb") as src, open(dst_path, "wb") as dst:
+                dst.write(src.read())
+        serve = serve_in_thread("--index", live)
+        serve.connect().close()  # wait for the bind
+        batch = {"queries": queries.tolist(), "k": 4}
 
         def client(idx, failures):
+            conn = serve.connect()  # one keep-alive connection per client
             try:
-                with Client(sock, authkey=AUTHKEY) as conn:
-                    for round_no in range(3):
-                        conn.send(("query_batch", queries, 4))
-                        status, value = conn.recv()
-                        if status != "ok":
-                            failures.append(f"client {idx}: {value}")
-                            return
-                        got = [decode_result(w) for w in value]
-                        if not _matches_one_generation(
-                                got, expected_a, expected_b):
-                            failures.append(
-                                f"client {idx} round {round_no}: answers "
-                                f"match neither generation"
-                            )
-                        conn.send(("status",))
-                        status, info = conn.recv()
-                        if status != "ok" or info["generation"] < 1:
-                            failures.append(f"client {idx}: bad status {info}")
-                        if idx == 0 and round_no == 0:
-                            # One client hot-reloads mid-run; the others
-                            # keep querying across the flip.
-                            conn.send(("reload", path_b))
-                            status, info = conn.recv()
-                            if status != "ok" or info["generation"] != 2:
-                                failures.append(f"reload failed: {info}")
+                for round_no in range(3):
+                    status, body = serve.post(conn, "/query", batch)
+                    if status != 200:
+                        failures.append(f"client {idx}: {status} {body}")
+                        return
+                    if not _matches_one_generation(
+                            serve.rows(body), expected_a, expected_b):
+                        failures.append(
+                            f"client {idx} round {round_no}: answers "
+                            f"match neither generation"
+                        )
+                    status, info = serve.get(conn, "/status")
+                    if status != 200 or info["generation"] < 1:
+                        failures.append(f"client {idx}: bad status {info}")
+                    if idx == 0 and round_no == 0:
+                        # One client swaps the served file and reloads
+                        # mid-run; the others keep querying across the flip.
+                        os.replace(staged, live)
+                        status, info = serve.post(conn, "/reload")
+                        if status != 200 or info["generation"] != 2:
+                            failures.append(f"reload failed: {info}")
             except Exception as exc:
                 failures.append(f"client {idx}: {exc!r}")
+            finally:
+                conn.close()
 
         failures = _run_clients(3, client)
         assert failures == []
-        # Settled check + shutdown on a fresh connection.
-        with Client(sock, authkey=AUTHKEY) as conn:
-            conn.send(("query_batch", queries, 4))
-            status, value = conn.recv()
-            assert status == "ok"
-            assert _same([decode_result(w) for w in value], expected_b)
-            conn.send(("shutdown",))
-            conn.recv()
-        serve_thread.join(timeout=30)
-        assert not serve_thread.is_alive()
-        assert rc_box == [0]
+        # Settled check on a fresh connection, then shutdown.
+        conn = serve.connect()
+        try:
+            status, body = serve.post(conn, "/query", batch)
+        finally:
+            conn.close()
+        assert status == 200
+        assert _same(serve.rows(body), expected_b)
+        assert serve.shutdown() == 0
 
 
 class TestConnectRetry:
     """Regression: `query --server` must not flake when racing startup."""
 
-    def test_backoff_schedule_doubles_to_cap_then_raises(self, tmp_path,
+    def test_backoff_schedule_doubles_to_cap_then_raises(self, free_port,
                                                          monkeypatch):
         from repro import cli
 
@@ -239,91 +226,27 @@ class TestConnectRetry:
             sleeps.append(seconds)
             clock["now"] += seconds
 
-        missing = str(tmp_path / "nobody-home.sock")
-        with pytest.raises(FileNotFoundError):
-            cli._connect_with_retry(missing, timeout=3.0, _sleep=fake_sleep)
+        with pytest.raises(ConnectionRefusedError):
+            cli._connect_with_retry(("127.0.0.1", free_port), timeout=3.0,
+                                    _sleep=fake_sleep)
         # Doubles from 50 ms, caps at 1 s, and the tail sleep is clipped
         # to the remaining budget instead of overshooting the deadline.
         assert sleeps == pytest.approx([0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 0.45])
 
-    def test_reset_streak_is_terminal_well_before_the_timeout(self,
-                                                              monkeypatch):
-        """Something listening but refusing us (authkey mismatch, wrong
-        service) must fail fast with a typed error, not burn the whole
-        connect timeout retrying a hopeless dial."""
-        import multiprocessing.connection
-
-        from repro import cli
-
-        attempts = []
-
-        def always_reset(address, authkey=None):
-            attempts.append(address)
-            raise ConnectionResetError("peer reset")
-
-        monkeypatch.setattr(multiprocessing.connection, "Client", always_reset)
-        sleeps = []
-        with pytest.raises(ConnectionResetError,
-                           match="reset the connection .* in a row"):
-            cli._connect_with_retry("/tmp/hostile.sock", timeout=3600.0,
-                                    _sleep=sleeps.append)
-        # Terminal after the streak bound -- nowhere near the hour.
-        assert len(attempts) == cli._MAX_CONSECUTIVE_RESETS
-        assert len(sleeps) == cli._MAX_CONSECUTIVE_RESETS - 1
-
-    def test_a_refusal_resets_the_reset_streak(self, monkeypatch):
-        """Resets interleaved with refusals look like a server restarting
-        underneath us: the deadline governs, not the streak heuristic."""
-        import multiprocessing.connection
-
-        from repro import cli
-
-        clock = {"now": 0.0}
-        monkeypatch.setattr(cli.time, "monotonic", lambda: clock["now"])
-        calls = {"n": 0}
-
-        def flaky(address, authkey=None):
-            calls["n"] += 1
-            if calls["n"] % 2:
-                raise ConnectionResetError("peer reset")
-            raise ConnectionRefusedError(address)
-
-        monkeypatch.setattr(multiprocessing.connection, "Client", flaky)
-
-        def fake_sleep(seconds):
-            clock["now"] += seconds
-
-        with pytest.raises((ConnectionResetError,
-                            ConnectionRefusedError)) as excinfo:
-            cli._connect_with_retry("/tmp/flappy.sock", timeout=30.0,
-                                    _sleep=fake_sleep)
-        assert "in a row" not in str(excinfo.value)
-        assert calls["n"] > cli._MAX_CONSECUTIVE_RESETS
-
-    def test_connect_retry_covers_late_server_bind(self, snapshots, tmp_path):
-        from repro import cli
-        from repro.cli import main
-
+    def test_connect_retry_covers_late_server_bind(self, snapshots,
+                                                   serve_in_thread):
         path_a, _ = snapshots
-        sock = str(tmp_path / "late.sock")
-        rc_box = []
-
-        def delayed_serve():
-            time.sleep(0.4)  # client dials into nothing first
-            rc_box.append(main(["serve", "--index", path_a, "--listen", sock]))
-
-        thread = threading.Thread(target=delayed_serve, daemon=True)
-        thread.start()
-        conn = cli._connect_with_retry(sock, timeout=30.0)
-        with conn:
-            conn.send(("describe",))
-            status, described = conn.recv()
-            assert status == "ok" and "SnapshotServer" in described
-            conn.send(("shutdown",))
-            conn.recv()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert rc_box == [0]
+        # The client dials into nothing first; the dial retries until
+        # the serve binds.
+        serve = serve_in_thread("--index", path_a, delay=0.4)
+        conn = serve.connect()
+        try:
+            status, info = serve.get(conn, "/status")
+            assert status == 200 and info["serving"] is True
+            assert serve.post(conn, "/shutdown")[0] == 200
+        finally:
+            conn.close()
+        assert serve.join() == 0
 
 
 @pytest.mark.slow

@@ -16,13 +16,17 @@ The gateway's contract, in the order the classes below pin it:
 * **metrics** — the registry's counts reconcile exactly with the
   requests made against it;
 * **health** — ``/healthz`` flips 200/503 with the serving state
-  machine, through reloads and brokenness.
+  machine, through reloads and brokenness;
+* **operator endpoints** — ``POST /reload`` re-reads the served file
+  (409 on refusal, old generation still serving) and ``POST /shutdown``
+  is loopback-only and exists only when an ``on_request`` hook does.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import os
 import socket
 import threading
 import time
@@ -519,6 +523,9 @@ class TestHealth:
             )
             assert status == 503
             assert "not serving" in body["error"]
+            status, body, _ = _post(gateway.port, "/reload", {})
+            assert status == 503
+            assert "not serving" in body["error"]
 
     def test_status_carries_gateway_block(self, gateway, server):
         status, body, _ = _get(gateway.port, "/status")
@@ -567,6 +574,10 @@ class TestProtocol:
         assert _get(gateway.port, "/query")[0] == 405
         assert _post(gateway.port, "/healthz", {})[0] == 405
         assert _post(gateway.port, "/metrics", {})[0] == 405
+        assert _get(gateway.port, "/reload")[0] == 405
+        # No on_request hook supplied: /shutdown does not exist here.
+        assert _post(gateway.port, "/shutdown", {})[0] == 404
+        assert _get(gateway.port, "/shutdown")[0] == 404
 
     def test_malformed_bodies_are_400(self, gateway, workload):
         _, queries = workload
@@ -896,21 +907,95 @@ class TestGracefulDrain:
 class TestRequestCounting:
     def test_on_request_counts_engine_work_only(self, workload, snapshot_path,
                                                 server):
-        """The hook fires for requests that reached the engine (200/504
-        on the work verbs), not for probes or rejected input — the rule
-        serve --max-requests counts by."""
+        """The hook sees every work verb with its status (what serve
+        counts --max-requests and fails loud by), never the probes."""
         _, queries = workload
         counted = []
         with HttpGateway(server, batch_window=0.0,
-                         on_request=counted.append) as gateway:
+                         on_request=lambda *seen: counted.append(seen)) as gateway:
             assert _post(gateway.port, "/query",
                          {"query": queries[0].tolist(), "k": 2})[0] == 200
             assert _post(gateway.port, "/query", {"bad": 1})[0] == 400
             assert _get(gateway.port, "/healthz")[0] == 200
             assert _get(gateway.port, "/status")[0] == 200
+            assert _get(gateway.port, "/metrics")[0] == 200
             assert _post(gateway.port, "/insert",
                          {"point": [0.0] * 12})[0] == 403
-        assert counted == ["query"]
+        assert counted == [("query", 200), ("query", 400), ("insert", 403)]
+
+
+# ----------------------------------------------------------------------
+# Operator endpoints: /reload and /shutdown
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture()
+def reload_setup(workload, snapshot_path, tmp_path):
+    """A server on its own copy of the snapshot, plus a same-dim successor."""
+    live = str(tmp_path / "live.npz")
+    with open(snapshot_path, "rb") as src, open(live, "wb") as dst:
+        dst.write(src.read())
+    successor = str(tmp_path / "successor.npz")
+    other = gaussian_mixture(700, workload[0].shape[1], n_clusters=4, seed=29)
+    save_index(DBLSH(**COMMON).fit(other), successor)
+    server = SnapshotServer(live, start_timeout=60, query_timeout=60).start()
+    yield live, successor, server
+    server.close()
+
+
+class TestOperatorEndpoints:
+    def test_reload_rereads_the_served_file(self, workload, reload_setup):
+        _, queries = workload
+        live, successor, server = reload_setup
+        with HttpGateway(server, batch_window=0.0) as gateway:
+            generation = _get(gateway.port, "/status")[1]["generation"]
+            os.replace(successor, live)
+            status, body, _ = _post(gateway.port, "/reload", {})
+            assert status == 200
+            assert body["generation"] == generation + 1
+            status, body, _ = _post(
+                gateway.port, "/query", {"queries": queries.tolist(), "k": 4}
+            )
+            assert status == 200
+            assert _results_match(
+                body["results"], load_index(live).query_batch(queries, k=4)
+            )
+
+    def test_refused_reload_is_409_and_keeps_serving(self, workload,
+                                                     reload_setup):
+        _, queries = workload
+        live, _, server = reload_setup
+        expected = load_index(live).query_batch(queries, k=4)
+        with HttpGateway(server, batch_window=0.0) as gateway:
+            generation = _get(gateway.port, "/status")[1]["generation"]
+            junk = live + ".junk"
+            with open(junk, "wb") as fh:
+                fh.write(b"not a snapshot at all")
+            os.replace(junk, live)
+            status, body, _ = _post(gateway.port, "/reload", {})
+            assert status == 409
+            assert "error" in body
+            assert _get(gateway.port, "/status")[1]["generation"] == generation
+            status, body, _ = _post(
+                gateway.port, "/query", {"queries": queries.tolist(), "k": 4}
+            )
+            assert status == 200
+            assert _results_match(body["results"], expected)
+
+    def test_shutdown_is_loopback_only_and_reported(self, server, monkeypatch):
+        seen = []
+        with HttpGateway(server, batch_window=0.0,
+                         on_request=lambda *hit: seen.append(hit)) as gateway:
+            assert _get(gateway.port, "/shutdown")[0] == 405
+            status, body, _ = _post(gateway.port, "/shutdown", {})
+            assert (status, body) == (200, {"shutting_down": True})
+            monkeypatch.setattr(HttpGateway, "_peer_host",
+                                staticmethod(lambda writer: "203.0.113.7"))
+            status, body, _ = _post(gateway.port, "/shutdown", {})
+            assert status == 403
+            assert "loopback" in body["error"]
+        # The gateway only reports; stopping is the embedding CLI's call.
+        assert seen == [("shutdown", 405), ("shutdown", 200), ("shutdown", 403)]
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,8 @@ The reload contract of :meth:`repro.serve.SnapshotServer.reload`:
 * answers always stay bit-identical to ``load_index().query_batch()``
   on whichever generation answered;
 * the CLI surfaces the same machinery as ``serve --watch`` (mtime poll)
-  and the ``reload`` protocol verb (exercised in
-  ``tests/test_serve_concurrency.py``).
+  and the gateway's ``POST /reload`` (exercised in
+  ``tests/test_serve_http.py`` and ``tests/test_serve_concurrency.py``).
 """
 
 from __future__ import annotations
@@ -241,56 +241,37 @@ class TestReloadRefusals:
 
 class TestWatch:
     def test_serve_watch_reloads_on_overwrite(self, snapshots, queries,
-                                              expected, tmp_path):
-        from multiprocessing.connection import Client
-
-        from repro.cli import main
-        from repro.serve.protocol import AUTHKEY, decode_result
-
+                                              expected, tmp_path,
+                                              serve_in_thread):
         path_a, path_b = snapshots
         expected_a, expected_b = expected
         live = str(tmp_path / "watched.npz")
         with open(path_a, "rb") as src, open(live, "wb") as dst:
             dst.write(src.read())
-        sock = str(tmp_path / "watch.sock")
-        rc_box = []
-        thread = threading.Thread(
-            target=lambda: rc_box.append(main(
-                ["serve", "--index", live, "--listen", sock,
-                 "--watch", "--watch-interval", "0.1"]
-            )),
-            daemon=True,
-        )
-        thread.start()
-        deadline = time.monotonic() + 30
-        while not os.path.exists(sock):
-            assert time.monotonic() < deadline
-            time.sleep(0.05)
-        with Client(sock, authkey=AUTHKEY) as conn:
-            conn.send(("query_batch", queries, 5))
-            status, wires = conn.recv()
-            assert status == "ok"
-            assert _same([decode_result(w) for w in wires], expected_a)
+        serve = serve_in_thread("--index", live, "--watch",
+                                "--watch-interval", "0.1")
+        batch = {"queries": queries.tolist(), "k": 5}
+        conn = serve.connect()
+        try:
+            status, body = serve.post(conn, "/query", batch)
+            assert status == 200
+            assert _same(serve.rows(body), expected_a)
             # Overwrite the watched file; the watcher must flip within
             # a few poll intervals.
             with open(path_b, "rb") as src, open(live, "wb") as dst:
                 dst.write(src.read())
             deadline = time.monotonic() + 30
             while True:
-                conn.send(("status",))
-                status, info = conn.recv()
-                assert status == "ok"
+                status, info = serve.get(conn, "/status")
+                assert status == 200
                 if info["generation"] >= 2:
                     break
                 assert time.monotonic() < deadline, "watcher never reloaded"
                 time.sleep(0.05)
             assert info["shards"] == 3
-            conn.send(("query_batch", queries, 5))
-            status, wires = conn.recv()
-            assert status == "ok"
-            assert _same([decode_result(w) for w in wires], expected_b)
-            conn.send(("shutdown",))
-            conn.recv()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert rc_box == [0]
+            status, body = serve.post(conn, "/query", batch)
+            assert status == 200
+            assert _same(serve.rows(body), expected_b)
+        finally:
+            conn.close()
+        assert serve.shutdown() == 0
