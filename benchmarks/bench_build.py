@@ -8,16 +8,11 @@ Not a paper figure — this tracks the *build pipeline*.  Three questions:
   array-native path ``DBLSH.fit`` uses (``build_flat_str``: STR ordering
   and frozen traversal arrays straight from the projected points)?  Both
   must produce byte-identical traversal arrays (``answers_identical``).
-* **Sharded build scaling** — does the process-pool shard build
-  (``build_mode="process"``, workers return snapshot arrays) beat the
-  GIL-bound threaded build wall-clock at shards ∈ {1, 2, 4}?
+* **Sharded build** — what does ``ShardedDBLSH.fit`` (one thread per
+  shard) cost at shards ∈ {1, 2, 4}, and is every shard's traversal
+  identical to a standalone ``DBLSH`` fit on its slice
+  (``shards_match_standalone``)?
 * **Persistence** — what do ``save`` and ``load`` cost?
-
-The ``*previous_pipeline*``, ``fit_to_ready_*`` and ``*_compressed``
-fields and the ``pointer`` row's ``fit_*`` columns of the recorded
-``BENCH_build.json`` come from an earlier version of this script,
-written when ``DBLSH`` still had a pointer builder and ``save_index`` a
-``compress`` option.
 
 Usage::
 
@@ -127,34 +122,32 @@ def _flats_equal(a, b) -> bool:
     )
 
 
-def bench_sharded(data, queries, k, t, reps):
-    """Threaded vs process-pool shard builds at each shard count."""
+def bench_sharded(data, t, reps):
+    """Sharded build time at each shard count, plus per-shard parity."""
     common = dict(c=1.5, l_spaces=5, k_per_space=10, t=t, seed=0,
                   auto_initial_radius=True)
     rows = {}
     for shards in SHARD_COUNTS:
-        row = {}
-        reference_ids = None
-        for mode in ("thread", "process"):
-            times = []
-            for _ in range(reps):
-                index = ShardedDBLSH(shards=shards, build_mode=mode, **common)
-                index.fit(data)
-                times.append(index.build_seconds)
-            ids = [r.ids for r in index.query_batch(queries, k=k)]
-            if reference_ids is None:
-                reference_ids = ids
-            row[f"{mode}_build_seconds"] = round(_median(times), 3)
-            row[f"{mode}_matches"] = bool(ids == reference_ids)
-        row["process_speedup_vs_thread"] = round(
-            row["thread_build_seconds"]
-            / max(row["process_build_seconds"], 1e-9), 2
+        times = []
+        for _ in range(reps):
+            index = ShardedDBLSH(shards=shards, **common).fit(data)
+            times.append(index.build_seconds)
+        bounds = index.shard_offsets + [data.shape[0]]
+        standalone = [
+            DBLSH(**index._shard_config()).fit(data[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        match = all(
+            _flats_equal(a, b)
+            for shard, alone in zip(index.shard_indexes, standalone)
+            for a, b in zip(shard._tables, alone._tables)
         )
-        rows[str(shards)] = row
-        print(f"  shards={shards}: thread {row['thread_build_seconds']}s"
-              f" vs process {row['process_build_seconds']}s"
-              f" ({row['process_speedup_vs_thread']}x,"
-              f" identical={row['process_matches']})")
+        rows[str(shards)] = {
+            "build_seconds": round(_median(times), 3),
+            "shards_match_standalone": bool(match),
+        }
+        print(f"  shards={shards}: build {rows[str(shards)]['build_seconds']}s"
+              f" (matches standalone fits={match})")
     return rows
 
 
@@ -232,8 +225,8 @@ def main(argv=None) -> int:
                    + 0.05 * rng.standard_normal((m, args.dim)))
         report["single"][str(n)] = bench_single(data, t, reps)
         if n == max_n:
-            print(f"sharded build scaling: n={n}")
-            report["sharded"] = bench_sharded(data, queries, args.k, t, reps)
+            print(f"sharded build: n={n}")
+            report["sharded"] = bench_sharded(data, t, reps)
             out_stem = args.out[:-5] if args.out.endswith(".json") else args.out
             snapshot_path = out_stem + ".snapshot.npz"
             print(f"snapshot roundtrip: n={n}")
@@ -243,17 +236,6 @@ def main(argv=None) -> int:
                 os.remove(snapshot_path)
 
     report["build_speedup_at_max_n"] = report["single"][str(max_n)]["build_speedup"]
-    report["process_beats_threads_at_4"] = bool(
-        "4" in report["sharded"]
-        and report["sharded"]["4"]["process_speedup_vs_thread"] > 1.0
-    )
-    if (os.cpu_count() or 1) < 2:
-        report["note"] = (
-            "single-CPU host: neither build mode can run shards in "
-            "parallel, so the process pool's fork/IPC overhead is pure "
-            "loss here; ShardedDBLSH's auto build_mode picks threads on "
-            "such hosts and processes when real cores exist"
-        )
 
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)

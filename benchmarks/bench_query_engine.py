@@ -24,9 +24,7 @@ Usage::
 
 The acceptance metric is ``speedup`` of the ``scaled_t`` regime (batch
 engine QPS over reference-loop QPS) with ``neighbors_identical`` true in
-both regimes.  The ``*_legacy`` and ``build_seconds_*`` columns of the
-recorded ``BENCH_query_engine.json`` come from an earlier version of this
-script that fit a second index with a since-removed engine.
+both regimes.
 """
 
 from __future__ import annotations
@@ -63,7 +61,7 @@ def _median_seconds(fn, reps: int) -> float:
     return float(np.median(times))
 
 
-def bench_regime(data, queries, k, t, reps, workers):
+def bench_regime(data, queries, k, t, reps):
     """Measure one budget regime; returns a results dict."""
     index = DBLSH(c=1.5, l_spaces=5, k_per_space=10, t=t, seed=0,
                   auto_initial_radius=True)
@@ -91,9 +89,6 @@ def bench_regime(data, queries, k, t, reps, workers):
     m = queries.shape[0]
     reference_s = _median_seconds(reference_sweep, reps)
     vec_s = _median_seconds(lambda: index.query_batch(queries, k=k), reps)
-    vec_workers_s = _median_seconds(
-        lambda: index.query_batch(queries, k=k, workers=workers), reps
-    )
 
     return {
         "t": t,
@@ -101,11 +96,9 @@ def bench_regime(data, queries, k, t, reps, workers):
         "build_seconds": round(build_seconds, 3),
         "qps_reference": round(m / reference_s, 1),
         "qps_vectorized": round(m / vec_s, 1),
-        "qps_vectorized_workers": round(m / vec_workers_s, 1),
         "query_ms_reference": round(reference_s / m * 1e3, 4),
         "query_ms_vectorized": round(vec_s / m * 1e3, 4),
         "speedup": round(reference_s / vec_s, 2),
-        "speedup_workers": round(reference_s / vec_workers_s, 2),
         "recall_reference": round(rec_reference, 4),
         "recall_vectorized": round(rec_vectorized, 4),
         "neighbors_identical": bool(identical),
@@ -126,7 +119,6 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=50)
     parser.add_argument("--reps", type=int, default=None,
                         help="timing repetitions (median taken)")
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--out", default=None,
                         help="output JSON path (default: BENCH_query_engine.json; "
                              "smoke runs write BENCH_query_engine.smoke.json so "
@@ -157,10 +149,11 @@ def main(argv=None) -> int:
         "n_queries": m,
         "k": args.k,
         "smoke": bool(args.smoke),
+        "cpu_count": os.cpu_count(),
         "regimes": {},
     }
     for name, t in [("fixed_t", 16), ("scaled_t", budget_t(n, l_spaces=5))]:
-        regime = bench_regime(data, queries, args.k, t, reps, args.workers)
+        regime = bench_regime(data, queries, args.k, t, reps)
         report["regimes"][name] = regime
         print(f"  {name:8s} (t={t}): reference {regime['qps_reference']} qps -> "
               f"vectorized {regime['qps_vectorized']} qps "

@@ -4,13 +4,12 @@ Not a paper figure — this tracks the index-lifecycle subsystem across
 PRs.  Two questions:
 
 * **Sharding** — what do S-way partitioned builds and scatter-gather
-  queries cost/buy at shards ∈ {1, 2, 4}?  Shard builds run in a process
-  pool by default; queries sweep the shards serially (measured faster
-  than a thread per shard — ``qps_fanout`` records the threaded number)
-  and merge top-k by distance.  The merged neighbor sets are checked
-  against the unsharded engine on every configuration, and each shard
-  count is additionally measured under ``budget="split"`` (per-shard
-  ``t/S``), the cheaper-but-slightly-lossy aggregate-work mode.
+  queries cost/buy at shards ∈ {1, 2, 4}?  Shards build one thread per
+  shard; queries sweep the shards serially and merge top-k by distance.
+  The merged neighbor sets are checked against the unsharded engine on
+  every configuration, and each shard count is additionally measured
+  under ``budget="split"`` (per-shard ``t/S``), the
+  cheaper-but-slightly-lossy aggregate-work mode.
 * **Persistence** — how fast does a snapshot save/load roundtrip run
   versus rebuilding from raw data, and does the loaded index answer
   identically?  The ``rstar`` backend snapshot carries the frozen
@@ -87,13 +86,9 @@ def bench_shards(data, queries, k, t, reps, baseline_results, gt_ids,
             recall(r.ids, gt_ids[i]) for i, r in enumerate(results)
         ]))
         batch_s = _median_seconds(lambda: index.query_batch(queries, k=k), reps)
-        fanout_s = _median_seconds(
-            lambda: index.query_batch(queries, k=k, workers=shards), reps
-        )
         rows[str(shards)] = {
             "build_seconds": round(index.build_seconds, 3),
             "qps": round(m / batch_s, 1),
-            "qps_fanout": round(m / fanout_s, 1),
             "query_ms": round(batch_s / m * 1e3, 4),
             "recall": round(rec, 4),
             "topk_sets_match_unsharded": bool(sets_identical),
@@ -191,6 +186,7 @@ def main(argv=None) -> int:
         "k": args.k,
         "t": t,
         "smoke": bool(args.smoke),
+        "cpu_count": os.cpu_count(),
         "unsharded_build_seconds": round(baseline.build_seconds, 3),
         "unsharded_recall": round(unsharded_recall, 4),
         "shards": bench_shards(data, queries, args.k, t, reps,

@@ -118,7 +118,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         methods.insert(1, ShardedDBLSH(
             shards=args.shards, c=args.c, l_spaces=5, k_per_space=10, t=args.t,
             seed=args.seed, auto_initial_radius=True, budget=args.budget,
-            build_mode=None if args.build_mode == "auto" else args.build_mode,
         ))
     results = run_comparison(methods, data, queries, k=args.k, dataset_name=label)
     print(format_table([r.row() for r in results],
@@ -131,9 +130,7 @@ def _cmd_save(args: argparse.Namespace) -> int:
     common = dict(c=args.c, l_spaces=5, k_per_space=10, t=args.t, seed=args.seed,
                   auto_initial_radius=True)
     if args.shards > 1:
-        mode = None if args.build_mode == "auto" else args.build_mode
-        index = ShardedDBLSH(shards=args.shards, budget=args.budget,
-                             build_mode=mode, **common)
+        index = ShardedDBLSH(shards=args.shards, budget=args.budget, **common)
     else:
         index = DBLSH(**common)
     index.fit(data)
@@ -515,10 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="sharded budget mode: every shard gets the "
                                   "full 2tL+k budget, or t is split t/S per "
                                   "shard (faster, slightly lower recall)")
-            cmd.add_argument("--build-mode", choices=["auto", "process", "thread"],
-                             default="auto", dest="build_mode",
-                             help="how sharded fits parallelise the per-shard "
-                                  "builds (auto: processes on multi-CPU hosts)")
         if name == "save":
             cmd.add_argument("--out", default="index.npz",
                              help="snapshot output path (.npz)")

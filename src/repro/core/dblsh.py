@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -68,16 +67,6 @@ from repro.utils.validation import (
 )
 
 _BACKENDS = ("rstar", "rstar-insert", "kdtree", "grid")
-
-#: ``query_batch(workers=...)`` falls back to the serial loop when the
-#: per-query candidate budget ``2tL + k`` is below this.  Small-budget
-#: queries finish in roughly one window probe, so their wall time is
-#: per-query Python bookkeeping that holds the GIL — fanning such queries
-#: out adds contention and loses to the serial loop
-#: (``BENCH_query_engine.json``, ``fixed_t`` regime).  Large budgets
-#: spend their time in chunked numpy verification, which releases the
-#: GIL and does overlap.
-MIN_PARALLEL_BUDGET = 1024
 
 #: Sentinel returned by the chunk-merge fast path when the chunk contains
 #: a mid-stream radius stop and must be replayed candidate-by-candidate.
@@ -412,60 +401,24 @@ class DBLSH:
         q_proj = self._hasher.project_query(query)
         return self._query_one(query, q_proj, k, self._get_scratch())
 
-    def query_batch(
-        self, queries: np.ndarray, k: int = 1, workers: Optional[int] = None
-    ) -> List[QueryResult]:
+    def query_batch(self, queries: np.ndarray, k: int = 1) -> List[QueryResult]:
         """(c, k)-ANN for each row of ``queries``; returns a list of results.
 
         A true batched path: all ``m * L * K`` hash evaluations happen in
         one projection matmul (:meth:`CompoundHasher.project_queries`),
-        and the per-query scratch buffers are reused across the batch.
-        ``workers`` optionally fans the (independent) queries out over
-        that many threads, each with its own scratch; results are returned
-        in input order either way and match sequential :meth:`query`
-        calls candidate-for-candidate (the internal ``RTreeStats`` work
-        counters become approximate under workers — they are shared and
-        updated without locks).
-
-        ``workers`` is a hint, not a command: when the per-query budget
-        ``2tL + k`` is below :data:`MIN_PARALLEL_BUDGET` the batch runs
-        serially regardless, because tiny-budget queries are dominated by
-        GIL-holding per-query bookkeeping and fan-out only adds
-        contention (measured in ``BENCH_query_engine.json``: the
-        ``fixed_t`` regime loses ~15% under workers, the scaled regime
-        does not).
+        and the queries then run serially in input order over one reused
+        scratch buffer, matching sequential :meth:`query` calls
+        candidate-for-candidate.
         """
         self._require_fitted()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        assert self._hasher is not None and self.params is not None
+        assert self._hasher is not None
         queries = check_queries(queries, self.dim)
         m = queries.shape[0]
         if m == 0:
             return []
         q_projs = self._hasher.project_queries(queries)  # (L, m, K)
-        if (
-            workers is not None
-            and workers > 1
-            and m > 1
-            and self.params.budget(k) >= MIN_PARALLEL_BUDGET
-        ):
-            n_workers = min(int(workers), m)
-            parts = np.array_split(np.arange(m), n_workers)
-
-            def run(part: np.ndarray) -> List[Tuple[int, QueryResult]]:
-                scratch = self._get_scratch()  # this worker thread's own
-                return [
-                    (int(j), self._query_one(queries[j], q_projs[:, j, :], k, scratch))
-                    for j in part
-                ]
-
-            results: List[Optional[QueryResult]] = [None] * m
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                for future in [pool.submit(run, part) for part in parts]:
-                    for j, result in future.result():
-                        results[j] = result
-            return results  # type: ignore[return-value]
         scratch = self._get_scratch()
         return [
             self._query_one(queries[j], q_projs[:, j, :], k, scratch) for j in range(m)

@@ -9,9 +9,9 @@ the same query shape:
 3. **gather** the per-shard answers and k-way merge them into one global
    top-k, mapping local ids back through the shard offsets.
 
-Steps 1–2 are owned by a transport — the serial sweep and opt-in thread
-fan-out of :class:`~repro.core.sharded.ShardedDBLSH`, or the worker
-processes of :class:`~repro.serve.SnapshotServer` — but step 3 is pure
+Steps 1–2 are owned by a transport — the serial sweep of
+:class:`~repro.core.sharded.ShardedDBLSH`, or the worker processes of
+:class:`~repro.serve.SnapshotServer` — but step 3 is pure
 arithmetic on the gathered results.  This module holds that arithmetic so
 every transport merges identically: the parity guarantees pinned by the
 sharding tests transfer to any new transport for free.

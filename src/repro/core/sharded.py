@@ -7,28 +7,20 @@ shard results merge by exact distance.  :class:`ShardedDBLSH` exploits
 that:
 
 * **fit** partitions the dataset into S contiguous slices and builds one
-  :class:`~repro.core.dblsh.DBLSH` per slice.  The default
-  ``build_mode="process"`` builds shards in a **process pool**: each
-  worker fits its slice (array-native build) and sends back the
-  snapshot-form arrays of :mod:`repro.io.snapshot`, which the parent
-  adopts without any rebuild — sidestepping the GIL entirely.  On a
-  forking platform the dataset reaches workers through fork-shared
-  memory, not the pickle pipe.  ``build_mode="thread"`` keeps the
-  in-process threaded build (numpy sorts/GEMMs overlap, Python
-  bookkeeping serializes);
+  :class:`~repro.core.dblsh.DBLSH` per slice, one thread per shard;
 * every shard shares the **same projection tensor** and the parameters
   derived from the *global* cardinality — shard i's window at radius
   ``r`` contains exactly the points of the unsharded window that live in
   slice i, so the union of shard candidates equals the unsharded
   candidate set at every radius;
-* **query** / **query_batch** sweep the shards (reusing each shard's
-  vectorized probe rounds and generation-stamped scratch) and merge the
-  per-shard top-k lists into a global top-k with an allocation-light
-  k-way merge.  The sweep runs serially by default: per-shard probes are
-  dominated by GIL-holding chunk bookkeeping, and the measured batch
-  throughput of the serial sweep beats a thread-per-shard fan-out
-  (``BENCH_sharding.json``) — pass ``workers=`` to ``query_batch`` to
-  fan out anyway on machines with real cores to spare.
+* **query** / **query_batch** sweep the shards serially (reusing each
+  shard's vectorized probe rounds and generation-stamped scratch) and
+  merge the per-shard top-k lists into a global top-k with an
+  allocation-light k-way merge.  Per-shard probes are dominated by
+  GIL-holding chunk bookkeeping, so threads would only contend; for
+  real parallelism across shards serve a snapshot with
+  :class:`repro.serve.SnapshotServer`, which runs one worker process per
+  shard.
 
 Budget modes
     With the default ``budget="full"`` each shard runs Algorithm 1 with
@@ -52,13 +44,9 @@ index.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Tuple
+from concurrent.futures import ThreadPoolExecutor
+from typing import List, Optional
 
 import numpy as np
 
@@ -71,35 +59,6 @@ from repro.utils.scale import estimate_nn_distance
 from repro.utils.validation import check_dataset, check_queries, check_query
 
 _BUDGET_MODES = ("full", "split")
-_BUILD_MODES = ("process", "thread")
-
-#: Dataset handed to forked build workers through inherited memory (set
-#: around pool creation only).  Fork is copy-on-write, so workers read
-#: the parent's array without a pickle round-trip; on spawn platforms the
-#: slices are pickled into the task instead.  ``_BUILD_LOCK`` serializes
-#: concurrent ``fit`` calls through the global so one fit's workers can
-#: never fork while another fit's dataset is installed.
-_BUILD_DATA: Optional[np.ndarray] = None
-_BUILD_LOCK = threading.Lock()
-
-
-def _build_shard_payload(task: tuple) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """Process-pool worker: fit one shard, return its snapshot arrays.
-
-    The returned payload is exactly what :mod:`repro.io.snapshot` writes
-    for one index, minus the data slice (the parent already holds it);
-    the parent adopts the arrays with zero rebuild.
-    """
-    from repro.io.snapshot import _pack_dblsh
-
-    config, start, stop, data_slice = task
-    if data_slice is None:
-        assert _BUILD_DATA is not None  # fork-shared dataset
-        data_slice = _BUILD_DATA[start:stop]
-    shard = DBLSH(**config).fit(data_slice)
-    header, arrays = _pack_dblsh(shard, "")
-    del arrays["data"]
-    return header, arrays
 
 
 class ShardedDBLSH:
@@ -119,19 +78,6 @@ class ShardedDBLSH:
         ``t/S`` so the aggregate budget stays at the unsharded level —
         faster S-way queries, slightly lower recall (see module
         docstring).
-    build_mode:
-        ``"process"`` builds shards in a process pool with snapshot-array
-        handoff; ``"thread"`` builds them on threads in process.  The
-        default ``None`` picks automatically: processes when the host has
-        more than one CPU (threads are GIL-bound on the Python share of
-        the build), threads on a single-CPU host (a process pool there
-        pays fork/IPC overhead with no parallelism to buy).  Process
-        building requires the ``rstar`` backend (frozen traversals) and
-        falls back to threads otherwise, or when no process pool can be
-        started.
-    build_workers:
-        Workers used to build shards in parallel at ``fit`` time
-        (default: one per shard; ``1`` forces a sequential build).
     """
 
     name = "Sharded-DB-LSH"
@@ -151,20 +97,11 @@ class ShardedDBLSH:
         patience: Optional[int] = None,
         seed: SeedLike = 0,
         budget: str = "full",
-        build_mode: Optional[str] = None,
-        build_workers: Optional[int] = None,
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         if budget not in _BUDGET_MODES:
             raise ValueError(f"budget must be one of {_BUDGET_MODES}, got {budget!r}")
-        if build_mode is not None and build_mode not in _BUILD_MODES:
-            raise ValueError(
-                f"build_mode must be one of {_BUILD_MODES} or None (auto), "
-                f"got {build_mode!r}"
-            )
-        if build_workers is not None and build_workers < 1:
-            raise ValueError(f"build_workers must be >= 1 or None, got {build_workers}")
         # Constructing a throwaway DBLSH validates the shared knobs with
         # the exact error messages of the unsharded constructor.
         DBLSH(
@@ -193,16 +130,11 @@ class ShardedDBLSH:
         self.patience = patience
         self.seed = seed
         self.budget = budget
-        self.build_mode = build_mode
-        self.build_workers = build_workers
 
         self.params: Optional[DBLSHParams] = None
         self.dim: int = 0
         self._shards: List[DBLSH] = []
         self._offsets: List[int] = []
-        # Long-lived fan-out pool for opt-in threaded query batches,
-        # created lazily so the default serial sweeps never spawn threads.
-        self._pool: Optional[ThreadPoolExecutor] = None
         self.build_seconds: float = 0.0
 
     # ------------------------------------------------------------------
@@ -261,10 +193,6 @@ class ShardedDBLSH:
         ValueError
             If ``shards`` exceeds the dataset size, or ``data`` is not a
             2-D non-empty numeric array.
-        RuntimeWarning
-            (warned, not raised) When ``build_mode="process"`` cannot
-            start a process pool — the fit silently falls back to the
-            threaded build and the results are identical either way.
 
         Examples
         --------
@@ -301,23 +229,12 @@ class ShardedDBLSH:
                 )
         sizes = [part.shape[0] for part in np.array_split(np.arange(n), self.shards)]
         self._offsets = [int(v) for v in np.concatenate(([0], np.cumsum(sizes)[:-1]))]
-        workers = self.build_workers if self.build_workers is not None else self.shards
-        workers = min(workers, self.shards)
-        mode = self.build_mode
-        if mode is None:  # auto: processes only buy anything with >1 CPU
-            mode = "process" if (os.cpu_count() or 1) > 1 else "thread"
-
-        built: Optional[List[DBLSH]] = None
-        if mode == "process" and workers > 1 and self.shards > 1:
-            built = self._fit_process(data, sizes, workers)
-        if built is None:
-            built = self._fit_threads(data, sizes, workers)
-        self._shards = built
+        self._shards = self._fit_threads(data, sizes)
         self.build_seconds = time.perf_counter() - started
         return self
 
-    def _fit_threads(self, data: np.ndarray, sizes: List[int], workers: int) -> List[DBLSH]:
-        """In-process build: one shard per thread (or sequential)."""
+    def _fit_threads(self, data: np.ndarray, sizes: List[int]) -> List[DBLSH]:
+        """Build every shard in process, one thread per shard."""
         config = self._shard_config()
         shards = [DBLSH(**config) for _ in range(self.shards)]
 
@@ -325,67 +242,9 @@ class ShardedDBLSH:
             start = self._offsets[i]
             shards[i].fit(data[start : start + sizes[i]])
 
-        if workers > 1 and self.shards > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # list() re-raises any build exception in the caller.
-                list(pool.map(build, range(self.shards)))
-        else:
-            for i in range(self.shards):
-                build(i)
-        return shards
-
-    def _fit_process(
-        self, data: np.ndarray, sizes: List[int], workers: int
-    ) -> Optional[List[DBLSH]]:
-        """Process-pool build; returns ``None`` to fall back to threads.
-
-        Workers return snapshot-form arrays (header + frozen traversals +
-        projection tensor), which the parent adopts through the snapshot
-        loader — the pointer-free mirror of how a saved index restores.
-        Only the ``rstar`` backend ships its tables as arrays; the
-        ablation backends would rebuild their tables in the parent
-        anyway, so they stay on threads.
-        """
-        import multiprocessing as mp
-
-        config = self._shard_config()
-        if config["backend"] != "rstar":
-            return None
-        from repro.io.snapshot import _unpack_dblsh
-
-        forking = mp.get_start_method() == "fork"
-        tasks = []
-        for i in range(self.shards):
-            start = self._offsets[i]
-            stop = start + sizes[i]
-            tasks.append(
-                (config, start, stop, None if forking else data[start:stop])
-            )
-        global _BUILD_DATA
-        try:
-            with _BUILD_LOCK:
-                _BUILD_DATA = data if forking else None
-                try:
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        payloads = list(pool.map(_build_shard_payload, tasks))
-                finally:
-                    _BUILD_DATA = None
-        except (OSError, BrokenProcessPool, PermissionError) as exc:
-            warnings.warn(
-                f"process-pool shard build unavailable ({exc!r}); "
-                "falling back to the threaded build",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return None
-        shards = []
-        for i, (header, arrays) in enumerate(payloads):
-            arrays = dict(arrays)
-            start = self._offsets[i]
-            arrays["data"] = data[start : start + sizes[i]]
-            shard = _unpack_dblsh(header, arrays, "")
-            shard.seed = self.seed  # header seeds round-trip ints only
-            shards.append(shard)
+        with ThreadPoolExecutor(self.shards) as pool:
+            # list() re-raises any build exception in the caller.
+            list(pool.map(build, range(self.shards)))
         return shards
 
     def add(self, points: np.ndarray) -> None:
@@ -454,18 +313,7 @@ class ShardedDBLSH:
             hash_evaluations=self._shards[0]._hasher.num_functions,  # type: ignore[union-attr]
         )
 
-    def _executor(self) -> ThreadPoolExecutor:
-        """The reusable shard fan-out pool for opt-in threaded batches."""
-        pool = self._pool
-        if pool is None:
-            pool = self._pool = ThreadPoolExecutor(
-                max_workers=self.shards, thread_name_prefix="dblsh-shard"
-            )
-        return pool
-
-    def query_batch(
-        self, queries: np.ndarray, k: int = 1, workers: Optional[int] = None
-    ) -> List[QueryResult]:
+    def query_batch(self, queries: np.ndarray, k: int = 1) -> List[QueryResult]:
         """Batched (c, k)-ANN: one projection GEMM for the whole batch.
 
         Every shard answers the whole batch against its slice and the
@@ -480,23 +328,11 @@ class ShardedDBLSH:
             accepted and treated as ``m = 1``.
         k:
             Neighbors to return per query (``k >= 1``).
-        workers:
-            ``None`` (default) sweeps the shards serially — the
-            measured-faster configuration on few-core hosts, since
-            per-shard probe rounds hold the GIL for their chunk
-            bookkeeping and threads mostly contend
-            (``BENCH_sharding.json``).  Pass ``workers > 1`` to fan
-            shards out over up to ``min(workers, shards)`` threads
-            (worth trying on otherwise-idle multi-core machines);
-            single-shard and single-query batches always run serially.
-            For fan-out across *processes*, serve a snapshot with
-            :class:`repro.serve.SnapshotServer` instead.
 
         Returns
         -------
         list of QueryResult
-            One merged result per query, in input order, identical under
-            every ``workers`` setting.
+            One merged result per query, in input order.
 
         Raises
         ------
@@ -526,23 +362,15 @@ class ShardedDBLSH:
         started = time.perf_counter()
         q_projs = self._shards[0]._hasher.project_queries(queries)  # type: ignore[union-attr]
 
-        def run(shard: DBLSH) -> List[QueryResult]:
-            scratch = shard._get_scratch()  # per-thread, per-shard
-            return [
-                shard._query_one(queries[j], q_projs[:, j, :], k, scratch)
-                for j in range(m)
-            ]
-
-        n_workers = 1 if workers is None else min(int(workers), self.shards)
-        if n_workers > 1 and self.shards > 1 and m > 1:
-            if n_workers >= self.shards:
-                per_shard = list(self._executor().map(run, self._shards))
-            else:
-                # User-capped fan-out below one thread per shard.
-                with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                    per_shard = list(pool.map(run, self._shards))
-        else:
-            per_shard = [run(shard) for shard in self._shards]
+        per_shard = []
+        for shard in self._shards:
+            scratch = shard._get_scratch()
+            per_shard.append(
+                [
+                    shard._query_one(queries[j], q_projs[:, j, :], k, scratch)
+                    for j in range(m)
+                ]
+            )
         elapsed = time.perf_counter() - started
         return merge_shard_batches(
             per_shard,

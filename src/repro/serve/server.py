@@ -11,7 +11,7 @@ would produce, transport notwithstanding.
 
 Why processes: DB-LSH probe rounds interleave GIL-holding Python
 bookkeeping with released-GIL numpy chunks, which caps thread fan-out at
-roughly one core of useful work (measured in ``BENCH_sharding.json``).
+roughly one core of useful work (measured in ``docs/benchmarks.md``).
 Worker processes each bring their own interpreter, so an S-shard server
 on an S-core host runs S probe loops truly concurrently; the per-shard
 budget (``t`` as saved, ``t/S`` for a ``budget="split"`` snapshot) keeps

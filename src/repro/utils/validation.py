@@ -9,6 +9,20 @@ from __future__ import annotations
 import numpy as np
 
 
+def _check_norms_finite(rows: np.ndarray, what: str) -> None:
+    """Reject rows whose squared norm is not finite.
+
+    A NaN or infinite entry makes ``v @ v`` non-finite, and so does a
+    finite row large enough to overflow it (``np.full(8, 1e154)``): every
+    distance to such a row is ``inf``, which would leave the neighbour
+    order to tie-breaking.
+    """
+    if not np.isfinite(np.einsum("ij,ij->i", rows, rows)).all():
+        raise ValueError(
+            f"{what} NaN or infinite values, or values whose squared norm overflows"
+        )
+
+
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     """Ensure ``value`` is positive (or non-negative when ``strict=False``)."""
     value = float(value)
@@ -36,8 +50,7 @@ def check_dataset(data: np.ndarray) -> np.ndarray:
         raise ValueError("dataset must contain at least one point")
     if array.shape[1] == 0:
         raise ValueError("dataset must have at least one dimension")
-    if not np.isfinite(array).all():
-        raise ValueError("dataset contains NaN or infinite values")
+    _check_norms_finite(array, "dataset contains")
     return array
 
 
@@ -46,8 +59,7 @@ def check_query(query: np.ndarray, dim: int) -> np.ndarray:
     vector = np.ascontiguousarray(query, dtype=np.float64).reshape(-1)
     if vector.shape[0] != dim:
         raise ValueError(f"query has dimension {vector.shape[0]}, index expects {dim}")
-    if not np.isfinite(vector).all():
-        raise ValueError("query contains NaN or infinite values")
+    _check_norms_finite(vector[None, :], "query contains")
     return vector
 
 
@@ -62,6 +74,5 @@ def check_queries(queries: np.ndarray, dim: int) -> np.ndarray:
         raise ValueError(
             f"queries have dimension {array.shape[-1]}, index expects {dim}"
         )
-    if not np.isfinite(array).all():
-        raise ValueError("queries contain NaN or infinite values")
+    _check_norms_finite(array, "queries contain")
     return array

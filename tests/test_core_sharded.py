@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from repro import DBLSH, ShardedDBLSH
 from repro.data.generators import gaussian_mixture
-from repro.index.rstar import RStarTree
 
 COMMON = dict(
     c=1.5, l_spaces=5, k_per_space=10, t=64, seed=0, auto_initial_radius=True
@@ -47,73 +50,59 @@ class TestParity:
         batch = sharded.query_batch(queries, k=10)
         singles = [sharded.query(q, k=10) for q in queries]
         assert [r.ids for r in batch] == [r.ids for r in singles]
-        workers1 = sharded.query_batch(queries, k=10, workers=1)
-        assert [r.ids for r in workers1] == [r.ids for r in batch]
-
-    def test_sequential_build_matches_parallel(self, workload):
-        data, queries = workload
-        parallel = ShardedDBLSH(shards=3, **COMMON).fit(data)
-        sequential = ShardedDBLSH(shards=3, build_workers=1, **COMMON).fit(data)
-        for q in queries[:4]:
-            assert sequential.query(q, k=5).ids == parallel.query(q, k=5).ids
-
-    def test_fanout_workers_match_serial_sweep(self, workload):
-        data, queries = workload
-        sharded = ShardedDBLSH(shards=4, **COMMON).fit(data)
-        serial = sharded.query_batch(queries, k=10)
-        fanned = sharded.query_batch(queries, k=10, workers=4)
-        assert [r.ids for r in fanned] == [r.ids for r in serial]
 
 
-class TestBuildModes:
-    """Process-pool builds must be indistinguishable from threaded ones."""
+class TestThreadBuild:
+    """The one-thread-per-shard build is a plain fit of each slice."""
 
-    def test_process_build_matches_thread_build(self, workload):
-        data, queries = workload
-        process = ShardedDBLSH(shards=3, build_mode="process", **COMMON).fit(data)
-        thread = ShardedDBLSH(shards=3, build_mode="thread", **COMMON).fit(data)
-        batch_p = process.query_batch(queries, k=10)
-        batch_t = thread.query_batch(queries, k=10)
-        assert [r.ids for r in batch_p] == [r.ids for r in batch_t]
-        assert [r.distances for r in batch_p] == [r.distances for r in batch_t]
-
-    def test_process_built_shards_have_identical_flat_arrays(self, workload):
+    def test_shards_have_flat_arrays_of_standalone_fits(self, workload):
         data, _ = workload
-        process = ShardedDBLSH(shards=3, build_mode="process", **COMMON).fit(data)
-        thread = ShardedDBLSH(shards=3, build_mode="thread", **COMMON).fit(data)
-        for shard_p, shard_t in zip(process.shard_indexes, thread.shard_indexes):
-            assert shard_p.num_points == shard_t.num_points
-            for flat_p, flat_t in zip(shard_p._tables, shard_t._tables):
-                a, b = flat_p.to_arrays(), flat_t.to_arrays()
+        sharded = ShardedDBLSH(shards=3, **COMMON).fit(data)
+        bounds = sharded.shard_offsets + [data.shape[0]]
+        for shard, lo, hi in zip(sharded.shard_indexes, bounds, bounds[1:]):
+            alone = DBLSH(**sharded._shard_config()).fit(data[lo:hi])
+            assert shard.num_points == alone.num_points
+            for flat_s, flat_a in zip(shard._tables, alone._tables):
+                a, b = flat_s.to_arrays(), flat_a.to_arrays()
                 assert all(np.array_equal(a[key], b[key]) for key in a)
 
-    def test_process_build_add_still_works(self, workload):
+    def test_add_after_fit_returns_new_id(self, workload):
         data, _ = workload
-        sharded = ShardedDBLSH(shards=2, build_mode="process", **COMMON).fit(data)
+        sharded = ShardedDBLSH(shards=2, **COMMON).fit(data)
         isolated = data.mean(axis=0) + 500.0
         sharded.add(isolated[None, :])
         assert sharded.query(isolated, k=1).neighbors[0].id == data.shape[0]
 
-    def test_non_flat_config_falls_back_to_threads(self, workload, monkeypatch):
-        import repro.core.sharded as sharded_module
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("rstar-insert shards must not use the process pool")
+class TestConcurrentCallers:
+    """Per-thread scratch: concurrent ``query`` calls from caller threads
+    answer exactly like one serial ``query_batch``."""
 
-        monkeypatch.setattr(sharded_module, "ProcessPoolExecutor", no_pool)
+    def test_threads_match_serial_batch(self, workload, unsharded):
         data, queries = workload
-        sharded = ShardedDBLSH(
-            shards=2, build_mode="process", backend="rstar-insert", **COMMON
-        ).fit(data)
-        # Insert-built shards ship no traversal arrays, so they are built
-        # on threads and hold their pointer trees.
-        for shard in sharded.shard_indexes:
-            assert all(isinstance(table, RStarTree) for table in shard._tables)
-        assert sharded.query(queries[0], k=5).neighbors
+        sharded = ShardedDBLSH(shards=2, **COMMON).fit(data)
+        indexes = (unsharded, sharded)
+        expected = [
+            [(r.ids, r.distances) for r in index.query_batch(queries, k=10)]
+            for index in indexes
+        ]
+        barrier = threading.Barrier(4, timeout=30)
 
-    def test_invalid_build_mode(self):
-        with pytest.raises(ValueError, match="build_mode"):
-            ShardedDBLSH(shards=2, build_mode="magic")
+        def caller(_):
+            barrier.wait()
+            return [
+                [(r.ids, r.distances) for r in (index.query(q, k=10) for q in queries)]
+                for index in indexes
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force thread switches mid-query
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                answers = list(pool.map(caller, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [expected] * 4
 
 
 class TestBudgetSplit:
@@ -214,8 +203,15 @@ class TestValidation:
     def test_invalid_shared_knobs_rejected_eagerly(self):
         with pytest.raises(ValueError, match="approximation ratio"):
             ShardedDBLSH(shards=2, c=0.5)
-        with pytest.raises(ValueError, match="build_workers"):
-            ShardedDBLSH(shards=2, build_workers=0)
+
+    @pytest.mark.parametrize("value", [1e154, 1e300])
+    def test_overflowing_inputs_rejected(self, workload, value):
+        data, queries = workload
+        sharded = ShardedDBLSH(shards=2, **COMMON).fit(data)
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            sharded.query_batch(np.full((1, data.shape[1]), value), k=3)
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            ShardedDBLSH(shards=2, **COMMON).fit(np.vstack([data, queries[:1] * value]))
 
     def test_query_requires_fit(self):
         with pytest.raises(RuntimeError, match="fit"):

@@ -592,6 +592,8 @@ class TestProtocol:
             {"queries": [], "k": 2},  # empty batch
             {"query": ["a"] * len(q), "k": 2},  # non-numeric
             {"query": [float("nan")] * len(q), "k": 2},  # non-finite
+            {"query": [1e154] * len(q), "k": 2},  # squared norm overflows
+            {"queries": [q, [1e300] * len(q)], "k": 2},
         ]
         for payload in cases:
             status, body, _ = _post(gateway.port, "/query", payload)

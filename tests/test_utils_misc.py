@@ -13,8 +13,13 @@ from repro.utils.validation import (
     check_dataset,
     check_positive,
     check_probability,
+    check_queries,
     check_query,
 )
+
+#: Finite values whose squared norm overflows: every distance to such a
+#: row is inf, so the neighbour order would be left to tie-breaking.
+OVERFLOWING = [1e154, 1e300]
 
 
 class TestTimer:
@@ -98,6 +103,13 @@ class TestCheckDataset:
         with pytest.raises(ValueError):
             check_dataset(bad)
 
+    @pytest.mark.parametrize("value", OVERFLOWING)
+    def test_rejects_overflowing_squared_norm(self, value):
+        bad = np.zeros((4, 8))
+        bad[2] = value
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            check_dataset(bad)
+
 
 class TestCheckQuery:
     def test_accepts_matching_dim(self):
@@ -111,6 +123,15 @@ class TestCheckQuery:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN or infinite"):
             check_query([np.nan, 0.0], 2)
+
+    @pytest.mark.parametrize("value", OVERFLOWING)
+    def test_rejects_overflowing_squared_norm(self, value):
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            check_query(np.full(8, value), 8)
+        batch = np.ones((3, 8))
+        batch[1] = value
+        with pytest.raises(ValueError, match="squared norm overflows"):
+            check_queries(batch, 8)
 
 
 class TestEstimateNNDistance:

@@ -52,16 +52,17 @@ def check_sharding(report: dict) -> List[str]:
 
 
 def check_build(report: dict) -> List[str]:
-    """Bulk builders must answer identically to incremental fit; the
-    process-parallel shard build must match in-process; snapshots must
-    round-trip."""
+    """Bulk builders must answer identically to incremental fit; every
+    shard of a sharded fit must equal a standalone fit of its slice;
+    snapshots must round-trip."""
     violations = [
         f"n={n}: bulk and incremental builders diverged"
         for n, row in report["single"].items() if not row["answers_identical"]
     ]
     violations += [
-        f"shards={shards}: process-parallel build != in-process build"
-        for shards, row in report["sharded"].items() if not row["process_matches"]
+        f"shards={shards}: sharded build != standalone shard fits"
+        for shards, row in report["sharded"].items()
+        if not row["shards_match_standalone"]
     ]
     if not report["snapshot"]["results_identical_after_reload"]:
         violations.append("snapshot: results changed across save/load")
