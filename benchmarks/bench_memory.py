@@ -6,14 +6,15 @@ Not a paper figure — this tracks the arena-snapshot subsystem
 
 * **zero_copy** — ``tracemalloc`` around ``load_index``: a mapped arena
   load must *allocate* a small fraction of the payload bytes (the pages
-  stay in the kernel page cache), while the legacy npz load allocates
-  roughly everything.  Both numbers are recorded; CI gates the arena
-  fraction < 10% and the npz control ≥ 30% (the control proves the
-  probe measures what we think it measures).
-* **parity** — the same fitted index saved as v3 arena and legacy npz
-  must answer ``query_batch`` bit-identically (ids and distances), and
-  a :class:`~repro.serve.SnapshotServer` on the arena must match the
-  in-process ``load_index().query_batch()`` answers.  Both gated.
+  stay in the kernel page cache), while a copying read of the same
+  arena — ``np.array(copy=True)`` of every member — allocates roughly
+  everything.  Both numbers are recorded; CI gates the arena fraction
+  < 10% and the copy control ≥ 30% (the control proves the probe
+  measures what we think it measures).
+* **parity** — the loaded arena must answer ``query_batch``
+  bit-identically (ids and distances) to the in-memory fitted index,
+  and a :class:`~repro.serve.SnapshotServer` on the arena must match
+  the in-process ``load_index().query_batch()`` answers.  Both gated.
 * **sharing** — N single-shard servers on *one* arena snapshot, each
   worker warmed with the same queries, then per-mapping ``smaps``
   accounting: summed PSS over summed RSS for the snapshot mappings.
@@ -21,8 +22,8 @@ Not a paper figure — this tracks the arena-snapshot subsystem
   it to 1.  Gated (ratio < 0.75) when smaps is available, skipped —
   with ``available: false`` recorded — where it is not.
 * **reload** — arena load latency cold (page cache dropped via
-  ``posix_fadvise``) vs warm (same file again, pages resident) vs the
-  npz load of the same index: the ``--watch`` reload path's win.
+  ``posix_fadvise``) vs warm (same file again, pages resident): what
+  the ``--watch`` reload path pays.
 
 Usage::
 
@@ -50,6 +51,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from repro import DBLSH  # noqa: E402
 from repro.data.generators import gaussian_mixture  # noqa: E402
 from repro.io import load_index, read_header, save_index  # noqa: E402
+from repro.io.snapshot import _ArenaArchive  # noqa: E402
 from repro.serve import SnapshotServer  # noqa: E402
 from repro.utils.meminfo import (  # noqa: E402
     drop_page_cache,
@@ -80,41 +82,52 @@ def _traced_load(path: str):
     return index, int(peak)
 
 
-def bench_zero_copy(arena_path: str, npz_path: str) -> dict:
+def _traced_copy_read(path: str) -> int:
+    """Peak bytes allocated while copying every arena member to the heap."""
+    tracemalloc.start()
+    try:
+        copies = []  # every copy stays alive, so the peak counts them all
+        with _ArenaArchive(path) as archive:
+            for name in archive.files:
+                copies.append(np.array(archive[name], copy=True))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return int(peak)
+
+
+def bench_zero_copy(arena_path: str) -> dict:
     payload = sum(
         int(m["nbytes"])
         for m in read_header(arena_path)["members"].values()
     )
     arena_index, arena_alloc = _traced_load(arena_path)
-    npz_index, npz_alloc = _traced_load(npz_path)
+    copy_alloc = _traced_copy_read(arena_path)
     out = {
         "payload_bytes": payload,
         "arena_alloc_bytes": arena_alloc,
         "arena_alloc_fraction": round(arena_alloc / payload, 4),
         "arena_is_mapped": bool(arena_index.is_mapped),
-        "npz_alloc_bytes": npz_alloc,
-        "npz_alloc_fraction": round(npz_alloc / payload, 4),
-        "npz_is_mapped": bool(npz_index.is_mapped),
+        "copy_alloc_bytes": copy_alloc,
+        "copy_alloc_fraction": round(copy_alloc / payload, 4),
     }
     print(f"  zero-copy: arena allocates {out['arena_alloc_fraction']:.1%} "
           f"of {payload / 1e6:.1f} MB payload "
-          f"(npz control: {out['npz_alloc_fraction']:.1%})")
+          f"(copy control: {out['copy_alloc_fraction']:.1%})")
     return out
 
 
-def bench_parity(arena_path: str, npz_path: str, queries: np.ndarray,
+def bench_parity(index: DBLSH, arena_path: str, queries: np.ndarray,
                  k: int) -> dict:
-    from_arena = load_index(arena_path)
-    from_npz = load_index(npz_path)
-    arena_answers = _answers(from_arena.query_batch(queries, k=k))
-    npz_answers = _answers(from_npz.query_batch(queries, k=k))
+    fitted_answers = _answers(index.query_batch(queries, k=k))
+    arena_answers = _answers(load_index(arena_path).query_batch(queries, k=k))
     with SnapshotServer(arena_path) as server:
         served_answers = _answers(server.query_batch(queries, k=k))
     out = {
-        "v2_v3_identical": arena_answers == npz_answers,
+        "loaded_matches_fitted": arena_answers == fitted_answers,
         "served_matches_inprocess": served_answers == arena_answers,
     }
-    print(f"  parity: v2==v3 {out['v2_v3_identical']}, "
+    print(f"  parity: loaded==fitted {out['loaded_matches_fitted']}, "
           f"served==inprocess {out['served_matches_inprocess']}")
     return out
 
@@ -164,7 +177,7 @@ def bench_sharing(arena_path: str, queries: np.ndarray, k: int,
     return out
 
 
-def bench_reload(arena_path: str, npz_path: str, reps: int) -> dict:
+def bench_reload(arena_path: str, reps: int) -> dict:
     def median_load_seconds(path: str, cold: bool) -> float:
         samples = []
         for _ in range(reps):
@@ -184,11 +197,9 @@ def bench_reload(arena_path: str, npz_path: str, reps: int) -> dict:
         "arena_warm_seconds": round(
             median_load_seconds(arena_path, cold=False), 5
         ),
-        "npz_seconds": round(median_load_seconds(npz_path, cold=False), 5),
     }
     print(f"  reload: arena cold {out['arena_cold_seconds']*1e3:.1f}ms, "
-          f"warm {out['arena_warm_seconds']*1e3:.1f}ms, "
-          f"npz {out['npz_seconds']*1e3:.1f}ms")
+          f"warm {out['arena_warm_seconds']*1e3:.1f}ms")
     return out
 
 
@@ -231,9 +242,7 @@ def main(argv=None) -> int:
                   auto_initial_radius=True).fit(data)
     out_stem = args.out[:-5] if args.out.endswith(".json") else args.out
     arena_path = f"{out_stem}.arena.npz"
-    npz_path = f"{out_stem}.legacy.npz"
-    save_index(index, arena_path, format="arena")
-    save_index(index, npz_path, format="npz")
+    save_index(index, arena_path)
     try:
         report = {
             "benchmark": "memory",
@@ -246,16 +255,15 @@ def main(argv=None) -> int:
             "host_cpus": os.cpu_count(),
             "snapshot_bytes": os.path.getsize(arena_path),
             "coordinator_memory": process_memory(),
-            "zero_copy": bench_zero_copy(arena_path, npz_path),
-            "parity": bench_parity(arena_path, npz_path, queries, args.k),
+            "zero_copy": bench_zero_copy(arena_path),
+            "parity": bench_parity(index, arena_path, queries, args.k),
             "sharing": bench_sharing(arena_path, queries, args.k,
                                      args.servers),
-            "reload": bench_reload(arena_path, npz_path, reps),
+            "reload": bench_reload(arena_path, reps),
         }
     finally:
-        for path in (arena_path, npz_path):
-            if os.path.exists(path):
-                os.remove(path)
+        if os.path.exists(arena_path):
+            os.remove(arena_path)
 
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)

@@ -137,7 +137,7 @@ def _cmd_save(args: argparse.Namespace) -> int:
     # save_index appends .npz when missing; report the path it actually wrote.
     out = args.out if args.out.endswith(".npz") else args.out + ".npz"
     started = time.perf_counter()
-    save_index(index, out, format=args.snapshot_format)
+    save_index(index, out)
     save_seconds = time.perf_counter() - started
     size_mb = os.path.getsize(out) / 1e6
     print(index.describe())
@@ -151,11 +151,10 @@ def _cmd_load(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     index = load_index(args.index)
     load_seconds = time.perf_counter() - started
-    container = "arena" if header["version"] >= 3 else "npz"
     mapped = bool(getattr(index, "is_mapped", False))
     print(index.describe())
-    print(f"snapshot kind={header['kind']} version={header['version']} "
-          f"container={container}; loaded in {load_seconds:.3f}s "
+    print(f"snapshot kind={header['kind']} version={header['version']}; "
+          f"loaded in {load_seconds:.3f}s "
           f"({'zero-copy mapped views' if mapped else 'private copy'}, "
           f"zero rebuild)")
     if args.queries < 1:
@@ -515,10 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "save":
             cmd.add_argument("--out", default="index.npz",
                              help="snapshot output path (.npz)")
-            cmd.add_argument("--snapshot-format", choices=["arena", "npz"],
-                             default="arena", dest="snapshot_format",
-                             help="container: arena (v3, zero-copy mmap "
-                                  "loads) or npz (legacy v1)")
 
     load_cmd = sub.add_parser(
         "load", help="restore a snapshot (zero rebuild) and smoke-test it"

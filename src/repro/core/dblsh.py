@@ -908,20 +908,19 @@ class DBLSH:
             base = base.base
         return False
 
-    def save(self, path: str, *, format: str = "arena") -> None:
-        """Persist the fitted index as a versioned snapshot.
+    def save(self, path: str) -> None:
+        """Persist the fitted index as a versioned arena snapshot.
 
         On the default ``rstar`` backend the snapshot contains the frozen
         traversal arrays, so :meth:`load` answers queries without any
-        bulk loading; see :mod:`repro.io.snapshot` for the format.  The
-        default ``arena`` container loads back as zero-copy mapped views;
-        pass ``format="npz"`` for the legacy v1 container.
+        bulk loading, as zero-copy mapped views; see
+        :mod:`repro.io.snapshot` for the format.
         """
         if self._buffer is None or self.params is None or self._hasher is None:
             raise RuntimeError("fit() must be called before save()")
         from repro.io.snapshot import save_index
 
-        save_index(self, path, format=format)
+        save_index(self, path)
 
     @classmethod
     def load(cls, path: str) -> "DBLSH":

@@ -246,7 +246,7 @@ def evaluate_server(
     ``repro serve``); answers are reassembled in order and remain
     bit-identical to the single-client run.  ``server_kwargs`` are
     forwarded to the server constructor (``query_timeout=...``,
-    ``shm_min_bytes=...``, ``max_retries=...``, ...).
+    ``hang_policy=...``, ``max_retries=...``, ...).
     """
     from repro.io.snapshot import load_data
     from repro.serve import SnapshotServer

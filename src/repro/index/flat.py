@@ -149,20 +149,15 @@ class FlatRStarTree:
     # Serialization
     # ------------------------------------------------------------------
 
-    def to_arrays(self, mirrored: bool = False) -> Dict[str, np.ndarray]:
+    def to_arrays(self) -> Dict[str, np.ndarray]:
         """The frozen traversal as a flat dict of numpy arrays.
 
         Everything needed to answer window queries is captured:
         per-internal-level ``[low, -high]`` matrices and CSR child ranges,
-        the leaf MBRs, pointers, ids and coordinates.  By default the
-        concatenated ``[x, -x]`` coordinate form is stored single-sided
-        (``leaf_coords``) and re-mirrored by :meth:`from_arrays`, so a
-        snapshot costs the same bytes as the raw points.  With
-        ``mirrored=True`` the pre-mirrored ``coords_cat`` matrix is stored
-        instead — 2x the disk for that member, but :meth:`from_arrays` can
-        then adopt it without any copy, which is what keeps arena-snapshot
-        loads zero-copy.  Scalar shape metadata rides along as 0-d arrays,
-        which keeps the whole dict ``np.savez``-ready.
+        the leaf MBRs, pointers, ids and the pre-mirrored ``[x, -x]``
+        coordinates (``coords_cat``) the engine scans, so
+        :meth:`from_arrays` adopts every member without a copy.  Scalar
+        shape metadata rides along as a small int64 ``meta`` array.
         """
         arrays: Dict[str, np.ndarray] = {
             "meta": np.array(
@@ -172,11 +167,8 @@ class FlatRStarTree:
             "leaf_ptr": self.leaf_ptr,
             "leaf_ids": self.leaf_ids,
             "leaf_cat": self._leaf_cat,
+            "coords_cat": self._coords_cat,
         }
-        if mirrored:
-            arrays["coords_cat"] = self._coords_cat
-        else:
-            arrays["leaf_coords"] = self.leaf_coords
         for j, (cat, starts, ends) in enumerate(self._levels):
             arrays[f"level{j}_cat"] = cat
             arrays[f"level{j}_start"] = starts
@@ -225,12 +217,9 @@ class FlatRStarTree:
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "FlatRStarTree":
         """Rebuild a frozen traversal from :meth:`to_arrays` output.
 
-        No tree construction happens — the arrays are adopted as-is.  When
-        the dict carries the pre-mirrored ``coords_cat`` member (arena
-        snapshots) nothing is copied at all; with the single-sided legacy
-        ``leaf_coords`` member the coordinate mirror is the only copy.
-        Loading a snapshot therefore costs O(bytes) at worst — never an
-        STR bulk load — and O(1) from a mapped arena.
+        No tree construction happens and nothing is copied — the arrays
+        are adopted as-is, so loading from a mapped arena snapshot costs
+        O(1), never an STR bulk load.
         """
         meta = np.asarray(arrays["meta"], dtype=np.int64).reshape(-1)
         if meta.shape[0] != 5:
@@ -253,11 +242,7 @@ class FlatRStarTree:
         flat.leaf_ptr = np.ascontiguousarray(arrays["leaf_ptr"], dtype=np.int64)
         flat.leaf_ids = np.ascontiguousarray(arrays["leaf_ids"], dtype=np.int64)
         flat._leaf_cat = np.ascontiguousarray(arrays["leaf_cat"], dtype=np.float64)
-        if "coords_cat" in arrays:
-            flat._coords_cat = np.ascontiguousarray(arrays["coords_cat"], dtype=np.float64)
-        else:
-            coords = np.ascontiguousarray(arrays["leaf_coords"], dtype=np.float64)
-            flat._coords_cat = np.hstack([coords, -coords])
+        flat._coords_cat = np.ascontiguousarray(arrays["coords_cat"], dtype=np.float64)
         return flat
 
     # ------------------------------------------------------------------

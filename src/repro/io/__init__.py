@@ -4,13 +4,12 @@
 :class:`~repro.core.dblsh.DBLSH` or
 :class:`~repro.core.sharded.ShardedDBLSH` through a single versioned
 archive — including the frozen R*-tree traversal arrays, so a loaded
-``rstar``-backend index serves queries with zero rebuild.  The default
-container is the v3 **arena** (one mmap-able file; loads are zero-copy
-page mappings shared across processes); ``format="npz"`` writes the
-legacy v1 ``.npz``.  Both writes are atomic (temp file + rename +
-fsync) and carry CRC32 checksums — eagerly verified on read for npz,
-on demand via :func:`verify_snapshot` for arenas; see
-:mod:`repro.io.snapshot` for the formats.
+``rstar``-backend index serves queries with zero rebuild.  The one
+container is the v3 **arena**: one mmap-able file whose loads are
+zero-copy page mappings shared across processes.  Writes are atomic
+(temp file + rename + fsync) and carry per-member CRC32 checksums,
+verified on demand via :func:`verify_snapshot`; see
+:mod:`repro.io.snapshot` for the format.
 
 :class:`WriteAheadLog` (:mod:`repro.io.wal`) makes live mutations
 durable: inserts/deletes are CRC-framed into rotating segments, group-
@@ -22,7 +21,6 @@ mutations.
 from repro.io.snapshot import (
     ARENA_VERSION,
     SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
     SnapshotError,
     load_data,
     load_index,
@@ -46,7 +44,6 @@ from repro.io.wal import (
 __all__ = [
     "ARENA_VERSION",
     "SNAPSHOT_FORMAT",
-    "SNAPSHOT_VERSION",
     "SnapshotError",
     "load_data",
     "load_index",

@@ -1,28 +1,22 @@
 """Versioned binary snapshots of fitted indexes (build once, serve anywhere).
 
-Containers
-----------
-Two on-disk containers share one logical layout (a JSON header carrying
-the format name, the format *version*, the snapshot *kind* (``"dblsh"``
-or ``"sharded"``) and every scalar needed to reconstruct the index,
-plus named array members):
+Container
+---------
+A snapshot is one **arena** file (version ``ARENA_VERSION``): magic, a
+CRC-protected JSON header, then the raw little-endian array bytes.  The
+header carries the format name, the format *version*, the snapshot
+*kind* (``"dblsh"`` or ``"sharded"``), every scalar needed to
+reconstruct the index, and a member table mapping each named array to a
+64-byte-aligned byte range.  Loading maps the file once (``np.memmap``,
+read-only) and returns each member as a **zero-copy view** of the
+mapping: O(1) page mapping instead of a full read, and every process
+serving the same snapshot shares one physical copy of the pages through
+the page cache.
 
-* **arena** (version ``ARENA_VERSION``, the default): one flat file —
-  magic, a CRC-protected JSON header mapping each member to a 64-byte-
-  aligned byte range, then the raw little-endian array bytes.  Loading
-  maps the file once (``np.memmap``, read-only) and returns each member
-  as a **zero-copy view** of the mapping: O(1) page mapping instead of
-  a full read, and every process serving the same snapshot shares one
-  physical copy of the pages through the page cache.
-* **npz** (version ``SNAPSHOT_VERSION``, the legacy container): a
-  ``.npz`` archive whose ``header`` entry is the JSON document and whose
-  array payloads are plain ``.npy`` members, readable with nothing but
-  numpy.  Loading copies members into private heap.  ``save_index``
-  keeps writing it under ``format="npz"``, and every snapshot ever
-  written by it keeps loading.
-
-The loader sniffs the container from the file's first bytes, so paths
-keep their conventional ``.npz`` suffix regardless of container.
+Paths keep their conventional ``.npz`` suffix, but the file is not a
+zip archive.  A file that *is* one (the legacy v1 ``.npz`` container of
+earlier builds, recognised by the zip magic ``PK``) is refused with a
+:class:`SnapshotError` naming it; re-save the index with this build.
 
 For the default ``rstar`` backend the payload includes the frozen
 :class:`~repro.index.flat.FlatRStarTree` arrays of every projected space.
@@ -37,25 +31,21 @@ key prefix; the shard partition is implicit in the stored shard sizes.
 
 Durability
 ----------
-``save_index`` is **atomic**: the archive is written to a temp file,
+``save_index`` is **atomic**: the arena is written to a temp file,
 fsync'd, and renamed over ``path`` (with a directory fsync), so a crash
 mid-save leaves the previous snapshot intact — never a half-written
-archive.  The header carries a CRC32 per payload member, verified on
-access, and a random ``uid`` naming this snapshot *generation* (plus the
-``parent_uid`` it was compacted from and the mutation id counter
-``next_id``), which is what the write-ahead log of :mod:`repro.io.wal`
-binds to.  Logically deleted rows travel as a ``tombstones`` member per
-shard — rows are never physically removed, so ids never renumber.
+file.  The header carries a CRC32 per payload member and a random
+``uid`` naming this snapshot *generation* (plus the ``parent_uid`` it
+was compacted from and the mutation id counter ``next_id``), which is
+what the write-ahead log of :mod:`repro.io.wal` binds to.  Logically
+deleted rows travel as a ``tombstones`` member per shard — rows are
+never physically removed, so ids never renumber.
 
 Versioning
 ----------
-Each container has its own version constant, bumped whenever its layout
-changes incompatibly: ``SNAPSHOT_VERSION`` for the npz container,
-``ARENA_VERSION`` for the arena.  :func:`load_index` refuses snapshots
-written under a different version with a :class:`SnapshotError` instead
-of guessing at the layout.  The durability fields above are all
-*optional* additions: snapshots written before them still load (their
-members simply go unverified).
+``ARENA_VERSION`` is bumped whenever the layout changes incompatibly.
+:func:`load_index` refuses snapshots written under a different version
+with a :class:`SnapshotError` instead of guessing at the layout.
 
 Verification discipline
 -----------------------
@@ -63,9 +53,7 @@ Opening an arena validates its preamble, its header CRC32, and the
 *structure* of every member (the byte range each one claims must exist
 in the file) — all without faulting a single data page, so the O(1)
 load cost holds.  Member *content* CRCs are checked only by the
-explicit :func:`verify_snapshot` pass, which reads every byte.  The npz
-container keeps its historical behavior: member CRCs verified on every
-access (npz loading reads the bytes anyway).
+explicit :func:`verify_snapshot` pass, which reads every byte.
 """
 
 from __future__ import annotations
@@ -73,7 +61,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-import zipfile
 from typing import Dict, List, Optional, Tuple
 from zlib import crc32
 
@@ -83,14 +70,13 @@ from repro.core.dblsh import DBLSH
 from repro.index.flat import FlatRStarTree
 
 SNAPSHOT_FORMAT = "repro-index-snapshot"
-#: Layout version of the legacy ``.npz`` container.
-SNAPSHOT_VERSION = 1
-#: Layout version of the mmap arena container (the ``save_index`` default).
+#: Layout version of the mmap arena container.
 ARENA_VERSION = 3
 
-#: First bytes of every arena snapshot (the npz container starts with the
-#: zip magic ``PK``, so one read disambiguates them).
+#: First bytes of every arena snapshot.
 ARENA_MAGIC = b"REPRO-ARENA\x00"
+#: First bytes of a zip archive, i.e. of the legacy v1 ``.npz`` container.
+_ZIP_MAGIC = b"PK"
 #: Fixed preamble after the magic: container version (u32), header CRC32
 #: (u32), header length in bytes (u64), data-section start offset (u64).
 _ARENA_PREAMBLE = struct.Struct("<IIQQ")
@@ -100,10 +86,8 @@ _ARENA_PREAMBLE_LEN = len(ARENA_MAGIC) + _ARENA_PREAMBLE.size
 #: dtype's alignment and never share a cache line across members.
 ARENA_ALIGN = 64
 
-#: Keys every serialized flat tree carries besides its per-level arrays
-#: and its coordinate member (``leaf_coords`` single-sided in the npz
-#: container, ``coords_cat`` pre-mirrored in the arena).
-_FLAT_FIXED_KEYS = ("meta", "leaf_ptr", "leaf_ids", "leaf_cat")
+#: Keys every serialized flat tree carries besides its per-level arrays.
+_FLAT_FIXED_KEYS = ("meta", "leaf_ptr", "leaf_ids", "leaf_cat", "coords_cat")
 
 
 class SnapshotError(RuntimeError):
@@ -127,92 +111,9 @@ def _fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-class _VerifiedArchive:
-    """An open ``.npz`` whose member reads are checksum-verified.
-
-    Wraps the lazy ``NpzFile`` access so every ``archive[name]`` (a) maps
-    a raw numpy/zipfile failure on truncated or corrupt member bytes to a
-    :class:`SnapshotError` naming the member and its expected-vs-actual
-    size, and (b) verifies the member against the CRC32 the header
-    recorded at save time (snapshots written before checksums existed
-    simply skip the verification).
-    """
-
-    def __init__(self, npz, path: str) -> None:
-        self._npz = npz
-        self._path = path
-        self._checksums: Dict[str, int] = {}
-
-    def set_checksums(self, checksums: Optional[Dict[str, int]]) -> None:
-        self._checksums = dict(checksums or {})
-
-    @property
-    def files(self):
-        return self._npz.files
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        try:
-            array = self._npz[name]
-        except KeyError:
-            raise  # missing member: callers report it precisely
-        except (ValueError, OSError, EOFError, zipfile.BadZipFile) as exc:
-            raise SnapshotError(
-                f"{self._path!r}: snapshot member {name!r} is truncated or "
-                f"corrupt{self._size_detail(name)}"
-            ) from exc
-        expected = self._checksums.get(name)
-        if expected is not None and _array_crc(array) != int(expected):
-            raise SnapshotError(
-                f"{self._path!r}: snapshot member {name!r} failed its "
-                f"checksum (stored CRC32 {int(expected)}) — the archive "
-                f"bytes were altered after save_index() wrote them"
-            )
-        return array
-
-    def _size_detail(self, name: str) -> str:
-        """Best-effort ``(expected N bytes, recovered M)`` suffix."""
-        try:
-            zf = self._npz.zip
-            zname = name if name in zf.namelist() else name + ".npy"
-            expected = zf.NameToInfo[zname].file_size
-            recovered = 0
-            try:
-                with zf.open(zname) as member:
-                    while True:
-                        chunk = member.read(1 << 16)
-                        if not chunk:
-                            break
-                        recovered += len(chunk)
-            except Exception:
-                pass  # count whatever decompressed before the failure
-            return f" (expected {expected} bytes, recovered {recovered})"
-        except Exception:
-            return ""
-
-    def close(self) -> None:
-        self._npz.close()
-
-    def __enter__(self) -> "_VerifiedArchive":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def _align_up(offset: int, alignment: int = ARENA_ALIGN) -> int:
     """Round ``offset`` up to the next multiple of ``alignment``."""
     return -(-offset // alignment) * alignment
-
-
-def _member_names(archive) -> "object":
-    """Member-name membership view over any payload source.
-
-    Works for :class:`_VerifiedArchive` and :class:`_ArenaArchive` (their
-    ``files`` list) and for the plain dicts the sharded process builders
-    pass straight to :func:`_unpack_dblsh` (their keys).
-    """
-    files = getattr(archive, "files", None)
-    return files if files is not None else archive.keys()
 
 
 class _ArenaArchive:
@@ -332,18 +233,8 @@ class _ArenaArchive:
 # ----------------------------------------------------------------------
 
 
-def _pack_dblsh(
-    index: DBLSH, prefix: str, *, mirrored_coords: bool = False
-) -> Tuple[dict, Dict[str, np.ndarray]]:
-    """One index's header dict + array payload (keys under ``prefix``).
-
-    ``mirrored_coords`` stores each flat tree's coordinates in the
-    pre-mirrored ``[x, -x]`` form (``coords_cat``) the query engine
-    actually uses, instead of the single-sided ``leaf_coords`` the npz
-    container stores.  The arena pays those extra bytes on disk so a
-    mapped load adopts the member as-is — re-mirroring at load time
-    would copy every coordinate and defeat zero-copy.
-    """
+def _pack_dblsh(index: DBLSH, prefix: str) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """One index's header dict + array payload (keys under ``prefix``)."""
     if index.data is None or index.params is None or index._hasher is None:
         raise RuntimeError("fit() must be called before saving a snapshot")
     params = index.params
@@ -386,7 +277,7 @@ def _pack_dblsh(
         arrays[prefix + "tombstones"] = tombstones
     if flats is not None:
         for i, flat in enumerate(flats):
-            for key, array in flat.to_arrays(mirrored=mirrored_coords).items():
+            for key, array in flat.to_arrays().items():
                 arrays[f"{prefix}flat{i}.{key}"] = array
     return header, arrays
 
@@ -396,9 +287,9 @@ def _write_arena(path: str, header: dict, arrays: Dict[str, np.ndarray]) -> None
 
     Lays out every member C-contiguously on an :data:`ARENA_ALIGN`
     boundary, records its ``(offset, nbytes, dtype, shape, crc32)`` in
-    the header's member table, and lands the whole file through the same
-    tmp + fsync + ``os.replace`` + directory-fsync dance as the npz
-    writer, so a crash mid-save never touches the previous snapshot.
+    the header's member table, and lands the whole file through a tmp +
+    fsync + ``os.replace`` + directory-fsync sequence, so a crash
+    mid-save never touches the previous snapshot.
     """
     members: Dict[str, dict] = {}
     blobs: List[Tuple[int, np.ndarray]] = []
@@ -453,31 +344,28 @@ def save_index(
     index,
     path: str,
     *,
-    format: str = "arena",
     uid: Optional[str] = None,
     parent_uid: Optional[str] = None,
     next_id: Optional[int] = None,
 ) -> None:
     """Persist a fitted :class:`DBLSH` or ``ShardedDBLSH`` to ``path``.
 
-    By default the snapshot is an **arena** file (see the module
-    docstring): loading maps it read-only in O(1) and adopts every array
-    as a zero-copy view, and concurrent serving workers share one
-    physical copy of its pages.  ``format="npz"`` writes the legacy
-    ``.npz`` container instead (version :data:`SNAPSHOT_VERSION`), which
-    any numpy can read back without this package.  A sharded index is
-    stored shard-by-shard under ``shard{i}.`` key prefixes in either
-    container (together with the parent's ``t`` and ``budget`` mode, so
-    a ``budget="split"`` index round-trips its per-shard ``t/S`` knobs),
-    which is what lets serving workers later load single shards with
-    :func:`load_shard` without touching the rest of the file.
+    The snapshot is an **arena** file (see the module docstring):
+    loading maps it read-only in O(1) and adopts every array as a
+    zero-copy view, and concurrent serving workers share one physical
+    copy of its pages.  A sharded index is stored shard-by-shard under
+    ``shard{i}.`` key prefixes (together with the parent's ``t`` and
+    ``budget`` mode, so a ``budget="split"`` index round-trips its
+    per-shard ``t/S`` knobs), which is what lets serving workers later
+    load single shards with :func:`load_shard` without touching the rest
+    of the file.
 
-    The write is **crash-safe**: the archive lands in a temp file that is
+    The write is **crash-safe**: the file lands in a temp file that is
     fsync'd and then atomically renamed over ``path`` (directory fsync
     included).  A process killed mid-save leaves the previous snapshot
     readable; it never corrupts it in place.  Every payload member's
-    CRC32 is recorded in the header and re-verified when the member is
-    read back.
+    CRC32 is recorded in the header and checked by
+    :func:`verify_snapshot`.
 
     Parameters
     ----------
@@ -485,10 +373,7 @@ def save_index(
         A fitted :class:`DBLSH` or ``ShardedDBLSH``.
     path:
         Output path, conventionally ending in ``.npz`` (the suffix is
-        appended if missing — for both containers; the loader sniffs
-        the container from the file's first bytes, never the suffix).
-    format:
-        ``"arena"`` (default) or ``"npz"``.
+        appended if missing; the file is an arena, not a zip archive).
     uid:
         Generation identity recorded in the header; a fresh random hex
         uid is generated when omitted.  The write-ahead log
@@ -525,22 +410,16 @@ def save_index(
     """
     from repro.core.sharded import ShardedDBLSH
 
-    if format not in ("arena", "npz"):
-        raise ValueError(f"format must be 'arena' or 'npz', got {format!r}")
-    version = ARENA_VERSION if format == "arena" else SNAPSHOT_VERSION
-    mirrored = format == "arena"
     if isinstance(index, ShardedDBLSH):
         shard_headers = []
         arrays: Dict[str, np.ndarray] = {}
         for i, shard in enumerate(index.shard_indexes):
-            shard_header, shard_arrays = _pack_dblsh(
-                shard, f"shard{i}.", mirrored_coords=mirrored
-            )
+            shard_header, shard_arrays = _pack_dblsh(shard, f"shard{i}.")
             shard_headers.append(shard_header)
             arrays.update(shard_arrays)
         header = {
             "format": SNAPSHOT_FORMAT,
-            "version": version,
+            "version": ARENA_VERSION,
             "kind": "sharded",
             "build_seconds": float(index.build_seconds),
             "t": int(index.t),
@@ -548,10 +427,10 @@ def save_index(
             "shard_headers": shard_headers,
         }
     elif isinstance(index, DBLSH):
-        index_header, arrays = _pack_dblsh(index, "", mirrored_coords=mirrored)
+        index_header, arrays = _pack_dblsh(index, "")
         header = {
             "format": SNAPSHOT_FORMAT,
-            "version": version,
+            "version": ARENA_VERSION,
             "kind": "dblsh",
             "index": index_header,
         }
@@ -564,26 +443,7 @@ def save_index(
     )
     if not path.endswith(".npz"):
         path = path + ".npz"
-    if format == "arena":
-        _write_arena(path, header, arrays)
-        return
-    header["checksums"] = {
-        name: _array_crc(array) for name, array in arrays.items()
-    }
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as handle:
-            np.savez(handle, header=np.bytes_(json.dumps(header).encode()), **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(os.path.dirname(path))
+    _write_arena(path, header, arrays)
 
 
 # ----------------------------------------------------------------------
@@ -591,14 +451,12 @@ def save_index(
 # ----------------------------------------------------------------------
 
 
-def _open_archive(path: str):
-    """Open ``path`` as a snapshot archive, mapping junk to SnapshotError.
+def _open_archive(path: str) -> _ArenaArchive:
+    """Open ``path`` as an arena snapshot, mapping junk to SnapshotError.
 
-    Sniffs the container from the file's first bytes: the arena magic
-    opens an :class:`_ArenaArchive` (zero-copy mapped views), anything
-    else is tried as an ``.npz`` archive.  ``FileNotFoundError``
-    propagates unchanged (the caller's path is wrong, not the file's
-    contents); anything that parses as neither container becomes a
+    ``FileNotFoundError`` propagates unchanged (the caller's path is
+    wrong, not the file's contents).  A zip archive — the legacy v1
+    ``.npz`` container — and any file without the arena magic become a
     :class:`SnapshotError`.
     """
     try:
@@ -610,63 +468,29 @@ def _open_archive(path: str):
         raise SnapshotError(
             f"{path!r} is not a readable {SNAPSHOT_FORMAT} file"
         ) from exc
-    if magic == ARENA_MAGIC:
-        return _ArenaArchive(path)
-    try:
-        return _VerifiedArchive(np.load(path, allow_pickle=False), path)
-    except FileNotFoundError:
-        raise
-    except (ValueError, OSError, zipfile.BadZipFile) as exc:
+    if magic.startswith(_ZIP_MAGIC):
         raise SnapshotError(
-            f"{path!r} is not a {SNAPSHOT_FORMAT} file (neither an arena "
-            f"snapshot nor an .npz archive)"
-        ) from exc
-
-
-def _parse_header(archive, path: str) -> dict:
-    """Validated JSON header of an open archive (either container).
-
-    An arena archive validated its header (magic, version, CRC, member
-    structure) when it was opened; the npz container stores the header
-    as a member and validates it here.
-    """
-    if isinstance(archive, _ArenaArchive):
-        return archive.header
-    if "header" not in archive.files:
-        raise SnapshotError(f"{path!r} is not a {SNAPSHOT_FORMAT} file (no header)")
-    try:
-        header = json.loads(bytes(archive["header"]).decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise SnapshotError(f"{path!r} has an unreadable snapshot header") from exc
-    if not isinstance(header, dict) or header.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotError(f"{path!r} is not a {SNAPSHOT_FORMAT} file")
-    version = header.get("version")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"{path!r} is snapshot version {version!r}; this build reads "
-            f"version {SNAPSHOT_VERSION} (re-save the index with this build)"
+            f"{path!r} is a zip archive (the legacy v1 .npz snapshot "
+            f"container), not a {SNAPSHOT_FORMAT} arena; this build reads "
+            f"only arena version {ARENA_VERSION} snapshots (re-save the "
+            f"index with this build)"
         )
-    if isinstance(archive, _VerifiedArchive):
-        # Arm per-member CRC verification for every later payload read.
-        archive.set_checksums(header.get("checksums"))
-    return header
+    if magic != ARENA_MAGIC:
+        raise SnapshotError(
+            f"{path!r} is not a {SNAPSHOT_FORMAT} file (no arena magic)"
+        )
+    return _ArenaArchive(path)
 
 
 def _unpack_flats(
-    header: dict, archive, prefix: str
+    header: dict, archive: _ArenaArchive, prefix: str
 ) -> Optional[List[FlatRStarTree]]:
     if not header.get("has_flat"):
         return None
     flats = []
-    names = _member_names(archive)
     for i in range(int(header["l_spaces"])):
         p = f"{prefix}flat{i}."
         arrays = {key: archive[p + key] for key in _FLAT_FIXED_KEYS}
-        # Arena snapshots store the pre-mirrored [x, -x] coordinates the
-        # engine uses (adopted as a mapped view, no copy); npz snapshots
-        # store the single-sided form and pay the mirror copy at load.
-        coords_key = "coords_cat" if p + "coords_cat" in names else "leaf_coords"
-        arrays[coords_key] = archive[p + coords_key]
         n_levels = int(np.asarray(arrays["meta"]).reshape(-1)[4])
         for j in range(n_levels):
             for part in ("cat", "start", "end"):
@@ -676,7 +500,7 @@ def _unpack_flats(
     return flats
 
 
-def _unpack_dblsh(header: dict, archive, prefix: str) -> DBLSH:
+def _unpack_dblsh(header: dict, archive: _ArenaArchive, prefix: str) -> DBLSH:
     seed = header.get("seed")
     data = archive[prefix + "data"]
     tensor = archive[prefix + "tensor"]
@@ -717,7 +541,7 @@ def _unpack_dblsh(header: dict, archive, prefix: str) -> DBLSH:
 def read_header(path: str) -> dict:
     """Return a snapshot's JSON header without loading any payload arrays."""
     with _open_archive(path) as archive:
-        return _parse_header(archive, path)
+        return archive.header
 
 
 def shard_headers(header: dict) -> List[dict]:
@@ -763,10 +587,11 @@ def load_index(path: str):
     Raises
     ------
     SnapshotError
-        If the file has no readable snapshot header, was written under a
-        different ``SNAPSHOT_VERSION``, declares an unknown kind, has a
-        payload that disagrees with its header, or is missing payload
-        entries (a truncated or hand-edited archive).
+        If the file is not an arena snapshot (a legacy ``.npz`` zip
+        archive included), was written under a different
+        ``ARENA_VERSION``, declares an unknown kind, has a payload that
+        disagrees with its header, or is missing payload entries (a
+        truncated or hand-edited file).
 
     Examples
     --------
@@ -778,7 +603,7 @@ def load_index(path: str):
     rejected
     """
     with _open_archive(path) as archive:
-        header = _parse_header(archive, path)
+        header = archive.header
         kind = header.get("kind")
         try:
             if kind == "dblsh":
@@ -809,9 +634,9 @@ def load_shard(path: str, shard: int) -> DBLSH:
     """Restore one shard of the snapshot at ``path`` as a standalone index.
 
     The worker-side entry point of multi-process serving
-    (:mod:`repro.serve`): each worker process loads only *its* shard —
-    ``.npz`` members are read on access, so the other shards' payloads
-    are never pulled off disk — and answers queries against it with
+    (:mod:`repro.serve`): each worker process maps only *its* shard's
+    members — the other shards' pages are never faulted in — and
+    answers queries against it with
     shard-local ids.  The coordinator maps ids back to global through
     the shard offsets (:func:`shard_headers` gives the sizes).
 
@@ -840,7 +665,7 @@ def load_shard(path: str, shard: int) -> DBLSH:
         range for it.
     """
     with _open_archive(path) as archive:
-        header = _parse_header(archive, path)
+        header = archive.header
         headers = shard_headers(header)
         if not 0 <= int(shard) < len(headers):
             raise SnapshotError(
@@ -864,7 +689,7 @@ def load_data(path: str) -> np.ndarray:
     evaluating process.
     """
     with _open_archive(path) as archive:
-        header = _parse_header(archive, path)
+        header = archive.header
         try:
             if header["kind"] == "dblsh":
                 return archive["data"]
@@ -890,7 +715,7 @@ def load_tombstones(path: str) -> np.ndarray:
     id is already baked in here is a no-op.
     """
     with _open_archive(path) as archive:
-        header = _parse_header(archive, path)
+        header = archive.header
         parts: List[np.ndarray] = []
         offset = 0
         try:
@@ -914,19 +739,19 @@ def load_tombstones(path: str) -> np.ndarray:
 def verify_snapshot(path: str) -> dict:
     """Full-content integrity pass over every member of the snapshot.
 
-    The default load path deliberately stays O(1) for arena snapshots —
-    it validates the preamble, the header CRC, and every member's byte
-    range without faulting data pages.  This function is the explicit
-    opposite trade: it reads **every member's bytes** and checks them
-    against the CRC32 recorded at save time, raising a
-    :class:`SnapshotError` that names the first corrupt member.  Run it
-    after a copy, a download, or a suspected disk fault; serving setups
-    can run it once per generation before ``reload``.
+    The default load path deliberately stays O(1) — it validates the
+    preamble, the header CRC, and every member's byte range without
+    faulting data pages.  This function is the explicit opposite trade:
+    it reads **every member's bytes** and checks them against the CRC32
+    recorded at save time, raising a :class:`SnapshotError` that names
+    the first corrupt member.  Run it after a copy, a download, or a
+    suspected disk fault; serving setups can run it once per generation
+    before ``reload``.
 
     Returns
     -------
     dict
-        ``{"path", "container" ("arena" or "npz"), "version", "members",
+        ``{"path", "container" (always "arena"), "version", "members",
         "payload_bytes"}`` summary of what was verified.
 
     Raises
@@ -936,28 +761,23 @@ def verify_snapshot(path: str) -> dict:
         member's bytes fail their recorded checksum.
     """
     with _open_archive(path) as archive:
-        header = _parse_header(archive, path)
-        container = "arena" if isinstance(archive, _ArenaArchive) else "npz"
         members = 0
         payload_bytes = 0
         for name in sorted(archive.files):
-            if container == "npz" and name == "header":
-                continue
-            array = archive[name]  # npz: CRC verified by the archive itself
+            array = archive[name]
             members += 1
             payload_bytes += int(array.nbytes)
-            if container == "arena":
-                stored = archive.member_crc(name)
-                if stored is not None and _array_crc(array) != stored:
-                    raise SnapshotError(
-                        f"{path!r}: snapshot member {name!r} failed its "
-                        f"checksum (stored CRC32 {stored}) — the file bytes "
-                        f"were altered after save_index() wrote them"
-                    )
+            stored = archive.member_crc(name)
+            if stored is not None and _array_crc(array) != stored:
+                raise SnapshotError(
+                    f"{path!r}: snapshot member {name!r} failed its "
+                    f"checksum (stored CRC32 {stored}) — the file bytes "
+                    f"were altered after save_index() wrote them"
+                )
         return {
             "path": path,
-            "container": container,
-            "version": int(header["version"]),
+            "container": "arena",
+            "version": int(archive.header["version"]),
             "members": members,
             "payload_bytes": payload_bytes,
         }

@@ -12,8 +12,8 @@ in-process sharded sweep's.
 
 Layers:
 
-* :mod:`repro.serve.protocol` — message framing, wire encoding of
-  results, shared-memory query-block scatter;
+* :mod:`repro.serve.protocol` — message framing and wire encoding of
+  results;
 * :mod:`repro.serve.worker` — the worker process loop;
 * :mod:`repro.serve.server` — the coordinator: lifecycle, scatter-
   gather, failure surfacing;

@@ -92,7 +92,7 @@ import numpy as np
 from repro.core.plan import merge_shard_batches
 from repro.core.result import QueryResult
 from repro.io.snapshot import read_header, shard_headers
-from repro.serve.protocol import SHM_MIN_BYTES, decode_result, write_query_block
+from repro.serve.protocol import decode_result
 from repro.serve.worker import serve_shard
 from repro.utils.meminfo import mapping_memory, process_memory
 from repro.utils.validation import check_queries, check_query
@@ -272,10 +272,6 @@ class SnapshotServer:
     query_timeout:
         Seconds to wait for any single worker's answer to one scattered
         request before declaring it hung.
-    shm_min_bytes:
-        Query blocks at least this large are scattered through one
-        shared-memory segment instead of S pipe pickles
-        (:func:`repro.serve.protocol.write_query_block`).
     mp_context:
         Optional :mod:`multiprocessing` context or start-method name
         (``"fork"``/``"spawn"``/``"forkserver"``); default is the
@@ -311,7 +307,6 @@ class SnapshotServer:
         *,
         start_timeout: float = 60.0,
         query_timeout: float = 120.0,
-        shm_min_bytes: int = SHM_MIN_BYTES,
         mp_context=None,
         max_retries: int = 1,
         hang_policy: str = "retry",
@@ -327,7 +322,6 @@ class SnapshotServer:
         self.path = os.fspath(path)
         self.start_timeout = float(start_timeout)
         self.query_timeout = float(query_timeout)
-        self.shm_min_bytes = int(shm_min_bytes)
         self.max_retries = int(max_retries)
         self.hang_policy = hang_policy
         if mp_context is None or isinstance(mp_context, str):
@@ -928,11 +922,10 @@ class SnapshotServer:
                 )
             req_id = next(self._request_ids)
             started = time.perf_counter()
-            payload, shm = write_query_block(queries, self.shm_min_bytes)
             try:
                 for worker in pool.workers:
                     try:
-                        worker.conn.send(("query", req_id, payload, k,
+                        worker.conn.send(("query", req_id, queries, k,
                                           deadline))
                     except (OSError, BrokenPipeError, ValueError) as exc:
                         worker.state = "dead"
@@ -990,10 +983,6 @@ class SnapshotServer:
                     f"(hang_policy={self.hang_policy!r}; it restarts on the "
                     f"next request)"
                 ) from silent
-            finally:
-                if shm is not None:
-                    shm.close()
-                    shm.unlink()
             elapsed = time.perf_counter() - started
             return merge_shard_batches(
                 per_shard,

@@ -4,7 +4,7 @@
 :class:`~repro.serve.server.SnapshotServer` worker process.  It loads
 exactly one shard of the snapshot (:func:`repro.io.snapshot.load_shard`
 reads only that shard's archive members), reports readiness, and then
-answers ``("query", req_id, payload, k)`` requests over its pipe until
+answers ``("query", req_id, queries, k)`` requests over its pipe until
 told to shut down.  Every query and ping reply echoes the coordinator's
 request id, which is what lets the coordinator's supervision retry
 re-scatter a block after a worker death and discard any stale answer a
@@ -60,7 +60,7 @@ import time
 import traceback
 from typing import Optional, Tuple
 
-from repro.serve.protocol import encode_result, read_query_block
+from repro.serve.protocol import encode_result
 
 __all__ = ["serve_shard"]
 
@@ -112,8 +112,7 @@ def serve_shard(path: str, shard: int, conn, peer=None, spawn: int = 0) -> None:
         index = load_shard(path, shard)
         # The info dict rides third so older coordinators (which index
         # only [0] and [1]) keep working; "mapped" reports whether this
-        # worker serves zero-copy mapped views (arena snapshot) or a
-        # private heap copy (npz).
+        # worker serves zero-copy mapped views of the arena snapshot.
         conn.send(
             ("ready", index.num_points,
              {"mapped": bool(getattr(index, "is_mapped", False))})
@@ -150,8 +149,7 @@ def serve_shard(path: str, shard: int, conn, peer=None, spawn: int = 0) -> None:
                 if deadline is not None and time.monotonic() >= deadline:
                     conn.send(("expired", req_id))
                     continue
-                queries = read_query_block(message[2])
-                results = index.query_batch(queries, k=int(message[3]))
+                results = index.query_batch(message[2], k=int(message[3]))
                 conn.send(("ok", req_id, [encode_result(r) for r in results]))
             else:
                 conn.send(("error", None, f"unknown message kind {kind!r}"))

@@ -120,11 +120,11 @@ GOOD = {
     "BENCH_memory.smoke.json": {
         "zero_copy": {
             "arena_alloc_fraction": 0.05,
-            "npz_alloc_fraction": 1.1,
+            "copy_alloc_fraction": 1.1,
             "arena_is_mapped": True,
         },
         "parity": {
-            "v2_v3_identical": True,
+            "loaded_matches_fitted": True,
             "served_matches_inprocess": True,
         },
         "sharing": {
@@ -226,10 +226,10 @@ BREAKS = [
      lambda r: r["zero_copy"].update(arena_alloc_fraction=0.5),
      "the arena load is copying"),
     ("BENCH_memory.smoke.json",
-     lambda r: r["zero_copy"].update(npz_alloc_fraction=0.01),
+     lambda r: r["zero_copy"].update(copy_alloc_fraction=0.01),
      "probe is not measuring copies"),
     ("BENCH_memory.smoke.json",
-     lambda r: r["parity"].update(v2_v3_identical=False),
+     lambda r: r["parity"].update(loaded_matches_fitted=False),
      "answered differently"),
     ("BENCH_memory.smoke.json",
      lambda r: r["parity"].update(served_matches_inprocess=False),

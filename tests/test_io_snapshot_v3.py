@@ -1,7 +1,6 @@
 """Tests for the v3 arena snapshot container (repro.io.snapshot).
 
-Three layers of guarantees, mirroring what PR 6 pinned for the npz
-container:
+Three layers of guarantees:
 
 * **Round-trip properties** (hypothesis): arbitrary member dicts —
   random names, dtypes, shapes, including empty arrays — survive
@@ -16,8 +15,7 @@ container:
   with expected-vs-recovered sizes for truncation, at open time for
   structural damage and via :func:`verify_snapshot` for data-page
   damage (the open path deliberately never faults data pages).
-* **v2 → v3 migration parity**: one fitted index saved in both
-  containers answers bit-identically from either, sharded included.
+* **Tombstones**: logically deleted rows survive the round trip.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from repro import DBLSH, ShardedDBLSH
 from repro.data.generators import gaussian_mixture
 from repro.io import (
     ARENA_VERSION,
-    SNAPSHOT_VERSION,
     SnapshotError,
     load_index,
     read_header,
@@ -276,7 +273,7 @@ class TestCorruptionMatrix:
             load_index(path)
         path = _fresh_arena(fitted, tmp_path, "magic")
         _flip_bit(path, len(ARENA_MAGIC) // 2)
-        # A damaged magic makes the file neither arena nor npz.
+        # A damaged magic makes the file no arena at all.
         with pytest.raises(SnapshotError):
             load_index(path)
 
@@ -335,49 +332,19 @@ def _fresh_arena(index, tmp_path, tag: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# v2 -> v3 migration parity
+# Tombstones
 # ----------------------------------------------------------------------
 
 
 class TestMigrationParity:
-    @pytest.mark.parametrize("shards", [1, 3])
-    def test_same_index_both_containers_answers_bit_identical(
-        self, shards, tmp_path
-    ):
-        data = gaussian_mixture(300, 8, n_clusters=3, seed=5)
-        common = dict(l_spaces=3, k_per_space=6, t=16, seed=0,
-                      auto_initial_radius=True)
-        index = (DBLSH(**common) if shards == 1
-                 else ShardedDBLSH(shards=shards, **common)).fit(data)
-        v3 = str(tmp_path / "v3.npz")
-        v2 = str(tmp_path / "v2.npz")
-        save_index(index, v3, format="arena")
-        save_index(index, v2, format="npz")
-        assert read_header(v3)["version"] == ARENA_VERSION
-        assert read_header(v2)["version"] == SNAPSHOT_VERSION
-        queries = data[:6] + 0.02
-        from_v3 = load_index(v3)
-        from_v2 = load_index(v2)
-        answers_v3 = [
-            [(m.id, m.distance) for m in r.neighbors]
-            for r in from_v3.query_batch(queries, k=7)
-        ]
-        answers_v2 = [
-            [(m.id, m.distance) for m in r.neighbors]
-            for r in from_v2.query_batch(queries, k=7)
-        ]
-        assert answers_v3 == answers_v2
-        assert from_v3.is_mapped and not from_v2.is_mapped
-
     def test_tombstones_survive_both_containers(self, tmp_path):
         data = gaussian_mixture(200, 6, n_clusters=2, seed=7)
         index = DBLSH(l_spaces=2, k_per_space=4, t=8, seed=0,
                       auto_initial_radius=True).fit(data)
         index.delete([0, 5, 11])
-        for fmt in ("arena", "npz"):
-            path = str(tmp_path / f"tomb-{fmt}.npz")
-            save_index(index, path, format=fmt)
-            restored = load_index(path)
-            assert restored.num_tombstones == 3
-            hits = restored.query(data[5], k=3)
-            assert 5 not in hits.ids
+        path = str(tmp_path / "tomb.npz")
+        save_index(index, path)
+        restored = load_index(path)
+        assert restored.num_tombstones == 3
+        hits = restored.query(data[5], k=3)
+        assert 5 not in hits.ids

@@ -4,8 +4,8 @@ The serving layer's contract has two halves:
 
 * **answers** — a served snapshot returns exactly what the same snapshot
   returns when loaded in process (shared merge planner, different
-  transport), for single queries, batches, and both scatter paths
-  (inline pipe payloads and shared-memory blocks);
+  transport), for single queries and batches, ties across shards
+  included;
 * **lifecycle** — start/close are explicit and safe (double-start
   refused, query-before-start refused, close idempotent, restart after
   close works), and failure surfaces as a prompt
@@ -100,15 +100,6 @@ class TestParity:
         for q, got in zip(queries, server.query_batch(queries, k=5)):
             assert set(got.ids) == set(unsharded.query(q, k=5).ids)
 
-    def test_shm_and_inline_payloads_agree(self, snapshot_path, workload):
-        _, queries = workload
-        with SnapshotServer(snapshot_path, shm_min_bytes=0) as shm_server:
-            via_shm = shm_server.query_batch(queries, k=5)
-        with SnapshotServer(snapshot_path, shm_min_bytes=1 << 40) as pipe_server:
-            via_pipe = pipe_server.query_batch(queries, k=5)
-        assert [r.ids for r in via_shm] == [r.ids for r in via_pipe]
-        assert [r.distances for r in via_shm] == [r.distances for r in via_pipe]
-
     def test_unsharded_snapshot_served_as_single_worker(self, workload, tmp_path):
         data, queries = workload
         index = DBLSH(**COMMON).fit(data)
@@ -130,6 +121,46 @@ class TestParity:
 
     def test_empty_batch(self, server):
         assert server.query_batch(np.empty((0, server.dim)), k=3) == []
+
+
+class TestTiesAcrossShards:
+    """Exact duplicates of the query that land in different shards tie at
+    distance 0; the merge orders them by ``(distance, global id)``."""
+
+    DUPLICATES = [30, 100, 170, 230, 300, 370]
+
+    @pytest.fixture(scope="class")
+    def tie_workload(self):
+        data = np.random.default_rng(11).standard_normal((400, 8))
+        query = np.full(8, 8.0)  # far from the Gaussian bulk
+        data[self.DUPLICATES] = query
+        return data, query[None, :]
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_lowest_global_ids_win_ties(self, tie_workload, shards, tmp_path):
+        data, queries = tie_workload
+        index = ShardedDBLSH(shards=shards, **COMMON).fit(data)
+        path = str(tmp_path / f"ties{shards}.npz")
+        save_index(index, path)
+        in_process = index.query_batch(queries, k=3)[0]
+        with SnapshotServer(path) as server:
+            served = server.query_batch(queries, k=3)[0]
+        assert served.ids == in_process.ids
+        assert served.distances == in_process.distances == [0.0] * 3
+        # Every shard's own answer, mapped to global ids: the merge keeps
+        # the three lowest of their union.
+        per_shard = set()
+        for offset, shard in zip(index.shard_offsets, index.shard_indexes):
+            answer = shard.query_batch(queries, k=3)[0]
+            per_shard.update(offset + i for i, d in zip(answer.ids,
+                                                        answer.distances)
+                             if d == 0.0)
+        assert in_process.ids == sorted(per_shard)[:3]
+        assert set(in_process.ids) <= set(self.DUPLICATES)
+        if shards > 1:
+            # No shard holds more than k duplicates, so every duplicate
+            # reaches the merge and the global answer is the lowest three.
+            assert in_process.ids == self.DUPLICATES[:3]
 
 
 class TestLifecycle:

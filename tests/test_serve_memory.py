@@ -44,7 +44,7 @@ def arena_snapshot(tmp_path_factory):
     index = DBLSH(l_spaces=3, k_per_space=6, t=24, seed=0,
                   auto_initial_radius=True).fit(data)
     path = str(tmp_path_factory.mktemp("arena") / "snapshot.npz")
-    save_index(index, path, format="arena")
+    save_index(index, path)
     queries = data[:5] + 0.01
     return path, queries
 
@@ -126,24 +126,6 @@ class TestMemoryStatus:
         status = server.memory_status()
         assert status["workers"] == []
         assert status["total_snapshot_pss_kb"] == 0
-
-    def test_npz_workers_report_unmapped(self, arena_snapshot, tmp_path):
-        path, queries = arena_snapshot
-        from repro.io import load_index
-
-        npz_path = str(tmp_path / "legacy.npz")
-        save_index(load_index(path), npz_path, format="npz")
-        with SnapshotServer(npz_path) as server:
-            status = server.memory_status()
-            answers_npz = server.query_batch(queries, k=5)
-        with SnapshotServer(path) as server:
-            answers_arena = server.query_batch(queries, k=5)
-        assert all(not w["mapped"] for w in status["workers"])
-        assert [
-            [(n.id, n.distance) for n in r.neighbors] for r in answers_npz
-        ] == [
-            [(n.id, n.distance) for n in r.neighbors] for r in answers_arena
-        ]
 
 
 def test_drop_page_cache_best_effort(arena_snapshot):

@@ -7,8 +7,9 @@ The reload contract of :meth:`repro.serve.SnapshotServer.reload`:
 * a reload **mid-query** never disturbs the in-flight request: it
   answers from the generation it checked out, then the old workers
   retire (drained, not killed under the request);
-* a reload to a **corrupt/junk file** or a snapshot written under a
-  different **format version** is refused with
+* a reload to a **corrupt/junk file**, a **legacy ``.npz``** container
+  or a snapshot written under a different **format version** is refused
+  with
   :class:`~repro.io.SnapshotError`, and one of different
   **dimensionality** with :class:`~repro.serve.ServerError` — in every
   refusal case the old generation keeps serving;
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import threading
 import time
 
@@ -32,6 +34,7 @@ import pytest
 from repro import ShardedDBLSH
 from repro.data.generators import gaussian_mixture
 from repro.io import SnapshotError, load_index, save_index
+from repro.io.snapshot import ARENA_MAGIC, SNAPSHOT_FORMAT
 from repro.serve import ServerError, SnapshotServer
 
 COMMON = dict(
@@ -202,21 +205,37 @@ class TestReloadRefusals:
                                       tmp_path):
         path_a, _ = snapshots
         expected_a, _ = expected
-        # The version is faked by editing npz internals, so start from an
-        # npz copy of the (arena-container) serving snapshot.
-        as_npz = str(tmp_path / "as_npz.npz")
-        save_index(load_index(path_a), as_npz, format="npz")
-        with np.load(as_npz) as archive:
-            arrays = {key: archive[key] for key in archive.files}
-        header = json.loads(bytes(arrays.pop("header")).decode())
-        header["version"] = 999
-        arrays["header"] = np.bytes_(json.dumps(header).encode())
+        # Rewrite the arena preamble's version field (the u32 right after
+        # the magic); the header CRC does not cover it.
         stale = str(tmp_path / "version999.npz")
-        np.savez(stale, **arrays)
+        with open(path_a, "rb") as src, open(stale, "wb") as dst:
+            dst.write(src.read())
+        with open(stale, "r+b") as handle:
+            handle.seek(len(ARENA_MAGIC))
+            handle.write(struct.pack("<I", 999))
         with SnapshotServer(path_a) as server:
             with pytest.raises(SnapshotError, match="version"):
                 server.reload(stale)
             assert server.generation == 1
+            assert _same(server.query_batch(queries, k=5), expected_a)
+
+    def test_legacy_npz_container_refused(self, snapshots, queries,
+                                          expected, tmp_path):
+        path_a, _ = snapshots
+        expected_a, _ = expected
+        legacy = str(tmp_path / "legacy.npz")
+        header = {"format": SNAPSHOT_FORMAT, "version": 1, "kind": "sharded"}
+        np.savez(legacy, header=np.bytes_(json.dumps(header).encode()),
+                 data=np.zeros((4, DIM)))
+        with pytest.raises(SnapshotError, match=r"legacy v1 \.npz"):
+            SnapshotServer(legacy)
+        with SnapshotServer(path_a) as server:
+            pids = server.worker_pids
+            with pytest.raises(SnapshotError,
+                               match=r"legacy v1 \.npz.*only arena version 3"):
+                server.reload(legacy)
+            assert server.generation == 1
+            assert server.worker_pids == pids
             assert _same(server.query_batch(queries, k=5), expected_a)
 
     def test_dimensionality_mismatch_refused(self, snapshots, queries,

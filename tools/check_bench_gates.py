@@ -222,11 +222,12 @@ def check_chaos(report: dict) -> List[str]:
 
 def check_memory(report: dict) -> List[str]:
     """The arena snapshot's physical claims: a mapped load must allocate
-    almost nothing (< 10% of the payload bytes — the npz control must
-    allocate ≥ 30%, proving the tracemalloc probe measures real copies),
-    v3 must answer bit-identically to v2 and to the served path, and the
-    replica fleet must actually share pages (snapshot PSS/RSS < 0.75)
-    whenever the platform can measure it."""
+    almost nothing (< 10% of the payload bytes — the copying control,
+    ``np.array(copy=True)`` of every member, must allocate ≥ 30%,
+    proving the tracemalloc probe measures real copies), the loaded
+    arena must answer bit-identically to the fitted index and to the
+    served path, and the replica fleet must actually share pages
+    (snapshot PSS/RSS < 0.75) whenever the platform can measure it."""
     violations = []
     zero = report["zero_copy"]
     if zero["arena_alloc_fraction"] >= 0.10:
@@ -235,17 +236,19 @@ def check_memory(report: dict) -> List[str]:
             f"{zero['arena_alloc_fraction']:.1%} of the payload bytes "
             f"(>= 10% — the arena load is copying)"
         )
-    if zero["npz_alloc_fraction"] < 0.30:
+    if zero["copy_alloc_fraction"] < 0.30:
         violations.append(
-            f"zero-copy: npz control allocated only "
-            f"{zero['npz_alloc_fraction']:.1%} of the payload — the "
+            f"zero-copy: copy control allocated only "
+            f"{zero['copy_alloc_fraction']:.1%} of the payload — the "
             f"allocation probe is not measuring copies"
         )
     if not zero["arena_is_mapped"]:
         violations.append("zero-copy: arena load did not report is_mapped")
     parity = report["parity"]
-    if not parity["v2_v3_identical"]:
-        violations.append("parity: v2 and v3 snapshots answered differently")
+    if not parity["loaded_matches_fitted"]:
+        violations.append(
+            "parity: the loaded arena and the fitted index answered differently"
+        )
     if not parity["served_matches_inprocess"]:
         violations.append(
             "parity: served arena answers != in-process load_index answers"
