@@ -41,11 +41,12 @@ becomes the ``X-Timeout-Ms`` deadline header, and ``--shutdown`` posts
 ``/shutdown`` after the answer.
 
 Resilience knobs: ``--query-timeout`` bounds any single worker answer
-and arms the hang watchdog (``--hang-policy retry|fail`` decides
-whether a killed hung worker's request is re-dispatched or failed with
-a typed deadline error, answered 504); ``--http-default-timeout``,
-``--http-idle-timeout`` and ``--http-max-connections`` bound requests
-and connections at the gateway.
+and arms the hang watchdog (a killed hung worker's request is
+re-dispatched once on a fresh worker when its deadline allows, else
+failed with a typed deadline error, answered 504);
+``--http-default-timeout``, ``--http-idle-timeout`` and
+``--http-max-connections`` bound requests and connections at the
+gateway.
 """
 
 from __future__ import annotations
@@ -273,11 +274,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # into fresh snapshot generations in the background.
         server_factory = MutableSnapshotServer(
             args.index, query_timeout=args.query_timeout,
-            hang_policy=args.hang_policy,
             mp_context=args.mp_context, wal_path=args.wal,
             compact_threshold=args.compact_threshold,
             compact_wal_bytes=args.compact_wal_bytes,
-            compact_overhead=args.compact_overhead,
             group_commit_ms=args.wal_group_commit_ms,
             group_bytes=args.wal_group_bytes,
             segment_bytes=args.wal_segment_bytes,
@@ -285,7 +284,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         server_factory = SnapshotServer(
             args.index, query_timeout=args.query_timeout,
-            hang_policy=args.hang_policy,
             mp_context=args.mp_context,
         )
     with server_factory as server:
@@ -539,14 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--query-timeout", type=float, default=120.0,
                            dest="query_timeout",
                            help="seconds before a silent worker is declared "
-                                "hung")
-    serve_cmd.add_argument("--hang-policy", choices=["retry", "fail"],
-                           default="retry", dest="hang_policy",
-                           help="after the watchdog kills a hung worker: "
-                                "retry re-dispatches the request on a fresh "
-                                "worker, fail answers it with a typed "
-                                "deadline error (the worker restarts either "
-                                "way)")
+                                "hung; the watchdog kills it and the request "
+                                "is re-dispatched once on a fresh worker "
+                                "when its deadline allows")
     serve_cmd.add_argument("--max-requests", type=int, default=None,
                            dest="max_requests",
                            help="exit after this many query/mutation "
@@ -572,20 +565,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fold the delta buffer into a fresh snapshot "
                                 "generation once this many pending mutations "
                                 "accumulate (0 disables auto-compaction "
-                                "entirely, including the byte/overhead "
-                                "triggers below)")
+                                "entirely, including the byte trigger "
+                                "below)")
     serve_cmd.add_argument("--compact-wal-bytes", type=int,
                            default=64 * 1024 * 1024, dest="compact_wal_bytes",
                            metavar="BYTES",
                            help="also compact once the live WAL segments "
                                 "total this many bytes (bounds recovery "
                                 "replay time; 0 disables this trigger)")
-    serve_cmd.add_argument("--compact-overhead", type=float, default=0.25,
-                           dest="compact_overhead", metavar="FRACTION",
-                           help="also compact once the delta brute-force "
-                                "sweep is measured at this fraction of query "
-                                "time (EMA over recent batches; 0 disables "
-                                "this trigger)")
     serve_cmd.add_argument("--wal-group-commit-ms", type=float, default=2.0,
                            dest="wal_group_commit_ms", metavar="MS",
                            help="group-commit window: concurrent mutations "

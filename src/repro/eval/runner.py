@@ -242,11 +242,11 @@ def evaluate_server(
     supplied.
 
     ``clients`` > 1 splits the query set across that many concurrent
-    client threads sharing the one server (the accept-loop shape of
-    ``repro serve``); answers are reassembled in order and remain
-    bit-identical to the single-client run.  ``server_kwargs`` are
-    forwarded to the server constructor (``query_timeout=...``,
-    ``hang_policy=...``, ``max_retries=...``, ...).
+    client threads sharing the one server (the concurrent-client shape
+    of ``repro serve``'s gateway); answers are reassembled in order and
+    remain bit-identical to the single-client run.  ``server_kwargs`` are
+    forwarded to the server constructor (``start_timeout=...``,
+    ``query_timeout=...``, ``mp_context=...``).
     """
     from repro.io.snapshot import load_data
     from repro.serve import SnapshotServer

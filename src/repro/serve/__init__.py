@@ -24,27 +24,33 @@ Layers:
 * :mod:`repro.serve.http` — the HTTP/JSON front door: an asyncio
   gateway that micro-batches concurrent ``POST /query`` requests into
   single ``query_batch`` GEMMs behind a bounded admission queue (429
-  shedding), with ``/healthz``, ``/status`` and ``/metrics``;
+  shedding), with ``/healthz``, ``/status`` and ``/metrics``, the
+  mutation verbs (``/insert``, ``/delete``, ``/compact``; ``403`` on a
+  read-only :class:`~repro.serve.server.SnapshotServer`), ``/reload``
+  and a loopback-only ``/shutdown``;
 * :mod:`repro.serve.metrics` — the gateway's counters and fixed-bucket
   latency/batch-size histograms, snapshotted on read.
 
 The server is a supervised, multi-client service: all public methods
 are thread-safe (FIFO dispatch onto the worker pool), a worker that dies
-mid-query is restarted from its snapshot shard with the block
-re-scattered once (``max_retries``), ``status()`` exposes the lifecycle
-state machine, and ``reload()`` hot-flips to a new snapshot generation
-while in-flight queries finish on the old one.
+mid-query (or hangs past its deadline and is killed by the watchdog)
+is restarted from its snapshot shard with the block re-scattered once,
+``status()`` exposes the lifecycle state machine, and ``reload()``
+hot-flips to a new snapshot generation while in-flight queries finish
+on the old one.
 
-The CLI exposes the same machinery over a socket: ``python -m repro
-serve`` / ``python -m repro query --server`` (see :mod:`repro.cli`) —
-with a concurrent accept loop, ``status``/``reload`` verbs, and
-``--watch`` — and ``repro.eval.evaluate_server`` benchmarks a served
-snapshot like any other method (``clients=N`` for concurrent clients).
+The CLI exposes the same machinery over HTTP: ``python -m repro serve``
+binds the gateway in front of a ``SnapshotServer`` (or a
+``MutableSnapshotServer`` with ``--mutable``) and ``python -m repro
+query --server`` is its client (see :mod:`repro.cli`), with ``--watch``
+for file-change reloads — and ``repro.eval.evaluate_server`` benchmarks
+a served snapshot like any other method (``clients=N`` for concurrent
+clients).
 """
 
 from repro.serve.http import GatewayError, HttpGateway
 from repro.serve.metrics import GatewayMetrics
-from repro.serve.mutable import MutableSnapshotServer, ReadOnlyError
+from repro.serve.mutable import MutableSnapshotServer
 from repro.serve.server import DeadlineExceeded, ServerError, SnapshotServer
 
 __all__ = [
@@ -53,7 +59,6 @@ __all__ = [
     "GatewayMetrics",
     "HttpGateway",
     "MutableSnapshotServer",
-    "ReadOnlyError",
     "ServerError",
     "SnapshotServer",
 ]

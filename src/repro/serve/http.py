@@ -101,7 +101,6 @@ import numpy as np
 
 from repro.io import SnapshotError
 from repro.serve.metrics import GatewayMetrics
-from repro.serve.mutable import ReadOnlyError
 from repro.serve.server import DeadlineExceeded, ServerError
 from repro.utils.validation import check_queries
 
@@ -1023,10 +1022,6 @@ class HttpGateway:
             return endpoint, 200, value, None
         except (TypeError, ValueError) as exc:
             return endpoint, 400, {"error": str(exc)}, None
-        except ReadOnlyError as exc:
-            # A mutable-capable server running read_only: the verb exists
-            # but this serve must not change the index.
-            return endpoint, 403, {"error": str(exc)}, None
         except ServerError as exc:
             return endpoint, 503, {"error": str(exc)}, None
         except Exception as exc:  # noqa: BLE001 - durability errors (WAL/OS)

@@ -18,11 +18,9 @@ worker processes untouched; mutations follow the classic LSM discipline:
    is swept exactly, and :func:`repro.core.plan.merge_live_results`
    folds the three together.
 3. **compact** — a background thread folds delta + tombstones into a
-   fresh snapshot generation when the **adaptive scheduler** says so:
-   pending mutation count (``compact_threshold``), total WAL bytes
-   (``compact_wal_bytes``), or the measured delta-sweep overhead
-   fraction (``compact_overhead``, an EMA of sweep-time / query-time
-   from live queries) — whichever trips first.  The fold rebuilds the
+   fresh snapshot generation when the scheduler says so: pending
+   mutation count (``compact_threshold``) or total WAL bytes
+   (``compact_wal_bytes``), whichever trips first.  The fold rebuilds the
    index (base rows + folded delta, tombstones applied), writes it
    atomically with a new ``uid`` whose ``parent_uid`` is the old
    generation, hot-flips the workers through :meth:`reload` (in-flight
@@ -81,23 +79,15 @@ from repro.core.result import QueryResult
 from repro.serve.server import ServerError, SnapshotServer
 from repro.utils.validation import check_queries, check_query
 
-__all__ = ["MutableSnapshotServer", "ReadOnlyError"]
+__all__ = ["MutableSnapshotServer"]
 
 _COMPACT_FAULT_POINTS = (
     "pre-snapshot-replace", "post-snapshot-replace", "post-wal-replace",
 )
 
-#: The sweep-overhead trigger never fires below this many pending
-#: mutations: with a near-empty delta the overhead fraction is timer
-#: noise, and compacting a handful of rows buys nothing.
-_OVERHEAD_MIN_PENDING = 64
-
-#: EMA smoothing for the per-query-batch delta-sweep overhead fraction.
+#: EMA smoothing for the per-query-batch delta-sweep overhead fraction
+#: (reported as ``status()["sweep_overhead_ema"]``).
 _OVERHEAD_ALPHA = 0.2
-
-
-class ReadOnlyError(ServerError):
-    """A mutation was sent to a server running in read-only mode."""
 
 
 def _armed_compact_fault(point: str, ordinal: int) -> bool:
@@ -130,16 +120,10 @@ class MutableSnapshotServer(SnapshotServer):
         Fold the delta buffer and tombstones into a fresh snapshot
         generation once their combined count reaches this; ``0``
         disables automatic compaction entirely (``compact()`` still
-        works, and the byte/overhead triggers below are inert too).
+        works, and the byte trigger below is inert too).
     compact_wal_bytes:
         Also compact once the WAL's live segments exceed this many
         bytes (``0`` disables the byte trigger).
-    compact_overhead:
-        Also compact once the measured delta-sweep overhead fraction —
-        an EMA of (delta sweep time / whole query_batch time) sampled
-        on live queries — reaches this value (``0`` disables; needs at
-        least ``64`` pending mutations before it can fire, so timer
-        noise on a near-empty delta never triggers a fold).
     group_commit_ms:
         Group-commit window: concurrent mutations submitted within this
         many milliseconds share one WAL fsync.  ``0`` keeps the classic
@@ -147,10 +131,6 @@ class MutableSnapshotServer(SnapshotServer):
     group_bytes / segment_bytes:
         Flush a group early once it holds this many bytes; rotate WAL
         segments at this size.
-    read_only:
-        Refuse ``insert``/``delete`` with :class:`ReadOnlyError` and
-        never touch (or create) the WAL — a mutable-capable binary
-        serving a snapshot it must not change.
 
     Mutations are acknowledged only after the WAL group holding them
     has been fsync'd: the id returned by :meth:`insert` (and the
@@ -165,11 +145,9 @@ class MutableSnapshotServer(SnapshotServer):
         wal_path: Optional[str] = None,
         compact_threshold: int = 4096,
         compact_wal_bytes: int = 64 << 20,
-        compact_overhead: float = 0.25,
         group_commit_ms: float = 2.0,
         group_bytes: int = 1 << 20,
         segment_bytes: int = 4 << 20,
-        read_only: bool = False,
         **kwargs,
     ) -> None:
         super().__init__(path, **kwargs)
@@ -181,10 +159,6 @@ class MutableSnapshotServer(SnapshotServer):
             raise ValueError(
                 f"compact_wal_bytes must be >= 0, got {compact_wal_bytes}"
             )
-        if not 0.0 <= compact_overhead < 1.0:
-            raise ValueError(
-                f"compact_overhead must be in [0, 1), got {compact_overhead}"
-            )
         if group_commit_ms < 0:
             raise ValueError(
                 f"group_commit_ms must be >= 0, got {group_commit_ms}"
@@ -194,11 +168,9 @@ class MutableSnapshotServer(SnapshotServer):
         )
         self.compact_threshold = int(compact_threshold)
         self.compact_wal_bytes = int(compact_wal_bytes)
-        self.compact_overhead = float(compact_overhead)
         self.group_commit_ms = float(group_commit_ms)
         self.group_bytes = int(group_bytes)
         self.segment_bytes = int(segment_bytes)
-        self.read_only = bool(read_only)
         #: Guards every mutable view: delta, tombstones, WAL handle,
         #: id counter, base-generation bookkeeping.
         self._mutation_lock = threading.Lock()
@@ -237,7 +209,7 @@ class MutableSnapshotServer(SnapshotServer):
         except BaseException:
             super().close()
             raise
-        if not self.read_only and self.compact_threshold > 0:
+        if self.compact_threshold > 0:
             self._compactor_stop.clear()
             self._compactor_wake.clear()
             self._compactor = threading.Thread(
@@ -265,7 +237,7 @@ class MutableSnapshotServer(SnapshotServer):
         """Rebuild delta + tombstones from the snapshot header and the WAL."""
         header = read_header(self.path)
         uid = header.get("uid")
-        if uid is None and not self.read_only:
+        if uid is None:
             raise ServerError(
                 f"snapshot {self.path!r} predates generation uids; re-save it "
                 f"(repro.io.save_index) before serving it mutably"
@@ -276,45 +248,43 @@ class MutableSnapshotServer(SnapshotServer):
         delta = DeltaIndex(self.dim)
         tombstones: set = set()
 
-        wal: Optional[WriteAheadLog] = None
         rebound = False
-        if not self.read_only:
-            wal_kwargs = dict(
-                group_window=self.group_commit_ms / 1000.0,
-                group_bytes=self.group_bytes,
-                segment_bytes=self.segment_bytes,
+        wal_kwargs = dict(
+            group_window=self.group_commit_ms / 1000.0,
+            group_bytes=self.group_bytes,
+            segment_bytes=self.segment_bytes,
+        )
+        if wal_present(self.wal_path):
+            wal = WriteAheadLog.open(
+                self.wal_path,
+                accept_uids={uid, header.get("parent_uid")},
+                **wal_kwargs,
             )
-            if wal_present(self.wal_path):
-                wal = WriteAheadLog.open(
-                    self.wal_path,
-                    accept_uids={uid, header.get("parent_uid")},
-                    **wal_kwargs,
-                )
-                next_id = max(next_id, wal.next_id)
-                for record in wal.recovered:
-                    if isinstance(record, InsertRecord):
-                        if record.point.shape[0] != self.dim:
-                            wal.close()
-                            raise ServerError(
-                                f"WAL {self.wal_path!r} logs a "
-                                f"{record.point.shape[0]}-d insert for the "
-                                f"{self.dim}-d snapshot {self.path!r}"
-                            )
-                        if record.id < base_rows:
-                            continue  # already folded into the snapshot
-                        delta.append(record.id, record.point)
-                        next_id = max(next_id, record.id + 1)
-                    elif isinstance(record, DeleteRecord):
-                        if record.id in baked:
-                            continue  # already baked into the snapshot
-                        tombstones.add(record.id)
-                    # CheckpointRecord: lineage breadcrumb, nothing to apply.
-                rebound = wal.snapshot_uid != uid
-            else:
-                wal = WriteAheadLog.create(
-                    self.wal_path, snapshot_uid=uid, next_id=next_id,
-                    **wal_kwargs,
-                )
+            next_id = max(next_id, wal.next_id)
+            for record in wal.recovered:
+                if isinstance(record, InsertRecord):
+                    if record.point.shape[0] != self.dim:
+                        wal.close()
+                        raise ServerError(
+                            f"WAL {self.wal_path!r} logs a "
+                            f"{record.point.shape[0]}-d insert for the "
+                            f"{self.dim}-d snapshot {self.path!r}"
+                        )
+                    if record.id < base_rows:
+                        continue  # already folded into the snapshot
+                    delta.append(record.id, record.point)
+                    next_id = max(next_id, record.id + 1)
+                elif isinstance(record, DeleteRecord):
+                    if record.id in baked:
+                        continue  # already baked into the snapshot
+                    tombstones.add(record.id)
+                # CheckpointRecord: lineage breadcrumb, nothing to apply.
+            rebound = wal.snapshot_uid != uid
+        else:
+            wal = WriteAheadLog.create(
+                self.wal_path, snapshot_uid=uid, next_id=next_id,
+                **wal_kwargs,
+            )
 
         with self._mutation_lock:
             self._delta = delta
@@ -338,13 +308,6 @@ class MutableSnapshotServer(SnapshotServer):
     # Mutations
     # ------------------------------------------------------------------
 
-    def _refuse_read_only(self, verb: str) -> None:
-        if self.read_only:
-            raise ReadOnlyError(
-                f"server is read-only: {verb} refused (start the server "
-                f"with mutations enabled to change the index)"
-            )
-
     def insert(self, point: np.ndarray) -> int:
         """Durably insert one point; returns its permanent id.
 
@@ -354,7 +317,6 @@ class MutableSnapshotServer(SnapshotServer):
         concurrent inserts submitted within the group-commit window
         share a single disk sync.
         """
-        self._refuse_read_only("insert")
         point = check_query(np.asarray(point, dtype=np.float64), self.dim)
         with self._mutation_lock:
             if self._wal is None or self._delta is None:
@@ -385,7 +347,6 @@ class MutableSnapshotServer(SnapshotServer):
         Idempotent: deleting a tombstoned (or snapshot-baked-deleted) id
         is a no-op that appends nothing to the log.
         """
-        self._refuse_read_only("delete")
         point_id = int(point_id)
         with self._mutation_lock:
             if self._wal is None:
@@ -458,7 +419,6 @@ class MutableSnapshotServer(SnapshotServer):
                     fraction - self._sweep_overhead_ema
                 )
             self._overhead_samples += 1
-        self._maybe_wake_compactor()
 
     # ------------------------------------------------------------------
     # Compaction
@@ -469,15 +429,13 @@ class MutableSnapshotServer(SnapshotServer):
 
         Caller holds the mutation lock.  ``compact_threshold == 0`` is
         the master off-switch (matching the constructor contract); with
-        it enabled, three independent triggers are consulted:
+        it enabled, two independent triggers are consulted:
 
         * ``count`` — pending delta rows + tombstones ≥ threshold (the
           classic fixed-count trigger);
-        * ``wal-bytes`` — live WAL segments ≥ ``compact_wal_bytes``;
-        * ``sweep-overhead`` — the measured delta-sweep overhead EMA ≥
-          ``compact_overhead`` with enough pending work to matter.
+        * ``wal-bytes`` — live WAL segments ≥ ``compact_wal_bytes``.
         """
-        if self.compact_threshold <= 0 or self.read_only:
+        if self.compact_threshold <= 0:
             return None
         pending = (
             (len(self._delta) if self._delta is not None else 0)
@@ -492,17 +450,10 @@ class MutableSnapshotServer(SnapshotServer):
             and pending > 0
         ):
             return "wal-bytes"
-        if (
-            self.compact_overhead > 0.0
-            and pending >= _OVERHEAD_MIN_PENDING
-            and self._overhead_samples > 0
-            and self._sweep_overhead_ema >= self.compact_overhead
-        ):
-            return "sweep-overhead"
         return None
 
     def _maybe_wake_compactor(self) -> None:
-        if self.compact_threshold <= 0 or self.read_only:
+        if self.compact_threshold <= 0:
             return
         with self._mutation_lock:
             due = self._compaction_due()
@@ -536,7 +487,6 @@ class MutableSnapshotServer(SnapshotServer):
         log.  No-op (``{"compacted": False}``) when there is nothing to
         fold.  Returns a summary dict either way.
         """
-        self._refuse_read_only("compact")
         with self._compact_lock:
             with self._mutation_lock:
                 if self._wal is None or self._delta is None:
@@ -652,7 +602,7 @@ class MutableSnapshotServer(SnapshotServer):
     # ------------------------------------------------------------------
 
     def status(self) -> dict:
-        """Base status plus the mutation state (the ``status`` verb)."""
+        """Base status plus the mutation state (``GET /status``)."""
         info = super().status()
         with self._mutation_lock:
             delta_rows = len(self._delta) if self._delta is not None else 0
@@ -660,8 +610,6 @@ class MutableSnapshotServer(SnapshotServer):
             baked = len(self._baked)
             wal_stats = self._wal.stats() if self._wal is not None else {}
             info.update({
-                "mutable": not self.read_only,
-                "read_only": self.read_only,
                 "delta_rows": delta_rows,
                 "tombstones": tombstones,
                 "live_points": (
@@ -685,7 +633,6 @@ class MutableSnapshotServer(SnapshotServer):
                 "compact_policy": {
                     "threshold": self.compact_threshold,
                     "wal_bytes": self.compact_wal_bytes,
-                    "sweep_overhead": self.compact_overhead,
                 },
                 "sweep_overhead_ema": self._sweep_overhead_ema,
             })

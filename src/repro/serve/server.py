@@ -20,7 +20,7 @@ pure overhead — ``BENCH_serve.json`` records exactly that; see
 ``docs/benchmarks.md``.
 
 Concurrency: every public method is **thread-safe**.  Callers from many
-threads (the CLI's accept loop runs one thread per client connection)
+threads (the HTTP gateway's micro-batcher, or direct library callers)
 are multiplexed onto the shared worker pool through a FIFO ticket lock,
 so requests hit the workers in arrival order — no client can starve
 another — and every scattered block carries a unique request id that the
@@ -31,8 +31,8 @@ Supervision: a worker that **dies** mid-query (SIGKILL, OOM, segfault)
 no longer poisons the server.  The coordinator restarts the dead worker
 from its snapshot shard, re-scatters the affected query block once, and
 only raises :class:`ServerError` — naming the worker and its exit code —
-when the retry fails too (``max_retries`` bounds the attempts; ``0``
-restores the fail-fast behavior).  Because a shard snapshot is immutable
+when the retry fails too (two attempts per request; a second death marks
+the server broken).  Because a shard snapshot is immutable
 and queries are deterministic, the retried answer is bit-identical to
 what the first attempt would have returned.
 
@@ -42,9 +42,9 @@ wait for the dispatch ticket *and* every worker receive, and rides the
 worker protocol so a worker can skip work whose answer nobody will read.
 A worker that *hangs* (alive but silent past ``query_timeout`` or the
 request deadline, whichever is sooner) is SIGKILLed by the watchdog and
-the request is re-dispatched on a fresh worker (``hang_policy="retry"``,
-budget permitting) or failed with the typed :class:`DeadlineExceeded`
-(``hang_policy="fail"``, or when the budget is spent).  Either way the
+the request is re-dispatched once on a fresh worker when its budget
+allows, or failed with the typed :class:`DeadlineExceeded` when the
+budget or the attempts are spent.  Either way the
 server keeps serving: the killed worker is restarted from its immutable
 shard — synchronously before a retry, lazily by the next request's
 supervision otherwise — instead of the pre-watchdog behavior of marking
@@ -56,7 +56,7 @@ in-flight queries finish against the generation they started on, then
 the old workers retire.  A reload to a junk file, a snapshot written
 under a different format version, or a snapshot of different
 dimensionality is refused (the old generation keeps serving).  The CLI
-surfaces this as ``serve --watch`` and the ``reload`` protocol verb.
+surfaces this as ``serve --watch`` and the gateway's ``POST /reload``.
 
 Lifecycle and failure discipline:
 
@@ -99,6 +99,10 @@ from repro.utils.validation import check_queries, check_query
 
 __all__ = ["DeadlineExceeded", "ServerError", "SnapshotServer"]
 
+#: Dispatch attempts per request: the first, plus one re-dispatch on a
+#: fresh worker after a death or a watchdog kill.
+_ATTEMPTS = 2
+
 
 class ServerError(RuntimeError):
     """A serving-layer failure: bad lifecycle call, dead or silent worker."""
@@ -110,8 +114,8 @@ class DeadlineExceeded(ServerError):
     Raised when a ``query_batch(..., timeout=...)`` budget expires —
     waiting for the dispatch ticket, waiting on a worker, or reported
     by a worker that skipped already-expired work — and when the hang
-    watchdog kills a silent worker under ``hang_policy="fail"`` (or
-    with no budget left to retry).  A ``ServerError`` subclass so
+    watchdog kills a silent worker with no budget or attempt left to
+    re-dispatch the block.  A ``ServerError`` subclass so
     existing broad handlers keep working, but typed so transports can
     map it to a distinct client-visible outcome (HTTP 504).
     """
@@ -140,8 +144,8 @@ class _FifoLock:
 
     ``threading.Lock`` makes no fairness promise, so a hot client thread
     could starve the others off the worker pool.  Tickets make dispatch
-    order equal arrival order, which is the fairness the accept loop
-    advertises.
+    order equal arrival order, which is the fairness the server
+    advertises to concurrent callers.
 
     :meth:`acquire` optionally takes an absolute monotonic deadline: a
     waiter whose deadline passes abandons its ticket and returns
@@ -276,21 +280,6 @@ class SnapshotServer:
         Optional :mod:`multiprocessing` context or start-method name
         (``"fork"``/``"spawn"``/``"forkserver"``); default is the
         platform default.
-    max_retries:
-        How many times one ``query_batch`` call may restart dead workers
-        and re-scatter its block before giving up with
-        :class:`ServerError`.  The default (1) recovers from a single
-        worker death per request; ``0`` restores the pre-supervision
-        fail-fast behavior.
-    hang_policy:
-        What the watchdog does with the in-flight request after it
-        SIGKILLs a hung worker (alive but silent past ``query_timeout``
-        or the request deadline).  ``"retry"`` (default) restarts the
-        worker and re-scatters the block when the request still has
-        budget and attempts left; ``"fail"`` raises
-        :class:`DeadlineExceeded` immediately and leaves the restart to
-        the next request's supervision.  Either way the server stays
-        serving.
 
     Examples
     --------
@@ -308,22 +297,12 @@ class SnapshotServer:
         start_timeout: float = 60.0,
         query_timeout: float = 120.0,
         mp_context=None,
-        max_retries: int = 1,
-        hang_policy: str = "retry",
     ) -> None:
         if start_timeout <= 0 or query_timeout <= 0:
             raise ValueError("timeouts must be positive")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if hang_policy not in ("retry", "fail"):
-            raise ValueError(
-                f"hang_policy must be 'retry' or 'fail', got {hang_policy!r}"
-            )
         self.path = os.fspath(path)
         self.start_timeout = float(start_timeout)
         self.query_timeout = float(query_timeout)
-        self.max_retries = int(max_retries)
-        self.hang_policy = hang_policy
         if mp_context is None or isinstance(mp_context, str):
             self._ctx = multiprocessing.get_context(mp_context)
         else:
@@ -491,7 +470,7 @@ class SnapshotServer:
         )
 
     def status(self) -> dict:
-        """Structured lifecycle snapshot (the ``status`` protocol verb).
+        """Structured lifecycle snapshot (the gateway's ``GET /status``).
 
         Returns
         -------
@@ -525,7 +504,6 @@ class SnapshotServer:
                 "draining": [p.generation for p in self._retiring],
                 "requests": self._served,
                 "restarts": self._restarts_total,
-                "hang_policy": self.hang_policy,
                 "hang_kills": self._hang_kills_total,
                 "deadline_hits": self._deadline_hits_total,
             }
@@ -864,13 +842,12 @@ class SnapshotServer:
         ------
         DeadlineExceeded
             If ``timeout`` expires before the answer is merged, or the
-            hang watchdog killed a silent worker and the policy or the
-            remaining budget forbade a retry.
+            hang watchdog killed a silent worker and neither budget nor
+            attempts were left for a re-dispatch.
         ServerError
             If the server is not serving (never started, closed, or
             broken by an earlier unrecoverable failure), a worker died
-            and supervision exhausted ``max_retries``, or a restart
-            failed.
+            on both attempts, or a restart failed.
         ValueError
             If ``k < 1``, ``timeout <= 0``, or the query block does not
             match the snapshot's dimensionality.
@@ -912,13 +889,12 @@ class SnapshotServer:
         by id, so a re-scattered block cannot be answered twice.
         """
         m = queries.shape[0]
-        attempts = self.max_retries + 1
-        for attempt in range(attempts):
+        for attempt in range(_ATTEMPTS):
             if deadline is not None and time.monotonic() >= deadline:
                 self._note_deadline()
                 raise DeadlineExceeded(
                     "request deadline expired before dispatch "
-                    f"(attempt {attempt + 1}/{attempts})"
+                    f"(attempt {attempt + 1}/{_ATTEMPTS})"
                 )
             req_id = next(self._request_ids)
             started = time.perf_counter()
@@ -956,11 +932,11 @@ class SnapshotServer:
                         [decode_result(w) for w in message[2]]
                     )
             except _WorkerGone as gone:
-                if attempt + 1 >= attempts:
+                if attempt + 1 >= _ATTEMPTS:
                     self._mark_broken(f"{gone.worker.describe()} died")
                     raise ServerError(
                         f"{self._dead_worker_detail(gone.worker, pool.spec.path)}"
-                        f" after {attempts} attempt(s) ({gone.detail})"
+                        f" after {_ATTEMPTS} attempts ({gone.detail})"
                     ) from gone
                 self._revive(pool)  # raises ServerError when hopeless
                 continue
@@ -973,15 +949,13 @@ class SnapshotServer:
                 self._watchdog_kill(silent.worker)
                 out_of_time = (deadline is not None
                                and time.monotonic() >= deadline)
-                if (self.hang_policy == "retry" and not out_of_time
-                        and attempt + 1 < attempts):
+                if not out_of_time and attempt + 1 < _ATTEMPTS:
                     self._revive(pool)  # raises ServerError when hopeless
                     continue
                 self._note_deadline()
                 raise DeadlineExceeded(
                     f"{silent.detail}; the watchdog killed the hung worker "
-                    f"(hang_policy={self.hang_policy!r}; it restarts on the "
-                    f"next request)"
+                    f"(it restarts on the next request)"
                 ) from silent
             elapsed = time.perf_counter() - started
             return merge_shard_batches(

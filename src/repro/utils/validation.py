@@ -9,15 +9,23 @@ from __future__ import annotations
 import numpy as np
 
 
+#: The largest squared norm whose squared distances cannot overflow:
+#: ``|x - q|^2 <= 4 * max(|x|^2, |q|^2)``.  NaN compares False against it.
+_MAX_SQUARED_NORM = np.finfo(np.float64).max / 4.0
+
+
 def _check_norms_finite(rows: np.ndarray, what: str) -> None:
-    """Reject rows whose squared norm is not finite.
+    """Reject rows whose squared distances could overflow.
 
     A NaN or infinite entry makes ``v @ v`` non-finite, and so does a
     finite row large enough to overflow it (``np.full(8, 1e154)``): every
     distance to such a row is ``inf``, which would leave the neighbour
-    order to tie-breaking.
+    order to tie-breaking.  The bound is a quarter of the float range,
+    not all of it: ``|x - q|^2`` reaches ``4 * max(|x|^2, |q|^2)`` (at
+    ``q = -x``), so a row whose own squared norm is finite can still put
+    ``inf`` into every distance to its mirror image.
     """
-    if not np.isfinite(np.einsum("ij,ij->i", rows, rows)).all():
+    if not (np.einsum("ij,ij->i", rows, rows) <= _MAX_SQUARED_NORM).all():
         raise ValueError(
             f"{what} NaN or infinite values, or values whose squared norm overflows"
         )

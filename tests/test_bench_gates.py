@@ -21,6 +21,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
+import chaos_sweep  # noqa: E402
 import check_bench_gates as gates  # noqa: E402
 
 # ----------------------------------------------------------------------
@@ -97,6 +98,8 @@ GOOD = {
         },
     },
     "BENCH_chaos.smoke.json": {
+        "config": {"smoke": True},
+        "scenarios": {name: 1 for name in chaos_sweep.SCENARIOS},
         "invariants": {
             "all_requests_terminated": True,
             "undetermined_requests": [],
@@ -199,7 +202,7 @@ BREAKS = [
     ("BENCH_chaos.smoke.json",
      lambda r: r["invariants"].update(
          all_requests_terminated=False,
-         undetermined_requests=["iter3/hang-fail: untyped KeyError"]),
+         undetermined_requests=["iter3/hang-deadline: untyped KeyError"]),
      "never terminated or failed untyped"),
     ("BENCH_chaos.smoke.json",
      lambda r: r["invariants"].update(
@@ -208,7 +211,7 @@ BREAKS = [
      "did not return to ready"),
     ("BENCH_chaos.smoke.json",
      lambda r: r["invariants"].update(
-         deadline_overruns=["iter2/hang-fail: typed failure took 9.00s"]),
+         deadline_overruns=["iter2/hang-deadline: typed failure took 9.00s"]),
      "typed failure took"),
     ("BENCH_chaos.smoke.json",
      lambda r: r["invariants"].update(zero_orphans=False,
@@ -222,6 +225,12 @@ BREAKS = [
     ("BENCH_chaos.smoke.json",
      lambda r: r["counters"].update(watchdog_kills=0),
      "watchdog never killed"),
+    ("BENCH_chaos.smoke.json",
+     lambda r: r["scenarios"].update({"hang-deadline": 0}),
+     "scenario hang-deadline never ran"),
+    ("BENCH_chaos.smoke.json",
+     lambda r: r["scenarios"].pop("hang-deadline"),
+     "hang-deadline never ran in the smoke sweep"),
     ("BENCH_memory.smoke.json",
      lambda r: r["zero_copy"].update(arena_alloc_fraction=0.5),
      "the arena load is copying"),
@@ -272,6 +281,15 @@ def test_memory_sharing_gate_skipped_when_smaps_unavailable():
         available=False, all_workers_mapped=False, pss_over_rss=None
     )
     assert gates.CHECKERS["BENCH_memory.smoke.json"](report) == []
+
+
+def test_chaos_scenario_coverage_is_gated_on_smoke_runs_only():
+    """A full sweep draws scenarios at random, so a short one may miss
+    some; only the one-pass smoke sweep promises every scenario ran."""
+    report = copy.deepcopy(GOOD["BENCH_chaos.smoke.json"])
+    report["config"]["smoke"] = False
+    report["scenarios"]["hang-deadline"] = 0
+    assert gates.CHECKERS["BENCH_chaos.smoke.json"](report) == []
 
 
 def test_one_break_means_exactly_one_violation():

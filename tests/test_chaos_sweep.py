@@ -44,7 +44,7 @@ def test_smoke_sweep_holds_every_invariant(capsys):
     # restarted, and the WAL victim died once at every armed fault
     # point (smoke covers the whole matrix, group/segment kills
     # included).
-    assert report["counters"]["watchdog_kills"] >= 2  # hang-retry + hang-fail
+    assert report["counters"]["watchdog_kills"] >= 2  # hang-retry + hang-deadline
     assert report["counters"]["supervision_restarts"] >= 1
     assert (report["counters"]["wal_kills"]
             == len(chaos_sweep.WAL_KILL_POINTS))

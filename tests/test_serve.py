@@ -16,6 +16,7 @@ The serving layer's contract has two halves:
 
 from __future__ import annotations
 
+import http.client
 import os
 import time
 
@@ -26,7 +27,8 @@ from repro import DBLSH, ShardedDBLSH
 from repro.core.plan import merge_shard_results
 from repro.core.result import Neighbor, QueryResult
 from repro.io import load_index, save_index
-from repro.serve import ServerError, SnapshotServer
+from repro.cli import _post_json
+from repro.serve import HttpGateway, ServerError, SnapshotServer
 from repro.serve.protocol import decode_result, encode_result
 from repro.data.generators import gaussian_mixture
 
@@ -125,7 +127,8 @@ class TestParity:
 
 class TestTiesAcrossShards:
     """Exact duplicates of the query that land in different shards tie at
-    distance 0; the merge orders them by ``(distance, global id)``."""
+    distance 0; the merge orders them by ``(distance, global id)`` — in
+    process, through the worker pool, and through the HTTP gateway."""
 
     DUPLICATES = [30, 100, 170, 230, 300, 370]
 
@@ -145,8 +148,23 @@ class TestTiesAcrossShards:
         in_process = index.query_batch(queries, k=3)[0]
         with SnapshotServer(path) as server:
             served = server.query_batch(queries, k=3)[0]
+            with HttpGateway(server, batch_window=0.0) as gateway:
+                conn = http.client.HTTPConnection("127.0.0.1", gateway.port,
+                                                  timeout=30)
+                try:
+                    status, body = _post_json(
+                        conn, "/query", {"queries": queries.tolist(), "k": 3}
+                    )
+                finally:
+                    conn.close()
         assert served.ids == in_process.ids
         assert served.distances == in_process.distances == [0.0] * 3
+        # JSON floats round-trip exactly, so the gateway's answer is the
+        # served answer, ties and all.
+        assert status == 200
+        [row] = body["results"]
+        assert row["ids"] == served.ids
+        assert row["distances"] == served.distances
         # Every shard's own answer, mapped to global ids: the merge keeps
         # the three lowest of their union.
         per_shard = set()
@@ -263,20 +281,22 @@ class TestLifecycle:
 class TestFailureSurfacing:
     """A dead or silent worker must raise promptly — never hang.
 
-    These tests pin the **fail-fast** configuration (``max_retries=0``):
-    a worker death surfaces as a prompt :class:`ServerError` and breaks
-    the server.  The default configuration instead supervises — restarts
-    the dead worker and re-scatters once — which is pinned by
-    ``tests/test_serve_faults.py``.
+    Supervision restarts a dead worker and re-scatters the block once, so
+    a failure only surfaces when the worker dies on **both** attempts.
+    These tests arm exactly that (``REPRO_SERVE_FAULT`` kills the
+    original incarnation and its replacement, as the chaos sweep's
+    ``die-twice`` scenario does): the death surfaces as a prompt
+    :class:`ServerError` and breaks the server.  A single death is
+    survived invisibly, which ``tests/test_serve_faults.py`` pins.
     """
 
-    def test_killed_worker_surfaces_within_timeout(self, snapshot_path, workload):
+    def test_killed_worker_surfaces_within_timeout(self, snapshot_path,
+                                                   workload, monkeypatch):
         _, queries = workload
-        server = SnapshotServer(
-            snapshot_path, query_timeout=10, max_retries=0
-        ).start()
+        monkeypatch.setenv("REPRO_SERVE_FAULT",
+                           "die-on-query:1:0,die-on-query:1:1")
+        server = SnapshotServer(snapshot_path, query_timeout=10).start()
         try:
-            os.kill(server.worker_pids[1], 9)
             started = time.monotonic()
             with pytest.raises(ServerError, match="worker 1"):
                 server.query_batch(queries, k=3)
@@ -284,13 +304,13 @@ class TestFailureSurfacing:
         finally:
             server.close()
 
-    def test_broken_server_refuses_further_queries(self, snapshot_path, workload):
+    def test_broken_server_refuses_further_queries(self, snapshot_path,
+                                                   workload, monkeypatch):
         _, queries = workload
-        server = SnapshotServer(
-            snapshot_path, query_timeout=10, max_retries=0
-        ).start()
+        monkeypatch.setenv("REPRO_SERVE_FAULT",
+                           "die-on-query:0:0,die-on-query:0:1")
+        server = SnapshotServer(snapshot_path, query_timeout=10).start()
         try:
-            os.kill(server.worker_pids[0], 9)
             with pytest.raises(ServerError):
                 server.query_batch(queries, k=3)
             with pytest.raises(ServerError, match="broken"):
@@ -298,20 +318,24 @@ class TestFailureSurfacing:
         finally:
             server.close()
 
-    def test_crash_then_restart_recovers(self, snapshot_path, workload):
+    def test_crash_then_restart_recovers(self, snapshot_path, workload,
+                                         monkeypatch):
         _, queries = workload
-        server = SnapshotServer(
-            snapshot_path, query_timeout=10, max_retries=0
-        ).start()
+        baseline = load_index(snapshot_path).query_batch(queries, k=3)
+        monkeypatch.setenv("REPRO_SERVE_FAULT",
+                           "die-on-query:0:0,die-on-query:0:1")
+        server = SnapshotServer(snapshot_path, query_timeout=10).start()
         try:
-            baseline = server.query_batch(queries, k=3)
-            os.kill(server.worker_pids[0], 9)
             with pytest.raises(ServerError):
                 server.query_batch(queries, k=3)
             server.close()
+            monkeypatch.delenv("REPRO_SERVE_FAULT")
             server.start()
             again = server.query_batch(queries, k=3)
             assert [r.ids for r in again] == [r.ids for r in baseline]
+            assert [r.distances for r in again] == [
+                r.distances for r in baseline
+            ]
         finally:
             server.close()
 
@@ -324,10 +348,6 @@ class TestFailureSurfacing:
                 server.ping()
         finally:
             server.close()
-
-    def test_invalid_max_retries(self, snapshot_path):
-        with pytest.raises(ValueError, match="max_retries"):
-            SnapshotServer(snapshot_path, max_retries=-1)
 
 
 class TestProtocol:

@@ -6,11 +6,11 @@ The resilience contract under test:
   ``load_index(path).query_batch(...)`` — or fails with the *typed*
   :class:`~repro.serve.DeadlineExceeded` within its budget;
 * a worker that hangs mid-query is SIGKILLed by the watchdog and
-  restarted from the immutable shard snapshot; under
-  ``hang_policy="retry"`` the request is re-dispatched and still
-  answers exactly, under ``hang_policy="fail"`` the caller gets the
-  typed error within 2x its deadline and the *next* request answers
-  exactly (lazy revival keeps the failure path fast);
+  restarted from the immutable shard snapshot; when the request still
+  has budget it is re-dispatched once and answers exactly, and when the
+  hang ate its deadline the caller gets the typed error within 2x the
+  budget and the *next* request answers exactly (lazy revival keeps the
+  failure path fast);
 * a hang never marks the server broken — the snapshot is immutable, so
   a fresh worker serves correctly; broken stays reserved for
   unrecoverable death-retry exhaustion;
@@ -75,10 +75,6 @@ def expected(workload, snapshot_path):
 
 
 class TestValidation:
-    def test_hang_policy_is_validated_at_construction(self, snapshot_path):
-        with pytest.raises(ValueError, match="hang_policy"):
-            SnapshotServer(snapshot_path, hang_policy="panic")
-
     def test_timeout_must_be_positive(self, workload, snapshot_path):
         _, queries = workload
         with SnapshotServer(snapshot_path, mp_context="fork") as server:
@@ -89,10 +85,8 @@ class TestValidation:
                 server.query(queries[0], k=5, timeout=0)
 
     def test_status_reports_the_resilience_counters(self, snapshot_path):
-        with SnapshotServer(snapshot_path, mp_context="fork",
-                            hang_policy="fail") as server:
+        with SnapshotServer(snapshot_path, mp_context="fork") as server:
             status = server.status()
-        assert status["hang_policy"] == "fail"
         assert status["hang_kills"] == 0
         assert status["deadline_hits"] == 0
 
@@ -123,31 +117,27 @@ class TestFifoLockDeadline:
 
 
 class TestWatchdogFaultMatrix:
-    """Every fault hook x hang policy: the caller sees an exact answer
-    or the typed deadline error — never a hang, never an untyped crash."""
+    """Every fault hook under the one recovery policy (kill, revive,
+    re-dispatch once): the caller sees an exact answer — never a hang,
+    never an untyped crash."""
 
-    @pytest.mark.parametrize("policy", ["retry", "fail"])
     @pytest.mark.parametrize("fault", ["die-on-query", "sleep-on-query",
-                                       "hang-on-query"])
-    def test_fault_times_policy(self, fault, policy, workload, snapshot_path,
+                                       "hang-on-query"],
+                             ids=lambda fault: f"{fault}-retry")
+    def test_fault_times_policy(self, fault, workload, snapshot_path,
                                 expected, monkeypatch):
         _, queries = workload
         arg = ":0.2" if fault == "sleep-on-query" else ""
         monkeypatch.setenv("REPRO_SERVE_FAULT", f"{fault}:1:0{arg}")
         with SnapshotServer(snapshot_path, mp_context="fork",
-                            query_timeout=1.0, hang_policy=policy) as server:
-            if fault == "hang-on-query" and policy == "fail":
-                with pytest.raises(DeadlineExceeded):
-                    server.query_batch(queries, k=5)
+                            query_timeout=1.0) as server:
+            # die: supervision restarts and re-dispatches; sleep: 0.2s
+            # < the 1s silence bound, the answer just arrives; hang:
+            # watchdog kill, revive, re-dispatch, exact answer.
+            results = server.query_batch(queries, k=5)
+            assert _same(results, expected)
+            if fault == "hang-on-query":
                 assert server.hang_kills_total == 1
-            else:
-                # die: supervision restarts and re-dispatches; sleep:
-                # 0.2s < the 1s silence bound, the answer just arrives;
-                # hang+retry: watchdog kill, revive, exact answer.
-                results = server.query_batch(queries, k=5)
-                assert _same(results, expected)
-                if fault == "hang-on-query":
-                    assert server.hang_kills_total == 1
             monkeypatch.delenv("REPRO_SERVE_FAULT")
             # Recovery invariant, every cell: the next request answers
             # bit-identically and the server reports itself serving.
@@ -163,8 +153,7 @@ class TestHangFailDeadlineBound:
         monkeypatch.setenv("REPRO_SERVE_FAULT", "hang-on-query:0:0")
         budget = 0.8
         with SnapshotServer(snapshot_path, mp_context="fork",
-                            query_timeout=120.0,
-                            hang_policy="fail") as server:
+                            query_timeout=120.0) as server:
             before = set(server.worker_pids)
             started = time.monotonic()
             with pytest.raises(DeadlineExceeded):
@@ -185,13 +174,12 @@ class TestHangFailDeadlineBound:
 
     def test_deadline_under_retry_policy_still_fails_typed(
             self, workload, snapshot_path, expected, monkeypatch):
-        """With the budget spent there is nothing left to retry with:
-        even hang_policy='retry' must answer the typed error."""
+        """With the budget spent there is nothing left to re-dispatch
+        with: the watchdog kill must answer the typed error."""
         _, queries = workload
         monkeypatch.setenv("REPRO_SERVE_FAULT", "hang-on-query:0:0")
         with SnapshotServer(snapshot_path, mp_context="fork",
-                            query_timeout=120.0,
-                            hang_policy="retry") as server:
+                            query_timeout=120.0) as server:
             with pytest.raises(DeadlineExceeded):
                 server.query_batch(queries, k=5, timeout=0.5)
             monkeypatch.delenv("REPRO_SERVE_FAULT")
@@ -213,8 +201,7 @@ class TestHangRetryExhaustion:
         monkeypatch.setenv("REPRO_SERVE_FAULT",
                            "hang-on-query:0:0,hang-on-query:0:1")
         with SnapshotServer(snapshot_path, mp_context="fork",
-                            query_timeout=0.5,
-                            hang_policy="retry") as server:
+                            query_timeout=0.5) as server:
             with pytest.raises(DeadlineExceeded):
                 server.query_batch(queries, k=5)
             assert server.hang_kills_total == 2
@@ -268,8 +255,8 @@ class TestMutablePassThrough:
         # worker incarnation at startup, not per query.
         monkeypatch.setenv("REPRO_SERVE_FAULT", "hang-on-query:0:0")
         with MutableSnapshotServer(snapshot_path, wal_path=wal,
-                                   mp_context="fork", query_timeout=120.0,
-                                   hang_policy="fail") as server:
+                                   mp_context="fork",
+                                   query_timeout=120.0) as server:
             with pytest.raises(DeadlineExceeded):
                 server.query_batch(queries, k=5, timeout=0.5)
             monkeypatch.delenv("REPRO_SERVE_FAULT")

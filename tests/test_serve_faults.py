@@ -1,13 +1,12 @@
 """Fault-injection tests for serving supervision (`repro.serve`).
 
-The supervision contract of the default configuration
-(``max_retries=1``):
+The supervision contract (two dispatch attempts per request):
 
 * a worker that **dies** mid-query is restarted from its snapshot shard
   and the affected query block is re-scattered once — the caller gets
   the correct answers **exactly once**, bit-identical to
   ``load_index(path).query_batch(...)``, and never sees the failure;
-* a worker that dies **twice** for one request exhausts the retry budget
+* a worker that dies **twice** for one request exhausts both attempts
   and surfaces the existing :class:`~repro.serve.ServerError`, naming
   the worker and its exit code;
 * every scenario ends with **no orphan worker processes** — the
@@ -196,38 +195,3 @@ class TestMidQueryDeath:
             assert server.query(queries[0], k=1).neighbors
         finally:
             server.close()
-
-
-class TestRetryBudget:
-    def test_zero_retries_fails_fast(self, workload, snapshot_path,
-                                     monkeypatch):
-        _, queries = workload
-        monkeypatch.setenv("REPRO_SERVE_FAULT", "die-on-query:0:0")
-        server = SnapshotServer(snapshot_path, start_timeout=30,
-                                query_timeout=30, max_retries=0).start()
-        seen_pids = set(server.worker_pids)
-        try:
-            with pytest.raises(ServerError, match="worker 0"):
-                server.query_batch(queries, k=5)
-            assert server.restarts_total == 0
-        finally:
-            server.close()
-        _assert_all_dead(seen_pids)
-
-    def test_two_retries_survive_two_deaths(self, workload, snapshot_path,
-                                            expected, monkeypatch):
-        _, queries = workload
-        monkeypatch.setenv(
-            "REPRO_SERVE_FAULT", "die-on-query:1:0,die-on-query:1:1"
-        )
-        server = SnapshotServer(snapshot_path, start_timeout=30,
-                                query_timeout=30, max_retries=2).start()
-        seen_pids = set(server.worker_pids)
-        try:
-            got = server.query_batch(queries, k=5)
-            assert _same(got, expected)
-            assert server.restarts_total == 2
-            seen_pids |= set(server.worker_pids)
-        finally:
-            server.close()
-        _assert_all_dead(seen_pids)

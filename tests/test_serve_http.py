@@ -1067,22 +1067,11 @@ class TestMutableHttp:
             assert "out of range" in body["error"]
             assert _get(gateway.port, "/status")[1]["gateway"]["mutable"] is True
 
-    def test_read_only_serves_refuse_mutations_with_403(self, gateway, snapshot_path):
-        # Plain SnapshotServer: the verbs do not exist -> 403.
+    def test_read_only_serves_refuse_mutations_with_403(self, gateway):
+        # A read-only serve is a plain SnapshotServer: the verbs do not
+        # exist -> 403.
         status, body, _ = _post(gateway.port, "/insert", {"point": [0.0] * 12})
         assert status == 403
         assert "read-only" in body["error"]
         assert _post(gateway.port, "/delete", {"id": 1})[0] == 403
         assert _post(gateway.port, "/compact", {})[0] == 403
-        # Mutable-capable server running read_only: still 403.
-        server = MutableSnapshotServer(snapshot_path, read_only=True)
-        server.start()
-        try:
-            with HttpGateway(server, batch_window=0.0) as ro_gateway:
-                status, body, _ = _post(
-                    ro_gateway.port, "/insert", {"point": [0.0] * 12}
-                )
-                assert status == 403
-                assert "read-only" in body["error"]
-        finally:
-            server.close()

@@ -25,7 +25,7 @@ import pytest
 from repro import DBLSH
 from repro.data.generators import gaussian_mixture
 from repro.io import WALError, WriteAheadLog, read_header, save_index
-from repro.serve import MutableSnapshotServer, ReadOnlyError
+from repro.serve import MutableSnapshotServer
 
 N, DIM = 400, 12
 PARAMS = dict(
@@ -249,23 +249,6 @@ class TestRecoveryGuards:
             fresh.start()
         assert not fresh.serving  # the refused start left no live pool
 
-    def test_read_only_mode_refuses_mutations(self, snapshot):
-        server = MutableSnapshotServer(snapshot, read_only=True,
-                                       mp_context="fork")
-        server.start()
-        try:
-            with pytest.raises(ReadOnlyError, match="read-only"):
-                server.insert(np.zeros(DIM))
-            with pytest.raises(ReadOnlyError, match="read-only"):
-                server.delete(0)
-            with pytest.raises(ReadOnlyError, match="read-only"):
-                server.compact()
-            # Read-only serving never creates a WAL next to the snapshot.
-            assert not os.path.exists(snapshot + ".wal")
-            assert server.status()["read_only"] is True
-        finally:
-            server.close()
-
     def test_status_reports_mutation_state(self, snapshot, tmp_path,
                                            workload):
         _, inserts = workload
@@ -278,7 +261,6 @@ class TestRecoveryGuards:
             server.insert(inserts[1])
             server.delete(5)
             info = server.status()
-            assert info["mutable"] is True
             assert info["delta_rows"] == 2
             assert info["tombstones"] == 1
             assert info["live_points"] == N + 2 - 1
@@ -379,7 +361,8 @@ class TestRecoveryGuards:
 
 
 class TestAdaptiveCompaction:
-    """The overhead/bytes-driven scheduler replacing the fixed count."""
+    """The WAL-bytes trigger beside the fixed count, and the measured
+    delta-sweep overhead that ``status()`` reports."""
 
     def test_wal_bytes_trigger_fires_and_is_reported(self, snapshot, tmp_path,
                                                      workload):
@@ -389,7 +372,7 @@ class TestAdaptiveCompaction:
         # ~120-byte insert records.
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=100_000,
-            compact_wal_bytes=700, compact_overhead=0.0,
+            compact_wal_bytes=700,
             mp_context="fork",
         )
         server.start()
@@ -409,38 +392,26 @@ class TestAdaptiveCompaction:
         finally:
             server.close()
 
-    def test_sweep_overhead_policy(self, snapshot, tmp_path, workload):
-        """The policy function itself: the overhead trigger needs both a
-        hot EMA and enough pending work; count stays the first resort."""
+    def test_live_queries_feed_the_sweep_overhead_ema(self, snapshot, tmp_path,
+                                                      workload):
+        """The EMA is a measurement only: live queries feed it, and a hot
+        value never schedules a fold — count and wal-bytes do."""
         data, _ = workload
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=100_000,
-            compact_wal_bytes=0, compact_overhead=0.5,
-            group_commit_ms=0.0, mp_context="fork",
+            compact_wal_bytes=0, group_commit_ms=0.0, mp_context="fork",
         )
         server.start()
         try:
-            with server._mutation_lock:
-                assert server._compaction_due() is None
-            # A hot EMA with too little pending work must not fire.
-            with server._mutation_lock:
-                server._sweep_overhead_ema = 0.9
-                server._overhead_samples = 10
-                assert server._compaction_due() is None
             for i in range(64):
                 server.insert(data[i % len(data)] + 70.0 + i)
+            server.query_batch(data[:4], k=2)
+            assert server._overhead_samples >= 1
+            assert 0.0 <= server.status()["sweep_overhead_ema"] <= 1.0
             with server._mutation_lock:
                 server._sweep_overhead_ema = 0.9
-                server._overhead_samples = 10
-                assert server._compaction_due() == "sweep-overhead"
-                # A cool EMA never fires regardless of pending count.
-                server._sweep_overhead_ema = 0.1
                 assert server._compaction_due() is None
-            # Live queries actually feed the EMA.
-            server.query_batch(data[:4], k=2)
-            assert server.status()["sweep_overhead_ema"] >= 0.0
-            assert server._overhead_samples >= 1
         finally:
             server.close()
 
@@ -451,7 +422,7 @@ class TestAdaptiveCompaction:
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=0,
-            compact_wal_bytes=1, compact_overhead=0.01,
+            compact_wal_bytes=1,
             group_commit_ms=0.0, mp_context="fork",
         )
         server.start()

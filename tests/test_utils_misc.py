@@ -17,9 +17,11 @@ from repro.utils.validation import (
     check_query,
 )
 
-#: Finite values whose squared norm overflows: every distance to such a
-#: row is inf, so the neighbour order would be left to tie-breaking.
-OVERFLOWING = [1e154, 1e300]
+#: Finite values whose squared distances overflow: every distance to such
+#: a row is inf, so the neighbour order would be left to tie-breaking.
+#: 3.5e153 keeps ``v @ v`` finite over 8 dims (9.8e307) while ``|v - (-v)|^2``
+#: (4x that) is inf.
+OVERFLOWING = [1e154, 1e300, 3.5e153]
 
 
 class TestTimer:

@@ -28,11 +28,12 @@ die-twice       original worker *and* its replacement die: the retry
                 server is broken-by-design (must fail fast afterward)
 sleep-recover   a worker stalls briefly, then answers — no deadline,
                 so the answer must simply arrive, exact
-hang-retry      a worker hangs forever; the watchdog SIGKILLs it and
-                (``hang_policy="retry"``) re-dispatches: exact answer
-hang-fail       same hang under ``hang_policy="fail"`` with a
-                per-request deadline: ``DeadlineExceeded`` within 2x
-                the budget, worker restarted lazily, next query exact
+hang-retry      a worker hangs forever past ``query_timeout``; the
+                watchdog SIGKILLs it and re-dispatches: exact answer
+hang-deadline   same hang under a per-request deadline: the watchdog
+                kills at the deadline, no budget is left to re-dispatch,
+                so ``DeadlineExceeded`` within 2x the budget, worker
+                restarted lazily, next query exact
 queue-expire    a slow worker holds FIFO dispatch while short-deadline
                 requests wait: they must fail typed *in the queue*
 wal-kill        a child process serving ``--mutable`` is killed at a
@@ -79,12 +80,12 @@ SCENARIOS = (
     "die-twice",
     "sleep-recover",
     "hang-retry",
-    "hang-fail",
+    "hang-deadline",
     "queue-expire",
     "wal-kill",
 )
 
-#: hang-fail must answer its typed error within this multiple of the
+#: hang-deadline must answer its typed error within this multiple of the
 #: request budget — the watchdog bound the whole layer advertises.
 DEADLINE_SLACK = 2.0
 
@@ -256,20 +257,16 @@ class _Sweep:
             "die-twice": f"die-on-query:{shard}:0,die-on-query:{shard}:1",
             "sleep-recover": f"sleep-on-query:{shard}:0:0.3",
             "hang-retry": f"hang-on-query:{shard}:0",
-            "hang-fail": f"hang-on-query:{shard}:0",
+            "hang-deadline": f"hang-on-query:{shard}:0",
             "queue-expire": f"sleep-on-query:{shard}:0:0.6",
         }[scenario]
-        kwargs = {"query_timeout": 120.0, "hang_policy": "retry"}
-        if scenario == "hang-retry":
-            kwargs["query_timeout"] = 1.0
-        if scenario == "hang-fail":
-            kwargs["hang_policy"] = "fail"
+        kwargs = {"query_timeout": 1.0 if scenario == "hang-retry" else 120.0}
         if fault is not None:
             os.environ["REPRO_SERVE_FAULT"] = fault
         try:
             with self._server(**kwargs) as server:
                 self._track(server)
-                if scenario == "hang-fail":
+                if scenario == "hang-deadline":
                     budget = 1.0
                     started = time.monotonic()
                     self._query(server, tag, timeout=budget,

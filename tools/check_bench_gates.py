@@ -23,6 +23,8 @@ import json
 import sys
 from typing import Callable, Dict, List
 
+from chaos_sweep import SCENARIOS
+
 
 def check_query_engine(report: dict) -> List[str]:
     """Both query engines (loop and GEMM) must return identical neighbors
@@ -184,7 +186,10 @@ def check_chaos(report: dict) -> List[str]:
     in-process reference, the server came back ready after every fault
     iteration, acked mutations survived the WAL kills, nothing leaked a
     process — and the sweep actually exercised the watchdog (a run that
-    never killed a hung worker gates nothing)."""
+    never killed a hung worker gates nothing).  A smoke sweep is one
+    pass over every scenario, so each of ``chaos_sweep.SCENARIOS`` must
+    have run at least once: a renamed or dropped scenario cannot fall
+    out of the sweep silently."""
     inv = report["invariants"]
     violations = []
     if not inv["all_requests_terminated"]:
@@ -217,6 +222,12 @@ def check_chaos(report: dict) -> List[str]:
             "chaos: the watchdog never killed a hung worker — the hang "
             "scenarios did not run"
         )
+    if report["config"]["smoke"]:
+        runs = report["scenarios"]
+        violations += [
+            f"chaos: scenario {name} never ran in the smoke sweep"
+            for name in SCENARIOS if not runs.get(name)
+        ]
     return violations
 
 
