@@ -19,13 +19,17 @@ one served snapshot it answers:
 * **Recovery after an injected kill** (CI-gated) — a child process is
   killed mid-WAL-append (``REPRO_WAL_FAULT=torn``); the restart must
   recover in the reported time and serve exactly the acked mutations.
-* **Group commit** (CI-gated) — acked insert throughput with the
-  group-commit window on versus per-record synchronous fsyncs, under
-  concurrent writers.  ``REPRO_WAL_SLOW_FSYNC_MS`` injects a fixed
-  fsync latency for both modes so the ratio measures *fsyncs saved by
-  batching* deterministically instead of whatever the host disk's sync
-  cost happens to be; the injected delay is recorded in the report.
-  The gate requires grouped >= 3x ungrouped.
+* **Group commit** (CI-gated) — acked insert throughput of 16
+  concurrent writers versus one serial writer, both through the WAL's
+  one windowless commit path.  The serial writer's record is always
+  alone in its group (one fsync per record, pinned by its mean group
+  size of exactly 1.0); concurrent writers share each fsync with every
+  record queued behind the previous one.  ``REPRO_WAL_SLOW_FSYNC_MS``
+  injects the same fixed fsync latency into both runs, so the ratio
+  measures *fsyncs saved by batching* deterministically instead of
+  whatever the host disk's sync cost happens to be; the injected delay
+  is recorded in the report.  The gate requires concurrent >= 3x
+  serial.
 
 Usage::
 
@@ -232,12 +236,10 @@ def bench_recovery(snapshot_path, wal_path, acked_before_kill, k):
     return row
 
 
-def _concurrent_insert_qps(snapshot_path, wal_path, points, clients,
-                           group_commit_ms):
+def _concurrent_insert_qps(snapshot_path, wal_path, points, clients):
     """Acked inserts/second with ``clients`` writer threads."""
     with MutableSnapshotServer(snapshot_path, wal_path=wal_path,
                                compact_threshold=0,
-                               group_commit_ms=group_commit_ms,
                                mp_context="fork") as server:
         errors = []
 
@@ -270,27 +272,25 @@ def _concurrent_insert_qps(snapshot_path, wal_path, points, clients,
 
 
 def bench_group_commit(snapshot_path, out_stem, n_insert, dim, *,
-                       clients=16, window_ms=2.0, fsync_delay_ms=2.0):
-    """Grouped vs ungrouped acked-insert throughput (CI-gated >= 3x).
+                       clients=16, fsync_delay_ms=2.0):
+    """Concurrent vs serial acked-insert throughput (CI-gated >= 3x).
 
-    Both modes run with the same injected fsync latency
-    (``REPRO_WAL_SLOW_FSYNC_MS``), so the ratio is determined by how
-    many records share each fsync — not by the host disk.  Ungrouped
-    (window 0) pays one fsync per record; grouped amortizes one fsync
-    over every record that arrived within the window.
+    Both runs go through the same commit path with the same injected
+    fsync latency (``REPRO_WAL_SLOW_FSYNC_MS``), so the ratio is
+    determined by how many records share each fsync — not by the host
+    disk.  The serial writer pays one fsync per record; ``clients``
+    concurrent writers share one fsync per group of records that
+    queued while the previous group's fsync ran.
     """
     points = gaussian_mixture(n_insert, dim, n_clusters=8, seed=7)
     wal_path = f"{out_stem}.group.wal"
     os.environ["REPRO_WAL_SLOW_FSYNC_MS"] = str(fsync_delay_ms)
     try:
         _remove(wal_path)
-        ungrouped = _concurrent_insert_qps(
-            snapshot_path, wal_path, points, clients, group_commit_ms=0.0
-        )
+        serial = _concurrent_insert_qps(snapshot_path, wal_path, points, 1)
         _remove(wal_path)
-        grouped = _concurrent_insert_qps(
-            snapshot_path, wal_path, points, clients,
-            group_commit_ms=window_ms,
+        concurrent = _concurrent_insert_qps(
+            snapshot_path, wal_path, points, clients
         )
     finally:
         os.environ.pop("REPRO_WAL_SLOW_FSYNC_MS", None)
@@ -298,21 +298,22 @@ def bench_group_commit(snapshot_path, out_stem, n_insert, dim, *,
     row = {
         "inserts": int(n_insert),
         "clients": int(clients),
-        "group_window_ms": float(window_ms),
         "fsync_delay_ms": float(fsync_delay_ms),
-        "ungrouped_qps": round(ungrouped["qps"], 1),
-        "grouped_qps": round(grouped["qps"], 1),
-        "speedup": round(grouped["qps"] / max(ungrouped["qps"], 1e-9), 2),
-        "grouped_groups_committed": int(grouped["groups_committed"]),
-        "grouped_mean_group_records": round(
-            grouped["mean_group_records"], 2
+        "serial_qps": round(serial["qps"], 1),
+        "concurrent_qps": round(concurrent["qps"], 1),
+        "speedup": round(concurrent["qps"] / max(serial["qps"], 1e-9), 2),
+        "serial_mean_group_records": round(serial["mean_group_records"], 2),
+        "concurrent_groups_committed": int(concurrent["groups_committed"]),
+        "concurrent_mean_group_records": round(
+            concurrent["mean_group_records"], 2
         ),
     }
-    print(f"  group commit: grouped {row['grouped_qps']} vs ungrouped "
-          f"{row['ungrouped_qps']} inserts/s -> x{row['speedup']} "
-          f"({row['grouped_groups_committed']} groups, mean "
-          f"{row['grouped_mean_group_records']} records/group, "
-          f"fsync delay {fsync_delay_ms}ms injected)")
+    print(f"  group commit: {clients} writers {row['concurrent_qps']} vs "
+          f"1 writer {row['serial_qps']} inserts/s -> x{row['speedup']} "
+          f"({row['concurrent_groups_committed']} groups, mean "
+          f"{row['concurrent_mean_group_records']} records/group; serial "
+          f"mean {row['serial_mean_group_records']}; fsync delay "
+          f"{fsync_delay_ms}ms injected)")
     return row
 
 
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
     group_rows = bench_group_commit(
         snapshot_path, out_stem,
         n_insert=160 if args.smoke else 1_000, dim=args.dim,
-        clients=16, window_ms=2.0, fsync_delay_ms=2.0,
+        clients=16, fsync_delay_ms=2.0,
     )
     for path in (snapshot_path, wal_path):
         _remove(path)

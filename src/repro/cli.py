@@ -277,8 +277,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             mp_context=args.mp_context, wal_path=args.wal,
             compact_threshold=args.compact_threshold,
             compact_wal_bytes=args.compact_wal_bytes,
-            group_commit_ms=args.wal_group_commit_ms,
-            group_bytes=args.wal_group_bytes,
             segment_bytes=args.wal_segment_bytes,
         )
     else:
@@ -573,15 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also compact once the live WAL segments "
                                 "total this many bytes (bounds recovery "
                                 "replay time; 0 disables this trigger)")
-    serve_cmd.add_argument("--wal-group-commit-ms", type=float, default=2.0,
-                           dest="wal_group_commit_ms", metavar="MS",
-                           help="group-commit window: concurrent mutations "
-                                "arriving within it share one WAL fsync "
-                                "(0 = fsync each record synchronously)")
-    serve_cmd.add_argument("--wal-group-bytes", type=int, default=1 << 20,
-                           dest="wal_group_bytes", metavar="BYTES",
-                           help="flush a commit group early once its pending "
-                                "records reach this many bytes")
     serve_cmd.add_argument("--wal-segment-bytes", type=int, default=4 << 20,
                            dest="wal_segment_bytes", metavar="BYTES",
                            help="rotate the WAL to a new segment file once "

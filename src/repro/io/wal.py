@@ -38,17 +38,21 @@ Record payloads are binary, one mutation each:
 Group commit
 ------------
 
-With ``group_window > 0`` appends go through a single **committer
-thread**: concurrent submitters enqueue framed records into a bounded
-in-memory batch and receive a :class:`CommitTicket`; the committer
-flushes + ``fsync``'s the whole batch once — when the window elapses
-after the batch's first record, or the batch reaches ``group_bytes``,
-whichever comes first — and only then resolves the tickets.  One disk
-sync amortizes over every mutation in the group, but the fsync-before-
-ack invariant is untouched: ``CommitTicket.wait`` returns only after
-the group's fsync.  ``group_window == 0`` keeps the classic synchronous
-one-fsync-per-append path (the ungrouped baseline the benchmarks
-compare against).
+Every append goes through one **committer thread**: a submitter
+enqueues its framed record and receives a :class:`CommitTicket`; the
+committer, whenever it is free, takes *all* pending records, writes
+them and ``fsync``'s once, and only then resolves their tickets.
+Records that arrive while one group's fsync runs form the next group —
+there is no timer and no byte trip, so a lone writer pays exactly one
+fsync and N concurrent writers share roughly one per group.  The
+fsync-before-ack invariant holds for every record:
+``CommitTicket.wait`` returns only after its group's fsync.
+
+A failed group commit **poisons** the log: Linux reports a writeback
+error once, so a later fsync could succeed over pages that never
+reached the disk.  The failing group's tickets raise the original
+error, every record queued behind it fails too, and every later append
+or checkpoint roll raises :class:`WALError` naming the first failure.
 
 Segments rotate when the live segment would exceed ``segment_bytes``.
 Compaction no longer rewrites one monolithic file: it calls
@@ -85,7 +89,8 @@ comma-separated ``<point>[:<nth>]``:
 
 An additional ``REPRO_WAL_SLOW_FSYNC_MS`` variable injects a simulated
 per-``fsync`` latency so group-commit amortization is measurable on
-hosts whose real disk sync is faster than a scheduler tick.  Production
+hosts whose real disk sync is faster than a scheduler tick, and so
+tests can make records pile up behind one slow fsync.  Production
 deployments simply never set either variable.
 """
 
@@ -127,7 +132,6 @@ _MAX_RECORD = 1 << 26
 
 _SEGMENT_RE = re.compile(r"^wal\.(\d{6,})\.seg$")
 
-DEFAULT_GROUP_BYTES = 1 << 20
 DEFAULT_SEGMENT_BYTES = 1 << 22
 
 #: Fault points that target one submitted record (0-based record ordinal).
@@ -194,6 +198,13 @@ def _parse_faults() -> List[Tuple[str, int]]:
 def _armed_fault(point: str, ordinal: int) -> bool:
     """True when ``REPRO_WAL_FAULT`` arms ``point`` at this ordinal."""
     return any(p == point and t == ordinal for p, t in _parse_faults())
+
+
+def _check_segment_bytes(segment_bytes: int) -> int:
+    """``segment_bytes`` as an int, or ``ValueError`` unless positive."""
+    if segment_bytes <= 0:
+        raise ValueError(f"segment_bytes must be > 0, got {segment_bytes}")
+    return int(segment_bytes)
 
 
 def _fsync_delay() -> float:
@@ -312,8 +323,6 @@ class WriteAheadLog:
         seg_size,
         seg_records,
         sealed,
-        group_window,
-        group_bytes,
         segment_bytes,
     ):
         # Internal: use WriteAheadLog.create() / WriteAheadLog.open().
@@ -330,35 +339,31 @@ class WriteAheadLog:
         #: Sealed (read-only) live segments: [(ordinal, bytes)].
         self._sealed: List[Tuple[int, int]] = list(sealed)
         self._size = seg_size + sum(size for _, size in self._sealed)
-        self.group_window = max(0.0, float(group_window))
-        self.group_bytes = max(1, int(group_bytes))
-        self.segment_bytes = max(_FRAME.size + 1, int(segment_bytes))
+        self.segment_bytes = _check_segment_bytes(segment_bytes)
 
         # Group-commit state.  _cond guards the pending batch; _io_lock
         # serializes the actual file writes so submitters can keep
-        # enqueueing while a group's fsync is in flight.
+        # enqueueing while a group's fsync is in flight.  Lock order is
+        # _io_lock before _cond.
         self._cond = threading.Condition()
         self._io_lock = threading.Lock()
         self._pending: List[_PendingRecord] = []
-        self._pending_bytes = 0
-        self._first_ts = 0.0
         self._flushing = False
-        self._hurry = False
         self._closed = False
+        #: First exception a group commit raised; set once, never cleared.
+        self._failure: Optional[BaseException] = None
         self._records_submitted = 0  # record-fault ordinal counter
         self._groups = 0
         self._records_committed = 0
         self._rotations = 0
         self._checkpoints = 0
         self._last_group_records = 0
-        self._committer: Optional[threading.Thread] = None
-        if self.group_window > 0:
-            self._committer = threading.Thread(
-                target=self._committer_loop,
-                name="repro-wal-committer",
-                daemon=True,
-            )
-            self._committer.start()
+        self._committer: Optional[threading.Thread] = threading.Thread(
+            target=self._committer_loop,
+            name="repro-wal-committer",
+            daemon=True,
+        )
+        self._committer.start()
 
     # -- construction --------------------------------------------------
 
@@ -370,8 +375,6 @@ class WriteAheadLog:
         parent_uid: Optional[str] = None,
         next_id: int = 0,
         *,
-        group_window: float = 0.0,
-        group_bytes: int = DEFAULT_GROUP_BYTES,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> "WriteAheadLog":
         """Create a fresh segmented log at directory ``path``.
@@ -380,8 +383,9 @@ class WriteAheadLog:
         directory both) before :meth:`open` takes over, so a crash
         during creation leaves either no log or a replayable empty one.
         Whatever exists at ``path`` (a log directory or a file) is
-        replaced.
+        replaced.  ``segment_bytes`` (> 0) is the rotation size.
         """
+        _check_segment_bytes(segment_bytes)
         if os.path.isdir(path):
             shutil.rmtree(path)
         elif os.path.exists(path):
@@ -402,12 +406,7 @@ class WriteAheadLog:
             os.fsync(handle.fileno())
         _fsync_dir(path)
         _fsync_dir(os.path.dirname(path))
-        return cls.open(
-            path,
-            group_window=group_window,
-            group_bytes=group_bytes,
-            segment_bytes=segment_bytes,
-        )
+        return cls.open(path, segment_bytes=segment_bytes)
 
     @classmethod
     def open(
@@ -415,8 +414,6 @@ class WriteAheadLog:
         path: str,
         accept_uids: Optional[Sequence[str]] = None,
         *,
-        group_window: float = 0.0,
-        group_bytes: int = DEFAULT_GROUP_BYTES,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
     ) -> "WriteAheadLog":
         """Open an existing log, replaying segments and truncating a torn tail.
@@ -435,6 +432,7 @@ class WriteAheadLog:
         truncated only in the last segment; inside a sealed segment it
         is corruption and raises.
         """
+        _check_segment_bytes(segment_bytes)
         if not os.path.isdir(path):
             raise WALError(f"{path!r} is not a repro write-ahead log")
         entries: List[Tuple[int, str]] = []
@@ -542,8 +540,6 @@ class WriteAheadLog:
                 seg_size=live_offset,
                 seg_records=live_records,
                 sealed=sealed,
-                group_window=group_window,
-                group_bytes=group_bytes,
                 segment_bytes=segment_bytes,
             )
         except BaseException:
@@ -624,21 +620,24 @@ class WriteAheadLog:
     def _submit(self, payload: bytes) -> CommitTicket:
         ticket = CommitTicket()
         with self._cond:
-            if self._closed or self._file is None:
-                raise WALError(f"{self.path!r}: log is closed")
+            self._check_appendable()
             fault = self._next_record_fault()
-            entry = _PendingRecord(payload, ticket, fault)
-            if self._committer is not None:
-                self._pending.append(entry)
-                self._pending_bytes += _FRAME.size + len(payload)
-                if len(self._pending) == 1:
-                    self._first_ts = time.monotonic()
-                self._cond.notify_all()
-                return ticket
-        # Synchronous mode: one write + fsync per append, inline.
-        with self._io_lock:
-            self._commit_group([entry])
+            self._pending.append(_PendingRecord(payload, ticket, fault))
+            self._cond.notify_all()
         return ticket
+
+    def _check_appendable(self) -> None:
+        """Raise :class:`WALError` unless the log takes appends."""
+        if self._failure is not None:
+            raise self._poisoned()
+        if self._closed or self._file is None:
+            raise WALError(f"{self.path!r}: log is closed")
+
+    def _poisoned(self) -> WALError:
+        return WALError(
+            f"{self.path!r}: a group commit failed ({self._failure!r}); "
+            f"the log refuses every later append"
+        )
 
     def _next_record_fault(self) -> Optional[str]:
         nth = self._records_submitted
@@ -651,36 +650,27 @@ class WriteAheadLog:
     # -- the committer -------------------------------------------------
 
     def _committer_loop(self) -> None:
+        """Commit everything pending as one group, whenever free."""
         while True:
             with self._cond:
                 while not self._pending and not self._closed:
                     self._cond.wait()
                 if not self._pending:
                     return  # closed and drained
-                if not self._closed and not self._hurry:
-                    deadline = self._first_ts + self.group_window
-                    while (
-                        not self._closed
-                        and not self._hurry
-                        and self._pending_bytes < self.group_bytes
-                    ):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
-                batch = self._pending
-                self._pending = []
-                self._pending_bytes = 0
-                self._flushing = True
-            try:
-                with self._io_lock:
-                    self._commit_group(batch)
-            except Exception:
-                pass  # tickets already failed inside _commit_group
-            finally:
+            with self._io_lock:
+                # The batch is taken only once the disk is free, so it
+                # holds every record that arrived during the last fsync.
                 with self._cond:
-                    self._flushing = False
-                    self._cond.notify_all()
+                    batch, self._pending = self._pending, []
+                    self._flushing = True
+                try:
+                    self._commit_group(batch)
+                except Exception:
+                    pass  # tickets already failed inside _commit_group
+                finally:
+                    with self._cond:
+                        self._flushing = False
+                        self._cond.notify_all()
 
     def _commit_group(self, batch: List[_PendingRecord]) -> None:
         """Write + fsync one group, then resolve its tickets.
@@ -688,9 +678,12 @@ class WriteAheadLog:
         Caller holds ``_io_lock``.  The deterministic kill points live
         here: per-record ``pre-append``/``torn``/``post-fsync`` and the
         group-level ``mid-group`` (write to the midpoint, fsync, die —
-        a durable prefix nobody was ever acked for).
+        a durable prefix nobody was ever acked for).  On a poisoned log
+        the group fails without touching the file.
         """
         try:
+            if self._failure is not None:
+                raise self._poisoned()
             group_ordinal = self._groups
             mid_at = None
             if len(batch) and _armed_fault("mid-group", group_ordinal):
@@ -731,6 +724,9 @@ class WriteAheadLog:
             self._last_group_records = len(batch)
             size = self._size
         except BaseException as exc:
+            with self._cond:
+                if self._failure is None:
+                    self._failure = exc
             for entry in batch:
                 entry.ticket._fail(exc)
             raise
@@ -812,8 +808,7 @@ class WriteAheadLog:
         """
         self._drain()
         with self._io_lock:
-            if self._closed or self._file is None:
-                raise WALError(f"{self.path!r}: log is closed")
+            self._check_appendable()
             ckpt_ordinal = self._checkpoints
             self._checkpoints += 1
             self._file.flush()
@@ -849,14 +844,9 @@ class WriteAheadLog:
 
     def _drain(self) -> None:
         """Block until every submitted record's group has hit the disk."""
-        if self._committer is None:
-            return
         with self._cond:
-            self._hurry = True
-            self._cond.notify_all()
             while self._pending or self._flushing:
-                self._cond.wait(0.05)
-            self._hurry = False
+                self._cond.wait()
 
     # -- lifecycle -----------------------------------------------------
 

@@ -7,10 +7,12 @@ worker processes untouched; mutations follow the classic LSM discipline:
 
 1. **log** — the mutation is submitted to a segmented, group-commit
    :class:`~repro.io.wal.WriteAheadLog` bound to the served snapshot's
-   uid; the caller blocks (outside the mutation lock, so concurrent
-   mutators share one disk sync) until the group holding the record is
-   fsync'd, and only then is it acknowledged.  A crash at any instant
-   loses at most un-acked work.
+   uid; the caller blocks (outside the mutation lock) until the group
+   holding the record is fsync'd, and only then is it acknowledged.
+   The log's committer takes every record queued while the previous
+   fsync ran, so concurrent mutators share one disk sync with no
+   window to tune and a lone mutator never waits on a timer.  A crash
+   at any instant loses at most un-acked work.
 2. **apply** — an insert lands in an in-memory
    :class:`~repro.core.delta.DeltaIndex`; a delete lands in a tombstone
    set.  Queries answer from *snapshot + delta − tombstones*: the base
@@ -124,13 +126,8 @@ class MutableSnapshotServer(SnapshotServer):
     compact_wal_bytes:
         Also compact once the WAL's live segments exceed this many
         bytes (``0`` disables the byte trigger).
-    group_commit_ms:
-        Group-commit window: concurrent mutations submitted within this
-        many milliseconds share one WAL fsync.  ``0`` keeps the classic
-        synchronous one-fsync-per-mutation path.
-    group_bytes / segment_bytes:
-        Flush a group early once it holds this many bytes; rotate WAL
-        segments at this size.
+    segment_bytes:
+        Rotate WAL segments at this size (must be > 0).
 
     Mutations are acknowledged only after the WAL group holding them
     has been fsync'd: the id returned by :meth:`insert` (and the
@@ -145,8 +142,6 @@ class MutableSnapshotServer(SnapshotServer):
         wal_path: Optional[str] = None,
         compact_threshold: int = 4096,
         compact_wal_bytes: int = 64 << 20,
-        group_commit_ms: float = 2.0,
-        group_bytes: int = 1 << 20,
         segment_bytes: int = 4 << 20,
         **kwargs,
     ) -> None:
@@ -159,17 +154,15 @@ class MutableSnapshotServer(SnapshotServer):
             raise ValueError(
                 f"compact_wal_bytes must be >= 0, got {compact_wal_bytes}"
             )
-        if group_commit_ms < 0:
+        if segment_bytes <= 0:
             raise ValueError(
-                f"group_commit_ms must be >= 0, got {group_commit_ms}"
+                f"segment_bytes must be > 0, got {segment_bytes}"
             )
         self.wal_path = (
             os.fspath(wal_path) if wal_path is not None else self.path + ".wal"
         )
         self.compact_threshold = int(compact_threshold)
         self.compact_wal_bytes = int(compact_wal_bytes)
-        self.group_commit_ms = float(group_commit_ms)
-        self.group_bytes = int(group_bytes)
         self.segment_bytes = int(segment_bytes)
         #: Guards every mutable view: delta, tombstones, WAL handle,
         #: id counter, base-generation bookkeeping.
@@ -249,16 +242,11 @@ class MutableSnapshotServer(SnapshotServer):
         tombstones: set = set()
 
         rebound = False
-        wal_kwargs = dict(
-            group_window=self.group_commit_ms / 1000.0,
-            group_bytes=self.group_bytes,
-            segment_bytes=self.segment_bytes,
-        )
         if wal_present(self.wal_path):
             wal = WriteAheadLog.open(
                 self.wal_path,
                 accept_uids={uid, header.get("parent_uid")},
-                **wal_kwargs,
+                segment_bytes=self.segment_bytes,
             )
             next_id = max(next_id, wal.next_id)
             for record in wal.recovered:
@@ -283,7 +271,7 @@ class MutableSnapshotServer(SnapshotServer):
         else:
             wal = WriteAheadLog.create(
                 self.wal_path, snapshot_uid=uid, next_id=next_id,
-                **wal_kwargs,
+                segment_bytes=self.segment_bytes,
             )
 
         with self._mutation_lock:
@@ -314,8 +302,7 @@ class MutableSnapshotServer(SnapshotServer):
         The id is acknowledged only after the WAL group holding the
         record is fsync'd — a crash after the return can never lose the
         point.  The wait happens *outside* the mutation lock, so
-        concurrent inserts submitted within the group-commit window
-        share a single disk sync.
+        concurrent inserts queued behind one fsync share the next.
         """
         point = check_query(np.asarray(point, dtype=np.float64), self.dim)
         with self._mutation_lock:
@@ -625,7 +612,6 @@ class MutableSnapshotServer(SnapshotServer):
                 "wal_mean_group_records": wal_stats.get(
                     "mean_group_records", 0.0
                 ),
-                "group_commit_ms": self.group_commit_ms,
                 "snapshot_uid": self._snapshot_uid,
                 "compactions": self._compactions,
                 "last_compaction_uid": self._last_compaction_uid,

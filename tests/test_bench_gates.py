@@ -79,10 +79,11 @@ GOOD = {
         },
         "group_commit": {
             "speedup": 7.5,
-            "group_window_ms": 2.0,
+            "clients": 16,
             "fsync_delay_ms": 2.0,
-            "grouped_qps": 3000.0,
-            "ungrouped_qps": 400.0,
+            "concurrent_qps": 3000.0,
+            "serial_qps": 400.0,
+            "serial_mean_group_records": 1.0,
         },
     },
     "BENCH_http.smoke.json": {
@@ -185,8 +186,14 @@ BREAKS = [
      lambda r: r["group_commit"].update(speedup=1.2),
      "only x1.2"),
     ("BENCH_mutations.smoke.json",
-     lambda r: r["group_commit"].update(group_window_ms=0.5),
-     "0.5ms window"),
+     lambda r: r["group_commit"].update(fsync_delay_ms=0.5),
+     "0.5ms fsync"),
+    ("BENCH_mutations.smoke.json",
+     lambda r: r["group_commit"].update(clients=4),
+     "ran 4 concurrent writers"),
+    ("BENCH_mutations.smoke.json",
+     lambda r: r["group_commit"].update(serial_mean_group_records=1.5),
+     "not 1.0"),
     ("BENCH_http.smoke.json",
      lambda r: r["grid"]["2"]["4"].update(matches_inprocess=False),
      "window=2ms clients=4"),

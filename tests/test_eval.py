@@ -131,9 +131,7 @@ class TestMutableWorkload:
                   auto_initial_radius=True).fit(data),
             path,
         )
-        server = MutableSnapshotServer(
-            path, compact_threshold=0, group_commit_ms=2.0
-        )
+        server = MutableSnapshotServer(path, compact_threshold=0)
         server.start()
         try:
             trajectory = evaluate_mutable_workload(

@@ -9,18 +9,24 @@ refuses to replay onto a snapshot generation it was not written against.
 On top of the classic single-segment contract this file pins the
 segmented layout (rotation at ``segment_bytes``, replay across segment
 boundaries, checkpoint rolls deleting folded segments, stale-segment
-cleanup) and the group-commit path
-(concurrent appends sharing one fsync, acks only after the group's
-fsync, the ``mid-group`` and ``between-segment`` kill points).
+cleanup) and the windowless group-commit path (appends queued behind
+one fsync share the next, a lone writer pays one fsync per record, acks
+only after the group's fsync, a failed fsync poisons the log, the
+``mid-group`` and ``between-segment`` kill points).  Tests that need a
+multi-record group hold ``wal._io_lock`` while submitting — the
+committer takes its batch only once it holds that lock — or inject a
+slow fsync with ``REPRO_WAL_SLOW_FSYNC_MS``.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import multiprocessing
 import os
 import struct
 import threading
+import time
 from zlib import crc32
 
 import numpy as np
@@ -105,22 +111,32 @@ class TestRoundtrip:
             assert wal.parent_uid == "parent"
 
 
+def _wait_pending(wal, count, timeout=10.0):
+    """Block until ``count`` records sit in the committer's queue."""
+    deadline = time.monotonic() + timeout
+    while len(wal._pending) < count:
+        assert time.monotonic() < deadline, "submitters never queued"
+        time.sleep(0.001)
+
+
 class TestGroupCommit:
     def test_concurrent_appends_share_fsyncs(self, wal_path):
-        """Many mutators inside one window commit with far fewer groups
-        than records, and every one of them is durable afterwards."""
-        wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0",
-                                   group_window=0.005)
+        """Many mutators queued behind one fsync commit with far fewer
+        groups than records, and every one of them is durable afterwards."""
+        wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0")
         ids = list(range(48))
 
         def append(i):
             wal.append_insert(i, np.full(4, float(i)))
 
         threads = [threading.Thread(target=append, args=(i,)) for i in ids]
+        with wal._io_lock:  # the disk is "busy": every record queues
+            for t in threads:
+                t.start()
+            _wait_pending(wal, len(ids))
         for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+            t.join(timeout=30.0)
+            assert not t.is_alive()
         stats = wal.stats()
         wal.close()
         assert stats["records_committed"] == len(ids)
@@ -128,30 +144,107 @@ class TestGroupCommit:
         with WriteAheadLog.open(wal_path) as back:
             assert sorted(r.id for r in back.recovered) == ids
 
+    def test_stress_every_ack_is_durable_and_counted(self, wal_path):
+        """More writers than cores with a tiny switch interval: no record
+        is lost between the queue, the committer and the counters."""
+        import sys
+
+        wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0")
+        writers, per_writer = 8, 40
+        sizes = []
+
+        def append(worker):
+            for i in range(per_writer):
+                pid = worker * per_writer + i
+                sizes.append(wal.append_insert(pid, np.full(2, float(pid))))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=append, args=(w,))
+                       for w in range(writers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        stats, final_size = wal.stats(), wal.size_bytes
+        wal.close()
+        total = writers * per_writer
+        assert len(sizes) == total and max(sizes) == final_size
+        assert stats["records_committed"] == total
+        with WriteAheadLog.open(wal_path) as back:
+            assert sorted(r.id for r in back.recovered) == list(range(total))
+
+    def test_lone_writer_pays_one_fsync_per_record(self, wal_path):
+        """No window: a serial writer's record commits alone, at once."""
+        with WriteAheadLog.create(wal_path, snapshot_uid="gen0") as wal:
+            for i in range(5):
+                wal.append_insert(i, np.zeros(4))
+            stats = wal.stats()
+        assert stats["groups_committed"] == 5
+        assert stats["mean_group_records"] == 1.0
+
     def test_ticket_resolves_only_after_group_fsync(self, wal_path):
-        wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0",
-                                   group_window=0.05)
-        ticket = wal.submit_insert(0, np.zeros(4))
+        wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0")
+        with wal._io_lock:
+            ticket = wal.submit_insert(0, np.zeros(4))
+            with pytest.raises(WALError, match="timed out"):
+                ticket.wait(timeout=0.05)
         size = ticket.wait(timeout=5.0)
         assert ticket.done() and size == wal.size_bytes
         wal.close()
 
-    def test_group_bytes_flushes_before_the_window(self, wal_path):
-        """A byte-full batch must not sit out a long window."""
-        wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0",
-                                   group_window=30.0, group_bytes=64)
-        ticket = wal.submit_insert(0, np.zeros(16))  # > 64 bytes framed
-        ticket.wait(timeout=5.0)  # would hang for 30 s without the byte trip
-        wal.close()
-
-    def test_close_flushes_pending_groups(self, wal_path):
-        wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0",
-                                   group_window=30.0)
+    def test_close_flushes_pending_groups(self, wal_path, monkeypatch):
+        """Records queued behind an in-flight slow fsync are committed
+        by close(), not dropped."""
+        monkeypatch.setenv("REPRO_WAL_SLOW_FSYNC_MS", "50")
+        wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0")
         tickets = [wal.submit_insert(i, np.zeros(4)) for i in range(3)]
-        wal.close()  # must not wait out the 30 s window
+        wal.close()
         assert all(t.done() for t in tickets)
         with WriteAheadLog.open(wal_path) as back:
             assert [r.id for r in back.recovered] == [0, 1, 2]
+
+    def test_failed_fsync_poisons_the_log(self, wal_path, monkeypatch):
+        """fsyncgate: after one failed group fsync, nothing more is ever
+        acked — not the records queued behind it, not later appends,
+        not a checkpoint roll — because a retried fsync can succeed over
+        pages the kernel already dropped."""
+        wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0")
+        wal.append_insert(0, np.zeros(4))
+        real_fsync = os.fsync
+        entered, release = threading.Event(), threading.Event()
+
+        def failing_once(fd):
+            monkeypatch.setattr("repro.io.wal.os.fsync", real_fsync)
+            entered.set()
+            release.wait(5.0)
+            raise OSError(errno.EIO, "injected writeback error")
+
+        monkeypatch.setattr("repro.io.wal.os.fsync", failing_once)
+        failed = wal.submit_insert(1, np.ones(4))
+        assert entered.wait(5.0)  # record 1's group is inside its fsync
+        queued = wal.submit_insert(2, np.full(4, 2.0))
+        release.set()
+        with pytest.raises(OSError, match="injected writeback error"):
+            failed.wait(timeout=5.0)
+        with pytest.raises(WALError, match="injected writeback error"):
+            queued.wait(timeout=5.0)
+        with pytest.raises(WALError, match="injected writeback error"):
+            wal.append_insert(3, np.full(4, 3.0))
+        with pytest.raises(WALError, match="injected writeback error"):
+            wal.append_delete(0)
+        with pytest.raises(WALError, match="injected writeback error"):
+            wal.roll_checkpoint("gen1", parent_uid="gen0", next_id=4)
+        wal.close()
+        with WriteAheadLog.open(wal_path) as back:
+            ids = [r.id for r in back.recovered]
+        # The acked record survives; record 1 (written, never acked) may
+        # surface; nothing queued after the failure ever reached the log.
+        assert ids[:1] == [0] and set(ids) <= {0, 1}
 
 
 class TestSegments:
@@ -345,6 +438,22 @@ class TestRejection:
         with pytest.raises(WALError, match="corrupt WAL header"):
             WriteAheadLog.open(wal_path)
 
+    @pytest.mark.parametrize("segment_bytes", [0, -5])
+    def test_non_positive_segment_bytes_refused(self, wal_path,
+                                                segment_bytes):
+        """A segment size <= 0 is a typo, not a request to rotate on
+        every record: refused before anything on disk is touched."""
+        with WriteAheadLog.create(wal_path, snapshot_uid="gen0") as wal:
+            wal.append_insert(0, np.zeros(4))
+        with pytest.raises(ValueError, match="segment_bytes"):
+            WriteAheadLog.create(wal_path, snapshot_uid="gen1",
+                                 segment_bytes=segment_bytes)
+        with pytest.raises(ValueError, match="segment_bytes"):
+            WriteAheadLog.open(wal_path, segment_bytes=segment_bytes)
+        with WriteAheadLog.open(wal_path) as wal:
+            assert wal.snapshot_uid == "gen0"
+            assert [r.id for r in wal.recovered] == [0]
+
     def test_closed_log_refuses_appends(self, wal_path):
         wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0")
         wal.close()
@@ -372,10 +481,14 @@ def _append_under_fault(path, fault, count, conn):
 
 def _mid_group_driver(path, conn):
     """Submit one 4-record group; the armed fault kills the committer
-    after half the group is durable — before ANY ticket resolves."""
+    after half the group is durable — before ANY ticket resolves.
+    Holding the I/O lock while submitting keeps the committer from
+    taking a batch until all four records are queued."""
     os.environ["REPRO_WAL_FAULT"] = "mid-group:0"
-    wal = WriteAheadLog.create(path, snapshot_uid="gen0", group_window=0.2)
-    tickets = [wal.submit_insert(i, np.full(4, float(i))) for i in range(4)]
+    wal = WriteAheadLog.create(path, snapshot_uid="gen0")
+    with wal._io_lock:
+        tickets = [wal.submit_insert(i, np.full(4, float(i)))
+                   for i in range(4)]
     for i, ticket in enumerate(tickets):
         ticket.wait()
         conn.send(("acked", i))

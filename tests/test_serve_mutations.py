@@ -26,6 +26,7 @@ from repro import DBLSH
 from repro.data.generators import gaussian_mixture
 from repro.io import WALError, WriteAheadLog, read_header, save_index
 from repro.serve import MutableSnapshotServer
+from repro.serve.server import ServerError
 
 N, DIM = 400, 12
 PARAMS = dict(
@@ -283,17 +284,17 @@ class TestRecoveryGuards:
             server.close()
 
     def test_concurrent_inserts_share_group_fsyncs_and_recover(
-        self, snapshot, tmp_path
+        self, snapshot, tmp_path, monkeypatch
     ):
-        """Concurrent mutators inside the group-commit window amortize
-        fsyncs (groups < records) and every acked insert survives a
-        clean restart bit-exactly."""
+        """Concurrent mutators queued behind a (slow, injected) fsync
+        amortize fsyncs (groups < records) and every acked insert
+        survives a clean restart bit-exactly."""
         import threading
 
+        monkeypatch.setenv("REPRO_WAL_SLOW_FSYNC_MS", "20")
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(
-            snapshot, wal_path=wal, compact_threshold=0,
-            group_commit_ms=5.0, mp_context="fork",
+            snapshot, wal_path=wal, compact_threshold=0, mp_context="fork",
         )
         server.start()
         points = {i: np.full(DIM, 80.0 + 3.0 * i) for i in range(24)}
@@ -400,7 +401,7 @@ class TestAdaptiveCompaction:
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=100_000,
-            compact_wal_bytes=0, group_commit_ms=0.0, mp_context="fork",
+            compact_wal_bytes=0, mp_context="fork",
         )
         server.start()
         try:
@@ -422,8 +423,7 @@ class TestAdaptiveCompaction:
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=0,
-            compact_wal_bytes=1,
-            group_commit_ms=0.0, mp_context="fork",
+            compact_wal_bytes=1, mp_context="fork",
         )
         server.start()
         try:
@@ -434,3 +434,102 @@ class TestAdaptiveCompaction:
             assert server.status()["compactions"] == 0
         finally:
             server.close()
+
+
+# ----------------------------------------------------------------------
+# The misuse contract: one typed outcome per misuse, state untouched
+# ----------------------------------------------------------------------
+
+SMALL = 30  # rows in the misuse snapshot: deleting all of them is cheap
+DELETED = 3  # id already deleted before each misuse runs
+
+
+@pytest.fixture
+def misuse_server(tmp_path):
+    """A served 30-row snapshot with id 3 deleted, plus the path of a
+    snapshot of another dimensionality (the reload misuse)."""
+    path = str(tmp_path / "small.npz")
+    other = str(tmp_path / "other.npz")
+    save_index(DBLSH(**PARAMS).fit(
+        gaussian_mixture(SMALL, DIM, n_clusters=3, seed=0)), path)
+    save_index(DBLSH(**PARAMS).fit(
+        gaussian_mixture(SMALL, DIM - 7, n_clusters=3, seed=0)), other)
+    server = MutableSnapshotServer(
+        path, compact_threshold=0, mp_context="fork",
+    ).start()
+    try:
+        assert server.delete(DELETED) is True
+        yield server, other
+    finally:
+        server.close()
+
+
+def _observable(server):
+    info = server.status()
+    return (server.generation, info["live_points"], info["wal_bytes"],
+            info["next_id"], info["tombstones"], info["snapshot_uid"])
+
+
+#: misuse -> (call, expected): an exception type it must raise, or the
+#: value it must return.  Either way the served state must not change.
+MISUSES = {
+    "insert-wrong-dimension": (
+        lambda server, other: server.insert(np.zeros(DIM - 1)), ValueError),
+    "delete-unknown-id": (
+        lambda server, other: server.delete(SMALL + 5), ValueError),
+    "delete-repeated": (
+        lambda server, other: server.delete(DELETED), False),
+    "reload-mismatched-dimension": (
+        lambda server, other: server.reload(other), ServerError),
+    "k-above-live-count": (
+        lambda server, other: len(server.query(np.zeros(DIM),
+                                               k=SMALL + 10).ids),
+        SMALL - 1),
+}
+
+
+class TestMisuseContract:
+    @pytest.mark.parametrize("name", sorted(MISUSES))
+    def test_misuse_has_one_outcome_and_changes_nothing(self, misuse_server,
+                                                        name):
+        server, other = misuse_server
+        call, expected = MISUSES[name]
+        before = _observable(server)
+        if isinstance(expected, type) and issubclass(expected, Exception):
+            with pytest.raises(expected):
+                call(server, other)
+        else:
+            assert call(server, other) == expected
+        assert _observable(server) == before
+
+    def test_every_row_deleted_then_compacted_then_restarted(
+        self, misuse_server
+    ):
+        """Deleting every row leaves an empty (not broken) index: queries
+        answer [], compaction folds to an empty generation, and a
+        restart recovers zero live points."""
+        server, _ = misuse_server
+        for pid in range(SMALL):
+            server.delete(pid)
+        probe = np.zeros((2, DIM))
+        assert server.query(probe[0], k=5).ids == []
+        assert [r.ids for r in server.query_batch(probe, k=3)] == [[], []]
+
+        fold = server.compact()
+        assert fold["compacted"] and fold["folded_tombstones"] == SMALL
+        info = server.status()
+        assert info["live_points"] == 0 and info["tombstones"] == 0
+        assert server.query(probe[0], k=5).ids == []
+
+        path, wal = server.path, server.wal_path
+        server.close()
+        with MutableSnapshotServer(path, wal_path=wal, compact_threshold=0,
+                                   mp_context="fork") as back:
+            assert back.status()["live_points"] == 0
+            assert back.query(probe[0], k=5).ids == []
+
+    @pytest.mark.parametrize("segment_bytes", [0, -5])
+    def test_non_positive_segment_bytes_refused(self, snapshot,
+                                                segment_bytes):
+        with pytest.raises(ValueError, match="segment_bytes"):
+            MutableSnapshotServer(snapshot, segment_bytes=segment_bytes)

@@ -393,8 +393,9 @@ def _wal_victim(snapshot, wal, conn, fault_spec, mp_context) -> None:
     """Child: insert far-away points, acking each, until the WAL fault
     hook (armed via the inherited environment) kills the process.
 
-    ``mid-group`` inserts from concurrent threads under a wide commit
-    window so the dying flush group really holds several records;
+    ``mid-group`` inserts from concurrent threads behind a slow injected
+    fsync (``REPRO_WAL_SLOW_FSYNC_MS``), so records pile up while one
+    group syncs and the dying flush group really holds several;
     ``between-segment`` shrinks the segment size so the faulted
     rotation happens within a handful of inserts.  Either way an ack
     is sent only after the server acked the insert, so the parent's
@@ -409,7 +410,7 @@ def _wal_victim(snapshot, wal, conn, fault_spec, mp_context) -> None:
     if point == "between-segment":
         kwargs["segment_bytes"] = 256  # rotate every record or two
     if point == "mid-group":
-        kwargs["group_commit_ms"] = 25.0  # wide window: real groups
+        os.environ["REPRO_WAL_SLOW_FSYNC_MS"] = "25"  # slow sync: real groups
     with MutableSnapshotServer(snapshot, wal_path=wal,
                                mp_context=mp_context, **kwargs) as server:
         if point == "mid-group":
