@@ -7,8 +7,10 @@ one served snapshot it answers:
   server, where every ack is a WAL append + fsync (the durability
   price, dominated by the disk's sync latency, not by numpy).
 * **Delta-query overhead** — served query latency with the delta buffer
-  populated versus compacted away; the ratio is the live cost of the
-  brute-force delta sweep riding on every query.
+  and tombstones populated versus a read-only server on the same
+  snapshot before any mutation, as medians (and quartiles) of
+  interleaved repeats; the ratio is the live cost of the brute-force
+  delta sweep and the pending deletes riding on every query.
 * **Mutation parity** (CI-gated) — after a randomized insert/delete
   sequence, are the served answers identical — ids and distances — to a
   from-scratch refit on exactly the surviving rows?  And still
@@ -60,7 +62,10 @@ from helpers import budget_t  # noqa: E402
 from repro import DBLSH  # noqa: E402
 from repro.data.generators import gaussian_mixture  # noqa: E402
 from repro.io import save_index  # noqa: E402
-from repro.serve import MutableSnapshotServer  # noqa: E402
+from repro.serve import MutableSnapshotServer, SnapshotServer  # noqa: E402
+
+#: Interleaved repeats behind each delta-overhead timing (median + quartiles).
+TIMING_REPEATS = 7
 
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                            "BENCH_mutations.json")
@@ -119,8 +124,27 @@ def _parity(results, mapped_expected) -> bool:
     )
 
 
-def bench_mutations(server, data, extra, queries, k, t, n_delete):
-    """Insert throughput, randomized parity, delta overhead, compaction."""
+def _interleaved_ms(servers, queries, k):
+    """Per-query ms of each server's batch over ``TIMING_REPEATS`` rounds,
+    alternating which server goes first; one ``(median, q1, q3)`` each."""
+    samples = [[] for _ in servers]
+    for rep in range(TIMING_REPEATS):
+        order = list(range(len(servers)))
+        for i in order if rep % 2 == 0 else order[::-1]:
+            started = time.perf_counter()
+            servers[i].query_batch(queries, k=k)
+            samples[i].append((time.perf_counter() - started)
+                              / queries.shape[0] * 1e3)
+    return [tuple(float(v) for v in np.percentile(ms, [50, 25, 75]))
+            for ms in samples]
+
+
+def bench_mutations(server, frozen, data, extra, queries, k, t, n_delete):
+    """Insert throughput, randomized parity, delta overhead, compaction.
+
+    ``frozen`` is a read-only server on the same snapshot, never mutated:
+    the baseline the delta overhead is timed against.
+    """
     rng = np.random.default_rng(3)
     n = data.shape[0]
 
@@ -137,10 +161,9 @@ def bench_mutations(server, data, extra, queries, k, t, n_delete):
     expected = _refit_answers(everything, tombstones, queries, k, t)
 
     with_delta = server.query_batch(queries, k=k)
-    started = time.perf_counter()
-    server.query_batch(queries, k=k)
-    delta_query_seconds = time.perf_counter() - started
     parity_delta = _parity(with_delta, expected)
+    frozen.query_batch(queries, k=k)  # warm-up, like the parity pass above
+    before, delta_ms = _interleaved_ms([frozen, server], queries, k)
 
     started = time.perf_counter()
     fold = server.compact()
@@ -148,22 +171,21 @@ def bench_mutations(server, data, extra, queries, k, t, n_delete):
     assert fold["compacted"], "benchmark expected a non-empty fold"
 
     compacted = server.query_batch(queries, k=k)
-    started = time.perf_counter()
-    server.query_batch(queries, k=k)
-    frozen_query_seconds = time.perf_counter() - started
+    [compacted_ms] = _interleaved_ms([server], queries, k)
     parity_compacted = _parity(compacted, expected)
     answers_stable = _same_answers(with_delta, compacted)
 
-    m = queries.shape[0]
     row = {
         "acked_inserts": int(extra.shape[0]),
         "acked_deletes": len(acked_deletes),
         "inserts_per_second": round(extra.shape[0] / insert_seconds, 1),
-        "query_ms_with_delta": round(delta_query_seconds / m * 1e3, 4),
-        "query_ms_compacted": round(frozen_query_seconds / m * 1e3, 4),
-        "delta_overhead_ratio": round(
-            delta_query_seconds / max(frozen_query_seconds, 1e-9), 3
-        ),
+        "timing_repeats": TIMING_REPEATS,
+        "query_ms_before_mutation": round(before[0], 4),
+        "query_ms_before_mutation_quartiles": [round(v, 4) for v in before[1:]],
+        "query_ms_with_delta": round(delta_ms[0], 4),
+        "query_ms_with_delta_quartiles": [round(v, 4) for v in delta_ms[1:]],
+        "query_ms_compacted": round(compacted_ms[0], 4),
+        "delta_overhead_ratio": round(delta_ms[0] / max(before[0], 1e-9), 3),
         "compaction_seconds": round(compact_seconds, 3),
         "compaction_generation": fold["generation_uid"],
         "mutation_parity_vs_refit": bool(parity_delta),
@@ -360,8 +382,9 @@ def main(argv=None) -> int:
 
     with MutableSnapshotServer(snapshot_path, wal_path=wal_path,
                                compact_threshold=0,
-                               mp_context="fork") as server:
-        mutation_rows = bench_mutations(server, data, extra, queries,
+                               mp_context="fork") as server, \
+            SnapshotServer(snapshot_path, mp_context="fork") as frozen:
+        mutation_rows = bench_mutations(server, frozen, data, extra, queries,
                                         args.k, t, n_delete)
     recovery_rows = bench_recovery(
         snapshot_path, wal_path,

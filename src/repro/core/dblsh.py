@@ -72,6 +72,32 @@ _BACKENDS = ("rstar", "rstar-insert", "kdtree", "grid")
 #: a mid-stream radius stop and must be replayed candidate-by-candidate.
 _SLOW_PATH = object()
 
+#: Relative tolerance under which a GEMM-expanded squared distance is
+#: recomputed exactly: ``|x|^2 - 2 x.q + |q|^2`` cancels catastrophically
+#: when the distance is tiny relative to the norms (a self-query would
+#: come back ~1e-7 instead of 0).
+_RECOMPUTE_RTOL = 1e-7
+
+
+def _verify_distances(
+    candidates: np.ndarray, norms2: np.ndarray, query: np.ndarray, q_norm2: float
+) -> np.ndarray:
+    """Exact distances from ``query`` to ``candidates`` (one GEMV).
+
+    ``norms2`` holds the candidates' precomputed ``|x|^2``; the few
+    entries the expansion cannot resolve are recomputed directly.
+    """
+    dists = norms2 - 2.0 * (candidates @ query)
+    dists += q_norm2
+    np.maximum(dists, 0.0, out=dists)
+    suspect = dists < _RECOMPUTE_RTOL * (norms2 + q_norm2)
+    if suspect.any():
+        close = np.flatnonzero(suspect)
+        diff = candidates[close] - query
+        dists[close] = np.einsum("ij,ij->i", diff, diff)
+    np.sqrt(dists, out=dists)
+    return dists
+
 
 class DBLSH:
     """The DB-LSH index.
@@ -347,7 +373,7 @@ class DBLSH:
                 f"cannot delete id {int(bad)}: ids must be in [0, {self._n})"
             )
         before = len(self._tombstones)
-        self._tombstones.update(int(i) for i in ids)
+        self._tombstones.update(ids.tolist())
         newly = len(self._tombstones) - before
         if newly:
             self._tomb_cache = None
@@ -581,20 +607,7 @@ class DBLSH:
                 if fresh.shape[0] > remaining:
                     # Never compute distances the budget cannot verify.
                     fresh = fresh[:remaining]
-                candidates = data[fresh]
-                norms2_f = norms2[fresh]
-                dists = norms2_f - 2.0 * (candidates @ query)
-                dists += q_norm2
-                np.maximum(dists, 0.0, out=dists)
-                # The expansion cancels catastrophically when the distance
-                # is tiny relative to the norms (a self-query would come
-                # back ~1e-7 instead of 0); recompute those few exactly.
-                suspect = dists < 1e-7 * (norms2_f + q_norm2)
-                if suspect.any():
-                    close = np.flatnonzero(suspect)
-                    diff = candidates[close] - query
-                    dists[close] = np.einsum("ij,ij->i", diff, diff)
-                np.sqrt(dists, out=dists)
+                dists = _verify_distances(data[fresh], norms2[fresh], query, q_norm2)
                 stats.distance_computations += int(fresh.shape[0])
                 reason = self._consume_chunk(
                     fresh, dists, heap, cutoff, budget, stats, no_improve_box
@@ -637,17 +650,7 @@ class DBLSH:
             fresh = seen.fresh(delta_ids[start : start + 4096])
             if fresh.shape[0] == 0:
                 continue
-            candidates = data[fresh]
-            norms2_f = norms2[fresh]
-            dists = norms2_f - 2.0 * (candidates @ query)
-            dists += q_norm2
-            np.maximum(dists, 0.0, out=dists)
-            suspect = dists < 1e-7 * (norms2_f + q_norm2)
-            if suspect.any():
-                close = np.flatnonzero(suspect)
-                diff = candidates[close] - query
-                dists[close] = np.einsum("ij,ij->i", diff, diff)
-            np.sqrt(dists, out=dists)
+            dists = _verify_distances(data[fresh], norms2[fresh], query, q_norm2)
             stats.distance_computations += int(fresh.shape[0])
             retained = heap._heap  # [(-distance, id), ...]
             if len(retained) + fresh.shape[0] <= heap.k:

@@ -8,11 +8,12 @@ use (``|x|^2 - 2 x.q + |q|^2`` with the catastrophic-cancellation
 recompute), so a delta answer is exact and merges with the snapshot
 answer by plain ``(distance, id)`` order.
 
-Deletes never touch the buffer: they accumulate in a tombstone set that
-the merge planner (:func:`repro.core.plan.merge_live_results`) applies
-to the snapshot's answers, and :meth:`sweep` applies to its own — a
-deleted row simply stops being reportable, wherever it lives.  Rows are
-never renumbered; an id stays valid for the lifetime of the dataset.
+Deletes never touch the buffer: they accumulate in one sorted tombstone
+id array that the serving workers pre-mark as seen in the snapshot
+(``DBLSH.delete``) and that :meth:`DeltaView.sweep` excludes from its
+own rows — a deleted row simply stops being reportable, wherever it
+lives.  Rows are never renumbered; an id stays valid for the lifetime
+of the dataset.
 
 Thread-safety contract: :meth:`append` and :meth:`view` must be
 serialized by the caller (the mutation lock of
@@ -26,17 +27,14 @@ new snapshot generation) likewise reallocates rather than shifting.
 
 from __future__ import annotations
 
-from typing import Container, List, Optional
+from typing import Collection, List, Optional
 
 import numpy as np
 
+from repro.core.dblsh import _RECOMPUTE_RTOL
 from repro.core.result import Neighbor, QueryResult, QueryStats
 
 __all__ = ["DeltaIndex", "DeltaView"]
-
-#: Relative tolerance under which a GEMM-computed squared distance is
-#: recomputed exactly — same constant as the probe-round verification.
-_RECOMPUTE_RTOL = 1e-7
 
 
 class DeltaView:
@@ -59,7 +57,7 @@ class DeltaView:
         return self.ids.shape[0]
 
     def sweep(self, queries: np.ndarray, k: int,
-              exclude: Optional[Container[int]] = None) -> List[QueryResult]:
+              exclude: Optional[Collection[int]] = None) -> List[QueryResult]:
         """Exact top-``k`` of every query over the buffered rows.
 
         Parameters
@@ -69,9 +67,10 @@ class DeltaView:
         k:
             Neighbors per query.
         exclude:
-            Tombstoned ids; matching rows are skipped entirely (never
-            verified, never reported) — mirroring how the frozen engine
-            pre-marks tombstones as seen.
+            Tombstoned ids, ideally the sorted int64 array the serving
+            workers receive (any collection of ids works); matching rows
+            are skipped entirely (never verified, never reported) —
+            mirroring how the frozen engine pre-marks tombstones as seen.
 
         Returns
         -------
@@ -83,18 +82,14 @@ class DeltaView:
             it is not charged against any probe budget).
         """
         m = queries.shape[0]
-        if len(self) == 0:
+        ids, points, norms2 = self.ids, self.points, self.norms2
+        if exclude is not None and len(exclude):
+            if not isinstance(exclude, np.ndarray):
+                exclude = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+            keep = ~np.isin(ids, exclude)
+            ids, points, norms2 = ids[keep], points[keep], norms2[keep]
+        if ids.shape[0] == 0:
             return [QueryResult() for _ in range(m)]
-        keep = np.ones(len(self), dtype=bool)
-        if exclude is not None:
-            dropped = [i for i, pid in enumerate(self.ids) if int(pid) in exclude]
-            if dropped:
-                keep[dropped] = False
-        if not keep.any():
-            return [QueryResult() for _ in range(m)]
-        ids = self.ids[keep]
-        points = self.points[keep]
-        norms2 = self.norms2[keep]
 
         q_norms2 = np.einsum("ij,ij->i", queries, queries)
         d2 = q_norms2[:, None] - 2.0 * (queries @ points.T) + norms2[None, :]
@@ -110,15 +105,9 @@ class DeltaView:
         results: List[QueryResult] = []
         for qi in range(m):
             row = dists[qi]
-            if k < row.shape[0]:
-                top = np.argpartition(row, k - 1)[:k]
-            else:
-                top = np.arange(row.shape[0])
-            order = np.lexsort((ids[top], row[top]))
-            picked = top[order]
-            neighbors = [
-                Neighbor(int(ids[j]), float(row[j])) for j in picked
-            ]
+            top = np.argpartition(row, k - 1)[:k] if k < swept else np.arange(swept)
+            picked = top[np.lexsort((ids[top], row[top]))]
+            neighbors = [Neighbor(int(ids[j]), float(row[j])) for j in picked]
             stats = QueryStats(
                 candidates_verified=swept,
                 distance_computations=swept,
@@ -147,16 +136,7 @@ class DeltaIndex:
     def append(self, point_id: int, point: np.ndarray) -> None:
         """Buffer one inserted row (caller holds the mutation lock)."""
         if self._n == self._ids.shape[0]:
-            grown = self._ids.shape[0] * 2
-            # Reallocate instead of resizing in place: outstanding views
-            # keep the old arrays and stay consistent.
-            ids = np.zeros(grown, dtype=np.int64)
-            points = np.zeros((grown, self.dim), dtype=np.float64)
-            norms2 = np.zeros(grown, dtype=np.float64)
-            ids[: self._n] = self._ids[: self._n]
-            points[: self._n] = self._points[: self._n]
-            norms2[: self._n] = self._norms2[: self._n]
-            self._ids, self._points, self._norms2 = ids, points, norms2
+            self._reallocate(0, 2 * self._n)
         self._ids[self._n] = point_id
         self._points[self._n] = point
         self._norms2[self._n] = float(point @ point)
@@ -173,13 +153,10 @@ class DeltaIndex:
         the query engine read-only mapped arrays.)
         """
         n = self._n if upto is None else min(int(upto), self._n)
-        ids = self._ids[:n]
-        points = self._points[:n]
-        norms2 = self._norms2[:n]
-        ids.flags.writeable = False
-        points.flags.writeable = False
-        norms2.flags.writeable = False
-        return DeltaView(ids, points, norms2)
+        arrays = (self._ids[:n], self._points[:n], self._norms2[:n])
+        for array in arrays:
+            array.flags.writeable = False
+        return DeltaView(*arrays)
 
     def trim(self, folded: int) -> None:
         """Drop the first ``folded`` rows (now baked into a snapshot).
@@ -188,15 +165,21 @@ class DeltaIndex:
         their arrays; caller holds the mutation lock.
         """
         folded = max(0, min(int(folded), self._n))
-        if folded == 0:
-            return
-        remaining = self._n - folded
-        capacity = max(remaining, 256)
+        if folded:
+            self._reallocate(folded, max(self._n - folded, 256))
+
+    def _reallocate(self, start: int, capacity: int) -> None:
+        """Move rows ``[start, n)`` to fresh arrays of ``capacity`` rows.
+
+        Never resizes in place: outstanding views keep the old arrays
+        and stay consistent.
+        """
+        kept = self._n - start
         ids = np.zeros(capacity, dtype=np.int64)
         points = np.zeros((capacity, self.dim), dtype=np.float64)
         norms2 = np.zeros(capacity, dtype=np.float64)
-        ids[:remaining] = self._ids[folded:self._n]
-        points[:remaining] = self._points[folded:self._n]
-        norms2[:remaining] = self._norms2[folded:self._n]
+        ids[:kept] = self._ids[start:self._n]
+        points[:kept] = self._points[start:self._n]
+        norms2[:kept] = self._norms2[start:self._n]
         self._ids, self._points, self._norms2 = ids, points, norms2
-        self._n = remaining
+        self._n = kept

@@ -21,12 +21,15 @@ neighbor list is already ascending by ``(distance, id)``, so popping list
 heads from a heap of size S yields the global order while constructing
 only the ``k`` winners — no ``S * k`` intermediate neighbor objects and
 no full sort per query.
+
+No merge input ever holds a deleted id: the engine and the serving
+workers skip tombstoned rows (``DBLSH.delete``) before answering.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Container, List, Sequence
+from typing import List, Sequence
 
 from repro.core.result import Neighbor, QueryResult, QueryStats
 
@@ -144,21 +147,15 @@ def merge_shard_batches(
 def merge_live_results(
     base: QueryResult,
     delta: QueryResult,
-    dropped: Container[int],
     k: int,
 ) -> QueryResult:
-    """Fold a delta-buffer answer and the tombstone set into a base answer.
+    """Fold a delta-buffer answer into a base answer.
 
     The mutable-serving counterpart of :func:`merge_shard_results`: the
-    *base* answer comes from the frozen snapshot (over-fetched so that
-    tombstoned hits can be discarded without shrinking below ``k``), the
-    *delta* answer from the live append buffer — both ascending by
-    ``(distance, id)`` with **global** ids already.
-
-    ``dropped`` is the current tombstone membership (any container with
-    ``in``): matching ids are filtered from either list, because a base
-    snapshot generation predating a delete still reports the row.  Ids
-    are deduplicated keeping the first occurrence — during a compaction
+    *base* answer comes from the frozen snapshot, the *delta* answer
+    from the live append buffer — both already free of deleted rows and
+    ascending by ``(distance, id)`` with **global** ids.  Ids are
+    deduplicated keeping the first occurrence — during a compaction
     flip the new snapshot generation and the not-yet-trimmed delta briefly
     both hold the folded rows, and dedup is what makes that window
     harmless.
@@ -169,27 +166,14 @@ def merge_live_results(
     """
     merged: List[Neighbor] = []
     seen = set()
-    i = j = 0
-    base_nb, delta_nb = base.neighbors, delta.neighbors
-    while len(merged) < k and (i < len(base_nb) or j < len(delta_nb)):
-        if j >= len(delta_nb):
-            candidate, from_base = base_nb[i], True
-        elif i >= len(base_nb):
-            candidate, from_base = delta_nb[j], False
-        elif (base_nb[i].distance, base_nb[i].id) <= (
-            delta_nb[j].distance, delta_nb[j].id
-        ):
-            candidate, from_base = base_nb[i], True
-        else:
-            candidate, from_base = delta_nb[j], False
-        if from_base:
-            i += 1
-        else:
-            j += 1
-        if candidate.id in dropped or candidate.id in seen:
-            continue
-        seen.add(candidate.id)
-        merged.append(candidate)
+    # heapq.merge is stable: on equal (distance, id) the base entry wins.
+    for candidate in heapq.merge(base.neighbors, delta.neighbors,
+                                 key=lambda n: (n.distance, n.id)):
+        if len(merged) == k:
+            break
+        if candidate.id not in seen:
+            seen.add(candidate.id)
+            merged.append(candidate)
     stats = base.stats
     stats.candidates_verified += delta.stats.candidates_verified
     stats.distance_computations += delta.stats.distance_computations
@@ -199,7 +183,6 @@ def merge_live_results(
 def merge_live_batches(
     base_batch: Sequence[QueryResult],
     delta_batch: Sequence[QueryResult],
-    dropped: Container[int],
     k: int,
 ) -> List[QueryResult]:
     """Batch form of :func:`merge_live_results` (answers in query order)."""
@@ -209,6 +192,6 @@ def merge_live_batches(
             f"{len(delta_batch)} delta answers"
         )
     return [
-        merge_live_results(base, delta, dropped, k)
+        merge_live_results(base, delta, k)
         for base, delta in zip(base_batch, delta_batch)
     ]

@@ -15,10 +15,14 @@ worker processes untouched; mutations follow the classic LSM discipline:
    at any instant loses at most un-acked work.
 2. **apply** — an insert lands in an in-memory
    :class:`~repro.core.delta.DeltaIndex`; a delete lands in a tombstone
-   set.  Queries answer from *snapshot + delta − tombstones*: the base
-   answer is over-fetched by the live tombstone count, the delta buffer
-   is swept exactly, and :func:`repro.core.plan.merge_live_results`
-   folds the three together.
+   set.  Queries answer from *snapshot + delta − tombstones* with the
+   engine's one delete rule: every query block carries each worker its
+   shard's tombstones, which the worker hands to ``DBLSH.delete`` so
+   deleted rows are never verified nor charged to the ``2tL + k``
+   budget; the delta sweep skips the same ids; and
+   :func:`repro.core.plan.merge_live_results` folds the two answers
+   together.  Served answers after deletes therefore equal
+   ``load_index(path)`` + ``.delete(ids)`` + ``.query_batch``.
 3. **compact** — a background thread folds delta + tombstones into a
    fresh snapshot generation when the scheduler says so: pending
    mutation count (``compact_threshold``) or total WAL bytes
@@ -176,6 +180,9 @@ class MutableSnapshotServer(SnapshotServer):
         self._compact_lock = threading.Lock()
         self._delta: Optional[DeltaIndex] = None
         self._tombstones: set = set()
+        #: ``_tombstones`` as the sorted int64 array queries send the
+        #: workers; ``None`` after a change until the next query.
+        self._tomb_array: Optional[np.ndarray] = None
         self._baked: frozenset = frozenset()
         self._wal: Optional[WriteAheadLog] = None
         self._next_id = 0
@@ -277,6 +284,7 @@ class MutableSnapshotServer(SnapshotServer):
         with self._mutation_lock:
             self._delta = delta
             self._tombstones = tombstones
+            self._tomb_array = None
             self._baked = baked
             self._wal = wal
             self._next_id = max(next_id, base_rows)
@@ -314,18 +322,7 @@ class MutableSnapshotServer(SnapshotServer):
             self._next_id = point_id + 1
             ticket = self._wal.submit_insert(point_id, point)
             self._inflight += 1
-        try:
-            ticket.wait()  # group fsync before ack, lock not held
-        except BaseException:
-            with self._inflight_cond:
-                self._inflight -= 1
-                self._inflight_cond.notify_all()
-            raise
-        with self._inflight_cond:
-            self._delta.append(point_id, point)
-            self._inflight -= 1
-            self._inflight_cond.notify_all()
-        self._maybe_wake_compactor()
+        self._apply_when_durable(ticket, self._delta.append, point_id, point)
         return point_id
 
     def delete(self, point_id: int) -> bool:
@@ -348,19 +345,28 @@ class MutableSnapshotServer(SnapshotServer):
                 return False
             ticket = self._wal.submit_delete(point_id)
             self._inflight += 1
+        self._apply_when_durable(ticket, self._add_tombstone, point_id)
+        return True
+
+    def _add_tombstone(self, point_id: int) -> None:
+        self._tombstones.add(point_id)
+        self._tomb_array = None  # rebuilt by the next query
+
+    def _apply_when_durable(self, ticket, apply, *args) -> None:
+        """Wait for the record's group fsync (mutation lock not held),
+        then ``apply(*args)`` under the lock and drop the in-flight count
+        — also when the wait raises, in which case nothing is applied."""
+        durable = False
         try:
-            ticket.wait()  # group fsync before ack, lock not held
-        except BaseException:
+            ticket.wait()
+            durable = True
+        finally:
             with self._inflight_cond:
                 self._inflight -= 1
                 self._inflight_cond.notify_all()
-            raise
-        with self._inflight_cond:
-            self._tombstones.add(point_id)
-            self._inflight -= 1
-            self._inflight_cond.notify_all()
+                if durable:
+                    apply(*args)
         self._maybe_wake_compactor()
-        return True
 
     # ------------------------------------------------------------------
     # Queries: snapshot + delta - tombstones
@@ -368,30 +374,26 @@ class MutableSnapshotServer(SnapshotServer):
 
     def query_batch(self, queries: np.ndarray, k: int = 1, *,
                     timeout: Optional[float] = None) -> List[QueryResult]:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         queries = check_queries(queries, self.dim)
-        if queries.shape[0] == 0:
-            return []
+        # Capture the delta and tombstones *before* checking out a
+        # generation: a compaction flips the pool before it trims them,
+        # so this request can never pair trimmed state with the old pool.
         with self._mutation_lock:
+            if self._tomb_array is None:
+                self._tomb_array = np.array(sorted(self._tombstones), dtype=np.int64)
             delta_view = self._delta.view() if self._delta is not None else None
-            tombstones = set(self._tombstones)
-            base_rows = self._base_rows
-        if delta_view is None or (len(delta_view) == 0 and not tombstones):
-            return super().query_batch(queries, k, timeout=timeout)
-        # Over-fetch by the tombstones the frozen generation can still
-        # report (ids below its row count); the merge discards them
-        # without the answer shrinking below k.
-        base_k = k + sum(1 for t in tombstones if t < base_rows)
+            tombstones = self._tomb_array
         start = time.perf_counter()
-        base = super().query_batch(queries, base_k, timeout=timeout)
+        base = self._scatter_gather(queries, k, timeout, tombstones)
+        if not base or not delta_view:
+            return base
         sweep_start = time.perf_counter()
         delta = delta_view.sweep(queries, k, exclude=tombstones)
         sweep_end = time.perf_counter()
         self._observe_sweep_overhead(
             sweep_end - sweep_start, sweep_end - start
         )
-        return merge_live_batches(base, delta, tombstones, k)
+        return merge_live_batches(base, delta, k)
 
     def _observe_sweep_overhead(self, sweep: float, total: float) -> None:
         """Fold one query batch's delta-sweep share into the overhead EMA."""
@@ -494,10 +496,7 @@ class MutableSnapshotServer(SnapshotServer):
             index = load_index(self.path)
             if fold:
                 index.add(np.array(fold_view.points, copy=True))
-            if fold_tombs:
-                index.delete(np.fromiter(
-                    sorted(fold_tombs), dtype=np.int64, count=len(fold_tombs)
-                ))
+            index.delete(sorted(fold_tombs))
             new_uid = os.urandom(8).hex()
             if _armed_compact_fault("pre-snapshot-replace", ordinal):
                 os._exit(9)
@@ -529,6 +528,7 @@ class MutableSnapshotServer(SnapshotServer):
                 )
                 self._delta.trim(fold)
                 self._tombstones -= fold_tombs
+                self._tomb_array = None
                 self._baked = frozenset(self._baked | fold_tombs)
                 self._base_rows = self.num_points
                 self._snapshot_uid = new_uid

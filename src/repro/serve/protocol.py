@@ -4,8 +4,9 @@ Every message on a coordinator↔worker pipe is one picklable tuple whose
 first element is the message kind:
 
 ========================  =============================================
-coordinator → worker      ``("query", req_id, queries, k[, deadline])``,
-                          ``("ping", token)``, ``("shutdown",)``
+coordinator → worker      ``("query", req_id, queries, k, deadline,
+                          tombstones)``, ``("ping", token)``,
+                          ``("shutdown",)``
 worker → coordinator      ``("ready", num_points)``,
                           ``("ok", req_id, results)``,
                           ``("expired", req_id)``,
@@ -23,7 +24,7 @@ restarting a dead worker, so a stale answer from a surviving worker's
 abandoned attempt can be recognized and dropped instead of being
 mistaken for the retry's answer.
 
-``deadline``, when present and not ``None``, is the request's absolute
+``deadline``, when not ``None``, is the request's absolute
 ``time.monotonic()`` deadline — valid across processes on one host
 because ``CLOCK_MONOTONIC`` is host-wide.  A worker that picks up a
 query whose deadline has already passed answers ``("expired", req_id)``
@@ -32,6 +33,10 @@ instead of doing the work; the coordinator turns that into the typed
 
 ``queries`` is the validated float64 ``(m, d)`` block itself, pickled
 into each worker's pipe; the worker queries it as received.
+
+``tombstones`` is the shard's deleted rows as sorted **shard-local**
+int64 ids (``None`` from a read-only server); the worker applies them
+through ``DBLSH.delete`` before answering.
 
 Results cross the pipe as plain arrays (ids, distances, stats fields)
 rather than pickled result objects, so the wire format is stable against

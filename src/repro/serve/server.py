@@ -852,6 +852,12 @@ class SnapshotServer:
             If ``k < 1``, ``timeout <= 0``, or the query block does not
             match the snapshot's dimensionality.
         """
+        return self._scatter_gather(queries, k, timeout, None)
+
+    def _scatter_gather(self, queries: np.ndarray, k: int,
+                        timeout: Optional[float],
+                        tombstones: Optional[np.ndarray]) -> List[QueryResult]:
+        """:meth:`query_batch` skipping ``tombstones`` (sorted global ids)."""
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         deadline = None
@@ -871,7 +877,8 @@ class SnapshotServer:
                     f"dispatch (queue too deep for the deadline)"
                 )
             try:
-                results = self._dispatch(pool, queries, int(k), deadline)
+                results = self._dispatch(pool, queries, int(k), deadline,
+                                         tombstones)
             finally:
                 pool.dispatch.release()
         finally:
@@ -881,14 +888,25 @@ class SnapshotServer:
         return results
 
     def _dispatch(self, pool: _Pool, queries: np.ndarray, k: int,
-                  deadline: Optional[float] = None) -> List[QueryResult]:
+                  deadline: Optional[float],
+                  tombstones: Optional[np.ndarray]) -> List[QueryResult]:
         """Scatter-gather one block on ``pool``, supervising worker death.
 
         Caller holds ``pool.dispatch``.  Each attempt carries a fresh
         request id; stale answers from an abandoned attempt are discarded
         by id, so a re-scattered block cannot be answered twice.
+
+        ``tombstones`` is cut into shard-local slices with *this pool's*
+        offsets, so a concurrent :meth:`reload` cannot misroute one; ids
+        past the pool's last row (delta rows) go to no worker.
         """
         m = queries.shape[0]
+        offsets = pool.spec.offsets
+        slices = [None] * len(offsets)
+        if tombstones is not None:
+            cuts = np.searchsorted(tombstones, offsets + [pool.spec.num_points])
+            slices = [tombstones[lo:hi] - offset
+                      for lo, hi, offset in zip(cuts, cuts[1:], offsets)]
         for attempt in range(_ATTEMPTS):
             if deadline is not None and time.monotonic() >= deadline:
                 self._note_deadline()
@@ -902,7 +920,7 @@ class SnapshotServer:
                 for worker in pool.workers:
                     try:
                         worker.conn.send(("query", req_id, queries, k,
-                                          deadline))
+                                          deadline, slices[worker.shard]))
                     except (OSError, BrokenPipeError, ValueError) as exc:
                         worker.state = "dead"
                         raise _WorkerGone(

@@ -4,11 +4,11 @@
 :class:`~repro.serve.server.SnapshotServer` worker process.  It loads
 exactly one shard of the snapshot (:func:`repro.io.snapshot.load_shard`
 reads only that shard's archive members), reports readiness, and then
-answers ``("query", req_id, queries, k)`` requests over its pipe until
-told to shut down.  Every query and ping reply echoes the coordinator's
-request id, which is what lets the coordinator's supervision retry
-re-scatter a block after a worker death and discard any stale answer a
-surviving worker delivers late.
+answers ``("query", req_id, queries, k, deadline, tombstones)``
+requests over its pipe until told to shut down.  Every query and ping
+reply echoes the coordinator's request id, which is what lets the
+coordinator's supervision retry re-scatter a block after a worker death
+and discard any stale answer a surviving worker delivers late.
 
 Failure discipline: the worker never lets an exception escape the loop
 silently.  Startup failures and per-request failures are both reported
@@ -44,13 +44,18 @@ per supervision restart):
 The variable is read once at worker startup; production deployments
 simply never set it.
 
-Deadlines: a query message may carry a fifth element — the request's
+Deadlines: the fifth element of a query message is the request's
 absolute ``time.monotonic()`` deadline on the coordinator's clock.
 ``CLOCK_MONOTONIC`` is shared by all processes on the host, so the
 worker can compare directly: if the deadline has already passed when
 the message is picked up, it answers ``("expired", req_id)`` without
 touching the index — the coordinator has already given up on (or is
 about to give up on) the answer, so the GEMM would be pure waste heat.
+
+Deletes: ``tombstones`` (this shard's full set, ``None`` when read-only)
+goes to the idempotent ``DBLSH.delete`` before every answer, so deleted
+rows are skipped exactly as in process, and a revived worker catches up
+on its first query.
 """
 
 from __future__ import annotations
@@ -134,7 +139,7 @@ def serve_shard(path: str, shard: int, conn, peer=None, spawn: int = 0) -> None:
             if kind == "ping":
                 conn.send(("pong", message[1] if len(message) > 1 else None))
             elif kind == "query":
-                req_id = message[1]
+                _, req_id, queries, k, deadline, tombstones = message
                 if fault is not None:
                     fault_kind, arg = fault
                     fault = None  # one-shot: the next query serves normally
@@ -145,11 +150,12 @@ def serve_shard(path: str, shard: int, conn, peer=None, spawn: int = 0) -> None:
                     if fault_kind == "hang-on-query":
                         # Deterministic hang: the watchdog SIGKILLs us.
                         time.sleep(float(arg) if arg is not None else 3600.0)
-                deadline = message[4] if len(message) > 4 else None
                 if deadline is not None and time.monotonic() >= deadline:
                     conn.send(("expired", req_id))
                     continue
-                results = index.query_batch(message[2], k=int(message[3]))
+                if tombstones is not None:
+                    index.delete(tombstones)
+                results = index.query_batch(queries, k=int(k))
                 conn.send(("ok", req_id, [encode_result(r) for r in results]))
             else:
                 conn.send(("error", None, f"unknown message kind {kind!r}"))

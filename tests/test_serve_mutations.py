@@ -16,16 +16,18 @@ environment contracts of :mod:`repro.io.wal` and
 
 from __future__ import annotations
 
+import http.client
 import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-from repro import DBLSH
+from repro import DBLSH, ShardedDBLSH
+from repro.cli import _post_json
 from repro.data.generators import gaussian_mixture
-from repro.io import WALError, WriteAheadLog, read_header, save_index
-from repro.serve import MutableSnapshotServer
+from repro.io import WALError, WriteAheadLog, load_index, read_header, save_index
+from repro.serve import HttpGateway, MutableSnapshotServer
 from repro.serve.server import ServerError
 
 N, DIM = 400, 12
@@ -533,3 +535,93 @@ class TestMisuseContract:
                                                 segment_bytes):
         with pytest.raises(ValueError, match="segment_bytes"):
             MutableSnapshotServer(snapshot, segment_bytes=segment_bytes)
+
+
+# ----------------------------------------------------------------------
+# One delete rule: served answers equal the in-process engine's
+# ----------------------------------------------------------------------
+
+
+class TestServedDeleteParity:
+    """Workers skip deleted rows exactly as ``DBLSH.delete`` does in
+    process, so after deletes the mutable server — directly and through
+    the gateway — answers like ``load_index(path)`` + ``.delete(ids)`` +
+    ``.query_batch``: same ids, distances, verification work and stop
+    reason.  A server that widened its ask to ``k + deletes`` and
+    filtered afterwards would verify more candidates and fail here."""
+
+    K = 5
+
+    @pytest.fixture
+    def sharded(self, tmp_path, workload):
+        data, _ = workload
+        path = str(tmp_path / "sharded.npz")
+        index = ShardedDBLSH(shards=2, **PARAMS).fit(data)
+        save_index(index, path)
+        rng = np.random.default_rng(5)
+        edges = set()
+        for offset, shard in zip(index.shard_offsets, index.shard_indexes):
+            edges.update((offset, offset + shard.num_points - 1))  # first, last
+        doomed = sorted(edges | {int(i) for i in rng.choice(N, 24, replace=False)})
+        # Query at the deleted points themselves (each would be its own
+        # nearest neighbour) and at a few untouched ones.
+        queries = np.vstack([data[doomed], data[rng.choice(N, 6, replace=False)]])
+        return path, doomed, queries
+
+    @staticmethod
+    def _gateway_rows(server, queries, k):
+        with HttpGateway(server, batch_window=0.0) as gateway:
+            conn = http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
+            try:
+                status, body = _post_json(
+                    conn, "/query", {"queries": queries.tolist(), "k": k}
+                )
+            finally:
+                conn.close()
+        assert status == 200
+        return body["results"]
+
+    @pytest.mark.parametrize("fault", [None, "die-on-query:0:0"])
+    def test_deletes_served_like_in_process(self, sharded, tmp_path,
+                                            monkeypatch, fault):
+        path, doomed, queries = sharded
+        reference = load_index(path)
+        reference.delete(doomed)
+        expected = reference.query_batch(queries, k=self.K)
+        if fault is not None:
+            # Shard 0's first worker dies on its first query: the revived
+            # worker loads the snapshot without the deletes and must
+            # still honour them.
+            monkeypatch.setenv("REPRO_SERVE_FAULT", fault)
+        server = MutableSnapshotServer(
+            path, wal_path=str(tmp_path / "p.wal"), compact_threshold=0,
+            mp_context="fork",
+        ).start()
+        try:
+            for pid in doomed:
+                assert server.delete(pid) is True
+            served = server.query_batch(queries, k=self.K)
+            if fault is not None:
+                assert server.restarts_total == 1
+            assert [r.ids for r in served] == [r.ids for r in expected]
+            assert [r.distances for r in served] == [r.distances for r in expected]
+            assert [r.stats.candidates_verified for r in served] == [
+                r.stats.candidates_verified for r in expected
+            ]
+            assert [r.stats.terminated_by for r in served] == [
+                r.stats.terminated_by for r in expected
+            ]
+            rows = self._gateway_rows(server, queries, self.K)
+            assert [row["ids"] for row in rows] == [r.ids for r in expected]
+            assert [row["distances"] for row in rows] == [
+                r.distances for r in expected
+            ]
+
+            assert server.compact()["folded_tombstones"] == len(doomed)
+            gone = set(doomed)
+            for result in server.query_batch(queries, k=self.K):
+                assert not gone.intersection(result.ids)
+            for row in self._gateway_rows(server, queries, self.K):
+                assert not gone.intersection(row["ids"])
+        finally:
+            server.close()
