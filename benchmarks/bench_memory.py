@@ -1,7 +1,7 @@
 """Micro-benchmark: snapshot memory behavior (zero-copy, sharing, reload).
 
 Not a paper figure — this tracks the arena-snapshot subsystem
-(:mod:`repro.io.snapshot`, format v3) across PRs, the way
+(:mod:`repro.io.snapshot`, arena format v4) across PRs, the way
 ``BENCH_serve.json`` tracks QPS.  Four sections:
 
 * **zero_copy** — ``tracemalloc`` around ``load_index``: a mapped arena

@@ -24,7 +24,13 @@ Usage::
 
 The acceptance metric is ``speedup`` of the ``scaled_t`` regime (batch
 engine QPS over reference-loop QPS) with ``neighbors_identical`` true in
-both regimes.
+both regimes.  Each regime also records ``batch_invariant``: the engine
+answers the query set bit-identically (ids and distances) whether it is
+sent in blocks of 1, of 4 or all at once, which is the round loop's
+contract (a chunk's boundaries never depend on the other queries of its
+lockstep block).  ``exact_ms_per_query`` is the control every index has
+to beat: an exact scan of the same queries, one GEMM per block of
+queries (:func:`repro.data.groundtruth.exact_knn`).
 """
 
 from __future__ import annotations
@@ -61,6 +67,14 @@ def _median_seconds(fn, reps: int) -> float:
     return float(np.median(times))
 
 
+def _in_blocks(index, queries, k, size):
+    """The engine's answers with the queries sent ``size`` at a time."""
+    out = []
+    for start in range(0, queries.shape[0], size):
+        out.extend(index.query_batch(queries[start : start + size], k=k))
+    return out
+
+
 def bench_regime(data, queries, k, t, reps):
     """Measure one budget regime; returns a results dict."""
     index = DBLSH(c=1.5, l_spaces=5, k_per_space=10, t=t, seed=0,
@@ -76,6 +90,11 @@ def bench_regime(data, queries, k, t, reps):
     vectorized_results = index.query_batch(queries, k=k)
     identical = all(
         a.ids == b.ids for a, b in zip(reference_results, vectorized_results)
+    )
+    batch_invariant = all(
+        (a.ids, a.distances) == (b.ids, b.distances)
+        for size in (1, 4)
+        for a, b in zip(_in_blocks(index, queries, k, size), vectorized_results)
     )
 
     gt_ids, _ = exact_knn(queries, data, k)
@@ -102,6 +121,7 @@ def bench_regime(data, queries, k, t, reps):
         "recall_reference": round(rec_reference, 4),
         "recall_vectorized": round(rec_vectorized, 4),
         "neighbors_identical": bool(identical),
+        "batch_invariant": bool(batch_invariant),
         "mean_candidates": round(float(np.mean(
             [r.stats.candidates_verified for r in vectorized_results])), 1),
         "mean_rounds": round(float(np.mean(
@@ -152,12 +172,16 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "regimes": {},
     }
+    exact_s = _median_seconds(lambda: exact_knn(queries, data, args.k), reps)
+    report["exact_ms_per_query"] = round(exact_s / m * 1e3, 4)
+    print(f"  exact scan (blocked GEMM): {report['exact_ms_per_query']} ms/query")
     for name, t in [("fixed_t", 16), ("scaled_t", budget_t(n, l_spaces=5))]:
         regime = bench_regime(data, queries, args.k, t, reps)
         report["regimes"][name] = regime
         print(f"  {name:8s} (t={t}): reference {regime['qps_reference']} qps -> "
               f"vectorized {regime['qps_vectorized']} qps "
-              f"({regime['speedup']}x, identical={regime['neighbors_identical']})")
+              f"({regime['speedup']}x, identical={regime['neighbors_identical']}, "
+              f"batch_invariant={regime['batch_invariant']})")
     report["speedup"] = report["regimes"]["scaled_t"]["speedup"]
 
     with open(args.out, "w") as handle:

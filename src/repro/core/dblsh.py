@@ -25,19 +25,34 @@ The implementation keeps a per-query *seen set* so a point is verified at
 most once even though windows at successive radii nest; this matches the
 paper's accounting of "points accessed".
 
-Verification
-    The ``rstar`` backend traverses the frozen array form of the tree
-    (:class:`repro.index.flat.FlatRStarTree`, level-wise MBR masks instead
-    of per-node recursion); candidates are verified chunk-at-a-time with
-    precomputed squared norms and a single matmul per chunk, and the
-    per-query seen set is a generation-stamped scratch buffer
-    (:class:`repro.utils.scratch.GenerationMask`) reused across queries
-    instead of an O(n) allocation per query.  Chunk consumption emulates
-    the sequential per-candidate loop exactly (budget / radius / patience
-    stop at the same candidate boundary), so results match
+The round loop
+    Every query path — :meth:`DBLSH.query`, :meth:`DBLSH.query_batch`,
+    :meth:`DBLSH.range_query`, :class:`~repro.core.sharded.ShardedDBLSH`
+    and the serving workers — goes through one loop
+    (:meth:`DBLSH._search`).  It advances a block of up to ``_BLOCK``
+    queries in lockstep, one radius round at a time.  On the ``rstar``
+    backend the L frozen trees are stacked into one
+    :class:`~repro.index.flat.FlatRStarTree` forest, and one
+    ``window_scan`` enumerates every live (query, space) pair of the
+    round: one compare per tree level, one leaf-MBR test, and an eager
+    point test capped per pair from the query's own state at round start
+    (32 points when the radius stop is already due, else twice the
+    unverified budget); the rest of a window is scanned lazily.  The
+    ablation backends feed the same loop from their per-space
+    iterators.  Each query then consumes its spaces in order: the seen
+    filter (a generation-stamped :class:`~repro.utils.scratch.GenerationMask`
+    per lockstep slot, reused across queries), one GEMV per chunk with
+    precomputed squared norms, and heap consumption that emulates the
+    sequential per-candidate loop exactly (budget / radius / patience
+    stop at the same candidate boundary).  Results therefore match
     :func:`repro.core.reference.sequential_query` candidate-for-candidate
     (distances may differ in the last few ulps because the chunked path
     expands ``|x - q|^2 = |x|^2 - 2 x.q + |q|^2``).
+
+    A chunk's boundaries depend only on its query and the index, never
+    on the other queries of the block: the GEMV can round a row
+    differently depending on where it sits in the chunk, so this is what
+    keeps answers bit-identical across block sizes and entry points.
 """
 
 from __future__ import annotations
@@ -51,6 +66,7 @@ import numpy as np
 from repro.core.params import DBLSHParams, derive_parameters
 from repro.core.result import Neighbor, QueryResult, QueryStats
 from repro.hashing.compound import CompoundHasher
+from repro.index.flat import FlatRStarTree
 from repro.index.grid import GridIndex
 from repro.index.kdtree import KDTree
 from repro.index.rstar import RStarTree
@@ -67,6 +83,10 @@ from repro.utils.validation import (
 )
 
 _BACKENDS = ("rstar", "rstar-insert", "kdtree", "grid")
+
+#: Queries the round loop advances in lockstep; longer batches run in
+#: blocks of this many, each query with its own seen mask.
+_BLOCK = 16
 
 #: Sentinel returned by the chunk-merge fast path when the chunk contains
 #: a mid-stream radius stop and must be replayed candidate-by-candidate.
@@ -97,6 +117,23 @@ def _verify_distances(
         dists[close] = np.einsum("ij,ij->i", diff, diff)
     np.sqrt(dists, out=dists)
     return dists
+
+
+class _Slot:
+    """One in-flight query of the round loop (see :meth:`DBLSH._search`)."""
+
+    __slots__ = (
+        "query",
+        "q_proj",
+        "q_norm2",
+        "heap",
+        "budget",
+        "radius",
+        "no_improve",
+        "reason",
+        "stats",
+        "seen",
+    )
 
 
 class DBLSH:
@@ -172,7 +209,10 @@ class DBLSH:
         self.params: Optional[DBLSHParams] = None
         self.dim: int = 0
         self._hasher: Optional[CompoundHasher] = None
-        # One window-query structure per projected space (see _build_table).
+        # ``rstar``: the L frozen trees stacked into one forest, one root
+        # per space.  The ablation backends keep one structure per space
+        # in ``_tables`` instead (see _index_projections).
+        self._forest: Optional[FlatRStarTree] = None
         self._tables: list = []
         self._table_low: list = []
         self._table_high: list = []
@@ -193,8 +233,9 @@ class DBLSH:
         # against the budget, and never enter the heap.
         self._tombstones: set = set()
         self._tomb_cache: Optional[np.ndarray] = None
-        # One scratch mask per thread: reuse across queries without
-        # breaking concurrent query() calls from user threads.
+        # One list of seen masks (one per lockstep slot) per thread: reuse
+        # across queries without breaking concurrent query() calls from
+        # user threads.
         self._scratch_locals = threading.local()
         self.build_seconds: float = 0.0
         # Time spent constructing the per-space index structures by the
@@ -255,7 +296,11 @@ class DBLSH:
         here.
         """
         started = time.perf_counter()
-        self._tables = [self._build_table(proj) for proj in projections]
+        tables = [self._build_table(proj) for proj in projections]
+        if self.backend == "rstar":
+            self._forest, self._tables = FlatRStarTree.stack(tables), []
+        else:
+            self._forest, self._tables = None, tables
         self.table_build_seconds = time.perf_counter() - started
         self._table_low = [proj.min(axis=0) for proj in projections]
         self._table_high = [proj.max(axis=0) for proj in projections]
@@ -266,8 +311,9 @@ class DBLSH:
 
         ``rstar`` builds the frozen :class:`~repro.index.flat.FlatRStarTree`
         arrays straight from the points (byte-identical to freezing an
-        STR bulk-loaded :class:`RStarTree`); the ablation backends keep
-        their own structures.
+        STR bulk-loaded :class:`RStarTree`), which
+        :meth:`_index_projections` stacks into the forest; the ablation
+        backends keep their own structures.
         """
         if self.backend == "rstar":
             return build_flat_str(projected, max_entries=self.max_entries)
@@ -283,17 +329,21 @@ class DBLSH:
             return GridIndex(projected, cell_width=self.params.w0)
         raise AssertionError(f"unknown backend {self.backend!r}")
 
-    def _get_scratch(self) -> GenerationMask:
-        """This thread's reusable seen-set mask, sized to the buffer."""
+    def _get_scratch(self, count: int) -> List[GenerationMask]:
+        """This thread's first ``count`` reusable seen masks, sized to the buffer."""
         assert self._buffer is not None
-        mask: Optional[GenerationMask] = getattr(self._scratch_locals, "mask", None)
+        masks: Optional[List[GenerationMask]] = getattr(
+            self._scratch_locals, "masks", None
+        )
+        if masks is None:
+            masks = self._scratch_locals.masks = []
         capacity = self._buffer.shape[0]
-        if mask is None:
-            mask = GenerationMask(capacity)
-            self._scratch_locals.mask = mask
-        elif len(mask) < capacity:
-            mask.grow(capacity)
-        return mask
+        for mask in masks[:count]:
+            if len(mask) < capacity:
+                mask.grow(capacity)
+        while len(masks) < count:
+            masks.append(GenerationMask(capacity))
+        return masks[:count]
 
     def _estimate_initial_radius(self, data: np.ndarray) -> float:
         """Anchor the radius schedule two c-steps below the typical NN distance.
@@ -425,109 +475,240 @@ class DBLSH:
         assert self._hasher is not None
         query = check_query(query, self.dim)
         q_proj = self._hasher.project_query(query)
-        return self._query_one(query, q_proj, k, self._get_scratch())
+        return self._answer(query[None, :], q_proj[:, None, :], k)[0]
 
     def query_batch(self, queries: np.ndarray, k: int = 1) -> List[QueryResult]:
         """(c, k)-ANN for each row of ``queries``; returns a list of results.
 
-        A true batched path: all ``m * L * K`` hash evaluations happen in
-        one projection matmul (:meth:`CompoundHasher.project_queries`),
-        and the queries then run serially in input order over one reused
-        scratch buffer, matching sequential :meth:`query` calls
-        candidate-for-candidate.
+        All ``m * L * K`` hash evaluations happen in one projection
+        matmul (:meth:`CompoundHasher.project_queries`), and the round
+        loop then advances the queries in lockstep blocks, matching
+        sequential :meth:`query` calls candidate-for-candidate.
         """
         self._require_fitted()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         assert self._hasher is not None
         queries = check_queries(queries, self.dim)
-        m = queries.shape[0]
-        if m == 0:
+        if queries.shape[0] == 0:
             return []
-        q_projs = self._hasher.project_queries(queries)  # (L, m, K)
-        scratch = self._get_scratch()
-        return [
-            self._query_one(queries[j], q_projs[:, j, :], k, scratch) for j in range(m)
-        ]
+        return self._answer(queries, self._hasher.project_queries(queries), k)
 
     def range_query(self, query: np.ndarray, radius: float, k: int = 1) -> QueryResult:
         """A single (r, c)-NN query (Algorithm 1) at the given radius.
 
         Returns up to ``k`` points within ``c * radius`` of the query, or
-        an empty result when Algorithm 1 would return nothing.
+        an empty result when Algorithm 1 would return nothing.  This is
+        one round of the round loop, started at ``radius``.
         """
         self._require_fitted()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         check_positive("radius", radius)
         assert self.params is not None and self._hasher is not None
-        started = time.perf_counter()
         query = check_query(query, self.dim)
-        stats = QueryStats()
-        stats.rounds = 1
-        stats.final_radius = radius
         q_proj = self._hasher.project_query(query)
-        stats.hash_evaluations = self._hasher.num_functions
-
-        heap = BoundedMaxHeap(k)
-        budget = self.params.budget(k)
-        no_improve_box = [0]
-        scratch = self._get_scratch().begin()
-        q_norm2 = self._begin_query(query, heap, scratch, stats)
-        reason = self._probe_round(
-            query, q_proj, q_norm2, radius, heap, scratch, budget, stats, no_improve_box
-        )
-        stats.terminated_by = reason if reason is not None else "no_result"
-        stats.elapsed_seconds = time.perf_counter() - started
-
+        (slot,) = self._search(query[None, :], q_proj[:, None, :], k, radius=radius)
         # Algorithm 1 only *returns* points when a termination condition
         # fired; points farther than c*r found along the way are dropped.
-        if reason == "budget":
+        if slot.stats.terminated_by == "budget":
             # Budget exhaustion returns the current best found so far even
             # if beyond c*r (Lemma 2 shows that under E2 it cannot be).
-            return QueryResult.from_heap(heap, stats)
+            return QueryResult.from_heap(slot.heap, slot.stats)
         cutoff = self.params.c * radius
         neighbors = [
-            Neighbor(int(i), float(d)) for d, i in heap.items() if d <= cutoff
+            Neighbor(int(i), float(d)) for d, i in slot.heap.items() if d <= cutoff
         ]
-        return QueryResult(neighbors=neighbors, stats=stats)
+        return QueryResult(neighbors=neighbors, stats=slot.stats)
 
-    def _query_one(
+    # ------------------------------------------------------------------
+    # The round loop
+    # ------------------------------------------------------------------
+
+    def _answer(
+        self, queries: np.ndarray, q_projs: np.ndarray, k: int
+    ) -> List[QueryResult]:
+        """Results of :meth:`_search`; the entry point every query path shares."""
+        return [
+            QueryResult.from_heap(slot.heap, slot.stats)
+            for slot in self._search(queries, q_projs, k)
+        ]
+
+    def _search(
+        self,
+        queries: np.ndarray,
+        q_projs: np.ndarray,
+        k: int,
+        radius: Optional[float] = None,
+    ) -> List["_Slot"]:
+        """Run Algorithm 2 for every row of ``queries``; one slot per query.
+
+        ``q_projs`` is the ``(L, m, K)`` projection of the (validated)
+        queries.  The queries advance in lockstep blocks of ``_BLOCK``,
+        one radius round at a time (:meth:`_round`); a query leaves its
+        block when a stop fires or a window covers every point.  With
+        ``radius`` set, every query runs exactly one round at that radius
+        (Algorithm 1) and a round without a stop ends as ``"no_result"``.
+
+        Each slot's elapsed time is its block's wall time divided by the
+        block's size.
+        """
+        assert self.params is not None and self._hasher is not None
+        masks = self._get_scratch(min(queries.shape[0], _BLOCK))
+        slots: List[_Slot] = []
+        for start in range(0, queries.shape[0], _BLOCK):
+            started = time.perf_counter()
+            block = [
+                self._open_slot(queries[j], q_projs[:, j, :], k, mask, radius)
+                for j, mask in zip(range(start, start + _BLOCK), masks)
+                if j < queries.shape[0]
+            ]
+            live = block
+            while live:
+                self._round(live)
+                live = [slot for slot in live if self._next_round(slot, radius is None)]
+            share = (time.perf_counter() - started) / len(block)
+            for slot in block:
+                slot.stats.elapsed_seconds = share
+            slots.extend(block)
+        return slots
+
+    def _open_slot(
         self,
         query: np.ndarray,
         q_proj: np.ndarray,
         k: int,
-        scratch: GenerationMask,
-    ) -> QueryResult:
-        """Run Algorithm 2 for one (validated) query and its projections."""
-        assert self.params is not None
-        started = time.perf_counter()
-        stats = QueryStats()
-        stats.hash_evaluations = self._hasher.num_functions  # type: ignore[union-attr]
-        heap = BoundedMaxHeap(k)
-        budget = self.params.budget(k)
-        radius = self.initial_radius
-        # The no-improvement counter deliberately survives radius rounds;
-        # the box is shared with every probe round of this query.
-        no_improve_box = [0]
-        seen = scratch.begin()
-        q_norm2 = self._begin_query(query, heap, seen, stats)
-        while True:
-            stats.rounds += 1
-            stats.final_radius = radius
-            reason = self._probe_round(
-                query, q_proj, q_norm2, radius, heap, seen, budget, stats, no_improve_box
-            )
-            if reason is not None:
-                stats.terminated_by = reason
-                break
-            if self._window_covers_all(q_proj, self.params.w0 * radius):
-                stats.terminated_by = "exhausted"
-                break
-            radius *= self.c
+        mask: GenerationMask,
+        radius: Optional[float],
+    ) -> "_Slot":
+        """A fresh in-flight query: empty heap, reset seen set, delta swept."""
+        assert self.params is not None and self._hasher is not None
+        slot = _Slot()
+        slot.query = query
+        slot.q_proj = q_proj
+        slot.heap = BoundedMaxHeap(k)
+        slot.budget = self.params.budget(k)
+        slot.radius = self.initial_radius if radius is None else radius
+        # The no-improvement counter deliberately survives radius rounds.
+        slot.no_improve = 0
+        slot.reason = None
+        slot.stats = QueryStats()
+        slot.stats.hash_evaluations = self._hasher.num_functions
+        slot.seen = mask.begin()
+        slot.q_norm2 = self._begin_query(query, slot.heap, slot.seen, slot.stats)
+        return slot
 
-        stats.elapsed_seconds = time.perf_counter() - started
-        return QueryResult.from_heap(heap, stats)
+    def _next_round(self, slot: "_Slot", more_rounds: bool) -> bool:
+        """Settle ``slot`` after a round; True when it needs another one."""
+        assert self.params is not None
+        if slot.reason is not None:
+            slot.stats.terminated_by = slot.reason
+            return False
+        if not more_rounds:
+            slot.stats.terminated_by = "no_result"
+            return False
+        if self._window_covers_all(slot.q_proj, self.params.w0 * slot.radius):
+            slot.stats.terminated_by = "exhausted"
+            return False
+        slot.radius *= self.c
+        return True
+
+    def _round(self, live: List["_Slot"]) -> None:
+        """One (r, c)-NN pass over the L windows of every live query.
+
+        Enumeration runs for the whole block at once: on ``rstar`` one
+        :meth:`~repro.index.flat.FlatRStarTree.window_scan` covers every
+        (query, space) pair, with each pair's eager point test capped
+        from the query's own state at round start — 32 points when the
+        radius stop is already due, else twice the unverified budget.
+        The ablation backends hand in their per-space iterators.  Each
+        query then consumes its spaces in order (:meth:`_consume_round`).
+        """
+        assert self.params is not None
+        n_spaces = self.params.l_spaces
+        for slot in live:
+            slot.stats.rounds += 1
+            slot.stats.final_radius = slot.radius
+        if self._forest is not None:
+            half = np.repeat(
+                [self.params.w0 * slot.radius / 2.0 for slot in live], n_spaces
+            )[:, None]
+            centers = np.concatenate([slot.q_proj for slot in live])
+            caps = np.repeat([self._eager_cap(slot) for slot in live], n_spaces)
+            streams, tested = self._forest.window_scan(
+                np.tile(self._forest.roots, len(live)),
+                centers - half,
+                centers + half,
+                caps,
+            )
+            tested = tested.reshape(len(live), n_spaces).sum(axis=1).tolist()
+        else:
+            streams = []
+            for slot in live:
+                half = self.params.w0 * slot.radius / 2.0
+                streams.extend(
+                    table.window_query_iter(center - half, center + half)
+                    for table, center in zip(self._tables, slot.q_proj)
+                )
+            tested = [0] * len(live)
+        for j, slot in enumerate(live):
+            slot.stats.index_node_visits += tested[j]
+            slot.reason = self._consume_round(
+                slot, streams[j * n_spaces : (j + 1) * n_spaces]
+            )
+
+    def _eager_cap(self, slot: "_Slot") -> int:
+        """How many points of each window to point-test before consuming."""
+        assert self.params is not None
+        heap = slot.heap
+        if heap.full and heap.bound <= self.params.c * slot.radius:
+            # The radius stop fires at this round's first fresh candidate;
+            # don't gather a large chunk to find it.
+            return 32
+        # Chunks are trimmed by window membership and the seen filter, so
+        # aim a bit above the verifiable remainder.
+        return 2 * (slot.budget - slot.stats.candidates_verified)
+
+    def _consume_round(self, slot: "_Slot", streams) -> Optional[str]:
+        """Verify one query's window streams in space order.
+
+        Distances are computed per chunk as
+        ``sqrt(|x|^2 - 2 x.q + |q|^2)`` with the ``|x|^2`` terms
+        precomputed at fit time, and the budget / radius / patience
+        conditions are applied with exact-boundary trimming so the query
+        stops at the same candidate it would under the sequential loop.
+        Returns the termination reason (``"budget"``, ``"radius"``,
+        ``"patience"``) or ``None``.
+
+        Neighbors, ``candidates_verified``, rounds and termination reason
+        match :func:`repro.core.reference.sequential_query` exactly;
+        ``distance_computations`` may differ slightly because both charge
+        whole chunks and the chunk boundaries differ.
+        """
+        assert self.params is not None
+        cutoff = self.params.c * slot.radius
+        data = self.data
+        norms2 = self._norms2
+        assert data is not None and norms2 is not None
+        stats = slot.stats
+        for stream in streams:
+            stats.window_queries += 1
+            for chunk in stream:
+                fresh = slot.seen.fresh(chunk)
+                if fresh.shape[0] == 0:
+                    continue
+                remaining = slot.budget - stats.candidates_verified
+                if fresh.shape[0] > remaining:
+                    # Never compute distances the budget cannot verify.
+                    fresh = fresh[:remaining]
+                dists = _verify_distances(
+                    data[fresh], norms2[fresh], slot.query, slot.q_norm2
+                )
+                stats.distance_computations += int(fresh.shape[0])
+                reason = self._consume_chunk(slot, fresh, dists, cutoff)
+                if reason is not None:
+                    return reason
+        return None
 
     def _begin_query(
         self,
@@ -549,73 +730,6 @@ class DBLSH:
             self._sweep_delta(query, q_norm2, heap, seen, stats)
         return q_norm2
 
-    # ------------------------------------------------------------------
-    # Probe rounds (one (r, c)-NN pass over the L windows)
-    # ------------------------------------------------------------------
-
-    def _probe_round(
-        self,
-        query: np.ndarray,
-        q_proj: np.ndarray,
-        q_norm2: float,
-        radius: float,
-        heap: BoundedMaxHeap,
-        seen: GenerationMask,
-        budget: int,
-        stats: QueryStats,
-        no_improve_box: list,
-    ) -> Optional[str]:
-        """Vectorized probe round: chunk-at-a-time candidate verification.
-
-        Distances are computed per chunk as
-        ``sqrt(|x|^2 - 2 x.q + |q|^2)`` with the ``|x|^2`` terms
-        precomputed at fit time, and the budget / radius / patience
-        conditions are applied with exact-boundary trimming so the query
-        stops at the same candidate it would under the sequential loop.
-        Returns the termination reason (``"budget"``, ``"radius"``,
-        ``"patience"``) or ``None``.
-
-        Neighbors, ``candidates_verified``, rounds and termination reason
-        match :func:`repro.core.reference.sequential_query` exactly;
-        ``distance_computations`` may differ slightly because both charge
-        whole chunks and the chunk boundaries differ (unhinted traversal
-        chunks there, budget-trimmed spans here).
-        """
-        assert self.params is not None
-        width = self.params.w0 * radius
-        cutoff = self.params.c * radius
-        data = self.data
-        norms2 = self._norms2
-        assert data is not None and norms2 is not None
-        for i in range(len(self._tables)):
-            w_low = q_proj[i] - width / 2.0
-            w_high = q_proj[i] + width / 2.0
-            stats.window_queries += 1
-            if heap.full and heap.bound <= cutoff:
-                # The radius stop fires at this round's first fresh
-                # candidate; don't gather a large chunk to find it.
-                hint = 32
-            else:
-                # Chunks are trimmed by window membership and the seen
-                # filter, so aim a bit above the verifiable remainder.
-                hint = 2 * (budget - stats.candidates_verified)
-            for chunk in self._iter_window(i, w_low, w_high, hint):
-                fresh = seen.fresh(chunk)
-                if fresh.shape[0] == 0:
-                    continue
-                remaining = budget - stats.candidates_verified
-                if fresh.shape[0] > remaining:
-                    # Never compute distances the budget cannot verify.
-                    fresh = fresh[:remaining]
-                dists = _verify_distances(data[fresh], norms2[fresh], query, q_norm2)
-                stats.distance_computations += int(fresh.shape[0])
-                reason = self._consume_chunk(
-                    fresh, dists, heap, cutoff, budget, stats, no_improve_box
-                )
-                if reason is not None:
-                    return reason
-        return None
-
     def _sweep_delta(
         self,
         query: np.ndarray,
@@ -628,7 +742,7 @@ class DBLSH:
 
         The delta buffer has no traversal — its rows were never projected
         — so every query verifies all of it up front, with the same
-        chunked-GEMM distance evaluation as :meth:`_probe_round`
+        chunked-GEMM distance evaluation as :meth:`_consume_round`
         (precomputed ``|x|^2`` terms, catastrophic-cancellation rescue).
         Running the sweep *before* the probe rounds pre-charges the heap,
         which can only make the radius condition fire earlier.  The sweep
@@ -665,14 +779,7 @@ class DBLSH:
             heap.rebuild(all_d[sel].tolist(), all_i[sel].tolist())
 
     def _consume_chunk(
-        self,
-        ids: np.ndarray,
-        dists: np.ndarray,
-        heap: BoundedMaxHeap,
-        cutoff: float,
-        budget: int,
-        stats: QueryStats,
-        no_improve_box: list,
+        self, slot: "_Slot", ids: np.ndarray, dists: np.ndarray, cutoff: float
     ) -> Optional[str]:
         """Feed one verified chunk into the heap with sequential semantics.
 
@@ -681,7 +788,8 @@ class DBLSH:
         over runs of non-improving candidates with one vectorised
         comparison instead of one Python iteration each.
         """
-        no_improve = no_improve_box[0]
+        heap, budget, stats = slot.heap, slot.budget, slot.stats
+        no_improve = slot.no_improve
         patience = self.patience
         take = ids.shape[0]
         if patience is None and not (heap.full and heap.bound <= cutoff):
@@ -752,7 +860,7 @@ class DBLSH:
                         no_improve += gap
                         i = take
         stats.candidates_verified += i
-        no_improve_box[0] = no_improve
+        slot.no_improve = no_improve
         if stats.candidates_verified >= budget:
             # The sequential loop checks the budget before the other two
             # conditions, so exhaustion at the stop candidate wins.
@@ -812,22 +920,16 @@ class DBLSH:
         return None
 
     def _iter_window(
-        self,
-        i: int,
-        w_low: np.ndarray,
-        w_high: np.ndarray,
-        first_chunk: Optional[int] = None,
+        self, i: int, w_low: np.ndarray, w_high: np.ndarray
     ) -> Iterator[np.ndarray]:
-        """Stream candidate-id chunks of space ``i``'s window query.
+        """Stream candidate-id chunks of space ``i``'s window on its own.
 
-        ``first_chunk`` sizes the flat traversal's initial chunk (the
-        caller's remaining verification budget); the ablation backends
-        yield per-leaf (or per-cell) chunks and ignore it.
+        The per-space traversal the per-candidate reference loop
+        (:mod:`repro.core.reference`) walks; queries go through
+        :meth:`_round` instead.
         """
-        if self.backend == "rstar":
-            return self._tables[i].window_query_iter(
-                w_low, w_high, first_chunk=first_chunk
-            )
+        if self._forest is not None:
+            return self._forest.window_query_iter(w_low, w_high, root=i)
         return self._tables[i].window_query_iter(w_low, w_high)
 
     def _refresh_cover_bounds(self) -> None:
@@ -956,15 +1058,15 @@ class DBLSH:
         seed: SeedLike,
         table_low: np.ndarray,
         table_high: np.ndarray,
-        flats: Optional[list],
+        forest: Optional[FlatRStarTree],
         build_seconds: float = 0.0,
         tombstones: Optional[np.ndarray] = None,
         norms2: Optional[np.ndarray] = None,
     ) -> "DBLSH":
         """Reassemble a fitted index from snapshot state (no rebuild on ``rstar``).
 
-        ``flats`` carries the restored frozen traversals (or ``None`` for
-        backends that snapshot without them, whose tables are rebuilt
+        ``forest`` carries the restored stacked traversal (or ``None`` for
+        backends that snapshot without one, whose tables are rebuilt
         here from the projection tensor).  ``tombstones`` restores
         logically deleted row ids — the rows are physically present in
         ``data`` (ids never renumber) but excluded from every query.  ``norms2`` adopts precomputed
@@ -1000,12 +1102,14 @@ class DBLSH:
             n, c=c, w0=w0, t=t, k_per_space=k_per_space, l_spaces=l_spaces
         )
         index._hasher = CompoundHasher.from_tensor(tensor)
-        if flats is None:
+        if forest is None:
             index._index_projections(index._hasher.project_all(data))
-        elif len(flats) != l_spaces:
-            raise ValueError(f"expected {l_spaces} frozen tables, got {len(flats)}")
+        elif forest.roots.shape[0] != l_spaces:
+            raise ValueError(
+                f"expected {l_spaces} stacked trees, got {forest.roots.shape[0]}"
+            )
         else:
-            index._tables = list(flats)
+            index._forest = forest
         index._table_low = [np.asarray(row, dtype=np.float64) for row in table_low]
         index._table_high = [np.asarray(row, dtype=np.float64) for row in table_high]
         index._refresh_cover_bounds()

@@ -57,7 +57,7 @@ def sequential_query(index: DBLSH, query: np.ndarray, k: int = 1) -> QueryResult
     while True:
         stats.rounds += 1
         stats.final_radius = radius
-        reason, no_improve = _probe_round(
+        reason, no_improve = _reference_round(
             index, query, q_proj, radius, heap, seen, budget, stats, no_improve
         )
         if reason is not None:
@@ -71,7 +71,7 @@ def sequential_query(index: DBLSH, query: np.ndarray, k: int = 1) -> QueryResult
     return QueryResult.from_heap(heap, stats)
 
 
-def _probe_round(
+def _reference_round(
     index: DBLSH,
     query: np.ndarray,
     q_proj: np.ndarray,
@@ -87,7 +87,7 @@ def _probe_round(
     data = index.data
     width = index.params.w0 * radius
     cutoff = index.params.c * radius
-    for i in range(len(index._tables)):
+    for i in range(index.params.l_spaces):
         stats.window_queries += 1
         for chunk in index._iter_window(i, q_proj[i] - width / 2.0, q_proj[i] + width / 2.0):
             fresh = chunk[~seen[chunk]]

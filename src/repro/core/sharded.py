@@ -13,8 +13,9 @@ that:
   ``r`` contains exactly the points of the unsharded window that live in
   slice i, so the union of shard candidates equals the unsharded
   candidate set at every radius;
-* **query** / **query_batch** sweep the shards serially (reusing each
-  shard's vectorized probe rounds and generation-stamped scratch) and
+* **query** / **query_batch** sweep the shards serially (each shard runs
+  its round loop over the whole batch, the same path a serving
+  worker runs) and
   merge the per-shard top-k lists into a global top-k with an
   allocation-light k-way merge.  Per-shard probes are dominated by
   GIL-holding chunk bookkeeping, so threads would only contend; for
@@ -302,7 +303,7 @@ class ShardedDBLSH:
         # One projection serves all shards (identical tensors by seed).
         q_proj = self._shards[0]._hasher.project_query(query)  # type: ignore[union-attr]
         results = [
-            shard._query_one(query, q_proj, k, shard._get_scratch())
+            shard._answer(query[None, :], q_proj[:, None, :], k)[0]
             for shard in self._shards
         ]
         return merge_shard_results(
@@ -362,15 +363,7 @@ class ShardedDBLSH:
         started = time.perf_counter()
         q_projs = self._shards[0]._hasher.project_queries(queries)  # type: ignore[union-attr]
 
-        per_shard = []
-        for shard in self._shards:
-            scratch = shard._get_scratch()
-            per_shard.append(
-                [
-                    shard._query_one(queries[j], q_projs[:, j, :], k, scratch)
-                    for j in range(m)
-                ]
-            )
+        per_shard = [shard._answer(queries, q_projs, k) for shard in self._shards]
         elapsed = time.perf_counter() - started
         return merge_shard_batches(
             per_shard,

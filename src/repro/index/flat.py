@@ -1,34 +1,46 @@
-"""Flattened, array-backed traversal form of the R*-tree.
+"""Flattened, array-backed traversal form of the R*-tree, one or many roots.
 
 The pointer-chasing :class:`~repro.index.rstar.RStarTree` traversal costs
 one Python iteration (plus several small numpy calls) per node — for the
 window queries DB-LSH issues at every radius, interpreter overhead
-dominates the geometry.  :class:`FlatRStarTree` freezes a built tree into
-contiguous arrays and answers the same window queries with one vectorised
-mask per *level* instead of per node:
+dominates the geometry.  :class:`FlatRStarTree` freezes built trees into
+contiguous arrays and answers window queries with one vectorised mask per
+*level* instead of per node:
 
-* each internal level stores its nodes' MBRs as stacked ``low`` / ``high``
-  matrices plus a CSR-style ``child_start`` / ``child_end`` pair mapping a
+* each internal level stores its nodes' MBRs as stacked ``[low, -high]``
+  rows plus a CSR-style ``child_start`` / ``child_end`` pair mapping a
   node to the contiguous block of its children on the next level (the
   nodes are laid out in BFS order, which makes every child block
   contiguous);
 * the leaf level stores stacked leaf MBRs, a ``leaf_ptr`` offset array,
-  and the concatenated per-leaf id / coordinate arrays.
+  and the concatenated per-leaf id / ``[x, -x]`` coordinate arrays.
 
-``window_query_iter`` descends level-by-level — intersect the frontier's
-MBRs against the window in one vectorised comparison, expand the
-surviving nodes' child ranges, repeat — then lazily yields the matching
-ids of the surviving leaves in chunks.  Laziness preserves the
-incremental-generator contract Algorithm 1 needs: a caller that stops
-after ``2tL + k`` verified candidates never pays for the remaining leaf
-scans (the level-wise internal descent is eager, but internal nodes are a
-~1/M fraction of the tree).
+**A forest.**  :meth:`FlatRStarTree.stack` concatenates equal-height trees
+level by level into *one* set of arrays with one entry of ``roots`` per
+tree — DB-LSH stacks its L projected spaces this way.  Every traversal
+starts from a root, so a single tree is simply a forest of one.
+
+Two ways to traverse:
+
+* :meth:`FlatRStarTree.window_scan` answers many (root, window) *pairs*
+  at once — DB-LSH's round loop passes every (query, space) pair of a
+  radius round.  One compare per internal level tests every frontier
+  (pair, node), child blocks expand with one :func:`concat_ranges`, and
+  one compare tests every candidate leaf of every pair.  The point test
+  then runs eagerly for each pair's leaves up to that pair's ``cap``
+  points; the remaining leaves are scanned lazily, per pair, in chunks
+  that double from ``2 * cap`` up to ``chunk_points``.
+* :meth:`FlatRStarTree.window_query_iter` streams one root's window —
+  a one-pair ``window_scan`` — for the per-candidate reference loop and
+  the tests.
 
 Chunks enumerate candidates in exactly the order the pointer-based
 ``RStarTree.window_query_iter`` produces them (its explicit stack visits
-children last-to-first, i.e. descending BFS order), so the two traversals
-are drop-in interchangeable even where candidate *order* matters —
-budget-truncated queries return identical results on either path.
+children last-to-first, i.e. descending BFS order), so the traversals are
+drop-in interchangeable even where candidate *order* matters —
+budget-truncated queries return identical results on either path.  A
+pair's chunk boundaries depend only on its root, its window and its cap,
+never on the other pairs scanned with it.
 
 The freeze is traversal-only: the source tree remains the mutable,
 insertable structure, and must be re-frozen after updates (see
@@ -37,17 +49,19 @@ insertable structure, and must be re-frozen after updates (see
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.index.rstar import RStarTree, RTreeStats
+from repro.index.rstar import RStarTree
 
 #: Maximum number of points per yielded chunk (merged across leaves).
 DEFAULT_CHUNK_POINTS = 4096
 
-#: First-chunk target; subsequent chunks double up to ``chunk_points``.
-_INITIAL_CHUNK_POINTS = 256
+#: Rows per slice of the eager point test: the gathered coordinates and
+#: windows of one slice stay cache-resident and small (a whole round's
+#: points in one pass took 4x longer on the pinned benchmark shape).
+_POINT_TEST_ROWS = 4096
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -66,8 +80,35 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.repeat(shifts, counts) + np.arange(total, dtype=np.int64)
 
 
+def rows_all(mask: np.ndarray) -> np.ndarray:
+    """``mask.all(axis=1)`` of a C-contiguous bool matrix, several times faster.
+
+    numpy reduces a short last axis one row at a time; viewing each row's
+    bytes as a few wide words (bools are stored as 0/1 bytes) turns the
+    test into a handful of whole-column ANDs.  The ``[low, -high]`` and
+    ``[x, -x]`` rows here always have an even width, so at worst the
+    words are 2 bytes.
+    """
+    width = mask.shape[1]
+    size = next((s for s in (8, 4, 2) if width % s == 0), 0)
+    if size == 0:
+        return mask.all(axis=1)
+    words = mask.view(np.dtype(f"<u{size}"))
+    acc = words[:, 0].copy()
+    for j in range(1, words.shape[1]):
+        acc &= words[:, j]
+    return acc == int.from_bytes(b"\x01" * size, "little")
+
+
+def _segments(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """CSR bounds of ``keys`` sorted ascending over ``0 .. n_keys-1``."""
+    return np.concatenate(
+        ([np.int64(0)], np.cumsum(np.bincount(keys, minlength=n_keys)))
+    )
+
+
 class FlatRStarTree:
-    """Frozen array-backed form of a built :class:`RStarTree`.
+    """Frozen array-backed form of built :class:`RStarTree` (one or more roots).
 
     Supports the read-only query surface (window queries, id enumeration);
     mutation stays on the source tree.
@@ -77,7 +118,7 @@ class FlatRStarTree:
         "dim",
         "count",
         "height",
-        "stats",
+        "roots",
         "_levels",
         "leaf_ptr",
         "leaf_ids",
@@ -93,7 +134,7 @@ class FlatRStarTree:
         self.count = tree.count
         self.height = tree.height
         self.chunk_points = int(chunk_points)
-        self.stats = RTreeStats()
+        self.roots = np.zeros(1, dtype=np.int64)
 
         # BFS flattening: children of consecutive parents land consecutively,
         # so each parent's child block is a contiguous [start, end) range.
@@ -108,7 +149,7 @@ class FlatRStarTree:
             ends = np.cumsum(counts)
             starts = ends - counts
             # ``[low, -high]`` side by side: the two-sided intersection
-            # test becomes a single compare-and-reduce (see _window_cat).
+            # test becomes a single compare-and-reduce (see window_scan).
             levels.append((np.hstack([lows, -highs]), starts, ends))
             nodes = [child for nd in nodes for child in nd.children]
         self._levels = levels
@@ -146,16 +187,75 @@ class FlatRStarTree:
         return -self._leaf_cat[:, self.dim :]
 
     # ------------------------------------------------------------------
-    # Serialization
+    # Construction from arrays
     # ------------------------------------------------------------------
+
+    @classmethod
+    def stack(cls, trees: Sequence["FlatRStarTree"]) -> "FlatRStarTree":
+        """One forest holding ``trees`` side by side, one root per tree.
+
+        Level ``j`` of the forest is level ``j`` of every tree in turn,
+        child ranges and leaf pointers shifted by the rows of the trees
+        before; ``roots[i]`` is tree ``i``'s root.  The trees must share
+        ``dim``, ``height`` and ``chunk_points`` — STR packing gives every
+        space of a DB-LSH index the same shape, because the shape depends
+        only on the point count and the node capacity.
+        """
+        if not trees:
+            raise ValueError("cannot stack an empty list of trees")
+        first = trees[0]
+        for tree in trees[1:]:
+            if (tree.dim, tree.height, tree.chunk_points) != (
+                first.dim,
+                first.height,
+                first.chunk_points,
+            ):
+                raise ValueError(
+                    "stacked trees must share dim, height and chunk_points"
+                )
+        n_levels = len(first._levels)
+        # Row offsets of each tree on every level (internal levels, then leaves).
+        sizes = [
+            [t._levels[j][0].shape[0] for t in trees] for j in range(n_levels)
+        ] + [[t.num_leaves for t in trees]]
+        offsets = [np.concatenate(([0], np.cumsum(row)[:-1])) for row in sizes]
+        levels = []
+        for j in range(n_levels):
+            below = offsets[j + 1]
+            levels.append(
+                (
+                    np.concatenate([t._levels[j][0] for t in trees]),
+                    np.concatenate([t._levels[j][1] + below[i] for i, t in enumerate(trees)]),
+                    np.concatenate([t._levels[j][2] + below[i] for i, t in enumerate(trees)]),
+                )
+            )
+        points = np.concatenate(([0], np.cumsum([t.leaf_ptr[-1] for t in trees])))
+        leaf_ptr = np.concatenate(
+            [t.leaf_ptr[:-1] + points[i] for i, t in enumerate(trees)]
+            + [np.array([points[-1]], dtype=np.int64)]
+        )
+        return cls.from_build(
+            dim=first.dim,
+            count=sum(t.count for t in trees),
+            height=first.height,
+            levels=levels,
+            leaf_ptr=leaf_ptr.astype(np.int64),
+            leaf_ids=np.concatenate([t.leaf_ids for t in trees]),
+            leaf_cat=np.concatenate([t._leaf_cat for t in trees]),
+            coords_cat=np.concatenate([t._coords_cat for t in trees]),
+            chunk_points=first.chunk_points,
+            roots=np.concatenate(
+                [t.roots + offsets[0][i] for i, t in enumerate(trees)]
+            ).astype(np.int64),
+        )
 
     def to_arrays(self) -> Dict[str, np.ndarray]:
         """The frozen traversal as a flat dict of numpy arrays.
 
-        Everything needed to answer window queries is captured:
-        per-internal-level ``[low, -high]`` matrices and CSR child ranges,
-        the leaf MBRs, pointers, ids and the pre-mirrored ``[x, -x]``
-        coordinates (``coords_cat``) the engine scans, so
+        Everything needed to answer window queries is captured: the
+        roots, per-internal-level ``[low, -high]`` matrices and CSR child
+        ranges, the leaf MBRs, pointers, ids and the pre-mirrored
+        ``[x, -x]`` coordinates (``coords_cat``) the engine scans, so
         :meth:`from_arrays` adopts every member without a copy.  Scalar
         shape metadata rides along as a small int64 ``meta`` array.
         """
@@ -164,6 +264,7 @@ class FlatRStarTree:
                 [self.dim, self.count, self.height, self.chunk_points, len(self._levels)],
                 dtype=np.int64,
             ),
+            "roots": self.roots,
             "leaf_ptr": self.leaf_ptr,
             "leaf_ids": self.leaf_ids,
             "leaf_cat": self._leaf_cat,
@@ -188,15 +289,17 @@ class FlatRStarTree:
         leaf_cat: np.ndarray,
         coords_cat: np.ndarray,
         chunk_points: int = DEFAULT_CHUNK_POINTS,
+        roots: np.ndarray | None = None,
     ) -> "FlatRStarTree":
         """Adopt arrays produced by an array-native builder (no tree walk).
 
         ``levels`` is the root-first ``(cat, child_start, child_end)``
         list, ``leaf_cat`` the stacked ``[low, -high]`` leaf MBRs and
         ``coords_cat`` the concatenated per-leaf coordinates already in
-        ``[x, -x]`` mirrored form.  Used by
-        :func:`repro.index.str_build.build_flat_str`, which constructs
-        these arrays straight from the points being packed.
+        ``[x, -x]`` mirrored form.  ``roots`` defaults to the single root
+        ``0``.  Used by :func:`repro.index.str_build.build_flat_str`,
+        which constructs these arrays straight from the points being
+        packed, and by :meth:`stack`.
         """
         if chunk_points < 1:
             raise ValueError(f"chunk_points must be >= 1, got {chunk_points}")
@@ -205,7 +308,7 @@ class FlatRStarTree:
         flat.count = int(count)
         flat.height = int(height)
         flat.chunk_points = int(chunk_points)
-        flat.stats = RTreeStats()
+        flat.roots = np.zeros(1, dtype=np.int64) if roots is None else roots
         flat._levels = list(levels)
         flat.leaf_ptr = leaf_ptr
         flat.leaf_ids = leaf_ids
@@ -225,104 +328,161 @@ class FlatRStarTree:
         if meta.shape[0] != 5:
             raise ValueError("flat-tree meta must have 5 entries")
         dim, count, height, chunk_points, n_levels = (int(v) for v in meta)
-        flat = cls.__new__(cls)
-        flat.dim = dim
-        flat.count = count
-        flat.height = height
-        flat.chunk_points = max(1, chunk_points)
-        flat.stats = RTreeStats()
-        flat._levels = [
-            (
-                np.ascontiguousarray(arrays[f"level{j}_cat"], dtype=np.float64),
-                np.ascontiguousarray(arrays[f"level{j}_start"], dtype=np.int64),
-                np.ascontiguousarray(arrays[f"level{j}_end"], dtype=np.int64),
-            )
-            for j in range(n_levels)
-        ]
-        flat.leaf_ptr = np.ascontiguousarray(arrays["leaf_ptr"], dtype=np.int64)
-        flat.leaf_ids = np.ascontiguousarray(arrays["leaf_ids"], dtype=np.int64)
-        flat._leaf_cat = np.ascontiguousarray(arrays["leaf_cat"], dtype=np.float64)
-        flat._coords_cat = np.ascontiguousarray(arrays["coords_cat"], dtype=np.float64)
-        return flat
+        return cls.from_build(
+            dim=dim,
+            count=count,
+            height=height,
+            levels=[
+                (
+                    np.ascontiguousarray(arrays[f"level{j}_cat"], dtype=np.float64),
+                    np.ascontiguousarray(arrays[f"level{j}_start"], dtype=np.int64),
+                    np.ascontiguousarray(arrays[f"level{j}_end"], dtype=np.int64),
+                )
+                for j in range(n_levels)
+            ],
+            leaf_ptr=np.ascontiguousarray(arrays["leaf_ptr"], dtype=np.int64),
+            leaf_ids=np.ascontiguousarray(arrays["leaf_ids"], dtype=np.int64),
+            leaf_cat=np.ascontiguousarray(arrays["leaf_cat"], dtype=np.float64),
+            coords_cat=np.ascontiguousarray(arrays["coords_cat"], dtype=np.float64),
+            chunk_points=max(1, chunk_points),
+            roots=np.ascontiguousarray(arrays["roots"], dtype=np.int64),
+        )
 
     # ------------------------------------------------------------------
     # Window queries
     # ------------------------------------------------------------------
 
-    def _candidate_leaves(self, w_cat: np.ndarray) -> np.ndarray:
-        """Leaf indices reachable through intersecting internal MBRs.
+    def window_scan(
+        self,
+        roots: np.ndarray,
+        w_low: np.ndarray,
+        w_high: np.ndarray,
+        caps: np.ndarray,
+    ) -> Tuple[List[Iterator[np.ndarray]], np.ndarray]:
+        """Window queries for many (root, window) pairs in one traversal.
 
-        Runs the level-wise vectorised descent over the *internal* levels
-        only; the (more numerous) leaf MBRs are tested lazily per chunk by
-        :meth:`window_query_iter`, so a consumer that stops early never
-        pays for them.  ``w_cat`` is the window in concatenated
-        ``[w_high, -w_low]`` form: a stored box ``[low, -high]`` meets the
-        window iff every component is ``<= w_cat``.
+        Pair ``p`` asks for the points under root ``roots[p]`` inside
+        ``[w_low[p], w_high[p]]`` (``(P, dim)`` arrays).  Returns one
+        chunk stream per pair and the number of nodes (internal and
+        leaf) each pair tested.
+
+        The descent and the leaf-MBR test run for every pair together;
+        a stream's first chunk — the point test of the pair's leaves up
+        to ``caps[p]`` points (clamped to ``[1, chunk_points]``) — is
+        computed here for every pair too.  The stream's remaining leaves
+        are scanned lazily when it is consumed, in chunks doubling from
+        ``2 * cap``, so a consumer that stops early never pays for them.
         """
-        frontier: np.ndarray | None = None
+        n_pairs = roots.shape[0]
+        # Box-meets-window and point-in-window each become one
+        # compare-and-reduce against the stored [low, -high] / [x, -x].
+        w_cat = np.concatenate([w_high, -w_low], axis=1)
+        w_pt = np.concatenate([w_low, -w_high], axis=1)
+        caps = np.clip(caps, 1, self.chunk_points)
+        pair = np.arange(n_pairs, dtype=np.int64)
+        node = roots
+        tested = np.zeros(n_pairs, dtype=np.int64)
         for cat, starts, ends in self._levels:
-            if frontier is None:  # root level: test every (single) node
-                hit = np.flatnonzero((cat <= w_cat).all(axis=1))
-            else:
-                hit = frontier[(cat[frontier] <= w_cat).all(axis=1)]
-            self.stats.node_visits += int(hit.shape[0])
-            if hit.shape[0] == 0:
-                return np.empty(0, dtype=np.int64)
-            frontier = concat_ranges(starts[hit], ends[hit])
-        if frontier is None:  # the root itself is the only leaf
-            frontier = np.arange(self.num_leaves, dtype=np.int64)
-        return frontier
+            tested += np.bincount(pair, minlength=n_pairs)
+            hit = rows_all(cat[node] <= w_cat[pair])
+            pair, node = pair[hit], node[hit]
+            lo, hi = starts[node], ends[node]
+            node = concat_ranges(lo, hi)
+            pair = np.repeat(pair, hi - lo)
+        tested += np.bincount(pair, minlength=n_pairs)
+        hit = rows_all(self._leaf_cat[node] <= w_cat[pair])
+        # Candidates come out grouped by pair, ascending BFS within a pair;
+        # reversed, each pair's leaves are in the pointer traversal's
+        # descending (LIFO) order.  ``rank`` flips the pair number so the
+        # groups run ascending for their CSR bounds.
+        leaf = node[hit][::-1]
+        pair = pair[hit][::-1]
+        rank = (n_pairs - 1) - pair
+        ptr = self.leaf_ptr
+        sizes = ptr[leaf + 1] - ptr[leaf]
+        # A leaf is eager while the points before it in its pair's order
+        # stay below the pair's cap (so the first leaf always is).
+        csum = np.concatenate(([np.int64(0)], np.cumsum(sizes)))
+        bounds = _segments(rank, n_pairs)
+        eager = csum[:-1] - csum[bounds[rank]] < caps[pair]
+        first_leaf, first_pair = leaf[eager], pair[eager]
+        idx = concat_ranges(ptr[first_leaf], ptr[first_leaf + 1])
+        point_pair = np.repeat(first_pair, sizes[eager])
+        inside = np.empty(idx.shape[0], dtype=bool)
+        for start in range(0, idx.shape[0], _POINT_TEST_ROWS):
+            part = slice(start, start + _POINT_TEST_ROWS)
+            inside[part] = rows_all(
+                self._coords_cat[idx[part]] >= w_pt[point_pair[part]]
+            )
+        first_ids = self.leaf_ids[idx[inside]]
+        first_bounds = _segments((n_pairs - 1) - point_pair[inside], n_pairs)
+        rest_leaf = leaf[~eager]
+        rest_bounds = _segments(rank[~eager], n_pairs)
+        streams = []
+        for p in range(n_pairs):
+            r = n_pairs - 1 - p
+            streams.append(
+                self._stream(
+                    first_ids[first_bounds[r] : first_bounds[r + 1]],
+                    rest_leaf[rest_bounds[r] : rest_bounds[r + 1]],
+                    w_pt[p],
+                    min(2 * int(caps[p]), self.chunk_points),
+                )
+            )
+        return streams, tested
+
+    def _stream(
+        self, first: np.ndarray, rest: np.ndarray, w_pt: np.ndarray, target: int
+    ) -> Iterator[np.ndarray]:
+        """One pair's chunks: the eager first chunk, then ``rest`` lazily.
+
+        ``rest`` holds leaves that already passed the MBR test, in scan
+        order; each later chunk covers leaves until it reaches ``target``
+        points, and the target doubles up to ``chunk_points``.
+        """
+        if first.shape[0]:
+            yield first
+        n_leaves = rest.shape[0]
+        if n_leaves == 0:
+            return
+        ptr = self.leaf_ptr
+        idx = concat_ranges(ptr[rest], ptr[rest + 1])
+        ends = np.cumsum(ptr[rest + 1] - ptr[rest])  # points up to each leaf
+        pos = start = 0
+        while pos < n_leaves:
+            stop = int(np.searchsorted(ends, start + target, side="left"))
+            stop = min(max(stop, pos) + 1, n_leaves)
+            end = int(ends[stop - 1])
+            part = idx[start:end]
+            mask = rows_all(self._coords_cat[part] >= w_pt)
+            if mask.any():
+                yield self.leaf_ids[part[mask]]
+            pos, start = stop, end
+            target = min(target * 2, self.chunk_points)
 
     def window_query_iter(
-        self, w_low: np.ndarray, w_high: np.ndarray, first_chunk: Optional[int] = None
+        self, w_low: np.ndarray, w_high: np.ndarray, root: int = 0
     ) -> Iterator[np.ndarray]:
-        """Stream ids inside the window in geometrically growing chunks.
+        """Stream the ids under ``roots[root]`` inside the window, in chunks.
 
         Chunk *contents* follow the pointer-based traversal's candidate
         order (descending leaf, ascending within each leaf); only the
-        chunk boundaries differ (merged leaf spans instead of single
-        leaves).  Chunks start at ``first_chunk`` points (default
-        ``_INITIAL_CHUNK_POINTS``) and double up to ``chunk_points``, so a
-        consumer that knows how much it can still verify — DB-LSH passes
-        its remaining candidate budget — wastes at most ~2x its
-        consumption while full scans proceed in large vectorised strides.
+        chunk boundaries differ (merged leaf spans of up to
+        ``chunk_points`` points instead of single leaves).
         """
-        w_low = np.asarray(w_low, dtype=np.float64).reshape(-1)
-        w_high = np.asarray(w_high, dtype=np.float64).reshape(-1)
-        if w_low.shape[0] != self.dim or w_high.shape[0] != self.dim:
+        w_low = np.asarray(w_low, dtype=np.float64).reshape(1, -1)
+        w_high = np.asarray(w_high, dtype=np.float64).reshape(1, -1)
+        if w_low.shape[1] != self.dim or w_high.shape[1] != self.dim:
             raise ValueError("window bounds must match tree dimensionality")
         if self.count == 0:
             return
-        # Concatenated forms: box-meets-window and point-in-window each
-        # become one compare-and-reduce against the stored [x, -x] arrays.
-        w_cat = np.concatenate([w_high, -w_low])
-        w_pt = np.concatenate([w_low, -w_high])
-        candidates = self._candidate_leaves(w_cat)
-        if candidates.shape[0] == 0:
-            return
-        order = candidates[::-1]  # match the stack traversal's LIFO leaf order
-        leaf_ptr = self.leaf_ptr
-        cum = np.cumsum(leaf_ptr[order + 1] - leaf_ptr[order])
-        pos = 0
-        n_leaves = order.shape[0]
-        if first_chunk is None:
-            first_chunk = _INITIAL_CHUNK_POINTS
-        target = min(max(int(first_chunk), 1), self.chunk_points)
-        while pos < n_leaves:
-            base = int(cum[pos - 1]) if pos else 0
-            stop = int(np.searchsorted(cum, base + target, side="left"))
-            stop = min(max(stop, pos) + 1, n_leaves)
-            block = order[pos:stop]
-            hit = block[(self._leaf_cat[block] <= w_cat).all(axis=1)]
-            self.stats.leaf_visits += int(hit.shape[0])
-            if hit.shape[0]:
-                idx = concat_ranges(leaf_ptr[hit], leaf_ptr[hit + 1])
-                self.stats.points_scanned += int(idx.shape[0])
-                mask = (self._coords_cat[idx] >= w_pt).all(axis=1)
-                if mask.any():
-                    yield self.leaf_ids[idx[mask]]
-            pos = stop
-            target = min(target * 2, self.chunk_points)
+        streams, _ = self.window_scan(
+            self.roots[root : root + 1],
+            w_low,
+            w_high,
+            np.array([self.chunk_points], dtype=np.int64),
+        )
+        yield from streams[0]
 
     def window_query(self, w_low: np.ndarray, w_high: np.ndarray) -> np.ndarray:
         """All point ids inside ``[w_low, w_high]`` (inclusive)."""

@@ -5,7 +5,7 @@
 :class:`~repro.core.sharded.ShardedDBLSH` through a single versioned
 archive — including the frozen R*-tree traversal arrays, so a loaded
 ``rstar``-backend index serves queries with zero rebuild.  The one
-container is the v3 **arena**: one mmap-able file whose loads are
+container is the v4 **arena**: one mmap-able file whose loads are
 zero-copy page mappings shared across processes.  Writes are atomic
 (temp file + rename + fsync) and carry per-member CRC32 checksums,
 verified on demand via :func:`verify_snapshot`; see

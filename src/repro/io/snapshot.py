@@ -19,12 +19,17 @@ earlier builds, recognised by the zip magic ``PK``) is refused with a
 :class:`SnapshotError` naming it; re-save the index with this build.
 
 For the default ``rstar`` backend the payload includes the frozen
-:class:`~repro.index.flat.FlatRStarTree` arrays of every projected space.
-Loading adopts those arrays directly, so a restored index answers queries
-with **zero rebuild** — no projection pass, no STR bulk load, no tree
-construction.  The ablation backends (``kdtree``, ``grid``,
-``rstar-insert``) snapshot without traversal arrays and rebuild their
-tables from the stored projection tensor at load time.
+traversal of every projected space, stacked into one
+:class:`~repro.index.flat.FlatRStarTree` forest (one root per space;
+members under ``forest.``: ``meta``, ``roots``, ``leaf_ptr``,
+``leaf_ids``, ``leaf_cat``, ``coords_cat`` and ``level{j}_cat`` /
+``_start`` / ``_end`` per internal level).  Loading adopts those arrays
+directly, so a restored index answers queries with **zero rebuild** — no
+projection pass, no STR bulk load, no tree construction, and no copy: the
+query engine scans the mapped forest as stored.  The ablation backends
+(``kdtree``, ``grid``, ``rstar-insert``) snapshot without traversal
+arrays and rebuild their tables from the stored projection tensor at
+load time.
 
 Sharded snapshots store one such payload per shard under a ``shard{i}.``
 key prefix; the shard partition is implicit in the stored shard sizes.
@@ -46,6 +51,8 @@ Versioning
 ``ARENA_VERSION`` is bumped whenever the layout changes incompatibly.
 :func:`load_index` refuses snapshots written under a different version
 with a :class:`SnapshotError` instead of guessing at the layout.
+Version 4 stores the L per-space trees as one stacked forest; version 3
+stored them as separate ``flat{i}.`` members and is refused (re-save).
 
 Verification discipline
 -----------------------
@@ -71,7 +78,7 @@ from repro.index.flat import FlatRStarTree
 
 SNAPSHOT_FORMAT = "repro-index-snapshot"
 #: Layout version of the mmap arena container.
-ARENA_VERSION = 3
+ARENA_VERSION = 4
 
 #: First bytes of every arena snapshot.
 ARENA_MAGIC = b"REPRO-ARENA\x00"
@@ -86,8 +93,8 @@ _ARENA_PREAMBLE_LEN = len(ARENA_MAGIC) + _ARENA_PREAMBLE.size
 #: dtype's alignment and never share a cache line across members.
 ARENA_ALIGN = 64
 
-#: Keys every serialized flat tree carries besides its per-level arrays.
-_FLAT_FIXED_KEYS = ("meta", "leaf_ptr", "leaf_ids", "leaf_cat", "coords_cat")
+#: Keys every serialized forest carries besides its per-level arrays.
+_FOREST_FIXED_KEYS = ("meta", "roots", "leaf_ptr", "leaf_ids", "leaf_cat", "coords_cat")
 
 
 class SnapshotError(RuntimeError):
@@ -242,9 +249,9 @@ def _pack_dblsh(index: DBLSH, prefix: str) -> Tuple[dict, Dict[str, np.ndarray]]
     # it first so the snapshot round-trips add()ed points (a no-op when
     # nothing is pending).
     index.compact()
-    # Only rstar tables are stored; the ablation backends rebuild theirs
-    # from the projection tensor at load time.
-    flats = index._tables if index.backend == "rstar" else None
+    # Only the rstar forest is stored; the ablation backends rebuild their
+    # tables from the projection tensor at load time.
+    forest = index._forest
     header = {
         "n": int(index.num_points),
         "dim": int(index.dim),
@@ -259,7 +266,7 @@ def _pack_dblsh(index: DBLSH, prefix: str) -> Tuple[dict, Dict[str, np.ndarray]]
         "patience": index.patience,
         "seed": int(index.seed) if isinstance(index.seed, (int, np.integer)) else None,
         "build_seconds": float(index.build_seconds),
-        "has_flat": flats is not None,
+        "has_flat": forest is not None,
         "has_tombstones": bool(index._tombstones),
         "has_norms2": True,
     }
@@ -275,10 +282,9 @@ def _pack_dblsh(index: DBLSH, prefix: str) -> Tuple[dict, Dict[str, np.ndarray]]
     tombstones = index._tombstone_array()
     if tombstones is not None:
         arrays[prefix + "tombstones"] = tombstones
-    if flats is not None:
-        for i, flat in enumerate(flats):
-            for key, array in flat.to_arrays().items():
-                arrays[f"{prefix}flat{i}.{key}"] = array
+    if forest is not None:
+        for key, array in forest.to_arrays().items():
+            arrays[f"{prefix}forest.{key}"] = array
     return header, arrays
 
 
@@ -482,22 +488,19 @@ def _open_archive(path: str) -> _ArenaArchive:
     return _ArenaArchive(path)
 
 
-def _unpack_flats(
+def _unpack_forest(
     header: dict, archive: _ArenaArchive, prefix: str
-) -> Optional[List[FlatRStarTree]]:
+) -> Optional[FlatRStarTree]:
     if not header.get("has_flat"):
         return None
-    flats = []
-    for i in range(int(header["l_spaces"])):
-        p = f"{prefix}flat{i}."
-        arrays = {key: archive[p + key] for key in _FLAT_FIXED_KEYS}
-        n_levels = int(np.asarray(arrays["meta"]).reshape(-1)[4])
-        for j in range(n_levels):
-            for part in ("cat", "start", "end"):
-                key = f"level{j}_{part}"
-                arrays[key] = archive[p + key]
-        flats.append(FlatRStarTree.from_arrays(arrays))
-    return flats
+    p = f"{prefix}forest."
+    arrays = {key: archive[p + key] for key in _FOREST_FIXED_KEYS}
+    n_levels = int(np.asarray(arrays["meta"]).reshape(-1)[4])
+    for j in range(n_levels):
+        for part in ("cat", "start", "end"):
+            key = f"level{j}_{part}"
+            arrays[key] = archive[p + key]
+    return FlatRStarTree.from_arrays(arrays)
 
 
 def _unpack_dblsh(header: dict, archive: _ArenaArchive, prefix: str) -> DBLSH:
@@ -528,7 +531,7 @@ def _unpack_dblsh(header: dict, archive: _ArenaArchive, prefix: str) -> DBLSH:
         norms2=(
             archive[prefix + "norms2"] if header.get("has_norms2") else None
         ),
-        flats=_unpack_flats(header, archive, prefix),
+        forest=_unpack_forest(header, archive, prefix),
         build_seconds=float(header.get("build_seconds", 0.0)),
         tombstones=(
             archive[prefix + "tombstones"]

@@ -31,8 +31,8 @@ import check_bench_gates as gates  # noqa: E402
 GOOD = {
     "BENCH_query_engine.smoke.json": {
         "regimes": {
-            "easy": {"neighbors_identical": True},
-            "hard": {"neighbors_identical": True},
+            "easy": {"neighbors_identical": True, "batch_invariant": True},
+            "hard": {"neighbors_identical": True, "batch_invariant": True},
         },
     },
     "BENCH_sharding.smoke.json": {
@@ -145,6 +145,9 @@ BREAKS = [
     ("BENCH_query_engine.smoke.json",
      lambda r: r["regimes"]["hard"].update(neighbors_identical=False),
      "engines diverged"),
+    ("BENCH_query_engine.smoke.json",
+     lambda r: r["regimes"]["easy"].update(batch_invariant=False),
+     "query block size"),
     ("BENCH_sharding.smoke.json",
      lambda r: r["shards"]["4"].update(recall=0.5),
      "worse neighbors"),

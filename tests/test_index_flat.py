@@ -118,13 +118,12 @@ class TestTraversalEquivalence:
         assert out.shape[0] == 800
         assert np.array_equal(_legacy_stream(tree, lo, hi), out)
 
-    def test_first_chunk_hint_changes_chunking_not_results(self, rng):
+    def test_chunk_points_changes_chunking_not_results(self, rng):
         points = rng.standard_normal((2000, 4))
         tree = RStarTree.bulk_load(points, max_entries=16)
-        flat = tree.freeze()
         lo, hi = points.min(axis=0), points.max(axis=0)
-        small = list(flat.window_query_iter(lo, hi, first_chunk=8))
-        large = list(flat.window_query_iter(lo, hi, first_chunk=10**6))
+        small = list(tree.freeze(chunk_points=8).window_query_iter(lo, hi))
+        large = list(tree.freeze(chunk_points=10**6).window_query_iter(lo, hi))
         assert len(small) > len(large)
         assert np.array_equal(np.concatenate(small), np.concatenate(large))
 
@@ -145,3 +144,79 @@ class TestTraversalEquivalence:
         assert np.array_equal(_legacy_stream(tree, lo, hi),
                               flat.window_query(lo, hi))
         assert flat.window_count(lo, hi) == tree.window_count(lo, hi)
+
+
+def _chunks(stream):
+    return [chunk.tolist() for chunk in stream]
+
+
+class TestStackedForest:
+    """L trees stacked into one set of arrays, one root per tree."""
+
+    @pytest.fixture
+    def trees(self, rng):
+        return [
+            RStarTree.bulk_load(rng.standard_normal((700, 3)) * 2.0, max_entries=8).freeze(
+                chunk_points=64
+            )
+            for _ in range(4)
+        ]
+
+    def test_each_root_streams_its_own_tree(self, rng, trees):
+        forest = FlatRStarTree.stack(trees)
+        assert forest.roots.tolist() == [0, 1, 2, 3]
+        assert len(forest) == 4 * 700
+        assert forest.num_nodes() == sum(t.num_nodes() for t in trees)
+        for _ in range(10):
+            center = rng.standard_normal(3)
+            lo, hi = center - 1.5, center + 1.5
+            for i, tree in enumerate(trees):
+                assert _chunks(forest.window_query_iter(lo, hi, root=i)) == _chunks(
+                    tree.window_query_iter(lo, hi)
+                )
+
+    def test_stacking_is_associative(self, trees):
+        nested = FlatRStarTree.stack(
+            [FlatRStarTree.stack(trees[:2]), FlatRStarTree.stack(trees[2:])]
+        )
+        flat = FlatRStarTree.stack(trees)
+        assert nested.roots.tolist() == flat.roots.tolist()
+        for a, b in zip(nested.to_arrays().values(), flat.to_arrays().values()):
+            assert np.array_equal(a, b)
+
+    def test_mismatched_heights_refused(self, rng):
+        tall = RStarTree.bulk_load(rng.standard_normal((500, 2)), max_entries=4).freeze()
+        short = RStarTree.bulk_load(rng.standard_normal((5, 2)), max_entries=4).freeze()
+        with pytest.raises(ValueError, match="height"):
+            FlatRStarTree.stack([tall, short])
+
+    @pytest.mark.parametrize("cap", [1, 5, 40, 10**6])
+    def test_scan_matches_single_window_for_any_cap(self, rng, trees, cap):
+        forest = FlatRStarTree.stack(trees)
+        centers = rng.standard_normal((6, 3))
+        roots = np.array([0, 1, 2, 3, 0, 2], dtype=np.int64)
+        lo, hi = centers - 1.2, centers + 1.2
+        caps = np.full(6, cap, dtype=np.int64)
+        streams, tested = forest.window_scan(roots, lo, hi, caps)
+        for p, stream in enumerate(streams):
+            got = [c for c in stream]
+            expected = trees[roots[p]].window_query(lo[p], hi[p])
+            joined = np.concatenate(got) if got else np.empty(0, dtype=np.int64)
+            assert np.array_equal(joined, expected)
+            assert all(len(c) > 0 for c in got[1:])
+        assert (tested >= forest.height).all()
+
+    def test_chunk_boundaries_ignore_other_pairs(self, rng, trees):
+        # A pair's chunks depend on its root, window and cap only.
+        forest = FlatRStarTree.stack(trees)
+        centers = rng.standard_normal((5, 3))
+        roots = np.array([3, 1, 0, 2, 1], dtype=np.int64)
+        caps = np.array([7, 100, 1, 33, 4096], dtype=np.int64)
+        lo, hi = centers - 1.0, centers + 1.0
+        together, tested = forest.window_scan(roots, lo, hi, caps)
+        for p in range(5):
+            alone, alone_tested = forest.window_scan(
+                roots[p : p + 1], lo[p : p + 1], hi[p : p + 1], caps[p : p + 1]
+            )
+            assert _chunks(together[p]) == _chunks(alone[0])
+            assert tested[p] == alone_tested[0]

@@ -146,7 +146,9 @@ class TestBuilderEngineParity:
     def test_array_builder_skips_pointer_trees(self, workload):
         data, _ = workload
         index = DBLSH(**self.COMMON).fit(data)
-        assert all(isinstance(table, FlatRStarTree) for table in index._tables)
+        assert isinstance(index._forest, FlatRStarTree)
+        assert index._forest.roots.shape[0] == index.params.l_spaces
+        assert index._tables == []
 
     def test_builders_return_identical_results(self, workload):
         # Swap in tables frozen from STR bulk-loaded pointer trees: the
@@ -154,9 +156,9 @@ class TestBuilderEngineParity:
         data, queries = workload
         index = DBLSH(**self.COMMON).fit(data)
         expected = index.query_batch(queries, k=10)
-        index._tables = [
-            RStarTree.bulk_load(proj).freeze() for proj in index._hasher.project_all(data)
-        ]
+        index._forest = FlatRStarTree.stack(
+            [RStarTree.bulk_load(proj).freeze() for proj in index._hasher.project_all(data)]
+        )
         got = index.query_batch(queries, k=10)
         assert [r.ids for r in got] == [r.ids for r in expected]
         assert [r.stats.candidates_verified for r in got] == [
@@ -167,8 +169,12 @@ class TestBuilderEngineParity:
         data, _ = workload
         index = DBLSH(**self.COMMON).fit(data)
         projections = index._hasher.project_all(data)
-        for proj, flat in zip(projections, index._tables):
-            assert_flats_identical(RStarTree.bulk_load(proj).freeze(), flat)
+        assert_flats_identical(
+            FlatRStarTree.stack(
+                [RStarTree.bulk_load(proj).freeze() for proj in projections]
+            ),
+            index._forest,
+        )
 
     def test_array_builder_matches_legacy_engine(self, workload):
         # The per-candidate reference loop is the old engine's semantics.
@@ -182,10 +188,10 @@ class TestBuilderEngineParity:
         # valid and untouched, and the new point is immediately queryable.
         data, queries = workload
         index = DBLSH(**self.COMMON).fit(data)
-        tables_before = list(index._tables)
+        forest_before = index._forest
         far = data.mean(axis=0) + 300.0
         index.add(far[None, :])
-        assert index._tables == tables_before
+        assert index._forest is forest_before
         assert index.num_pending == 1
         result = index.query(far, k=1)
         assert result.neighbors[0].id == data.shape[0]
@@ -205,5 +211,6 @@ class TestBuilderEngineParity:
         data, queries = workload
         for backend in ("kdtree", "rstar-insert"):
             index = DBLSH(backend=backend, **self.COMMON).fit(data)
+            assert index._forest is None
             assert not any(isinstance(t, FlatRStarTree) for t in index._tables)
             assert index.query(queries[0], k=5).neighbors

@@ -76,10 +76,11 @@ class TestRoundtrip:
         path = str(tmp_path / "index.npz")
         save_index(fitted, path)
         restored = load_index(path)
-        assert all(isinstance(table, FlatRStarTree) for table in restored._tables)
-        tables = list(restored._tables)
+        assert isinstance(restored._forest, FlatRStarTree)
+        assert restored._tables == []
+        forest = restored._forest
         restored.query(queries[0], k=3)  # queries run off the flat arrays
-        assert restored._tables == tables
+        assert restored._forest is forest
 
     def test_batch_queries_after_load(self, workload, fitted, tmp_path):
         _, queries = workload
@@ -225,7 +226,7 @@ class TestRejection:
         _legacy_npz(path, fitted.data)
         for read in (load_index, read_header, lambda p: load_shard(p, 0)):
             with pytest.raises(SnapshotError,
-                               match=r"legacy v1 \.npz.*only arena version 3"):
+                               match=rf"legacy v1 \.npz.*only arena version {ARENA_VERSION}"):
                 read(path)
 
     def test_unfitted_index_rejected(self, tmp_path):
@@ -268,7 +269,7 @@ class TestEvaluateSnapshot:
     def test_missing_payload_member_rejected(self, fitted, tmp_path):
         path = str(tmp_path / "truncated.npz")
         save_index(fitted, path)
-        _rewrite_arena(path, lambda _, arrays: arrays.pop("flat0.meta"))
+        _rewrite_arena(path, lambda _, arrays: arrays.pop("forest.meta"))
         with pytest.raises(SnapshotError, match="missing snapshot payload"):
             load_index(path)
 

@@ -1,4 +1,4 @@
-"""Tests for the v3 arena snapshot container (repro.io.snapshot).
+"""Tests for the arena snapshot container (repro.io.snapshot).
 
 Three layers of guarantees:
 
@@ -16,11 +16,16 @@ Three layers of guarantees:
   structural damage and via :func:`verify_snapshot` for data-page
   damage (the open path deliberately never faults data pages).
 * **Tombstones**: logically deleted rows survive the round trip.
+* **Version 4**: the L per-space trees are stored as one stacked forest
+  that loads zero-copy and answers bit-identically; a version-3 arena
+  is refused with a message naming both versions.
 """
 
 from __future__ import annotations
 
 import os
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,6 +38,7 @@ from repro.io import (
     ARENA_VERSION,
     SnapshotError,
     load_index,
+    load_shard,
     read_header,
     save_index,
     verify_snapshot,
@@ -209,9 +215,12 @@ class TestZeroCopyLoads:
 
     def test_flat_coords_adopted_without_mirror_copy(self, arena_path):
         index = load_index(arena_path)
-        for flat in index._tables:
-            assert _is_memmap_backed(flat._coords_cat)
-            assert not flat._coords_cat.flags.writeable
+        forest = index._forest
+        assert forest.roots.shape[0] == index.params.l_spaces
+        for name, array in forest.to_arrays().items():
+            if name != "meta" and array.size:  # meta is rebuilt from scalars
+                assert _is_memmap_backed(array), name
+                assert not array.flags.writeable
 
     def test_add_after_mapped_load_promotes_to_private(self, arena_path):
         index = load_index(arena_path)
@@ -243,6 +252,48 @@ def _flip_bit(path: str, byte_offset: int) -> None:
         value = handle.read(1)[0]
         handle.seek(byte_offset)
         handle.write(bytes([value ^ 0x01]))
+
+
+class TestArenaVersion4:
+    def test_version_3_arena_refused_with_resave_hint(self, fitted, tmp_path):
+        path = str(tmp_path / "v3.npz")
+        save_index(fitted, path)
+        with open(path, "r+b") as handle:  # the preamble's version u32
+            handle.seek(len(ARENA_MAGIC))
+            handle.write(struct.pack("<I", 3))
+        for read in (load_index, read_header, lambda p: load_shard(p, 0)):
+            with pytest.raises(
+                SnapshotError,
+                match=r"arena snapshot version 3; this build reads version 4 "
+                r"\(re-save the index",
+            ):
+                read(path)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_save_load_answer_bit_identical(self, tmp_path, shards):
+        data = gaussian_mixture(700, 12, n_clusters=5, seed=4)
+        queries = data[::35] + 0.02
+        common = dict(l_spaces=4, k_per_space=5, t=20, seed=0,
+                      auto_initial_radius=True)
+        index = (DBLSH(**common) if shards == 1
+                 else ShardedDBLSH(shards=shards, **common)).fit(data)
+        path = str(tmp_path / "v4.npz")
+        save_index(index, path)
+        restored = load_index(path)
+        for a, b in zip(restored.query_batch(queries, k=7),
+                        index.query_batch(queries, k=7)):
+            assert (a.ids, a.distances) == (b.ids, b.distances)
+            counters_a, counters_b = asdict(a.stats), asdict(b.stats)
+            counters_a.pop("elapsed_seconds")
+            counters_b.pop("elapsed_seconds")
+            assert counters_a == counters_b
+        subs = [index] if shards == 1 else index.shard_indexes
+        loaded = [restored] if shards == 1 else restored.shard_indexes
+        for before, after in zip(subs, loaded):
+            for name, array in before._forest.to_arrays().items():
+                assert np.array_equal(after._forest.to_arrays()[name], array), name
+        members = read_header(path)["members"]
+        assert not any("flat" in name for name in members)  # no v3 per-space trees
 
 
 class TestCorruptionMatrix:

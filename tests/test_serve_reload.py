@@ -34,7 +34,7 @@ import pytest
 from repro import ShardedDBLSH
 from repro.data.generators import gaussian_mixture
 from repro.io import SnapshotError, load_index, save_index
-from repro.io.snapshot import ARENA_MAGIC, SNAPSHOT_FORMAT
+from repro.io.snapshot import ARENA_MAGIC, ARENA_VERSION, SNAPSHOT_FORMAT
 from repro.serve import ServerError, SnapshotServer
 
 COMMON = dict(
@@ -232,7 +232,7 @@ class TestReloadRefusals:
         with SnapshotServer(path_a) as server:
             pids = server.worker_pids
             with pytest.raises(SnapshotError,
-                               match=r"legacy v1 \.npz.*only arena version 3"):
+                               match=rf"legacy v1 \.npz.*only arena version {ARENA_VERSION}"):
                 server.reload(legacy)
             assert server.generation == 1
             assert server.worker_pids == pids

@@ -29,12 +29,20 @@ from chaos_sweep import SCENARIOS
 def check_query_engine(report: dict) -> List[str]:
     """Both query engines (loop and GEMM) must return identical neighbors
     in every measured regime — the PR 1 equivalence that everything
-    downstream (sharding, serving, HTTP) inherits."""
-    return [
+    downstream (sharding, serving, HTTP) inherits — and the engine's
+    answers must not depend on how the queries were split into blocks."""
+    violations = [
         f"regime {name}: engines diverged (neighbors_identical is false)"
         for name, regime in report["regimes"].items()
         if not regime["neighbors_identical"]
     ]
+    violations += [
+        f"regime {name}: answers changed with the query block size "
+        f"(batch_invariant is false)"
+        for name, regime in report["regimes"].items()
+        if not regime["batch_invariant"]
+    ]
+    return violations
 
 
 def check_sharding(report: dict) -> List[str]:
