@@ -33,14 +33,17 @@ The round loop
     queries in lockstep, one radius round at a time.  On the ``rstar``
     backend the L frozen trees are stacked into one
     :class:`~repro.index.flat.FlatRStarTree` forest, and one
-    ``window_scan`` enumerates every live (query, space) pair of the
-    round: one compare per tree level, one leaf-MBR test, and an eager
-    point test capped per pair from the query's own state at round start
-    (32 points when the radius stop is already due, else twice the
-    unverified budget); the rest of a window is scanned lazily.  The
-    ablation backends feed the same loop from their per-space
-    iterators.  Each query then consumes its spaces in order: the seen
-    filter (a generation-stamped :class:`~repro.utils.scratch.GenerationMask`
+    ``window_scan`` descends for every live (query, space) pair of the
+    round with one compare per tree level.  Streams are drawn from it
+    in two steps — every query's first space, then the other spaces of
+    the queries still running — each with one leaf-MBR test and an
+    eager point test capped per pair from the query's own state at
+    round start (32 points when the radius stop is already due, else
+    twice the unverified budget); the rest of a window is scanned
+    lazily.  The ablation backends feed the same loop from their
+    per-space iterators.  Each query then consumes its spaces in order:
+    the seen filter (a generation-stamped
+    :class:`~repro.utils.scratch.GenerationMask`
     per lockstep slot, reused across queries), one GEMV per chunk with
     precomputed squared norms, and heap consumption that emulates the
     sequential per-candidate loop exactly (budget / radius / patience
@@ -550,8 +553,8 @@ class DBLSH:
         ``radius`` set, every query runs exactly one round at that radius
         (Algorithm 1) and a round without a stop ends as ``"no_result"``.
 
-        Each slot's elapsed time is its block's wall time divided by the
-        block's size.
+        Each slot's elapsed time runs from its block's start to the round
+        the query finished in.
         """
         assert self.params is not None and self._hasher is not None
         masks = self._get_scratch(min(queries.shape[0], _BLOCK))
@@ -566,10 +569,13 @@ class DBLSH:
             live = block
             while live:
                 self._round(live)
-                live = [slot for slot in live if self._next_round(slot, radius is None)]
-            share = (time.perf_counter() - started) / len(block)
-            for slot in block:
-                slot.stats.elapsed_seconds = share
+                running = []
+                for slot in live:
+                    if self._next_round(slot, radius is None):
+                        running.append(slot)
+                    else:
+                        slot.stats.elapsed_seconds = time.perf_counter() - started
+                live = running
             slots.extend(block)
         return slots
 
@@ -616,46 +622,64 @@ class DBLSH:
     def _round(self, live: List["_Slot"]) -> None:
         """One (r, c)-NN pass over the L windows of every live query.
 
-        Enumeration runs for the whole block at once: on ``rstar`` one
-        :meth:`~repro.index.flat.FlatRStarTree.window_scan` covers every
-        (query, space) pair, with each pair's eager point test capped
-        from the query's own state at round start — 32 points when the
-        radius stop is already due, else twice the unverified budget.
-        The ablation backends hand in their per-space iterators.  Each
-        query then consumes its spaces in order (:meth:`_consume_round`).
+        Each pair's eager point test is capped from its query's state at
+        round start (:meth:`_eager_cap`).  On ``rstar`` one
+        :meth:`~repro.index.flat.FlatRStarTree.window_scan` descends for
+        every (query, space) pair of the round; the streams are then
+        drawn in two steps — every query's first space, then the other
+        spaces of the queries still running — so a query that stops in
+        its first window (a small budget, or a radius stop already due)
+        never pays the leaf and point tests of the others.  The ablation
+        backends hand in their per-space iterators.  Each query consumes
+        its spaces in order (:meth:`_consume_round`).
         """
         assert self.params is not None
         n_spaces = self.params.l_spaces
+        caps = []
         for slot in live:
             slot.stats.rounds += 1
             slot.stats.final_radius = slot.radius
+            caps.append(self._eager_cap(slot))
+        scan = None
         if self._forest is not None:
             half = np.repeat(
                 [self.params.w0 * slot.radius / 2.0 for slot in live], n_spaces
             )[:, None]
             centers = np.concatenate([slot.q_proj for slot in live])
-            caps = np.repeat([self._eager_cap(slot) for slot in live], n_spaces)
-            streams, tested = self._forest.window_scan(
-                np.tile(self._forest.roots, len(live)),
-                centers - half,
-                centers + half,
-                caps,
+            scan = self._forest.window_scan(
+                np.tile(self._forest.roots, len(live)), centers - half, centers + half
             )
-            tested = tested.reshape(len(live), n_spaces).sum(axis=1).tolist()
-        else:
-            streams = []
-            for slot in live:
-                half = self.params.w0 * slot.radius / 2.0
-                streams.extend(
-                    table.window_query_iter(center - half, center + half)
-                    for table, center in zip(self._tables, slot.q_proj)
+            visits = scan.node_visits.reshape(len(live), n_spaces).sum(axis=1)
+            for slot, count in zip(live, visits.tolist()):
+                slot.stats.index_node_visits += count
+        for first, stop in ((0, 1), (1, n_spaces)):
+            go = [j for j, slot in enumerate(live) if slot.reason is None]
+            if not go or first == stop:
+                return
+            width = stop - first
+            if scan is not None:
+                pairs = np.asarray(go, dtype=np.int64)[:, None] * n_spaces
+                streams, leaves = scan.streams(
+                    (pairs + np.arange(first, stop)).ravel(),
+                    np.repeat([caps[j] for j in go], width),
                 )
-            tested = [0] * len(live)
-        for j, slot in enumerate(live):
-            slot.stats.index_node_visits += tested[j]
-            slot.reason = self._consume_round(
-                slot, streams[j * n_spaces : (j + 1) * n_spaces]
-            )
+                tested = leaves.reshape(len(go), width).sum(axis=1).tolist()
+            else:
+                streams = []
+                for j in go:
+                    half = self.params.w0 * live[j].radius / 2.0
+                    streams.extend(
+                        self._tables[i].window_query_iter(
+                            live[j].q_proj[i] - half, live[j].q_proj[i] + half
+                        )
+                        for i in range(first, stop)
+                    )
+                tested = [0] * len(go)
+            for n, j in enumerate(go):
+                live[j].stats.index_node_visits += tested[n]
+                live[j].reason = self._consume_round(
+                    live[j], streams[n * width : (n + 1) * width]
+                )
 
     def _eager_cap(self, slot: "_Slot") -> int:
         """How many points of each window to point-test before consuming."""

@@ -38,6 +38,9 @@ class QueryStats:
     rounds: int = 0
     final_radius: float = 0.0
     terminated_by: str = ""
+    #: Wall time until the query's answer was final.  DB-LSH runs a batch
+    #: in lockstep blocks, so this is measured from the start of the
+    #: query's block: it includes the work of the block's other queries.
     elapsed_seconds: float = 0.0
 
     def merge(self, other: "QueryStats") -> None:

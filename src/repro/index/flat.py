@@ -24,15 +24,17 @@ Two ways to traverse:
 
 * :meth:`FlatRStarTree.window_scan` answers many (root, window) *pairs*
   at once — DB-LSH's round loop passes every (query, space) pair of a
-  radius round.  One compare per internal level tests every frontier
-  (pair, node), child blocks expand with one :func:`concat_ranges`, and
-  one compare tests every candidate leaf of every pair.  The point test
-  then runs eagerly for each pair's leaves up to that pair's ``cap``
-  points; the remaining leaves are scanned lazily, per pair, in chunks
-  that double from ``2 * cap`` up to ``chunk_points``.
+  radius round.  It returns a :class:`WindowScan`: one compare per
+  internal level has tested every frontier (pair, node), and child
+  blocks have expanded with one :func:`concat_ranges`.  Chunk streams
+  are then drawn for any group of its pairs (:meth:`WindowScan.streams`):
+  one compare tests the candidate leaves of the whole group, and the
+  point test runs eagerly for each pair's leaves up to that pair's
+  ``cap`` points; the remaining leaves are scanned lazily, per pair, in
+  chunks that double from ``2 * cap`` up to ``chunk_points``.  Pairs
+  that are never drawn cost their descent only.
 * :meth:`FlatRStarTree.window_query_iter` streams one root's window —
-  a one-pair ``window_scan`` — for the per-candidate reference loop and
-  the tests.
+  a one-pair scan — for the per-candidate reference loop and the tests.
 
 Chunks enumerate candidates in exactly the order the pointer-based
 ``RStarTree.window_query_iter`` produces them (its explicit stack visits
@@ -40,7 +42,7 @@ children last-to-first, i.e. descending BFS order), so the traversals are
 drop-in interchangeable even where candidate *order* matters —
 budget-truncated queries return identical results on either path.  A
 pair's chunk boundaries depend only on its root, its window and its cap,
-never on the other pairs scanned with it.
+never on the other pairs scanned or drawn with it.
 
 The freeze is traversal-only: the source tree remains the mutable,
 insertable structure, and must be re-frozen after updates (see
@@ -353,83 +355,14 @@ class FlatRStarTree:
     # ------------------------------------------------------------------
 
     def window_scan(
-        self,
-        roots: np.ndarray,
-        w_low: np.ndarray,
-        w_high: np.ndarray,
-        caps: np.ndarray,
-    ) -> Tuple[List[Iterator[np.ndarray]], np.ndarray]:
-        """Window queries for many (root, window) pairs in one traversal.
+        self, roots: np.ndarray, w_low: np.ndarray, w_high: np.ndarray
+    ) -> "WindowScan":
+        """Descend for many (root, window) pairs at once; see :class:`WindowScan`.
 
         Pair ``p`` asks for the points under root ``roots[p]`` inside
-        ``[w_low[p], w_high[p]]`` (``(P, dim)`` arrays).  Returns one
-        chunk stream per pair and the number of nodes (internal and
-        leaf) each pair tested.
-
-        The descent and the leaf-MBR test run for every pair together;
-        a stream's first chunk — the point test of the pair's leaves up
-        to ``caps[p]`` points (clamped to ``[1, chunk_points]``) — is
-        computed here for every pair too.  The stream's remaining leaves
-        are scanned lazily when it is consumed, in chunks doubling from
-        ``2 * cap``, so a consumer that stops early never pays for them.
+        ``[w_low[p], w_high[p]]`` (``(P, dim)`` arrays).
         """
-        n_pairs = roots.shape[0]
-        # Box-meets-window and point-in-window each become one
-        # compare-and-reduce against the stored [low, -high] / [x, -x].
-        w_cat = np.concatenate([w_high, -w_low], axis=1)
-        w_pt = np.concatenate([w_low, -w_high], axis=1)
-        caps = np.clip(caps, 1, self.chunk_points)
-        pair = np.arange(n_pairs, dtype=np.int64)
-        node = roots
-        tested = np.zeros(n_pairs, dtype=np.int64)
-        for cat, starts, ends in self._levels:
-            tested += np.bincount(pair, minlength=n_pairs)
-            hit = rows_all(cat[node] <= w_cat[pair])
-            pair, node = pair[hit], node[hit]
-            lo, hi = starts[node], ends[node]
-            node = concat_ranges(lo, hi)
-            pair = np.repeat(pair, hi - lo)
-        tested += np.bincount(pair, minlength=n_pairs)
-        hit = rows_all(self._leaf_cat[node] <= w_cat[pair])
-        # Candidates come out grouped by pair, ascending BFS within a pair;
-        # reversed, each pair's leaves are in the pointer traversal's
-        # descending (LIFO) order.  ``rank`` flips the pair number so the
-        # groups run ascending for their CSR bounds.
-        leaf = node[hit][::-1]
-        pair = pair[hit][::-1]
-        rank = (n_pairs - 1) - pair
-        ptr = self.leaf_ptr
-        sizes = ptr[leaf + 1] - ptr[leaf]
-        # A leaf is eager while the points before it in its pair's order
-        # stay below the pair's cap (so the first leaf always is).
-        csum = np.concatenate(([np.int64(0)], np.cumsum(sizes)))
-        bounds = _segments(rank, n_pairs)
-        eager = csum[:-1] - csum[bounds[rank]] < caps[pair]
-        first_leaf, first_pair = leaf[eager], pair[eager]
-        idx = concat_ranges(ptr[first_leaf], ptr[first_leaf + 1])
-        point_pair = np.repeat(first_pair, sizes[eager])
-        inside = np.empty(idx.shape[0], dtype=bool)
-        for start in range(0, idx.shape[0], _POINT_TEST_ROWS):
-            part = slice(start, start + _POINT_TEST_ROWS)
-            inside[part] = rows_all(
-                self._coords_cat[idx[part]] >= w_pt[point_pair[part]]
-            )
-        first_ids = self.leaf_ids[idx[inside]]
-        first_bounds = _segments((n_pairs - 1) - point_pair[inside], n_pairs)
-        rest_leaf = leaf[~eager]
-        rest_bounds = _segments(rank[~eager], n_pairs)
-        streams = []
-        for p in range(n_pairs):
-            r = n_pairs - 1 - p
-            streams.append(
-                self._stream(
-                    first_ids[first_bounds[r] : first_bounds[r + 1]],
-                    rest_leaf[rest_bounds[r] : rest_bounds[r + 1]],
-                    w_pt[p],
-                    min(2 * int(caps[p]), self.chunk_points),
-                )
-            )
-        return streams, tested
+        return WindowScan(self, roots, w_low, w_high)
 
     def _stream(
         self, first: np.ndarray, rest: np.ndarray, w_pt: np.ndarray, target: int
@@ -476,12 +409,11 @@ class FlatRStarTree:
             raise ValueError("window bounds must match tree dimensionality")
         if self.count == 0:
             return
-        streams, _ = self.window_scan(
-            self.roots[root : root + 1],
-            w_low,
-            w_high,
-            np.array([self.chunk_points], dtype=np.int64),
-        )
+        scan = self.window_scan(self.roots[root : root + 1], w_low, w_high)
+        # Start at a sixteenth of a full chunk: a per-candidate consumer
+        # often stops within the first few hundred points.
+        cap = np.array([max(1, self.chunk_points // 16)], dtype=np.int64)
+        streams, _ = scan.streams(np.zeros(1, dtype=np.int64), cap)
         yield from streams[0]
 
     def window_query(self, w_low: np.ndarray, w_high: np.ndarray) -> np.ndarray:
@@ -512,3 +444,107 @@ class FlatRStarTree:
     def all_ids(self) -> np.ndarray:
         """Every stored id (order unspecified); used by invariant tests."""
         return self.leaf_ids.copy()
+
+
+class WindowScan:
+    """Window queries of many (root, window) pairs over one forest.
+
+    Construction descends for every pair together: one compare per
+    internal level tests every frontier (pair, node), and child blocks
+    expand with one :func:`concat_ranges`.  What is left is each pair's
+    candidate leaves, from which :meth:`streams` draws chunk streams for
+    any group of pairs — DB-LSH's round loop draws a query's first space
+    before its others, so a query that stops early never pays the leaf
+    and point tests of the windows it does not reach.
+    """
+
+    __slots__ = ("forest", "node_visits", "_w_cat", "_w_pt", "_leaves", "_bounds")
+
+    def __init__(
+        self,
+        forest: FlatRStarTree,
+        roots: np.ndarray,
+        w_low: np.ndarray,
+        w_high: np.ndarray,
+    ) -> None:
+        n_pairs = roots.shape[0]
+        self.forest = forest
+        # Box-meets-window and point-in-window each become one
+        # compare-and-reduce against the stored [low, -high] / [x, -x].
+        self._w_cat = np.concatenate([w_high, -w_low], axis=1)
+        self._w_pt = np.concatenate([w_low, -w_high], axis=1)
+        pair = np.arange(n_pairs, dtype=np.int64)
+        node = roots
+        #: Internal nodes tested per pair; :meth:`streams` reports leaves.
+        self.node_visits = np.zeros(n_pairs, dtype=np.int64)
+        for cat, starts, ends in forest._levels:
+            self.node_visits += np.bincount(pair, minlength=n_pairs)
+            hit = rows_all(cat[node] <= self._w_cat[pair])
+            pair, node = pair[hit], node[hit]
+            lo, hi = starts[node], ends[node]
+            node = concat_ranges(lo, hi)
+            pair = np.repeat(pair, hi - lo)
+        # Candidate leaves grouped by pair, ascending BFS order within a pair.
+        self._leaves = node
+        self._bounds = _segments(pair, n_pairs)
+
+    def streams(
+        self, pairs: np.ndarray, caps: np.ndarray
+    ) -> Tuple[List[Iterator[np.ndarray]], np.ndarray]:
+        """One chunk stream per entry of ``pairs``, and the leaves each tested.
+
+        The leaf-MBR test runs for the candidate leaves of every listed
+        pair together, and so does the point test of each pair's leaves
+        up to ``caps[i]`` points (clamped to ``[1, chunk_points]``): that
+        is the stream's first chunk.  The stream's remaining leaves are
+        scanned lazily when it is consumed, in chunks doubling from
+        ``2 * cap``, so a consumer that stops early never pays for them.
+        A stream's chunk boundaries depend only on its pair and its cap,
+        never on the other pairs drawn with it.
+        """
+        forest = self.forest
+        n = pairs.shape[0]
+        caps = np.clip(caps, 1, forest.chunk_points)
+        lo, hi = self._bounds[pairs], self._bounds[pairs + 1]
+        node = self._leaves[concat_ranges(lo, hi)]
+        group = np.repeat(np.arange(n, dtype=np.int64), hi - lo)
+        hit = rows_all(forest._leaf_cat[node] <= self._w_cat[pairs[group]])
+        # Reversed, each pair's leaves are in the pointer traversal's
+        # descending (LIFO) order; ``rank`` flips the group number so the
+        # groups run ascending for their CSR bounds.
+        leaf = node[hit][::-1]
+        group = group[hit][::-1]
+        rank = (n - 1) - group
+        ptr = forest.leaf_ptr
+        sizes = ptr[leaf + 1] - ptr[leaf]
+        # A leaf is eager while the points before it in its pair's order
+        # stay below the pair's cap (so the first leaf always is).
+        csum = np.concatenate(([np.int64(0)], np.cumsum(sizes)))
+        bounds = _segments(rank, n)
+        eager = csum[:-1] - csum[bounds[rank]] < caps[group]
+        first_leaf = leaf[eager]
+        idx = concat_ranges(ptr[first_leaf], ptr[first_leaf + 1])
+        point_group = np.repeat(group[eager], sizes[eager])
+        w_pt = self._w_pt
+        inside = np.empty(idx.shape[0], dtype=bool)
+        for start in range(0, idx.shape[0], _POINT_TEST_ROWS):
+            part = slice(start, start + _POINT_TEST_ROWS)
+            inside[part] = rows_all(
+                forest._coords_cat[idx[part]] >= w_pt[pairs[point_group[part]]]
+            )
+        first_ids = forest.leaf_ids[idx[inside]]
+        first_bounds = _segments((n - 1) - point_group[inside], n)
+        rest_leaf = leaf[~eager]
+        rest_bounds = _segments(rank[~eager], n)
+        streams = []
+        for i in range(n):
+            r = n - 1 - i
+            streams.append(
+                forest._stream(
+                    first_ids[first_bounds[r] : first_bounds[r + 1]],
+                    rest_leaf[rest_bounds[r] : rest_bounds[r + 1]],
+                    w_pt[pairs[i]],
+                    min(2 * int(caps[i]), forest.chunk_points),
+                )
+            )
+        return streams, hi - lo

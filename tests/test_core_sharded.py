@@ -62,9 +62,10 @@ class TestThreadBuild:
         for shard, lo, hi in zip(sharded.shard_indexes, bounds, bounds[1:]):
             alone = DBLSH(**sharded._shard_config()).fit(data[lo:hi])
             assert shard.num_points == alone.num_points
-            for flat_s, flat_a in zip(shard._tables, alone._tables):
-                a, b = flat_s.to_arrays(), flat_a.to_arrays()
-                assert all(np.array_equal(a[key], b[key]) for key in a)
+            assert shard._forest is not None and alone._forest is not None
+            a, b = shard._forest.to_arrays(), alone._forest.to_arrays()
+            assert set(a) == set(b)
+            assert all(np.array_equal(a[key], b[key]) for key in a)
 
     def test_add_after_fit_returns_new_id(self, workload):
         data, _ = workload

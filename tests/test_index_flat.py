@@ -197,26 +197,39 @@ class TestStackedForest:
         roots = np.array([0, 1, 2, 3, 0, 2], dtype=np.int64)
         lo, hi = centers - 1.2, centers + 1.2
         caps = np.full(6, cap, dtype=np.int64)
-        streams, tested = forest.window_scan(roots, lo, hi, caps)
+        scan = forest.window_scan(roots, lo, hi)
+        streams, leaves = scan.streams(np.arange(6), caps)
         for p, stream in enumerate(streams):
             got = [c for c in stream]
             expected = trees[roots[p]].window_query(lo[p], hi[p])
             joined = np.concatenate(got) if got else np.empty(0, dtype=np.int64)
             assert np.array_equal(joined, expected)
             assert all(len(c) > 0 for c in got[1:])
-        assert (tested >= forest.height).all()
+        assert (scan.node_visits + leaves >= forest.height).all()
 
     def test_chunk_boundaries_ignore_other_pairs(self, rng, trees):
-        # A pair's chunks depend on its root, window and cap only.
+        # A pair's chunks depend on its root, window and cap only: not on
+        # the other pairs of the scan, nor on those drawn with it.
         forest = FlatRStarTree.stack(trees)
         centers = rng.standard_normal((5, 3))
         roots = np.array([3, 1, 0, 2, 1], dtype=np.int64)
         caps = np.array([7, 100, 1, 33, 4096], dtype=np.int64)
         lo, hi = centers - 1.0, centers + 1.0
-        together, tested = forest.window_scan(roots, lo, hi, caps)
+        scan = forest.window_scan(roots, lo, hi)
+        together, leaves = scan.streams(np.arange(5), caps)
         for p in range(5):
-            alone, alone_tested = forest.window_scan(
-                roots[p : p + 1], lo[p : p + 1], hi[p : p + 1], caps[p : p + 1]
-            )
-            assert _chunks(together[p]) == _chunks(alone[0])
-            assert tested[p] == alone_tested[0]
+            alone = forest.window_scan(roots[p : p + 1], lo[p : p + 1], hi[p : p + 1])
+            single, single_leaves = alone.streams(np.zeros(1, dtype=np.int64), caps[p : p + 1])
+            drawn, drawn_leaves = scan.streams(np.array([p]), caps[p : p + 1])
+            assert _chunks(together[p]) == _chunks(single[0]) == _chunks(drawn[0])
+            assert scan.node_visits[p] == alone.node_visits[0]
+            assert leaves[p] == single_leaves[0] == drawn_leaves[0]
+
+    def test_drawing_a_subset_tests_its_own_leaves(self, rng, trees):
+        # Drawing a subset leaf-tests only that subset's candidate leaves.
+        forest = FlatRStarTree.stack(trees)
+        centers = rng.standard_normal((4, 3))
+        scan = forest.window_scan(np.arange(4), centers - 1.0, centers + 1.0)
+        _, all_leaves = scan.streams(np.arange(4), np.full(4, 10))
+        _, some_leaves = scan.streams(np.array([2, 0]), np.full(2, 10))
+        assert some_leaves.tolist() == [all_leaves[2], all_leaves[0]]

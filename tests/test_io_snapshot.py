@@ -121,11 +121,13 @@ class TestArrayNativeRoundtrip:
         index = DBLSH(
             l_spaces=4, k_per_space=8, t=32, seed=0, auto_initial_radius=True
         ).fit(data)
-        tables = list(index._tables)
+        forest = index._forest
+        assert isinstance(forest, FlatRStarTree)
         path = str(tmp_path / "array.npz")
         save_index(index, path)
-        # Saving a compacted index serializes its tables; nothing is rebuilt.
-        assert index._tables == tables
+        # Saving a compacted index serializes its forest; nothing is rebuilt.
+        assert index._forest is forest
+        assert index._tables == []
         restored = load_index(path)
         batch = restored.query_batch(queries, k=5)
         assert [r.ids for r in batch] == [
@@ -140,10 +142,10 @@ class TestArrayNativeRoundtrip:
         path = str(tmp_path / "bytes.npz")
         save_index(index, path)
         restored = load_index(path)
-        for flat_before, flat_after in zip(index._tables, restored._tables):
-            a, b = flat_before.to_arrays(), flat_after.to_arrays()
-            assert set(a) == set(b)
-            assert all(np.array_equal(a[key], b[key]) for key in a)
+        assert index._forest is not None and restored._forest is not None
+        a, b = index._forest.to_arrays(), restored._forest.to_arrays()
+        assert set(a) == set(b)
+        assert all(np.array_equal(a[key], b[key]) for key in a)
 
     def test_pointer_builder_survives_roundtrip(self, workload, fitted, tmp_path):
         """Snapshots written while DBLSH still had a pointer builder (their
