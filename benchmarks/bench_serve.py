@@ -20,12 +20,6 @@ answers:
   1-CPU-host caveat applies to process fan-out as much as threads); on a
   many-core host the workers probe truly concurrently.
 
-Both budget modes are measured: ``budget="full"`` (every shard runs the
-whole ``2tL + k`` allowance — the parity-gated configuration) and
-``budget="split"`` (per-shard ``t/S``, the aggregate-work-preserving
-mode a serving fleet would deploy; gated on transport parity only, since
-split budgets may legitimately return different sets than unsharded).
-
 Two further sections track the concurrent-serving machinery:
 
 * ``concurrent_clients`` — N client threads (``--clients``, default
@@ -98,17 +92,17 @@ def _identical(a, b) -> bool:
 
 
 def bench_workers(data, queries, k, t, reps, baseline_results, gt_ids,
-                  snapshot_stem, budget="full"):
-    """One served snapshot per worker count for one budget mode."""
+                  snapshot_stem):
+    """One served snapshot per worker count."""
     m = queries.shape[0]
     rows = {}
     for workers in WORKER_COUNTS:
         index = ShardedDBLSH(
             shards=workers, c=1.5, l_spaces=5, k_per_space=10, t=t, seed=0,
-            auto_initial_radius=True, budget=budget,
+            auto_initial_radius=True,
         )
         index.fit(data)
-        snapshot_path = f"{snapshot_stem}.{budget}.{workers}.npz"
+        snapshot_path = f"{snapshot_stem}.{workers}.npz"
         save_index(index, snapshot_path)
         snapshot_mb = os.path.getsize(snapshot_path) / 1e6
 
@@ -147,7 +141,7 @@ def bench_workers(data, queries, k, t, reps, baseline_results, gt_ids,
                 [r.stats.candidates_verified for r in server_results])), 1),
         }
         row = rows[str(workers)]
-        print(f"  workers={workers} ({budget}): startup {row['startup_seconds']}s, "
+        print(f"  workers={workers}: startup {row['startup_seconds']}s, "
               f"{row['qps_server']} qps served vs {row['qps_inprocess']} in-process, "
               f"recall {row['recall']}, inproc_parity={matches_inproc}, "
               f"unsharded_sets={sets_match}")
@@ -332,9 +326,6 @@ def main(argv=None) -> int:
         "unsharded_recall": round(unsharded_recall, 4),
         "workers": bench_workers(data, queries, args.k, t, reps,
                                  baseline_results, gt_ids, out_stem),
-        "workers_budget_split": bench_workers(data, queries, args.k, t, reps,
-                                              baseline_results, gt_ids,
-                                              out_stem, budget="split"),
         "concurrent_clients": bench_concurrent_clients(
             data, queries, args.k, t, reps, out_stem,
             [int(x) for x in args.clients.split(",") if x.strip()],

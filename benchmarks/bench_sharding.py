@@ -7,9 +7,7 @@ PRs.  Two questions:
   queries cost/buy at shards ∈ {1, 2, 4}?  Shards build one thread per
   shard; queries sweep the shards serially and merge top-k by distance.
   The merged neighbor sets are checked against the unsharded engine on
-  every configuration, and each shard count is additionally measured
-  under ``budget="split"`` (per-shard ``t/S``), the
-  cheaper-but-slightly-lossy aggregate-work mode.
+  every configuration.
 * **Persistence** — how fast does a snapshot save/load roundtrip run
   versus rebuilding from raw data, and does the loaded index answer
   identically?  The ``rstar`` backend snapshot carries the frozen
@@ -60,25 +58,21 @@ def _median_seconds(fn, reps: int) -> float:
     return float(np.median(times))
 
 
-def bench_shards(data, queries, k, t, reps, baseline_results, gt_ids,
-                 budget="full"):
-    """Build/measure one ShardedDBLSH per shard count for one budget mode."""
+def bench_shards(data, queries, k, t, reps, baseline_results, gt_ids):
+    """Build/measure one ShardedDBLSH per shard count."""
     m = queries.shape[0]
     rows = {}
     for shards in SHARD_COUNTS:
         index = ShardedDBLSH(
             shards=shards, c=1.5, l_spaces=5, k_per_space=10, t=t, seed=0,
-            auto_initial_radius=True, budget=budget,
+            auto_initial_radius=True,
         )
         index.fit(data)
         results = index.query_batch(queries, k=k)
-        # Under the full budget each shard runs Algorithm 1 with the
-        # whole 2tL + k allowance, so a sharded query can verify
-        # candidates the unsharded budget truncated; a set mismatch
-        # paired with recall >= the unsharded recall means sharding found
-        # strictly better neighbors.  The split budget deliberately
-        # trades a little recall for aggregate work, so its sets may
-        # differ the other way.
+        # Each shard runs Algorithm 1 with the whole 2tL + k allowance,
+        # so a sharded query can verify candidates the unsharded budget
+        # truncated; a set mismatch paired with recall >= the unsharded
+        # recall means sharding found strictly better neighbors.
         sets_identical = all(
             set(a.ids) == set(b.ids) for a, b in zip(results, baseline_results)
         )
@@ -95,7 +89,7 @@ def bench_shards(data, queries, k, t, reps, baseline_results, gt_ids,
             "mean_candidates": round(float(np.mean(
                 [r.stats.candidates_verified for r in results])), 1),
         }
-        print(f"  shards={shards} ({budget}): "
+        print(f"  shards={shards}: "
               f"build {rows[str(shards)]['build_seconds']}s, "
               f"{rows[str(shards)]['qps']} qps, recall {rows[str(shards)]['recall']}, "
               f"sets_match={sets_identical}")
@@ -191,9 +185,6 @@ def main(argv=None) -> int:
         "unsharded_recall": round(unsharded_recall, 4),
         "shards": bench_shards(data, queries, args.k, t, reps,
                                baseline_results, gt_ids),
-        "shards_budget_split": bench_shards(data, queries, args.k, t, reps,
-                                            baseline_results, gt_ids,
-                                            budget="split"),
         "snapshot": bench_snapshot(data, queries, args.k, t, snapshot_path),
     }
     if os.path.exists(snapshot_path):

@@ -118,7 +118,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.shards > 1:
         methods.insert(1, ShardedDBLSH(
             shards=args.shards, c=args.c, l_spaces=5, k_per_space=10, t=args.t,
-            seed=args.seed, auto_initial_radius=True, budget=args.budget,
+            seed=args.seed, auto_initial_radius=True,
         ))
     results = run_comparison(methods, data, queries, k=args.k, dataset_name=label)
     print(format_table([r.row() for r in results],
@@ -131,7 +131,7 @@ def _cmd_save(args: argparse.Namespace) -> int:
     common = dict(c=args.c, l_spaces=5, k_per_space=10, t=args.t, seed=args.seed,
                   auto_initial_radius=True)
     if args.shards > 1:
-        index = ShardedDBLSH(shards=args.shards, budget=args.budget, **common)
+        index = ShardedDBLSH(shards=args.shards, **common)
     else:
         index = DBLSH(**common)
     index.fit(data)
@@ -502,11 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--shards", type=int, default=1,
                              help="partition the DB-LSH index across this "
                                   "many parallel shards (1 = unsharded)")
-            cmd.add_argument("--budget", choices=["full", "split"],
-                             default="full",
-                             help="sharded budget mode: every shard gets the "
-                                  "full 2tL+k budget, or t is split t/S per "
-                                  "shard (faster, slightly lower recall)")
         if name == "save":
             cmd.add_argument("--out", default="index.npz",
                              help="snapshot output path (.npz)")

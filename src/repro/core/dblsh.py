@@ -102,6 +102,21 @@ _SLOW_PATH = object()
 _RECOMPUTE_RTOL = 1e-7
 
 
+def estimate_initial_radius(data: np.ndarray, c: float, default: float) -> float:
+    """Anchor the radius schedule two c-steps below the typical NN distance.
+
+    The paper assumes data scaled so ``r0 = 1`` is meaningful; for
+    arbitrary feature scales the shared sampled-NN estimator provides
+    the anchor (every method in this library uses the same estimator,
+    so auto-scaling never favours one of them).  ``default`` is kept
+    when the estimate is 0 (every sampled point a duplicate).
+    """
+    base = estimate_nn_distance(data)
+    if base <= 0:
+        return default
+    return max(base / (c**2), float(np.finfo(np.float64).tiny))
+
+
 def _verify_distances(
     candidates: np.ndarray, norms2: np.ndarray, query: np.ndarray, q_norm2: float
 ) -> np.ndarray:
@@ -287,7 +302,9 @@ class DBLSH:
         )
         self._index_projections(self._hasher.project_all(data))
         if self.auto_initial_radius:
-            self.initial_radius = self._estimate_initial_radius(data)
+            self.initial_radius = estimate_initial_radius(
+                data, self.c, self.initial_radius
+            )
         self.build_seconds = time.perf_counter() - started
         return self
 
@@ -347,19 +364,6 @@ class DBLSH:
         while len(masks) < count:
             masks.append(GenerationMask(capacity))
         return masks[:count]
-
-    def _estimate_initial_radius(self, data: np.ndarray) -> float:
-        """Anchor the radius schedule two c-steps below the typical NN distance.
-
-        The paper assumes data scaled so ``r0 = 1`` is meaningful; for
-        arbitrary feature scales the shared sampled-NN estimator provides
-        the anchor (every method in this library uses the same estimator,
-        so auto-scaling never favours one of them).
-        """
-        base = estimate_nn_distance(data)
-        if base <= 0:
-            return self.initial_radius
-        return max(base / (self.c**2), np.finfo(np.float64).tiny)
 
     def add(self, points: np.ndarray) -> None:
         """Incrementally index new points (R*-tree backends only).

@@ -23,20 +23,11 @@ that:
   :class:`repro.serve.SnapshotServer`, which runs one worker process per
   shard.
 
-Budget modes
-    With the default ``budget="full"`` each shard runs Algorithm 1 with
-    the full ``2tL + k`` budget, so an S-way query may verify up to S
-    times more candidates than unsharded — recall never degrades (the
-    benchmark shows it improving), but aggregate work grows with S.
-    ``budget="split"`` gives each shard ``t/S``, keeping the *total*
-    budget at the unsharded level: queries get cheaper as S grows at a
-    small recall cost (each shard may stop before the globally-best
-    candidates surface).  ``bench_sharding.py`` reports both modes side
-    by side.
-
-With the full budget sized so queries terminate by the radius condition,
-the merged top-k matches the unsharded engine's result exactly; the
-parity tests pin this.
+Every shard runs Algorithm 1 with the full ``2tL + k`` budget of
+Remark 2, so an S-way query may verify up to S times more candidates
+than unsharded; recall never degrades.  With the budget sized so
+queries terminate by the radius condition, the merged top-k matches
+the unsharded engine's result exactly; the parity tests pin this.
 
 Snapshots (:mod:`repro.io.snapshot`) store all shards in one archive, so
 a sharded deployment reloads with zero rebuild exactly like a single
@@ -51,15 +42,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.dblsh import DBLSH
+from repro.core.dblsh import DBLSH, estimate_initial_radius
 from repro.core.params import DBLSHParams, derive_parameters
-from repro.core.plan import merge_shard_batches, merge_shard_results
+from repro.core.plan import merge_shard_batches
 from repro.core.result import QueryResult
 from repro.utils.rng import SeedLike
-from repro.utils.scale import estimate_nn_distance
 from repro.utils.validation import check_dataset, check_queries, check_query
-
-_BUDGET_MODES = ("full", "split")
 
 
 class ShardedDBLSH:
@@ -73,12 +61,6 @@ class ShardedDBLSH:
     ----------
     shards:
         Number of partitions ``S >= 1``.
-    budget:
-        ``"full"`` (default) runs every shard with the unsharded
-        ``2tL + k`` candidate budget; ``"split"`` gives each shard
-        ``t/S`` so the aggregate budget stays at the unsharded level —
-        faster S-way queries, slightly lower recall (see module
-        docstring).
     """
 
     name = "Sharded-DB-LSH"
@@ -97,12 +79,9 @@ class ShardedDBLSH:
         auto_initial_radius: bool = False,
         patience: Optional[int] = None,
         seed: SeedLike = 0,
-        budget: str = "full",
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if budget not in _BUDGET_MODES:
-            raise ValueError(f"budget must be one of {_BUDGET_MODES}, got {budget!r}")
         # Constructing a throwaway DBLSH validates the shared knobs with
         # the exact error messages of the unsharded constructor.
         DBLSH(
@@ -130,7 +109,6 @@ class ShardedDBLSH:
         self.auto_initial_radius = bool(auto_initial_radius)
         self.patience = patience
         self.seed = seed
-        self.budget = budget
 
         self.params: Optional[DBLSHParams] = None
         self.dim: int = 0
@@ -142,13 +120,6 @@ class ShardedDBLSH:
     # Indexing phase
     # ------------------------------------------------------------------
 
-    @property
-    def shard_t(self) -> int:
-        """The budget knob each shard runs with (``t`` or ``ceil(t/S)``)."""
-        if self.budget == "split":
-            return max(1, -(-self.t // self.shards))
-        return self.t
-
     def _shard_config(self) -> dict:
         """Constructor kwargs for one shard (params already resolved)."""
         assert self.params is not None
@@ -157,7 +128,7 @@ class ShardedDBLSH:
             w0=self.params.w0,
             k_per_space=self.params.k_per_space,
             l_spaces=self.params.l_spaces,
-            t=self.shard_t,
+            t=self.t,
             backend=self.backend,
             max_entries=self.max_entries,
             initial_radius=self.initial_radius,
@@ -173,10 +144,6 @@ class ShardedDBLSH:
         once from the **global** cardinality and pushed down to every
         shard, so shard ``i``'s window query at any radius returns
         exactly the points of the unsharded window living in slice ``i``.
-        Under ``budget="split"`` each shard is built with the divided
-        budget knob ``ceil(t / S)`` (see :attr:`shard_t`); serving
-        processes that later load the shards from a snapshot inherit
-        that per-shard budget unchanged.
 
         Parameters
         ----------
@@ -223,11 +190,9 @@ class ShardedDBLSH:
             l_spaces=self._l_arg,
         )
         if self.auto_initial_radius:
-            base = estimate_nn_distance(data)
-            if base > 0:
-                self.initial_radius = max(
-                    base / (self.c**2), float(np.finfo(np.float64).tiny)
-                )
+            self.initial_radius = estimate_initial_radius(
+                data, self.c, self.initial_radius
+            )
         sizes = [part.shape[0] for part in np.array_split(np.arange(n), self.shards)]
         self._offsets = [int(v) for v in np.concatenate(([0], np.cumsum(sizes)[:-1]))]
         self._shards = self._fit_threads(data, sizes)
@@ -289,30 +254,9 @@ class ShardedDBLSH:
     # ------------------------------------------------------------------
 
     def query(self, query: np.ndarray, k: int = 1) -> QueryResult:
-        """(c, k)-ANN: sweep every shard, merge top-k by distance.
-
-        A single query is the smallest possible batch, so the shards are
-        swept serially — a thread per shard costs more in pool dispatch
-        and GIL contention than the sub-millisecond probes it overlaps.
-        """
+        """(c, k)-ANN: a batch of one (see :meth:`query_batch`)."""
         self._require_fitted()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        query = check_query(query, self.dim)
-        started = time.perf_counter()
-        # One projection serves all shards (identical tensors by seed).
-        q_proj = self._shards[0]._hasher.project_query(query)  # type: ignore[union-attr]
-        results = [
-            shard._answer(query[None, :], q_proj[:, None, :], k)[0]
-            for shard in self._shards
-        ]
-        return merge_shard_results(
-            results,
-            self._offsets,
-            k,
-            time.perf_counter() - started,
-            hash_evaluations=self._shards[0]._hasher.num_functions,  # type: ignore[union-attr]
-        )
+        return self.query_batch(check_query(query, self.dim)[None, :], k)[0]
 
     def query_batch(self, queries: np.ndarray, k: int = 1) -> List[QueryResult]:
         """Batched (c, k)-ANN: one projection GEMM for the whole batch.
@@ -403,15 +347,8 @@ class ShardedDBLSH:
         *,
         shards: List[DBLSH],
         build_seconds: float = 0.0,
-        t: Optional[int] = None,
-        budget: str = "full",
     ) -> "ShardedDBLSH":
-        """Reassemble a sharded index from restored shard sub-indexes.
-
-        ``t`` is the *parent* budget knob (distinct from the shards' own
-        ``t`` under ``budget="split"``); snapshots written before those
-        header fields existed fall back to the first shard's values.
-        """
+        """Reassemble a sharded index from restored shard sub-indexes."""
         if not shards:
             raise ValueError("a sharded snapshot must contain at least one shard")
         first = shards[0]
@@ -422,13 +359,12 @@ class ShardedDBLSH:
             w0=first.params.w0,
             k_per_space=first.params.k_per_space,
             l_spaces=first.params.l_spaces,
-            t=first.t if t is None else int(t),
+            t=first.t,
             backend=first.backend,
             max_entries=first.max_entries,
             initial_radius=first.initial_radius,
             patience=first.patience,
             seed=first.seed,
-            budget=budget,
         )
         index.dim = first.dim
         index._shards = list(shards)
@@ -524,5 +460,5 @@ class ShardedDBLSH:
         return (
             f"ShardedDBLSH(shards={self.shards}, n={self.num_points}, d={self.dim}, "
             f"c={p.c}, w0={p.w0:.3g}, K={p.k_per_space}, L={p.l_spaces}, t={p.t}, "
-            f"budget={self.budget}, backend={self.backend})"
+            f"backend={self.backend})"
         )

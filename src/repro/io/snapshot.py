@@ -75,6 +75,7 @@ import numpy as np
 
 from repro.core.dblsh import DBLSH
 from repro.index.flat import FlatRStarTree
+from repro.io.wal import fsync_dir
 
 SNAPSHOT_FORMAT = "repro-index-snapshot"
 #: Layout version of the mmap arena container.
@@ -107,15 +108,6 @@ def _array_crc(array: np.ndarray) -> int:
     if arr.nbytes == 0:
         return 0  # crc32(b""); memoryview.cast rejects zero-sized shapes
     return crc32(memoryview(arr).cast("B"))
-
-
-def _fsync_dir(path: str) -> None:
-    """fsync the directory so a rename itself is durable."""
-    fd = os.open(path or ".", os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _align_up(offset: int, alignment: int = ARENA_ALIGN) -> int:
@@ -343,7 +335,7 @@ def _write_arena(path: str, header: dict, arrays: Dict[str, np.ndarray]) -> None
         except OSError:
             pass
         raise
-    _fsync_dir(os.path.dirname(path))
+    fsync_dir(os.path.dirname(path))
 
 
 def save_index(
@@ -360,9 +352,7 @@ def save_index(
     loading maps it read-only in O(1) and adopts every array as a
     zero-copy view, and concurrent serving workers share one physical
     copy of its pages.  A sharded index is stored shard-by-shard under
-    ``shard{i}.`` key prefixes (together with the parent's ``t`` and
-    ``budget`` mode, so a ``budget="split"`` index round-trips its
-    per-shard ``t/S`` knobs), which is what lets serving workers later
+    ``shard{i}.`` key prefixes, which is what lets serving workers later
     load single shards with :func:`load_shard` without touching the rest
     of the file.
 
@@ -428,8 +418,6 @@ def save_index(
             "version": ARENA_VERSION,
             "kind": "sharded",
             "build_seconds": float(index.build_seconds),
-            "t": int(index.t),
-            "budget": index.budget,
             "shard_headers": shard_headers,
         }
     elif isinstance(index, DBLSH):
@@ -621,8 +609,6 @@ def load_index(path: str):
                 return ShardedDBLSH._restore(
                     shards=shards,
                     build_seconds=float(header.get("build_seconds", 0.0)),
-                    t=header.get("t"),
-                    budget=str(header.get("budget", "full")),
                 )
         except KeyError as exc:
             # A valid header whose payload member is missing: truncated
@@ -658,8 +644,7 @@ def load_shard(path: str, shard: int) -> DBLSH:
     DBLSH
         The shard's sub-index, exactly as ``ShardedDBLSH.load(path)``
         would hold it (zero rebuild on the ``rstar`` backend), with the
-        per-shard budget knob the snapshot recorded (``t/S`` for a
-        ``budget="split"`` parent).
+        budget knob ``t`` the shard was saved with.
 
     Raises
     ------

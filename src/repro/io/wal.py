@@ -134,6 +134,8 @@ _SEGMENT_RE = re.compile(r"^wal\.(\d{6,})\.seg$")
 
 DEFAULT_SEGMENT_BYTES = 1 << 22
 
+#: Environment variable arming the log's kill points (module docstring).
+_FAULT_VAR = "REPRO_WAL_FAULT"
 #: Fault points that target one submitted record (0-based record ordinal).
 _RECORD_FAULTS = ("pre-append", "torn", "post-fsync")
 
@@ -168,7 +170,7 @@ def _segment_name(ordinal: int) -> str:
     return f"wal.{ordinal:06d}.seg"
 
 
-def _fsync_dir(path: str) -> None:
+def fsync_dir(path: str) -> None:
     """fsync the directory so a rename/creation itself is durable."""
     fd = os.open(path or ".", os.O_RDONLY)
     try:
@@ -183,9 +185,10 @@ def wal_present(path: str) -> bool:
     return os.path.exists(path)
 
 
-def _parse_faults() -> List[Tuple[str, int]]:
+def parse_faults(variable: str) -> List[Tuple[str, int]]:
+    """The ``<point>[:<nth>]`` specs armed in environment ``variable``."""
     out = []
-    for part in filter(None, os.environ.get("REPRO_WAL_FAULT", "").split(",")):
+    for part in filter(None, os.environ.get(variable, "").split(",")):
         fields = part.split(":")
         try:
             target = int(fields[1]) if len(fields) > 1 else 0
@@ -195,9 +198,9 @@ def _parse_faults() -> List[Tuple[str, int]]:
     return out
 
 
-def _armed_fault(point: str, ordinal: int) -> bool:
-    """True when ``REPRO_WAL_FAULT`` arms ``point`` at this ordinal."""
-    return any(p == point and t == ordinal for p, t in _parse_faults())
+def armed_fault(variable: str, point: str, ordinal: int) -> bool:
+    """True when environment ``variable`` arms ``point`` at this ordinal."""
+    return (point, ordinal) in parse_faults(variable)
 
 
 def _check_segment_bytes(segment_bytes: int) -> int:
@@ -404,8 +407,8 @@ class WriteAheadLog:
             _write_segment_header(handle, header)
             handle.flush()
             os.fsync(handle.fileno())
-        _fsync_dir(path)
-        _fsync_dir(os.path.dirname(path))
+        fsync_dir(path)
+        fsync_dir(os.path.dirname(path))
         return cls.open(path, segment_bytes=segment_bytes)
 
     @classmethod
@@ -468,7 +471,7 @@ class WriteAheadLog:
         if base_idx:
             for _, seg_path in entries[:base_idx]:
                 os.unlink(seg_path)
-            _fsync_dir(path)
+            fsync_dir(path)
             entries = entries[base_idx:]
 
         recovered: List[Record] = []
@@ -642,7 +645,7 @@ class WriteAheadLog:
     def _next_record_fault(self) -> Optional[str]:
         nth = self._records_submitted
         self._records_submitted += 1
-        for point, target in _parse_faults():
+        for point, target in parse_faults(_FAULT_VAR):
             if point in _RECORD_FAULTS and target == nth:
                 return point
         return None
@@ -686,7 +689,7 @@ class WriteAheadLog:
                 raise self._poisoned()
             group_ordinal = self._groups
             mid_at = None
-            if len(batch) and _armed_fault("mid-group", group_ordinal):
+            if len(batch) and armed_fault(_FAULT_VAR, "mid-group", group_ordinal):
                 mid_at = max(1, len(batch) // 2)
             post_fsync = False
             written = 0
@@ -761,7 +764,7 @@ class WriteAheadLog:
         self._rotations += 1
         self._ordinal += 1
         self._open_live_segment(dict(self._header, segment=self._ordinal))
-        if _armed_fault("between-segment", rotation):
+        if armed_fault(_FAULT_VAR, "between-segment", rotation):
             os._exit(9)
 
     def _open_live_segment(self, header: dict) -> None:
@@ -775,7 +778,7 @@ class WriteAheadLog:
         except BaseException:
             file.close()
             raise
-        _fsync_dir(self.path)
+        fsync_dir(self.path)
         self._file = file
         self._header = header
         self._seg_size = file.tell()
@@ -833,12 +836,12 @@ class WriteAheadLog:
                 self._seg_records += 1
             self._file.flush()
             self._fsync_file()
-            if _armed_fault("pre-segment-delete", ckpt_ordinal):
+            if armed_fault(_FAULT_VAR, "pre-segment-delete", ckpt_ordinal):
                 os._exit(9)
             for ordinal, _ in self._sealed:
                 os.unlink(os.path.join(self.path, _segment_name(ordinal)))
             self._sealed = []
-            _fsync_dir(self.path)
+            fsync_dir(self.path)
             self._size = self._seg_size
             return self._size
 

@@ -79,6 +79,7 @@ from repro.io.wal import (
     DeleteRecord,
     InsertRecord,
     WriteAheadLog,
+    armed_fault,
     wal_present,
 )
 from repro.core.result import QueryResult
@@ -87,29 +88,13 @@ from repro.utils.validation import check_queries, check_query
 
 __all__ = ["MutableSnapshotServer"]
 
-_COMPACT_FAULT_POINTS = (
-    "pre-snapshot-replace", "post-snapshot-replace", "post-wal-replace",
-)
-
 #: EMA smoothing for the per-query-batch delta-sweep overhead fraction
 #: (reported as ``status()["sweep_overhead_ema"]``).
 _OVERHEAD_ALPHA = 0.2
 
 
-def _armed_compact_fault(point: str, ordinal: int) -> bool:
-    """True when ``REPRO_COMPACT_FAULT`` arms ``point`` for this compaction."""
-    for part in filter(
-        None, os.environ.get("REPRO_COMPACT_FAULT", "").split(",")
-    ):
-        fields = part.split(":")
-        try:
-            target = int(fields[1]) if len(fields) > 1 else 0
-        except ValueError:
-            continue  # malformed spec: never let a typo crash serving
-        if fields[0] == point and fields[0] in _COMPACT_FAULT_POINTS:
-            if ordinal == target:
-                return True
-    return False
+#: Environment variable arming the compaction kill points (module docstring).
+_COMPACT_FAULT = "REPRO_COMPACT_FAULT"
 
 
 class MutableSnapshotServer(SnapshotServer):
@@ -498,7 +483,7 @@ class MutableSnapshotServer(SnapshotServer):
                 index.add(np.array(fold_view.points, copy=True))
             index.delete(sorted(fold_tombs))
             new_uid = os.urandom(8).hex()
-            if _armed_compact_fault("pre-snapshot-replace", ordinal):
+            if armed_fault(_COMPACT_FAULT, "pre-snapshot-replace", ordinal):
                 os._exit(9)
             # 2. Atomically replace the snapshot: the new generation names
             #    the old as parent, so a crash before the checkpoint roll
@@ -508,7 +493,7 @@ class MutableSnapshotServer(SnapshotServer):
                 uid=new_uid, parent_uid=old_uid, next_id=next_id,
             )
             del index
-            if _armed_compact_fault("post-snapshot-replace", ordinal):
+            if armed_fault(_COMPACT_FAULT, "post-snapshot-replace", ordinal):
                 os._exit(9)
             # 3. Hot-flip the workers; in-flight queries drain on the old
             #    generation.  Until step 4 swaps the views, queries see the
@@ -579,8 +564,8 @@ class MutableSnapshotServer(SnapshotServer):
             snapshot_uid=uid, parent_uid=parent_uid,
             next_id=self._next_id, pending=pending,
         )
-        if ordinal is not None and _armed_compact_fault(
-            "post-wal-replace", ordinal
+        if ordinal is not None and armed_fault(
+            _COMPACT_FAULT, "post-wal-replace", ordinal
         ):
             os._exit(9)
 

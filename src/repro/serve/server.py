@@ -13,11 +13,9 @@ Why processes: DB-LSH probe rounds interleave GIL-holding Python
 bookkeeping with released-GIL numpy chunks, which caps thread fan-out at
 roughly one core of useful work (measured in ``docs/benchmarks.md``).
 Worker processes each bring their own interpreter, so an S-shard server
-on an S-core host runs S probe loops truly concurrently; the per-shard
-budget (``t`` as saved, ``t/S`` for a ``budget="split"`` snapshot) keeps
-the aggregate candidate work bounded.  On a single-core host the IPC is
-pure overhead — ``BENCH_serve.json`` records exactly that; see
-``docs/benchmarks.md``.
+on an S-core host runs S probe loops truly concurrently.  On a
+single-core host the IPC is pure overhead — ``BENCH_serve.json``
+records exactly that; see ``docs/benchmarks.md``.
 
 Concurrency: every public method is **thread-safe**.  Callers from many
 threads (the HTTP gateway's micro-batcher, or direct library callers)
@@ -193,8 +191,8 @@ class _FifoLock:
 class _PoolSpec:
     """Everything a worker pool needs from a snapshot header (no payload I/O)."""
 
-    __slots__ = ("path", "kind", "budget", "dim", "sizes", "offsets",
-                 "num_points", "hash_fns")
+    __slots__ = ("path", "kind", "dim", "sizes", "offsets", "num_points",
+                 "hash_fns")
 
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
@@ -202,7 +200,6 @@ class _PoolSpec:
         headers = shard_headers(header)
         first = headers[0]
         self.kind = header["kind"]
-        self.budget = header.get("budget", "full")
         self.dim = int(first["dim"])
         self.sizes = [int(h["n"]) for h in headers]
         self.offsets: List[int] = [0]
@@ -466,7 +463,7 @@ class SnapshotServer:
         return (
             f"SnapshotServer(path={os.path.basename(spec.path)!r}, "
             f"shards={spec.num_shards}, n={spec.num_points}, d={spec.dim}, "
-            f"budget={spec.budget}, generation={generation}, {state})"
+            f"generation={generation}, {state})"
         )
 
     def status(self) -> dict:
@@ -488,7 +485,6 @@ class SnapshotServer:
             return {
                 "path": spec.path,
                 "kind": spec.kind,
-                "budget": spec.budget,
                 "shards": spec.num_shards,
                 "num_points": spec.num_points,
                 "dim": spec.dim,
@@ -553,8 +549,8 @@ class SnapshotServer:
         workers then retire.  Nothing is dropped and nothing is refused
         during the flip.
 
-        The new snapshot may have a different shard count, budget mode,
-        or point count; it must have the same dimensionality (clients
+        The new snapshot may have a different shard count, budget knob
+        ``t``, or point count; it must have the same dimensionality (clients
         hold the query-shape contract) and be readable under this
         build's snapshot version.
 

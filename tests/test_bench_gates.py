@@ -53,9 +53,6 @@ GOOD = {
             "1": {"server_matches_inprocess": True,
                   "server_sets_match_unsharded": True},
         },
-        "workers_budget_split": {
-            "1": {"server_matches_inprocess": True},
-        },
         "concurrent_clients": {
             "2": {"matches_inprocess": True},
         },
@@ -163,10 +160,6 @@ BREAKS = [
     ("BENCH_serve.smoke.json",
      lambda r: r["workers"]["1"].update(server_matches_inprocess=False),
      "in-process snapshot"),
-    ("BENCH_serve.smoke.json",
-     lambda r: r["workers_budget_split"]["1"].update(
-         server_matches_inprocess=False),
-     "budget=split"),
     ("BENCH_serve.smoke.json",
      lambda r: r["concurrent_clients"]["2"].update(matches_inprocess=False),
      "concurrent answers"),

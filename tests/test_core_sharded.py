@@ -67,6 +67,12 @@ class TestThreadBuild:
             assert set(a) == set(b)
             assert all(np.array_equal(a[key], b[key]) for key in a)
 
+    def test_auto_initial_radius_matches_unsharded(self, workload, unsharded):
+        data, _ = workload
+        sharded = ShardedDBLSH(shards=3, **COMMON).fit(data)
+        radii = {shard.initial_radius for shard in sharded.shard_indexes}
+        assert radii == {sharded.initial_radius} == {unsharded.initial_radius}
+
     def test_add_after_fit_returns_new_id(self, workload):
         data, _ = workload
         sharded = ShardedDBLSH(shards=2, **COMMON).fit(data)
@@ -107,45 +113,35 @@ class TestConcurrentCallers:
 
 
 class TestBudgetSplit:
-    def test_shard_t_divides_budget(self, workload):
-        data, _ = workload
-        split = ShardedDBLSH(shards=4, budget="split", **COMMON).fit(data)
-        assert split.t == COMMON["t"]
-        assert split.shard_t == -(-COMMON["t"] // 4)
-        assert all(shard.t == split.shard_t for shard in split.shard_indexes)
+    """The budget does not split: every shard runs the full ``2tL + k``."""
 
     def test_full_budget_keeps_t(self, workload):
         data, _ = workload
-        full = ShardedDBLSH(shards=4, budget="full", **COMMON).fit(data)
-        assert full.shard_t == COMMON["t"]
+        full = ShardedDBLSH(shards=4, **COMMON).fit(data)
+        assert full.t == COMMON["t"]
         assert all(shard.t == COMMON["t"] for shard in full.shard_indexes)
-
-    def test_split_verifies_no_more_total_candidates(self, workload):
-        data, queries = workload
-        full = ShardedDBLSH(shards=4, budget="full", **COMMON).fit(data)
-        split = ShardedDBLSH(shards=4, budget="split", **COMMON).fit(data)
-        cand_full = sum(
-            r.stats.candidates_verified for r in full.query_batch(queries, k=10)
+        assert all(
+            shard.params.budget(10) == full.params.budget(10)
+            for shard in full.shard_indexes
         )
-        cand_split = sum(
-            r.stats.candidates_verified for r in split.query_batch(queries, k=10)
-        )
-        assert cand_split <= cand_full
-        # The split mode still returns k sane neighbors per query.
-        for result in split.query_batch(queries, k=10):
-            assert len(result.neighbors) == 10
 
-    def test_single_shard_split_equals_full(self, workload):
+    def test_each_shard_verifies_up_to_the_full_budget(self, workload):
         data, queries = workload
-        full = ShardedDBLSH(shards=1, budget="full", **COMMON).fit(data)
-        split = ShardedDBLSH(shards=1, budget="split", **COMMON).fit(data)
-        batch_f = full.query_batch(queries, k=10)
-        batch_s = split.query_batch(queries, k=10)
-        assert [r.ids for r in batch_f] == [r.ids for r in batch_s]
+        tiny = dict(COMMON, t=2)  # small enough that the budget stops
+        sharded = ShardedDBLSH(shards=2, **tiny).fit(data)
+        budget = sharded.params.budget(10)
+        for shard in sharded.shard_indexes:
+            counts = [
+                r.stats.candidates_verified
+                for r in shard.query_batch(queries, k=10)
+            ]
+            assert max(counts) <= budget
+            assert budget in counts  # a shard may spend all of it
 
     def test_invalid_budget(self):
-        with pytest.raises(ValueError, match="budget"):
-            ShardedDBLSH(shards=2, budget="half")
+        # Every shard runs the full budget; there is no mode to select.
+        with pytest.raises(TypeError, match="budget"):
+            ShardedDBLSH(shards=2, budget="split")
 
 
 class TestStructure:

@@ -18,7 +18,12 @@ from repro.io import (
     read_header,
     save_index,
 )
-from repro.io.snapshot import SNAPSHOT_FORMAT, _ArenaArchive, _write_arena
+from repro.io.snapshot import (
+    SNAPSHOT_FORMAT,
+    _ArenaArchive,
+    _pack_dblsh,
+    _write_arena,
+)
 
 
 def _rewrite_arena(path, edit):
@@ -166,6 +171,36 @@ class TestArrayNativeRoundtrip:
             assert restored.query(q, k=5).ids == fitted.query(q, k=5).ids
 
 
+def _answers(results):
+    return [(r.ids, r.distances) for r in results]
+
+
+@pytest.fixture(scope="module")
+def split_v4(workload, tmp_path_factory):
+    """A sharded v4 snapshot as written before the split budget was
+    removed: shards fit at ``ceil(32 / 3) = 11``, and the header's extra
+    parent ``"t": 32`` and ``"budget": "split"`` fields."""
+    data, _ = workload
+    shards = ShardedDBLSH(
+        shards=3, l_spaces=3, k_per_space=6, t=11, seed=0,
+        auto_initial_radius=True,
+    ).fit(data)
+    shard_headers, arrays = [], {}
+    for i, shard in enumerate(shards.shard_indexes):
+        shard_header, shard_arrays = _pack_dblsh(shard, f"shard{i}.")
+        shard_headers.append(shard_header)
+        arrays.update(shard_arrays)
+    header = {
+        "format": SNAPSHOT_FORMAT, "version": ARENA_VERSION,
+        "kind": "sharded", "build_seconds": 0.0, "t": 32, "budget": "split",
+        "shard_headers": shard_headers, "uid": "0123456789abcdef",
+        "parent_uid": None, "next_id": shards.num_points,
+    }
+    path = str(tmp_path_factory.mktemp("v4") / "split.npz")
+    _write_arena(path, header, arrays)
+    return path, shards
+
+
 class TestShardedRoundtrip:
     def test_identical_query_results(self, workload, tmp_path):
         data, queries = workload
@@ -182,21 +217,26 @@ class TestShardedRoundtrip:
         for q in queries:
             assert restored.query(q, k=5).ids == index.query(q, k=5).ids
 
-    def test_split_budget_and_parent_t_survive_roundtrip(self, workload, tmp_path):
-        data, queries = workload
-        index = ShardedDBLSH(
-            shards=3, l_spaces=3, k_per_space=6, t=32, seed=0, budget="split",
-            auto_initial_radius=True,
-        ).fit(data)
-        path = str(tmp_path / "split.npz")
-        save_index(index, path)
+    def test_v4_split_snapshot_loads_at_its_shards_t(self, workload, split_v4):
+        _, queries = workload
+        path, shards = split_v4
         restored = load_index(path)
-        assert restored.budget == "split"
-        assert restored.t == 32
-        assert restored.shard_t == index.shard_t
-        assert restored.describe() == index.describe()
-        for q in queries[:4]:
-            assert restored.query(q, k=5).ids == index.query(q, k=5).ids
+        assert isinstance(restored, ShardedDBLSH)
+        assert restored.t == 11
+        assert all(shard.t == 11 for shard in restored.shard_indexes)
+        assert _answers(restored.query_batch(queries, k=5)) == _answers(
+            shards.query_batch(queries, k=5)
+        )
+
+    def test_v4_split_snapshot_serves_the_same_answers(self, workload, split_v4):
+        from repro.serve import SnapshotServer
+
+        _, queries = workload
+        path, shards = split_v4
+        with SnapshotServer(path) as server:
+            assert "budget" not in server.status()
+            served = server.query_batch(queries, k=5)
+        assert _answers(served) == _answers(shards.query_batch(queries, k=5))
 
     def test_class_load_helpers_enforce_kind(self, workload, fitted, tmp_path):
         data, _ = workload

@@ -40,6 +40,7 @@ from repro.io import (
     WriteAheadLog,
     wal_present,
 )
+from repro.io.wal import armed_fault, parse_faults
 
 
 @pytest.fixture
@@ -548,6 +549,16 @@ def _drain_acks(proc, timeout=60):
 
 class TestFaultInjection:
     """REPRO_WAL_FAULT kills: recovery yields exactly the acked appends."""
+
+    def test_fault_specs_are_read_from_the_named_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WAL_FAULT", "torn:2,pre-append,mid-group:x")
+        monkeypatch.setenv("REPRO_COMPACT_FAULT", "post-wal-replace:1")
+        # A malformed ordinal is skipped; a missing one means 0.
+        assert parse_faults("REPRO_WAL_FAULT") == [("torn", 2), ("pre-append", 0)]
+        assert armed_fault("REPRO_WAL_FAULT", "torn", 2)
+        assert not armed_fault("REPRO_WAL_FAULT", "torn", 1)
+        assert not armed_fault("REPRO_WAL_FAULT", "post-wal-replace", 1)
+        assert armed_fault("REPRO_COMPACT_FAULT", "post-wal-replace", 1)
 
     @pytest.mark.parametrize("fault,acked_survive", [
         ("pre-append:2", [0, 1]),   # killed before touching the file

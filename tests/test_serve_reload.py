@@ -3,7 +3,7 @@
 The reload contract of :meth:`repro.serve.SnapshotServer.reload`:
 
 * the new generation may have a **different shard count** (and point
-  count, and budget mode) — the worker pool is rebuilt to match;
+  count, and budget knob ``t``) — the worker pool is rebuilt to match;
 * a reload **mid-query** never disturbs the in-flight request: it
   answers from the generation it checked out, then the old workers
   retire (drained, not killed under the request);

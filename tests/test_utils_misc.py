@@ -1,4 +1,4 @@
-"""Tests for Timer, validation helpers, and the shared scale estimator."""
+"""Tests for Timer, validation helpers, and the shared scale estimators."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.dblsh import estimate_initial_radius
 from repro.utils.scale import estimate_nn_distance
 from repro.utils.timing import Timer
 from repro.utils.validation import (
@@ -180,3 +181,14 @@ class TestEstimateNNDistance:
         data = rng.standard_normal((348, 25))
         data[: 174] = data[0]
         assert estimate_nn_distance(data) == 0.0
+
+
+class TestEstimateInitialRadius:
+    """The one radius anchor ``DBLSH`` and ``ShardedDBLSH`` both use."""
+
+    def test_two_c_steps_below_the_nn_distance(self):
+        data = np.stack([np.arange(50, dtype=float), np.zeros(50)], axis=1)
+        assert estimate_initial_radius(data, 2.0, 7.0) == pytest.approx(0.25)
+
+    def test_duplicates_keep_the_default(self):
+        assert estimate_initial_radius(np.ones((20, 3)), 1.5, 0.7) == 0.7

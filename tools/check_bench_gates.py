@@ -81,8 +81,8 @@ def check_build(report: dict) -> List[str]:
 
 def check_serve(report: dict) -> List[str]:
     """Served answers must be bit-identical to the in-process snapshot
-    sweep (shared merge planner — any gap is a transport bug); the
-    full-budget rows must also match unsharded sets; concurrent clients
+    sweep (shared merge planner — any gap is a transport bug) and match
+    unsharded sets; concurrent clients
     must reassemble exactly; the supervision scenario (SIGKILL + hot
     reload under 4 clients) must hold all four of its flags."""
     violations = []
@@ -95,11 +95,6 @@ def check_serve(report: dict) -> List[str]:
             violations.append(
                 f"workers={workers}: served sets != unsharded query_batch"
             )
-    violations += [
-        f"workers={workers} (budget=split): served answers != in-process"
-        for workers, row in report["workers_budget_split"].items()
-        if not row["server_matches_inprocess"]
-    ]
     violations += [
         f"clients={clients}: concurrent answers != single-client answers"
         for clients, row in report["concurrent_clients"].items()
