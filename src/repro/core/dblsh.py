@@ -56,6 +56,14 @@ The round loop
     on the other queries of the block: the GEMV can round a row
     differently depending on where it sits in the chunk, so this is what
     keeps answers bit-identical across block sizes and entry points.
+
+Inserts
+    :meth:`DBLSH.add` appends to a :class:`~repro.core.delta.DeltaIndex`,
+    the same un-projected buffer the mutable server keeps.  After the
+    round loop, every query path sweeps it brute-force and merges the two
+    answers with :func:`repro.core.plan.merge_live_results`, so an index
+    mutated in process answers exactly like a mutable server holding the
+    same rows.  :meth:`DBLSH.compact` folds the buffer into the tables.
 """
 
 from __future__ import annotations
@@ -66,8 +74,10 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
+from repro.core.delta import _RECOMPUTE_RTOL, DeltaIndex
 from repro.core.params import DBLSHParams, derive_parameters
-from repro.core.result import Neighbor, QueryResult, QueryStats
+from repro.core.plan import merge_live_batches
+from repro.core.result import QueryResult, QueryStats
 from repro.hashing.compound import CompoundHasher
 from repro.index.flat import FlatRStarTree
 from repro.index.grid import GridIndex
@@ -94,12 +104,6 @@ _BLOCK = 16
 #: Sentinel returned by the chunk-merge fast path when the chunk contains
 #: a mid-stream radius stop and must be replayed candidate-by-candidate.
 _SLOW_PATH = object()
-
-#: Relative tolerance under which a GEMM-expanded squared distance is
-#: recomputed exactly: ``|x|^2 - 2 x.q + |q|^2`` cancels catastrophically
-#: when the distance is tiny relative to the norms (a self-query would
-#: come back ~1e-7 instead of 0).
-_RECOMPUTE_RTOL = 1e-7
 
 
 def estimate_initial_radius(data: np.ndarray, c: float, default: float) -> float:
@@ -232,23 +236,21 @@ class DBLSH:
         # in ``_tables`` instead (see _index_projections).
         self._forest: Optional[FlatRStarTree] = None
         self._tables: list = []
-        self._table_low: list = []
-        self._table_high: list = []
+        # Every space's projected extent, stacked ``(L, K)``.
         self._cov_low: Optional[np.ndarray] = None
         self._cov_high: Optional[np.ndarray] = None
-        # Capacity-doubling storage: ``_buffer[:_n]`` is the live dataset.
+        # The rows the tables index and their squared norms.
         self._buffer: Optional[np.ndarray] = None
         self._norms2: Optional[np.ndarray] = None
-        self._n: int = 0
-        # Rows ``[_frozen_n, _n)`` are the *delta buffer*: appended after
-        # the frozen traversals were built, never projected, swept
-        # brute-force at the start of every query until ``compact()``
-        # folds them in.
-        self._frozen_n: int = 0
-        # Tombstoned (deleted) row ids.  Rows stay physically in the
-        # buffer — ids are never renumbered — and are pre-marked into the
+        # Rows added since: never projected, swept brute-force after the
+        # round loop until ``compact()`` folds them in.  Their ids follow
+        # the indexed rows'.
+        self._delta: Optional[DeltaIndex] = None
+        # Tombstoned (deleted) row ids.  Rows stay physically stored —
+        # ids are never renumbered.  Indexed rows are pre-marked into the
         # per-query seen mask so they are never verified, never charged
-        # against the budget, and never enter the heap.
+        # against the budget, and never enter the heap; the delta sweep
+        # skips the others.
         self._tombstones: set = set()
         self._tomb_cache: Optional[np.ndarray] = None
         # One list of seen masks (one per lockstep slot) per thread: reuse
@@ -267,10 +269,10 @@ class DBLSH:
 
     @property
     def data(self) -> Optional[np.ndarray]:
-        """The indexed points (a view over the growable buffer)."""
-        if self._buffer is None:
-            return None
-        return self._buffer[: self._n]
+        """Every stored point in id order (a copy while rows are pending)."""
+        if self._buffer is None or not self.num_pending:
+            return self._buffer
+        return np.concatenate([self._buffer, self._delta.view().points])
 
     def fit(self, data: np.ndarray) -> "DBLSH":
         """Build the (K, L)-index over ``data`` (n, d).
@@ -284,8 +286,7 @@ class DBLSH:
         n, dim = data.shape
         self._buffer = data
         self._norms2 = np.einsum("ij,ij->i", data, data)
-        self._n = n
-        self._frozen_n = n
+        self._delta = DeltaIndex(dim)
         self._tombstones = set()
         self._tomb_cache = None
         self.dim = dim
@@ -322,9 +323,8 @@ class DBLSH:
         else:
             self._forest, self._tables = None, tables
         self.table_build_seconds = time.perf_counter() - started
-        self._table_low = [proj.min(axis=0) for proj in projections]
-        self._table_high = [proj.max(axis=0) for proj in projections]
-        self._refresh_cover_bounds()
+        self._cov_low = projections.min(axis=1)
+        self._cov_high = projections.max(axis=1)
 
     def _build_table(self, projected: np.ndarray):
         """One space's window-query structure.
@@ -372,15 +372,13 @@ class DBLSH:
         decoupled design: the dynamic bucketing never looks at bucket
         boundaries, so insertion never repartitions anything.
 
-        The new points land in the **delta buffer**: an O(m) append with
-        no projection pass and no tree surgery.  Queries sweep the delta
-        brute-force before the probe rounds, so the points are visible
-        immediately; :meth:`compact` folds them into fresh tables when
-        the sweep grows noticeable.
-
-        The dataset lives in a capacity-doubling buffer, so a sequence of
-        ``add`` calls costs amortised O(1) copies per point rather than a
-        full-dataset copy per call.
+        The new points land in the delta buffer
+        (:class:`~repro.core.delta.DeltaIndex`) with ids continuing after
+        the existing rows: an O(m) append with no projection pass and no
+        tree surgery.  Queries sweep the buffer brute-force after the
+        probe rounds, so the points are visible immediately;
+        :meth:`compact` folds them into fresh tables when the sweep grows
+        noticeable.  A mapped snapshot buffer stays mapped and untouched.
         """
         if self._buffer is None or self.params is None or self._hasher is None:
             raise RuntimeError("fit() must be called before add()")
@@ -389,28 +387,9 @@ class DBLSH:
         points = check_dataset(points)
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
-        start_id = self._n
-        needed = self._n + points.shape[0]
-        # Reallocate when out of capacity *or* when the buffer is a
-        # read-only mapped snapshot view (arena loads): first-write after
-        # a zero-copy load promotes the dataset to private heap; until
-        # then the snapshot pages stay shared across processes.
-        if needed > self._buffer.shape[0] or not self._buffer.flags.writeable:
-            capacity = max(2 * self._buffer.shape[0], needed)
-            buffer = np.empty((capacity, self.dim), dtype=np.float64)
-            buffer[: self._n] = self._buffer[: self._n]
-            self._buffer = buffer
-            norms2 = np.empty(capacity, dtype=np.float64)
-            norms2[: self._n] = self._norms2[: self._n]  # type: ignore[index]
-            self._norms2 = norms2
-        self._buffer[start_id:needed] = points
-        self._norms2[start_id:needed] = np.einsum(  # type: ignore[index]
-            "ij,ij->i", points, points
-        )
-        # The tables stay valid for rows [0, _frozen_n); the new rows are
-        # swept at query time.  No projections are computed until
-        # compact() folds them in.
-        self._n = needed
+        start_id = self.num_points
+        for offset, point in enumerate(points):
+            self._delta.append(start_id + offset, point)
 
     def delete(self, ids) -> int:
         """Tombstone the given row ids; returns how many were newly deleted.
@@ -424,10 +403,11 @@ class DBLSH:
         """
         self._require_fitted()
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64)).ravel()
-        if ids.size and (ids.min() < 0 or ids.max() >= self._n):
-            bad = ids[(ids < 0) | (ids >= self._n)][0]
+        total = self.num_points
+        if ids.size and (ids.min() < 0 or ids.max() >= total):
+            bad = ids[(ids < 0) | (ids >= total)][0]
             raise ValueError(
-                f"cannot delete id {int(bad)}: ids must be in [0, {self._n})"
+                f"cannot delete id {int(bad)}: ids must be in [0, {total})"
             )
         before = len(self._tombstones)
         self._tombstones.update(ids.tolist())
@@ -439,19 +419,25 @@ class DBLSH:
     def compact(self) -> bool:
         """Fold the delta buffer into fresh per-space tables.
 
-        Recomputes the projections over the whole buffer and rebuilds
-        every table (an O(n) rebuild on ``rstar`` — amortize it over many
-        ``add`` calls), after which queries stop paying the per-query
-        delta sweep.  Tombstones stay logical: rows are never removed,
-        so ids never shift.  Returns ``True`` when a fold happened,
-        ``False`` when there was no delta to fold.
+        Stacks the indexed and pending rows into one private buffer,
+        recomputes the projections over it and rebuilds every table (an
+        O(n) rebuild on ``rstar`` — amortize it over many ``add`` calls),
+        after which queries stop paying the per-query delta sweep.
+        Tombstones stay logical: rows are never removed, so ids never
+        shift.  Returns ``True`` when a fold happened, ``False`` when
+        there was no delta to fold.
         """
         self._require_fitted()
-        if self._frozen_n >= self._n:
+        if not self.num_pending:
             return False
         assert self._hasher is not None
-        self._index_projections(self._hasher.project_all(self.data))
-        self._frozen_n = self._n
+        pending = self._delta.view().points
+        self._buffer = np.concatenate([self._buffer, pending])
+        self._norms2 = np.concatenate(
+            [self._norms2, np.einsum("ij,ij->i", pending, pending)]
+        )
+        self._index_projections(self._hasher.project_all(self._buffer))
+        self._delta = DeltaIndex(self.dim)
         return True
 
     def _tombstone_array(self) -> Optional[np.ndarray]:
@@ -506,7 +492,8 @@ class DBLSH:
 
         Returns up to ``k`` points within ``c * radius`` of the query, or
         an empty result when Algorithm 1 would return nothing.  This is
-        one round of the round loop, started at ``radius``.
+        one round of the round loop, started at ``radius``, merged with
+        the delta sweep like every other query.
         """
         self._require_fitted()
         if k < 1:
@@ -515,31 +502,46 @@ class DBLSH:
         assert self.params is not None and self._hasher is not None
         query = check_query(query, self.dim)
         q_proj = self._hasher.project_query(query)
-        (slot,) = self._search(query[None, :], q_proj[:, None, :], k, radius=radius)
+        (result,) = self._answer(
+            query[None, :], q_proj[:, None, :], k, radius=radius
+        )
         # Algorithm 1 only *returns* points when a termination condition
         # fired; points farther than c*r found along the way are dropped.
-        if slot.stats.terminated_by == "budget":
+        if result.stats.terminated_by == "budget":
             # Budget exhaustion returns the current best found so far even
             # if beyond c*r (Lemma 2 shows that under E2 it cannot be).
-            return QueryResult.from_heap(slot.heap, slot.stats)
+            return result
         cutoff = self.params.c * radius
-        neighbors = [
-            Neighbor(int(i), float(d)) for d, i in slot.heap.items() if d <= cutoff
-        ]
-        return QueryResult(neighbors=neighbors, stats=slot.stats)
+        neighbors = [n for n in result.neighbors if n.distance <= cutoff]
+        return QueryResult(neighbors=neighbors, stats=result.stats)
 
     # ------------------------------------------------------------------
     # The round loop
     # ------------------------------------------------------------------
 
     def _answer(
-        self, queries: np.ndarray, q_projs: np.ndarray, k: int
+        self,
+        queries: np.ndarray,
+        q_projs: np.ndarray,
+        k: int,
+        radius: Optional[float] = None,
     ) -> List[QueryResult]:
-        """Results of :meth:`_search`; the entry point every query path shares."""
-        return [
+        """Results of :meth:`_search` merged with the delta sweep.
+
+        The entry point every query path shares.  Pending rows are swept
+        exactly (tombstones skipped) after the round loop and merged by
+        ``(distance, id)``, the rule the mutable server applies.
+        """
+        base = [
             QueryResult.from_heap(slot.heap, slot.stats)
-            for slot in self._search(queries, q_projs, k)
+            for slot in self._search(queries, q_projs, k, radius)
         ]
+        if not self.num_pending:
+            return base
+        swept = self._delta.view().sweep(
+            queries, k, exclude=self._tombstone_array()
+        )
+        return merge_live_batches(base, swept, k)
 
     def _search(
         self,
@@ -562,11 +564,15 @@ class DBLSH:
         """
         assert self.params is not None and self._hasher is not None
         masks = self._get_scratch(min(queries.shape[0], _BLOCK))
+        tombs = self._tombstone_array()
+        if tombs is not None:
+            # Only indexed rows have a place in the seen masks.
+            tombs = tombs[: np.searchsorted(tombs, self._buffer.shape[0])]
         slots: List[_Slot] = []
         for start in range(0, queries.shape[0], _BLOCK):
             started = time.perf_counter()
             block = [
-                self._open_slot(queries[j], q_projs[:, j, :], k, mask, radius)
+                self._open_slot(queries[j], q_projs[:, j, :], k, mask, radius, tombs)
                 for j, mask in zip(range(start, start + _BLOCK), masks)
                 if j < queries.shape[0]
             ]
@@ -590,8 +596,14 @@ class DBLSH:
         k: int,
         mask: GenerationMask,
         radius: Optional[float],
+        tombs: Optional[np.ndarray],
     ) -> "_Slot":
-        """A fresh in-flight query: empty heap, reset seen set, delta swept."""
+        """A fresh in-flight query: empty heap, reset seen set.
+
+        The indexed ``tombs`` count as already seen, so deleted rows are
+        never verified, never charged against the budget and never enter
+        the heap.
+        """
         assert self.params is not None and self._hasher is not None
         slot = _Slot()
         slot.query = query
@@ -605,7 +617,9 @@ class DBLSH:
         slot.stats = QueryStats()
         slot.stats.hash_evaluations = self._hasher.num_functions
         slot.seen = mask.begin()
-        slot.q_norm2 = self._begin_query(query, slot.heap, slot.seen, slot.stats)
+        if tombs is not None:
+            slot.seen.mark(tombs)
+        slot.q_norm2 = float(query @ query)
         return slot
 
     def _next_round(self, slot: "_Slot", more_rounds: bool) -> bool:
@@ -715,7 +729,7 @@ class DBLSH:
         """
         assert self.params is not None
         cutoff = self.params.c * slot.radius
-        data = self.data
+        data = self._buffer
         norms2 = self._norms2
         assert data is not None and norms2 is not None
         stats = slot.stats
@@ -737,74 +751,6 @@ class DBLSH:
                 if reason is not None:
                     return reason
         return None
-
-    def _begin_query(
-        self,
-        query: np.ndarray,
-        heap: BoundedMaxHeap,
-        seen: GenerationMask,
-        stats: QueryStats,
-    ) -> float:
-        """Pre-mark tombstones as seen, sweep the delta; returns ``|q|^2``.
-
-        Deleted rows count as already seen, so they are never verified,
-        never charged against the budget and never enter the heap.
-        """
-        tombs = self._tombstone_array()
-        if tombs is not None:
-            seen.mark(tombs)
-        q_norm2 = float(query @ query)
-        if self._n > self._frozen_n:
-            self._sweep_delta(query, q_norm2, heap, seen, stats)
-        return q_norm2
-
-    def _sweep_delta(
-        self,
-        query: np.ndarray,
-        q_norm2: float,
-        heap: BoundedMaxHeap,
-        seen: GenerationMask,
-        stats: QueryStats,
-    ) -> None:
-        """Brute-force the delta rows ``[_frozen_n, _n)`` into the heap.
-
-        The delta buffer has no traversal — its rows were never projected
-        — so every query verifies all of it up front, with the same
-        chunked-GEMM distance evaluation as :meth:`_consume_round`
-        (precomputed ``|x|^2`` terms, catastrophic-cancellation rescue).
-        Running the sweep *before* the probe rounds pre-charges the heap,
-        which can only make the radius condition fire earlier.  The sweep
-        is mandatory work proportional to the delta size — it is counted
-        in ``distance_computations`` but not against the ``2tL + k``
-        window budget, exactly like the projection pass isn't.
-
-        Tombstoned delta rows are already marked in ``seen`` and skipped;
-        all surviving rows are marked so the probe rounds can never
-        double-count one (a folded-then-reloaded row cannot exist within
-        one index, but the invariant is kept anyway — it is what the
-        serve-layer merge relies on).
-        """
-        data = self.data
-        norms2 = self._norms2
-        assert data is not None and norms2 is not None
-        delta_ids = np.arange(self._frozen_n, self._n, dtype=np.int64)
-        for start in range(0, delta_ids.shape[0], 4096):
-            fresh = seen.fresh(delta_ids[start : start + 4096])
-            if fresh.shape[0] == 0:
-                continue
-            dists = _verify_distances(data[fresh], norms2[fresh], query, q_norm2)
-            stats.distance_computations += int(fresh.shape[0])
-            retained = heap._heap  # [(-distance, id), ...]
-            if len(retained) + fresh.shape[0] <= heap.k:
-                heap.fill(dists.tolist(), fresh.tolist())
-                continue
-            if retained:
-                all_d = np.concatenate([[-p[0] for p in retained], dists])
-                all_i = np.concatenate([[p[1] for p in retained], fresh])
-            else:
-                all_d, all_i = dists, fresh
-            sel = np.argpartition(all_d, heap.k - 1)[: heap.k]
-            heap.rebuild(all_d[sel].tolist(), all_i[sel].tolist())
 
     def _consume_chunk(
         self, slot: "_Slot", ids: np.ndarray, dists: np.ndarray, cutoff: float
@@ -960,11 +906,6 @@ class DBLSH:
             return self._forest.window_query_iter(w_low, w_high, root=i)
         return self._tables[i].window_query_iter(w_low, w_high)
 
-    def _refresh_cover_bounds(self) -> None:
-        """Stack the per-space projected extents for the coverage test."""
-        self._cov_low = np.stack(self._table_low)  # (L, K)
-        self._cov_high = np.stack(self._table_high)
-
     def _window_covers_all(self, q_proj: np.ndarray, width: float) -> bool:
         """True when every space's window already contains all points.
 
@@ -991,18 +932,20 @@ class DBLSH:
 
     @property
     def num_points(self) -> int:
-        """Physical rows in the buffer (tombstoned rows included)."""
-        return self._n
+        """Stored rows, indexed and pending (tombstoned rows included)."""
+        if self._buffer is None:
+            return 0
+        return self._buffer.shape[0] + self.num_pending
 
     @property
     def num_live(self) -> int:
         """Rows that queries can still return (physical minus tombstoned)."""
-        return self._n - len(self._tombstones)
+        return self.num_points - len(self._tombstones)
 
     @property
     def num_pending(self) -> int:
         """Delta-buffer rows awaiting :meth:`compact` (swept per query)."""
-        return self._n - self._frozen_n
+        return 0 if self._delta is None else len(self._delta)
 
     @property
     def num_tombstones(self) -> int:
@@ -1028,9 +971,10 @@ class DBLSH:
 
         Arena-snapshot loads hand the index read-only ``np.memmap``-backed
         arrays, so the physical pages belong to the kernel page cache and
-        are shared by every process mapping the same file.  The first
-        :meth:`add` promotes the buffer to private heap (see the
-        reallocation guard there), after which this turns ``False``.
+        are shared by every process mapping the same file.  :meth:`add`
+        leaves the mapping alone (new rows go to the delta buffer);
+        :meth:`compact` stacks the rows into a private buffer, after
+        which this turns ``False``.
         """
         if self._buffer is None:
             return False
@@ -1121,8 +1065,7 @@ class DBLSH:
             index._norms2 = np.ascontiguousarray(norms2, dtype=np.float64)
         else:
             index._norms2 = np.einsum("ij,ij->i", data, data)
-        index._n = n
-        index._frozen_n = n
+        index._delta = DeltaIndex(dim)
         if tombstones is not None and len(tombstones):
             index.delete(tombstones)
         index.dim = dim
@@ -1138,9 +1081,8 @@ class DBLSH:
             )
         else:
             index._forest = forest
-        index._table_low = [np.asarray(row, dtype=np.float64) for row in table_low]
-        index._table_high = [np.asarray(row, dtype=np.float64) for row in table_high]
-        index._refresh_cover_bounds()
+        index._cov_low = np.asarray(table_low, dtype=np.float64)
+        index._cov_high = np.asarray(table_high, dtype=np.float64)
         index.build_seconds = float(build_seconds)
         return index
 

@@ -1,15 +1,17 @@
-"""Mutable delta index: the in-memory side of crash-safe mutations.
+"""Delta index: the one buffer for rows inserted after the tables were built.
 
-A frozen snapshot answers queries from immutable arrays; live inserts
-land here instead.  :class:`DeltaIndex` is an array-native append buffer
-— points, their squared norms, and their *global* ids — swept
-brute-force with the same chunked-GEMM verification the probe rounds
-use (``|x|^2 - 2 x.q + |q|^2`` with the catastrophic-cancellation
-recompute), so a delta answer is exact and merges with the snapshot
-answer by plain ``(distance, id)`` order.
+Projected tables answer queries from immutable arrays; inserts land
+here instead, both in process (``DBLSH.add``) and in the mutable server
+(:class:`~repro.serve.mutable.MutableSnapshotServer`).
+:class:`DeltaIndex` is an array-native append buffer — points, their
+squared norms, and their *global* ids — swept brute-force with the same
+GEMM verification the probe rounds use (``|x|^2 - 2 x.q + |q|^2`` with
+the catastrophic-cancellation recompute), so a delta answer is exact
+and merges with the tables' answer by plain ``(distance, id)`` order
+(:func:`repro.core.plan.merge_live_results`).
 
 Deletes never touch the buffer: they accumulate in one sorted tombstone
-id array that the serving workers pre-mark as seen in the snapshot
+id array that the round loop pre-marks as seen in the tables
 (``DBLSH.delete``) and that :meth:`DeltaView.sweep` excludes from its
 own rows — a deleted row simply stops being reportable, wherever it
 lives.  Rows are never renumbered; an id stays valid for the lifetime
@@ -17,7 +19,8 @@ of the dataset.
 
 Thread-safety contract: :meth:`append` and :meth:`view` must be
 serialized by the caller (the mutation lock of
-:class:`~repro.serve.mutable.MutableSnapshotServer`), but a
+:class:`~repro.serve.mutable.MutableSnapshotServer`; ``DBLSH.add`` is
+not safe to run concurrently with queries), but a
 :class:`DeltaView` taken under the lock stays a consistent snapshot
 *outside* it: growth reallocates (the view keeps the old arrays) and
 appends write past the view's length, so concurrent readers never see
@@ -31,10 +34,15 @@ from typing import Collection, List, Optional
 
 import numpy as np
 
-from repro.core.dblsh import _RECOMPUTE_RTOL
 from repro.core.result import Neighbor, QueryResult, QueryStats
 
 __all__ = ["DeltaIndex", "DeltaView"]
+
+#: Relative tolerance under which a GEMM-expanded squared distance is
+#: recomputed exactly: ``|x|^2 - 2 x.q + |q|^2`` cancels catastrophically
+#: when the distance is tiny relative to the norms (a self-query would
+#: come back ~1e-7 instead of 0).  Shared with the round loop's verifier.
+_RECOMPUTE_RTOL = 1e-7
 
 
 class DeltaView:
@@ -102,11 +110,14 @@ class DeltaView:
         dists = np.sqrt(d2)
 
         swept = int(ids.shape[0])
+        # Every row tied with a query's k-th distance competes on id.
+        kth = np.partition(dists, k - 1, axis=1)[:, k - 1 : k] if k < swept else np.inf
+        within = dists <= kth
         results: List[QueryResult] = []
         for qi in range(m):
             row = dists[qi]
-            top = np.argpartition(row, k - 1)[:k] if k < swept else np.arange(swept)
-            picked = top[np.lexsort((ids[top], row[top]))]
+            top = np.flatnonzero(within[qi])
+            picked = top[np.lexsort((ids[top], row[top]))][:k]
             neighbors = [Neighbor(int(ids[j]), float(row[j])) for j in picked]
             stats = QueryStats(
                 candidates_verified=swept,

@@ -22,6 +22,13 @@ heads from a heap of size S yields the global order while constructing
 only the ``k`` winners — no ``S * k`` intermediate neighbor objects and
 no full sort per query.
 
+The same module holds the second merge every answer may go through:
+:func:`merge_live_results` folds the exact sweep of the un-projected
+delta buffer (:mod:`repro.core.delta`) into the tables' answer.  The
+engine (``DBLSH.add``) and the mutable server both apply it after their
+round loops, so an insert is answered the same way in process and over
+the wire.
+
 No merge input ever holds a deleted id: the engine and the serving
 workers skip tombstoned rows (``DBLSH.delete``) before answering.
 """
@@ -151,14 +158,14 @@ def merge_live_results(
 ) -> QueryResult:
     """Fold a delta-buffer answer into a base answer.
 
-    The mutable-serving counterpart of :func:`merge_shard_results`: the
-    *base* answer comes from the frozen snapshot, the *delta* answer
-    from the live append buffer — both already free of deleted rows and
-    ascending by ``(distance, id)`` with **global** ids.  Ids are
-    deduplicated keeping the first occurrence — during a compaction
-    flip the new snapshot generation and the not-yet-trimmed delta briefly
-    both hold the folded rows, and dedup is what makes that window
-    harmless.
+    The one insert rule, shared by ``DBLSH`` and the mutable server: the
+    *base* answer comes from the projected tables (the frozen snapshot,
+    when served), the *delta* answer from the append buffer — both
+    already free of deleted rows and ascending by ``(distance, id)``
+    with the same id space.  Ids are deduplicated keeping the first
+    occurrence — during a compaction flip the new snapshot generation
+    and the not-yet-trimmed delta briefly both hold the folded rows, and
+    dedup is what makes that window harmless.
 
     The returned stats are the base stats with the delta sweep's
     verification work added (the sweep is exact verification, so its

@@ -267,9 +267,9 @@ def _pack_dblsh(index: DBLSH, prefix: str) -> Tuple[dict, Dict[str, np.ndarray]]
         prefix + "tensor": index._hasher.tensor,
         # Ship the precomputed squared norms the chunked-GEMM verifier
         # needs, so loading never pays the O(n d) einsum recompute.
-        prefix + "norms2": index._norms2[: index._n],
-        prefix + "table_low": np.stack(index._table_low),
-        prefix + "table_high": np.stack(index._table_high),
+        prefix + "norms2": index._norms2,
+        prefix + "table_low": index._cov_low,
+        prefix + "table_high": index._cov_high,
     }
     tombstones = index._tombstone_array()
     if tombstones is not None:

@@ -14,15 +14,18 @@ worker processes untouched; mutations follow the classic LSM discipline:
    window to tune and a lone mutator never waits on a timer.  A crash
    at any instant loses at most un-acked work.
 2. **apply** — an insert lands in an in-memory
-   :class:`~repro.core.delta.DeltaIndex`; a delete lands in a tombstone
-   set.  Queries answer from *snapshot + delta − tombstones* with the
-   engine's one delete rule: every query block carries each worker its
-   shard's tombstones, which the worker hands to ``DBLSH.delete`` so
-   deleted rows are never verified nor charged to the ``2tL + k``
-   budget; the delta sweep skips the same ids; and
+   :class:`~repro.core.delta.DeltaIndex` (the buffer ``DBLSH.add`` uses
+   too); a delete lands in a tombstone set.  Queries answer from
+   *snapshot + delta − tombstones* with the engine's one delete rule:
+   every query block carries each worker its shard's tombstones, which
+   the worker hands to ``DBLSH.delete`` so deleted rows are never
+   verified nor charged to the ``2tL + k`` budget; the delta sweep skips
+   the same ids; and
    :func:`repro.core.plan.merge_live_results` folds the two answers
-   together.  Served answers after deletes therefore equal
-   ``load_index(path)`` + ``.delete(ids)`` + ``.query_batch``.
+   together after the frozen search, as ``DBLSH`` does in process.
+   Served answers after inserts and deletes therefore equal
+   ``load_index(path)`` + ``.add(points)`` + ``.delete(ids)`` +
+   ``.query_batch``.
 3. **compact** — a background thread folds delta + tombstones into a
    fresh snapshot generation when the scheduler says so: pending
    mutation count (``compact_threshold``) or total WAL bytes
@@ -480,7 +483,7 @@ class MutableSnapshotServer(SnapshotServer):
             #    generation keeps serving from its workers).
             index = load_index(self.path)
             if fold:
-                index.add(np.array(fold_view.points, copy=True))
+                index.add(fold_view.points)
             index.delete(sorted(fold_tombs))
             new_uid = os.urandom(8).hex()
             if armed_fault(_COMPACT_FAULT, "pre-snapshot-replace", ordinal):

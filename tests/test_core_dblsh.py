@@ -241,6 +241,22 @@ class TestAdd:
             assert got.stats.candidates_verified == want.stats.candidates_verified
             assert got.stats.terminated_by == want.stats.terminated_by
 
+    def test_range_query_merges_pending_rows(self):
+        data = gaussian_mixture(200, 8, n_clusters=4, seed=0)
+        index = DBLSH(l_spaces=3, k_per_space=4, seed=0,
+                      auto_initial_radius=True).fit(data)
+        query = data.mean(axis=0) + 500.0
+        radius = 1.0
+        cutoff = index.c * radius
+        step = np.eye(8)[0]
+        # Both added rows are swept; only the one within c*r is returned.
+        index.add(np.vstack([query + 0.5 * cutoff * step, query + 2.0 * cutoff * step]))
+        result = index.range_query(query, radius=radius, k=2)
+        assert result.stats.terminated_by != "budget"
+        assert result.ids == [200]
+        assert result.distances == pytest.approx([0.5 * cutoff])
+        assert result.stats.candidates_verified >= 2
+
     def test_add_requires_fit(self):
         with pytest.raises(RuntimeError, match="fit"):
             DBLSH().add(np.zeros((1, 4)))

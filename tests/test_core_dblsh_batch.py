@@ -11,8 +11,8 @@ Covers the vectorized query engine's contracts:
   the budget truncates the scan;
 * the patience counter survives radius rounds (regression test for the
   per-round reset bug);
-* ``add`` grows a capacity-doubling buffer instead of copying the whole
-  dataset per call.
+* ``add`` appends to the delta buffer and leaves the indexed rows
+  untouched.
 """
 
 from __future__ import annotations
@@ -174,24 +174,22 @@ class TestPatienceAcrossRounds:
 
 
 class TestAddGrowth:
-    def test_add_uses_capacity_doubling(self):
+    def test_data_stacks_indexed_and_added_rows(self):
         data = gaussian_mixture(64, 8, n_clusters=4, seed=0)
         index = DBLSH(l_spaces=2, k_per_space=4, seed=0,
                       auto_initial_radius=True).fit(data)
         rng = np.random.default_rng(3)
         reference = [data]
-        buffers_seen = set()
         for _ in range(12):
             extra = rng.standard_normal((5, 8))
             index.add(extra)
             reference.append(extra)
-            buffers_seen.add(id(index._buffer))
         expected = np.vstack(reference)
         assert index.num_points == expected.shape[0]
+        assert index.num_pending == expected.shape[0] - 64
         np.testing.assert_array_equal(index.data, expected)
-        # Doubling means far fewer reallocations than add() calls.
-        assert len(buffers_seen) < 6
-        assert index._buffer.shape[0] >= index.num_points
+        # The indexed rows are untouched until compact() folds the rest.
+        assert index._buffer is data
 
     def test_add_then_query_finds_new_points(self):
         data = gaussian_mixture(120, 8, n_clusters=4, seed=1)
@@ -212,5 +210,9 @@ class TestAddGrowth:
                       auto_initial_radius=True).fit(data)
         extra = gaussian_mixture(40, 6, n_clusters=2, seed=3)
         index.add(extra)
-        expected = np.einsum("ij,ij->i", index.data, index.data)
-        np.testing.assert_allclose(index._norms2[: index.num_points], expected)
+        np.testing.assert_allclose(
+            index._norms2, np.einsum("ij,ij->i", data, data)
+        )
+        np.testing.assert_allclose(
+            index._delta.view().norms2, np.einsum("ij,ij->i", extra, extra)
+        )

@@ -121,6 +121,24 @@ class TestDeltaIndex:
             assert results[0].ids == [1, 3, 4, 5]
             assert results[0].stats.distance_computations == 4
 
+    def test_sweep_breaks_distance_ties_by_id(self, rng):
+        delta = DeltaIndex(1)
+        for i, x in enumerate([1.0, 1.0, 0.0, 0.0]):
+            delta.append(i, np.array([x]))
+        assert delta.view().sweep(np.zeros((1, 1)), k=1)[0].ids == [2]
+        assert delta.view().sweep(np.zeros((1, 1)), k=3)[0].ids == [2, 3, 0]
+        # Heavy ties: the answer is always the k smallest (distance, id).
+        for _ in range(200):
+            values = rng.integers(0, 3, size=12).astype(np.float64)
+            ids = rng.permutation(50)[:12]
+            delta = DeltaIndex(1)
+            for point_id, x in zip(ids, values):
+                delta.append(int(point_id), np.array([x]))
+            k = int(rng.integers(1, 12))
+            got = delta.view().sweep(np.zeros((1, 1)), k=k)[0].ids
+            want = ids[np.lexsort((ids, values))][:k]
+            assert got == [int(i) for i in want]
+
     def test_view_is_stable_under_append_and_trim(self, rng):
         delta = DeltaIndex(3, capacity=2)
         for i in range(3):

@@ -209,9 +209,7 @@ class TestZeroCopyLoads:
         assert "norms2" in header["members"]
         index = load_index(arena_path)
         assert _is_memmap_backed(index._norms2)
-        np.testing.assert_array_equal(
-            index._norms2[: index._n], fitted._norms2[: fitted._n]
-        )
+        np.testing.assert_array_equal(index._norms2, fitted._norms2)
 
     def test_flat_coords_adopted_without_mirror_copy(self, arena_path):
         index = load_index(arena_path)
@@ -222,13 +220,27 @@ class TestZeroCopyLoads:
                 assert _is_memmap_backed(array), name
                 assert not array.flags.writeable
 
-    def test_add_after_mapped_load_promotes_to_private(self, arena_path):
+    def test_add_after_mapped_load_keeps_the_mapping(self, arena_path):
         index = load_index(arena_path)
-        rng = np.random.default_rng(3)
-        index.add(rng.standard_normal((5, index.dim)))
+        mapped = index._buffer
+        before = np.array(mapped, copy=True)
+        extra = np.random.default_rng(3).standard_normal((5, index.dim)) + 50.0
+        index.add(extra)
+        # The new rows wait in the delta buffer; the mapped rows stay
+        # shared, read-only and untouched.
+        assert index.is_mapped
+        assert index._buffer is mapped
+        assert not index._buffer.flags.writeable
+        np.testing.assert_array_equal(index._buffer, before)
+        assert index.num_points == 405
+        hit = index.query(extra[2], k=1)
+        assert hit.ids == [402]
+        assert hit.distances == [0.0]
+        # compact() stacks everything into one private buffer.
+        assert index.compact() is True
         assert not index.is_mapped
         assert index._buffer.flags.writeable
-        assert index.num_points == 405
+        np.testing.assert_array_equal(index._buffer[400:], extra)
 
 
 # ----------------------------------------------------------------------

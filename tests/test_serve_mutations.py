@@ -625,3 +625,76 @@ class TestServedDeleteParity:
                 assert not gone.intersection(row["ids"])
         finally:
             server.close()
+
+
+class TestServedInsertParity:
+    """The engine keeps inserts in the same delta buffer as the server and
+    merges its sweep after the round loop the same way, so after inserts
+    and deletes (of snapshot rows and of inserted rows) the mutable
+    server — directly and through the gateway, at 1 and 2 shards —
+    answers like ``load_index(path)`` + ``.add(points)`` + ``.delete(ids)``
+    + ``.query_batch``: same ids, distances, verification work and stop
+    reason.  An engine that swept its inserts into the heap before the
+    probe rounds would stop those rounds earlier and fail here."""
+
+    K = 5
+
+    @pytest.fixture(params=[1, 2], ids=["shards=1", "shards=2"])
+    def mutated(self, request, tmp_path, workload):
+        data, _ = workload
+        path = str(tmp_path / "base.npz")
+        if request.param == 1:
+            index = DBLSH(**PARAMS).fit(data)
+        else:
+            index = ShardedDBLSH(shards=request.param, **PARAMS).fit(data)
+        save_index(index, path)
+        rng = np.random.default_rng(13)
+        # Inserts right next to snapshot rows, so they compete with the
+        # rows the probe rounds find; queries sit among both.
+        anchors = rng.choice(N, 24, replace=False)
+        inserts = data[anchors] + 0.01 * rng.standard_normal((24, DIM))
+        doomed = sorted(
+            {int(i) for i in rng.choice(N, 8, replace=False)}
+            | {N + int(i) for i in rng.choice(24, 6, replace=False)}
+        )
+        queries = np.vstack([
+            data[anchors] + 0.005 * rng.standard_normal((24, DIM)),
+            data[rng.choice(N, 6, replace=False)],
+        ])
+        return path, inserts, doomed, queries
+
+    @staticmethod
+    def _assert_same(served, expected):
+        assert [r.ids for r in served] == [r.ids for r in expected]
+        assert [r.distances for r in served] == [r.distances for r in expected]
+        assert [r.stats.candidates_verified for r in served] == [
+            r.stats.candidates_verified for r in expected
+        ]
+        assert [r.stats.terminated_by for r in served] == [
+            r.stats.terminated_by for r in expected
+        ]
+
+    def test_inserts_served_like_in_process(self, mutated, tmp_path):
+        path, inserts, doomed, queries = mutated
+        reference = load_index(path)
+        reference.add(inserts)
+        reference.delete(doomed)
+        expected = reference.query_batch(queries, k=self.K)
+        server = MutableSnapshotServer(
+            path, wal_path=str(tmp_path / "i.wal"), compact_threshold=0,
+            mp_context="fork",
+        ).start()
+        try:
+            assert [server.insert(p) for p in inserts] == list(
+                range(N, N + len(inserts))
+            )
+            for pid in doomed:
+                assert server.delete(pid) is True
+            self._assert_same(server.query_batch(queries, k=self.K), expected)
+            rows = TestServedDeleteParity._gateway_rows(server, queries, self.K)
+            assert [row["ids"] for row in rows] == [r.ids for r in expected]
+            assert [row["distances"] for row in rows] == [
+                r.distances for r in expected
+            ]
+        finally:
+            server.close()
