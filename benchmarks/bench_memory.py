@@ -55,7 +55,6 @@ from repro.io.snapshot import _ArenaArchive  # noqa: E402
 from repro.serve import SnapshotServer  # noqa: E402
 from repro.utils.meminfo import (  # noqa: E402
     drop_page_cache,
-    mapping_memory,
     process_memory,
 )
 

@@ -57,13 +57,15 @@ The round loop
     differently depending on where it sits in the chunk, so this is what
     keeps answers bit-identical across block sizes and entry points.
 
-Inserts
-    :meth:`DBLSH.add` appends to a :class:`~repro.core.delta.DeltaIndex`,
-    the same un-projected buffer the mutable server keeps.  After the
-    round loop, every query path sweeps it brute-force and merges the two
-    answers with :func:`repro.core.plan.merge_live_results`, so an index
-    mutated in process answers exactly like a mutable server holding the
-    same rows.  :meth:`DBLSH.compact` folds the buffer into the tables.
+Mutations
+    :meth:`DBLSH.add` and :meth:`DBLSH.delete` land in a
+    :class:`~repro.core.delta.DeltaIndex`, the same mutation state the
+    mutable server keeps: un-projected pending rows plus tombstones.
+    After the round loop, every query path sweeps the pending rows
+    brute-force and merges the two answers with
+    :func:`repro.core.plan.merge_live_results`, so an index mutated in
+    process answers exactly like a mutable server holding the same rows.
+    :meth:`DBLSH.compact` folds the pending rows into the tables.
 """
 
 from __future__ import annotations
@@ -76,7 +78,6 @@ import numpy as np
 
 from repro.core.delta import _RECOMPUTE_RTOL, DeltaIndex
 from repro.core.params import DBLSHParams, derive_parameters
-from repro.core.plan import merge_live_batches
 from repro.core.result import QueryResult, QueryStats
 from repro.hashing.compound import CompoundHasher
 from repro.index.flat import FlatRStarTree
@@ -242,17 +243,14 @@ class DBLSH:
         # The rows the tables index and their squared norms.
         self._buffer: Optional[np.ndarray] = None
         self._norms2: Optional[np.ndarray] = None
-        # Rows added since: never projected, swept brute-force after the
-        # round loop until ``compact()`` folds them in.  Their ids follow
-        # the indexed rows'.
+        # Every mutation since: rows added (never projected, swept
+        # brute-force after the round loop until ``compact()`` folds them
+        # in; their ids follow the indexed rows') and tombstoned ids.
+        # Deleted rows stay physically stored — ids are never renumbered.
+        # Indexed ones are pre-marked into the per-query seen mask so they
+        # are never verified, never charged against the budget, and never
+        # enter the heap; the delta sweep skips the others.
         self._delta: Optional[DeltaIndex] = None
-        # Tombstoned (deleted) row ids.  Rows stay physically stored —
-        # ids are never renumbered.  Indexed rows are pre-marked into the
-        # per-query seen mask so they are never verified, never charged
-        # against the budget, and never enter the heap; the delta sweep
-        # skips the others.
-        self._tombstones: set = set()
-        self._tomb_cache: Optional[np.ndarray] = None
         # One list of seen masks (one per lockstep slot) per thread: reuse
         # across queries without breaking concurrent query() calls from
         # user threads.
@@ -287,8 +285,6 @@ class DBLSH:
         self._buffer = data
         self._norms2 = np.einsum("ij,ij->i", data, data)
         self._delta = DeltaIndex(dim)
-        self._tombstones = set()
-        self._tomb_cache = None
         self.dim = dim
         self.params = derive_parameters(
             n,
@@ -366,7 +362,7 @@ class DBLSH:
         return masks[:count]
 
     def add(self, points: np.ndarray) -> None:
-        """Incrementally index new points (R*-tree backends only).
+        """Incrementally index new points.
 
         Not part of the paper's evaluation but a natural capability of the
         decoupled design: the dynamic bucketing never looks at bucket
@@ -382,19 +378,16 @@ class DBLSH:
         """
         if self._buffer is None or self.params is None or self._hasher is None:
             raise RuntimeError("fit() must be called before add()")
-        if self.backend not in ("rstar", "rstar-insert"):
-            raise NotImplementedError("add() requires an R*-tree backend")
         points = check_dataset(points)
         if points.shape[1] != self.dim:
             raise ValueError(f"points have dimension {points.shape[1]}, expected {self.dim}")
         start_id = self.num_points
-        for offset, point in enumerate(points):
-            self._delta.append(start_id + offset, point)
+        self._delta.extend(np.arange(start_id, start_id + points.shape[0]), points)
 
     def delete(self, ids) -> int:
         """Tombstone the given row ids; returns how many were newly deleted.
 
-        Deletion is logical and O(1): the rows stay in the buffer (ids
+        Deletion is logical: the rows stay in the buffer (ids
         are **never renumbered** — a snapshot/serving invariant), but
         every subsequent query pre-marks them into its seen mask, so a
         deleted point is never verified, never charged against the
@@ -409,12 +402,7 @@ class DBLSH:
             raise ValueError(
                 f"cannot delete id {int(bad)}: ids must be in [0, {total})"
             )
-        before = len(self._tombstones)
-        self._tombstones.update(ids.tolist())
-        newly = len(self._tombstones) - before
-        if newly:
-            self._tomb_cache = None
-        return newly
+        return self._delta.delete(ids)
 
     def compact(self) -> bool:
         """Fold the delta buffer into fresh per-space tables.
@@ -431,26 +419,12 @@ class DBLSH:
         if not self.num_pending:
             return False
         assert self._hasher is not None
-        pending = self._delta.view().points
-        self._buffer = np.concatenate([self._buffer, pending])
-        self._norms2 = np.concatenate(
-            [self._norms2, np.einsum("ij,ij->i", pending, pending)]
-        )
+        pending = self._delta.view()
+        self._buffer = np.concatenate([self._buffer, pending.points])
+        self._norms2 = np.concatenate([self._norms2, pending.norms2])
         self._index_projections(self._hasher.project_all(self._buffer))
-        self._delta = DeltaIndex(self.dim)
+        self._delta.trim(len(pending))
         return True
-
-    def _tombstone_array(self) -> Optional[np.ndarray]:
-        """The tombstoned ids as a sorted int64 array (``None`` when empty)."""
-        if not self._tombstones:
-            return None
-        if self._tomb_cache is None or self._tomb_cache.shape[0] != len(
-            self._tombstones
-        ):
-            self._tomb_cache = np.fromiter(
-                sorted(self._tombstones), dtype=np.int64, count=len(self._tombstones)
-            )
-        return self._tomb_cache
 
     # ------------------------------------------------------------------
     # Query phase
@@ -532,42 +506,38 @@ class DBLSH:
         exactly (tombstones skipped) after the round loop and merged by
         ``(distance, id)``, the rule the mutable server applies.
         """
+        delta = self._delta.view()
         base = [
             QueryResult.from_heap(slot.heap, slot.stats)
-            for slot in self._search(queries, q_projs, k, radius)
+            for slot in self._search(queries, q_projs, k, delta.tombstones, radius)
         ]
-        if not self.num_pending:
-            return base
-        swept = self._delta.view().sweep(
-            queries, k, exclude=self._tombstone_array()
-        )
-        return merge_live_batches(base, swept, k)
+        return delta.answer(base, queries, k)
 
     def _search(
         self,
         queries: np.ndarray,
         q_projs: np.ndarray,
         k: int,
+        tombs: np.ndarray,
         radius: Optional[float] = None,
     ) -> List["_Slot"]:
         """Run Algorithm 2 for every row of ``queries``; one slot per query.
 
         ``q_projs`` is the ``(L, m, K)`` projection of the (validated)
-        queries.  The queries advance in lockstep blocks of ``_BLOCK``,
-        one radius round at a time (:meth:`_round`); a query leaves its
-        block when a stop fires or a window covers every point.  With
-        ``radius`` set, every query runs exactly one round at that radius
-        (Algorithm 1) and a round without a stop ends as ``"no_result"``.
+        queries and ``tombs`` the sorted deleted ids.  The queries advance
+        in lockstep blocks of ``_BLOCK``, one radius round at a time
+        (:meth:`_round`); a query leaves its block when a stop fires or a
+        window covers every point.  With ``radius`` set, every query runs
+        exactly one round at that radius (Algorithm 1) and a round without
+        a stop ends as ``"no_result"``.
 
         Each slot's elapsed time runs from its block's start to the round
         the query finished in.
         """
         assert self.params is not None and self._hasher is not None
         masks = self._get_scratch(min(queries.shape[0], _BLOCK))
-        tombs = self._tombstone_array()
-        if tombs is not None:
-            # Only indexed rows have a place in the seen masks.
-            tombs = tombs[: np.searchsorted(tombs, self._buffer.shape[0])]
+        # Only indexed rows have a place in the seen masks.
+        tombs = tombs[: np.searchsorted(tombs, self._buffer.shape[0])]
         slots: List[_Slot] = []
         for start in range(0, queries.shape[0], _BLOCK):
             started = time.perf_counter()
@@ -596,7 +566,7 @@ class DBLSH:
         k: int,
         mask: GenerationMask,
         radius: Optional[float],
-        tombs: Optional[np.ndarray],
+        tombs: np.ndarray,
     ) -> "_Slot":
         """A fresh in-flight query: empty heap, reset seen set.
 
@@ -617,8 +587,7 @@ class DBLSH:
         slot.stats = QueryStats()
         slot.stats.hash_evaluations = self._hasher.num_functions
         slot.seen = mask.begin()
-        if tombs is not None:
-            slot.seen.mark(tombs)
+        slot.seen.mark(tombs)
         slot.q_norm2 = float(query @ query)
         return slot
 
@@ -940,7 +909,7 @@ class DBLSH:
     @property
     def num_live(self) -> int:
         """Rows that queries can still return (physical minus tombstoned)."""
-        return self.num_points - len(self._tombstones)
+        return self.num_points - self.num_tombstones
 
     @property
     def num_pending(self) -> int:
@@ -950,7 +919,7 @@ class DBLSH:
     @property
     def num_tombstones(self) -> int:
         """Logically deleted rows (never renumbered, skipped by queries)."""
-        return len(self._tombstones)
+        return 0 if self._delta is None else self._delta.tombstones.size
 
     @property
     def num_hash_functions(self) -> int:
@@ -960,10 +929,11 @@ class DBLSH:
         return self.params.k_per_space * self.params.l_spaces
 
     def index_size_floats(self) -> int:
-        """Stored projected coordinates: ``n * K * L`` floats."""
+        """Stored projected coordinates: ``n * K * L`` floats over the
+        indexed rows (pending rows are never projected)."""
         if self.params is None or self._buffer is None:
             return 0
-        return self.num_points * self.num_hash_functions
+        return self._buffer.shape[0] * self.num_hash_functions
 
     @property
     def is_mapped(self) -> bool:

@@ -1,39 +1,41 @@
-"""Delta index: the one buffer for rows inserted after the tables were built.
+"""Delta index: the one home of every mutation since the tables were built.
 
-Projected tables answer queries from immutable arrays; inserts land
-here instead, both in process (``DBLSH.add``) and in the mutable server
-(:class:`~repro.serve.mutable.MutableSnapshotServer`).
-:class:`DeltaIndex` is an array-native append buffer — points, their
-squared norms, and their *global* ids — swept brute-force with the same
-GEMM verification the probe rounds use (``|x|^2 - 2 x.q + |q|^2`` with
-the catastrophic-cancellation recompute), so a delta answer is exact
-and merges with the tables' answer by plain ``(distance, id)`` order
-(:func:`repro.core.plan.merge_live_results`).
+Projected tables answer queries from immutable arrays; mutations land
+here instead, both in process (``DBLSH.add`` / ``DBLSH.delete``) and in
+the mutable server (:class:`~repro.serve.mutable.MutableSnapshotServer`).
+:class:`DeltaIndex` holds two things:
 
-Deletes never touch the buffer: they accumulate in one sorted tombstone
-id array that the round loop pre-marks as seen in the tables
-(``DBLSH.delete``) and that :meth:`DeltaView.sweep` excludes from its
-own rows — a deleted row simply stops being reportable, wherever it
-lives.  Rows are never renumbered; an id stays valid for the lifetime
-of the dataset.
+* the **pending rows** — an array-native append buffer of points, their
+  squared norms and their *global* ids, swept brute-force with the same
+  GEMM verification the probe rounds use (``|x|^2 - 2 x.q + |q|^2`` with
+  the catastrophic-cancellation recompute), so a delta answer is exact
+  and merges with the tables' answer by plain ``(distance, id)`` order
+  (:func:`repro.core.plan.merge_live_results`);
+* the **tombstones** — one sorted, unique int64 array of deleted ids.
+  The round loop pre-marks them as seen in the tables and
+  :meth:`DeltaView.sweep` skips them among its own rows: a deleted row
+  simply stops being reportable, wherever it lives.  Rows are never
+  renumbered; an id stays valid for the lifetime of the dataset.
 
-Thread-safety contract: :meth:`append` and :meth:`view` must be
-serialized by the caller (the mutation lock of
-:class:`~repro.serve.mutable.MutableSnapshotServer`; ``DBLSH.add`` is
-not safe to run concurrently with queries), but a
+Thread-safety contract: the mutators (:meth:`~DeltaIndex.extend`,
+:meth:`~DeltaIndex.delete`, :meth:`~DeltaIndex.trim`) and
+:meth:`~DeltaIndex.view` must be serialized by the caller (the mutation
+lock of :class:`~repro.serve.mutable.MutableSnapshotServer`;
+``DBLSH.add`` is not safe to run concurrently with queries), but a
 :class:`DeltaView` taken under the lock stays a consistent snapshot
-*outside* it: growth reallocates (the view keeps the old arrays) and
-appends write past the view's length, so concurrent readers never see
-half-written rows.  :meth:`trim` (compaction folding the prefix into a
-new snapshot generation) likewise reallocates rather than shifting.
+*outside* it: row growth reallocates (the view keeps the old arrays) or
+writes past the view's length, and every change to the tombstones or a
+trim replaces the arrays rather than editing them, so concurrent
+readers never see half-written state.
 """
 
 from __future__ import annotations
 
-from typing import Collection, List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.plan import merge_live_batches
 from repro.core.result import Neighbor, QueryResult, QueryStats
 
 __all__ = ["DeltaIndex", "DeltaView"]
@@ -44,29 +46,41 @@ __all__ = ["DeltaIndex", "DeltaView"]
 #: come back ~1e-7 instead of 0).  Shared with the round loop's verifier.
 _RECOMPUTE_RTOL = 1e-7
 
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.flags.writeable = False
+
+
+def _contains(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per element of ``ids``: is it in the sorted array ``sorted_ids``?"""
+    if not sorted_ids.size:
+        return np.zeros(ids.shape, dtype=bool)
+    pos = np.searchsorted(sorted_ids, ids)
+    np.minimum(pos, sorted_ids.size - 1, out=pos)
+    return sorted_ids[pos] == ids
+
 
 class DeltaView:
-    """An immutable snapshot of a :class:`DeltaIndex` prefix.
+    """An immutable snapshot of a :class:`DeltaIndex`.
 
-    Holds slice views (no copies) of the buffer at capture time; see the
-    module docstring for why those stay consistent under concurrent
-    appends and trims.
+    Holds read-only views (no copies) of the pending-row prefix and the
+    tombstone array at capture time; see the module docstring for why
+    those stay consistent under concurrent mutations.
     """
 
-    __slots__ = ("ids", "points", "norms2")
+    __slots__ = ("ids", "points", "norms2", "tombstones")
 
     def __init__(self, ids: np.ndarray, points: np.ndarray,
-                 norms2: np.ndarray) -> None:
+                 norms2: np.ndarray, tombstones: np.ndarray) -> None:
         self.ids = ids
         self.points = points
         self.norms2 = norms2
+        self.tombstones = tombstones
 
     def __len__(self) -> int:
         return self.ids.shape[0]
 
-    def sweep(self, queries: np.ndarray, k: int,
-              exclude: Optional[Collection[int]] = None) -> List[QueryResult]:
-        """Exact top-``k`` of every query over the buffered rows.
+    def sweep(self, queries: np.ndarray, k: int) -> List[QueryResult]:
+        """Exact top-``k`` of every query over the live buffered rows.
 
         Parameters
         ----------
@@ -74,11 +88,6 @@ class DeltaView:
             ``(m, d)`` query block (already validated by the caller).
         k:
             Neighbors per query.
-        exclude:
-            Tombstoned ids, ideally the sorted int64 array the serving
-            workers receive (any collection of ids works); matching rows
-            are skipped entirely (never verified, never reported) —
-            mirroring how the frozen engine pre-marks tombstones as seen.
 
         Returns
         -------
@@ -87,14 +96,14 @@ class DeltaView:
             **global** ids, with ``distance_computations`` /
             ``candidates_verified`` counting the swept rows (the sweep
             is verification work, like the projection pass it replaces —
-            it is not charged against any probe budget).
+            it is not charged against any probe budget).  Tombstoned
+            rows are skipped entirely (never verified, never reported),
+            mirroring how the frozen engine pre-marks them as seen.
         """
         m = queries.shape[0]
         ids, points, norms2 = self.ids, self.points, self.norms2
-        if exclude is not None and len(exclude):
-            if not isinstance(exclude, np.ndarray):
-                exclude = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-            keep = ~np.isin(ids, exclude)
+        if self.tombstones.size:
+            keep = ~_contains(self.tombstones, ids)
             ids, points, norms2 = ids[keep], points[keep], norms2[keep]
         if ids.shape[0] == 0:
             return [QueryResult() for _ in range(m)]
@@ -127,9 +136,20 @@ class DeltaView:
             results.append(QueryResult(neighbors=neighbors, stats=stats))
         return results
 
+    def answer(self, base: List[QueryResult], queries: np.ndarray,
+               k: int) -> List[QueryResult]:
+        """``base`` (the tables' answers) merged with :meth:`sweep`.
+
+        Returns ``base`` itself when the view holds no rows, so the work
+        counters of a query that had nothing to sweep are untouched.
+        """
+        if not len(self):
+            return base
+        return merge_live_batches(base, self.sweep(queries, k), k)
+
 
 class DeltaIndex:
-    """Capacity-doubling append buffer of (global id, point, squared norm)."""
+    """Pending rows (global id, point, squared norm) plus the tombstones."""
 
     def __init__(self, dim: int, capacity: int = 256) -> None:
         if dim < 1:
@@ -140,44 +160,81 @@ class DeltaIndex:
         self._points = np.zeros((capacity, self.dim), dtype=np.float64)
         self._norms2 = np.zeros(capacity, dtype=np.float64)
         self._n = 0
+        self._tombs = _NO_IDS
 
     def __len__(self) -> int:
         return self._n
 
-    def append(self, point_id: int, point: np.ndarray) -> None:
-        """Buffer one inserted row (caller holds the mutation lock)."""
-        if self._n == self._ids.shape[0]:
-            self._reallocate(0, 2 * self._n)
-        self._ids[self._n] = point_id
-        self._points[self._n] = point
-        self._norms2[self._n] = float(point @ point)
-        self._n += 1
+    @property
+    def tombstones(self) -> np.ndarray:
+        """The deleted ids: sorted, unique, int64, read-only."""
+        return self._tombs
+
+    def extend(self, ids: Sequence[int], points: np.ndarray) -> None:
+        """Buffer inserted rows ``points`` (m, d) under ``ids`` (m,)."""
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        points = np.asarray(points, dtype=np.float64).reshape(ids.shape[0], self.dim)
+        end = self._n + ids.shape[0]
+        if end > self._ids.shape[0]:
+            self._reallocate(0, max(end, 2 * self._n))
+        self._ids[self._n:end] = ids
+        self._points[self._n:end] = points
+        self._norms2[self._n:end] = np.einsum("ij,ij->i", points, points)
+        self._n = end
+
+    def delete(self, ids) -> int:
+        """Tombstone ``ids``; returns how many were not deleted before.
+
+        Duplicates and already-deleted ids count once and zero times.
+        The tombstone array is replaced, never edited, so views captured
+        earlier keep their own.
+        """
+        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+        new = ids[~_contains(self._tombs, ids)]
+        if not new.size:
+            return 0
+        new = np.unique(new)
+        tombs = np.insert(self._tombs, np.searchsorted(self._tombs, new), new)
+        tombs.flags.writeable = False
+        self._tombs = tombs
+        return int(new.size)
+
+    def is_deleted(self, point_id: int) -> bool:
+        """True when ``point_id`` is tombstoned."""
+        return bool(_contains(self._tombs, np.array([point_id], dtype=np.int64))[0])
 
     def view(self, upto: Optional[int] = None) -> DeltaView:
-        """A consistent snapshot of the first ``upto`` rows (default: all).
+        """A consistent snapshot of the first ``upto`` rows (default: all)
+        and the current tombstones.
 
         The captured slices are marked read-only: a view is a promise of
         immutability, and handing out writeable windows into the live
         buffer would let a consumer corrupt rows the index still serves.
         (Slice views carry their own flags — the underlying buffer stays
-        writeable for :meth:`append`, matching how snapshot loads hand
+        writeable for :meth:`extend`, matching how snapshot loads hand
         the query engine read-only mapped arrays.)
         """
         n = self._n if upto is None else min(int(upto), self._n)
         arrays = (self._ids[:n], self._points[:n], self._norms2[:n])
         for array in arrays:
             array.flags.writeable = False
-        return DeltaView(*arrays)
+        return DeltaView(*arrays, self._tombs)
 
-    def trim(self, folded: int) -> None:
-        """Drop the first ``folded`` rows (now baked into a snapshot).
+    def trim(self, rows: int, tombstones: Optional[np.ndarray] = None) -> None:
+        """Drop the first ``rows`` rows and the given ``tombstones`` (sorted),
+        now baked into a snapshot.
 
         Reallocates the remainder so views captured before the trim keep
         their arrays; caller holds the mutation lock.
         """
-        folded = max(0, min(int(folded), self._n))
-        if folded:
-            self._reallocate(folded, max(self._n - folded, 256))
+        rows = max(0, min(int(rows), self._n))
+        if rows:
+            self._reallocate(rows, max(self._n - rows, 256))
+        if tombstones is not None and len(tombstones):
+            tombs = self._tombs[~_contains(np.asarray(tombstones, dtype=np.int64),
+                                           self._tombs)]
+            tombs.flags.writeable = False
+            self._tombs = tombs
 
     def _reallocate(self, start: int, capacity: int) -> None:
         """Move rows ``[start, n)`` to fresh arrays of ``capacity`` rows.

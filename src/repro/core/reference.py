@@ -49,9 +49,7 @@ def sequential_query(index: DBLSH, query: np.ndarray, k: int = 1) -> QueryResult
     heap = BoundedMaxHeap(k)
     budget = index.params.budget(k)
     seen = np.zeros(index.num_points, dtype=bool)
-    tombs = index._tombstone_array()
-    if tombs is not None:
-        seen[tombs] = True  # deleted rows count as already seen
+    seen[index._delta.tombstones] = True  # deleted rows count as already seen
     radius = index.initial_radius
     no_improve = 0
     while True:

@@ -449,8 +449,8 @@ class ShardedDBLSH:
         return self.params.k_per_space * self.params.l_spaces
 
     def index_size_floats(self) -> int:
-        """Stored projected coordinates across all shards: ``n * K * L``."""
-        return self.num_points * self.num_hash_functions
+        """Stored projected coordinates across all shards (indexed rows only)."""
+        return sum(shard.index_size_floats() for shard in self._shards)
 
     def describe(self) -> str:
         """One-line human-readable parameter summary."""

@@ -259,7 +259,7 @@ def _pack_dblsh(index: DBLSH, prefix: str) -> Tuple[dict, Dict[str, np.ndarray]]
         "seed": int(index.seed) if isinstance(index.seed, (int, np.integer)) else None,
         "build_seconds": float(index.build_seconds),
         "has_flat": forest is not None,
-        "has_tombstones": bool(index._tombstones),
+        "has_tombstones": bool(index.num_tombstones),
         "has_norms2": True,
     }
     arrays: Dict[str, np.ndarray] = {
@@ -271,9 +271,8 @@ def _pack_dblsh(index: DBLSH, prefix: str) -> Tuple[dict, Dict[str, np.ndarray]]
         prefix + "table_low": index._cov_low,
         prefix + "table_high": index._cov_high,
     }
-    tombstones = index._tombstone_array()
-    if tombstones is not None:
-        arrays[prefix + "tombstones"] = tombstones
+    if index.num_tombstones:
+        arrays[prefix + "tombstones"] = index._delta.tombstones
     if forest is not None:
         for key, array in forest.to_arrays().items():
             arrays[f"{prefix}forest.{key}"] = array
@@ -697,8 +696,9 @@ def load_tombstones(path: str) -> np.ndarray:
     """Global ids of the snapshot's logically deleted rows (sorted int64).
 
     Reads only the per-shard ``tombstones`` members (shard-local ids are
-    mapped to global through the header's shard sizes) — no traversal
-    arrays, no data.  Recovery uses this to replay a write-ahead log
+    mapped to global through the header's shard sizes; each member is
+    sorted and the shards follow id order) — no traversal arrays, no
+    data.  Recovery uses this to replay a write-ahead log
     idempotently over a freshly compacted snapshot: a logged delete whose
     id is already baked in here is a no-op.
     """
@@ -721,7 +721,7 @@ def load_tombstones(path: str) -> np.ndarray:
             ) from exc
         if not parts:
             return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(parts))
+        return np.concatenate(parts)
 
 
 def verify_snapshot(path: str) -> dict:

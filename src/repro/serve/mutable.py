@@ -13,16 +13,16 @@ worker processes untouched; mutations follow the classic LSM discipline:
    fsync ran, so concurrent mutators share one disk sync with no
    window to tune and a lone mutator never waits on a timer.  A crash
    at any instant loses at most un-acked work.
-2. **apply** — an insert lands in an in-memory
-   :class:`~repro.core.delta.DeltaIndex` (the buffer ``DBLSH.add`` uses
-   too); a delete lands in a tombstone set.  Queries answer from
-   *snapshot + delta − tombstones* with the engine's one delete rule:
-   every query block carries each worker its shard's tombstones, which
-   the worker hands to ``DBLSH.delete`` so deleted rows are never
-   verified nor charged to the ``2tL + k`` budget; the delta sweep skips
-   the same ids; and
-   :func:`repro.core.plan.merge_live_results` folds the two answers
-   together after the frozen search, as ``DBLSH`` does in process.
+2. **apply** — both kinds land in one in-memory
+   :class:`~repro.core.delta.DeltaIndex` (the mutation state ``DBLSH``
+   keeps too): an insert as a pending row, a delete in its sorted
+   tombstone array.  Queries answer from *snapshot + delta − tombstones*
+   with the engine's one delete rule: every query block carries each
+   worker its shard's tombstones, which the worker hands to
+   ``DBLSH.delete`` so deleted rows are never verified nor charged to
+   the ``2tL + k`` budget; then :meth:`~repro.core.delta.DeltaView.answer`
+   sweeps the pending rows (skipping the same ids) and folds the two
+   answers together, as ``DBLSH`` does in process.
    Served answers after inserts and deletes therefore equal
    ``load_index(path)`` + ``.add(points)`` + ``.delete(ids)`` +
    ``.query_batch``.
@@ -47,7 +47,7 @@ uid** — a crash between a compaction's snapshot flip and its checkpoint
 roll leaves a log bound to the parent — and replays it idempotently: an
 insert whose id is already a snapshot row is skipped, a delete already
 baked into the snapshot's tombstones is skipped, and everything else
-rebuilds the delta buffer and tombstone set exactly as acked.  A log
+rebuilds the delta state exactly as acked.  A log
 replayed through the parent binding is immediately rolled onto a
 checkpoint segment bound to the live uid, completing the interrupted
 compaction.
@@ -71,7 +71,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.delta import DeltaIndex
-from repro.core.plan import merge_live_batches
 from repro.io.snapshot import (
     load_index,
     load_tombstones,
@@ -166,11 +165,8 @@ class MutableSnapshotServer(SnapshotServer):
         self._inflight = 0
         #: Serializes compactions (at most one folds at a time).
         self._compact_lock = threading.Lock()
-        self._delta: Optional[DeltaIndex] = None
-        self._tombstones: set = set()
-        #: ``_tombstones`` as the sorted int64 array queries send the
-        #: workers; ``None`` after a change until the next query.
-        self._tomb_array: Optional[np.ndarray] = None
+        #: Pending inserts and deletes (not yet folded into the snapshot).
+        self._delta = DeltaIndex(self.dim)
         self._baked: frozenset = frozenset()
         self._wal: Optional[WriteAheadLog] = None
         self._next_id = 0
@@ -234,7 +230,7 @@ class MutableSnapshotServer(SnapshotServer):
         base_rows = self.num_points
         next_id = int(header.get("next_id", base_rows))
         delta = DeltaIndex(self.dim)
-        tombstones: set = set()
+        deletes: List[int] = []
 
         rebound = False
         if wal_present(self.wal_path):
@@ -255,13 +251,14 @@ class MutableSnapshotServer(SnapshotServer):
                         )
                     if record.id < base_rows:
                         continue  # already folded into the snapshot
-                    delta.append(record.id, record.point)
+                    delta.extend([record.id], record.point[None, :])
                     next_id = max(next_id, record.id + 1)
                 elif isinstance(record, DeleteRecord):
                     if record.id in baked:
                         continue  # already baked into the snapshot
-                    tombstones.add(record.id)
+                    deletes.append(record.id)
                 # CheckpointRecord: lineage breadcrumb, nothing to apply.
+            delta.delete(deletes)
             rebound = wal.snapshot_uid != uid
         else:
             wal = WriteAheadLog.create(
@@ -271,8 +268,6 @@ class MutableSnapshotServer(SnapshotServer):
 
         with self._mutation_lock:
             self._delta = delta
-            self._tombstones = tombstones
-            self._tomb_array = None
             self._baked = baked
             self._wal = wal
             self._next_id = max(next_id, base_rows)
@@ -283,10 +278,7 @@ class MutableSnapshotServer(SnapshotServer):
             # its checkpoint roll: finish the roll now, so the log binds
             # to the generation actually on disk.
             with self._mutation_lock:
-                self._roll_checkpoint(
-                    uid=uid, parent_uid=header.get("parent_uid"),
-                    fold=0, fold_tombs=set(),
-                )
+                self._roll_checkpoint(uid=uid, parent_uid=header.get("parent_uid"))
 
     # ------------------------------------------------------------------
     # Mutations
@@ -302,7 +294,7 @@ class MutableSnapshotServer(SnapshotServer):
         """
         point = check_query(np.asarray(point, dtype=np.float64), self.dim)
         with self._mutation_lock:
-            if self._wal is None or self._delta is None:
+            if self._wal is None:
                 raise ServerError(
                     "server is not serving; call start() before insert()"
                 )
@@ -310,7 +302,9 @@ class MutableSnapshotServer(SnapshotServer):
             self._next_id = point_id + 1
             ticket = self._wal.submit_insert(point_id, point)
             self._inflight += 1
-        self._apply_when_durable(ticket, self._delta.append, point_id, point)
+        self._apply_when_durable(
+            ticket, self._delta.extend, [point_id], point[None, :]
+        )
         return point_id
 
     def delete(self, point_id: int) -> bool:
@@ -329,16 +323,12 @@ class MutableSnapshotServer(SnapshotServer):
                 raise ValueError(
                     f"point id {point_id} out of range [0, {self._next_id})"
                 )
-            if point_id in self._tombstones or point_id in self._baked:
+            if self._delta.is_deleted(point_id) or point_id in self._baked:
                 return False
             ticket = self._wal.submit_delete(point_id)
             self._inflight += 1
-        self._apply_when_durable(ticket, self._add_tombstone, point_id)
+        self._apply_when_durable(ticket, self._delta.delete, point_id)
         return True
-
-    def _add_tombstone(self, point_id: int) -> None:
-        self._tombstones.add(point_id)
-        self._tomb_array = None  # rebuilt by the next query
 
     def _apply_when_durable(self, ticket, apply, *args) -> None:
         """Wait for the record's group fsync (mutation lock not held),
@@ -363,25 +353,22 @@ class MutableSnapshotServer(SnapshotServer):
     def query_batch(self, queries: np.ndarray, k: int = 1, *,
                     timeout: Optional[float] = None) -> List[QueryResult]:
         queries = check_queries(queries, self.dim)
-        # Capture the delta and tombstones *before* checking out a
-        # generation: a compaction flips the pool before it trims them,
-        # so this request can never pair trimmed state with the old pool.
+        # Capture the delta view *before* checking out a generation: a
+        # compaction flips the pool before it trims the delta, so this
+        # request can never pair trimmed state with the old pool.
         with self._mutation_lock:
-            if self._tomb_array is None:
-                self._tomb_array = np.array(sorted(self._tombstones), dtype=np.int64)
-            delta_view = self._delta.view() if self._delta is not None else None
-            tombstones = self._tomb_array
+            view = self._delta.view()
         start = time.perf_counter()
-        base = self._scatter_gather(queries, k, timeout, tombstones)
-        if not base or not delta_view:
+        base = self._scatter_gather(queries, k, timeout, view.tombstones)
+        if not base or not len(view):
             return base
         sweep_start = time.perf_counter()
-        delta = delta_view.sweep(queries, k, exclude=tombstones)
+        results = view.answer(base, queries, k)
         sweep_end = time.perf_counter()
         self._observe_sweep_overhead(
             sweep_end - sweep_start, sweep_end - start
         )
-        return merge_live_batches(base, delta, k)
+        return results
 
     def _observe_sweep_overhead(self, sweep: float, total: float) -> None:
         """Fold one query batch's delta-sweep share into the overhead EMA."""
@@ -414,10 +401,7 @@ class MutableSnapshotServer(SnapshotServer):
         """
         if self.compact_threshold <= 0:
             return None
-        pending = (
-            (len(self._delta) if self._delta is not None else 0)
-            + len(self._tombstones)
-        )
+        pending = len(self._delta) + self._delta.tombstones.size
         if pending >= self.compact_threshold:
             return "count"
         if (
@@ -466,25 +450,23 @@ class MutableSnapshotServer(SnapshotServer):
         """
         with self._compact_lock:
             with self._mutation_lock:
-                if self._wal is None or self._delta is None:
+                if self._wal is None:
                     raise ServerError(
                         "server is not serving; call start() before compact()"
                     )
-                fold = len(self._delta)
-                fold_tombs = set(self._tombstones)
-                fold_view = self._delta.view(fold)
+                fold = self._delta.view()
                 old_uid = self._snapshot_uid
                 next_id = self._next_id
-            if fold == 0 and not fold_tombs:
+            if not len(fold) and not fold.tombstones.size:
                 return {"compacted": False, "generation_uid": old_uid}
             ordinal = self._compactions
 
             # 1. Build the folded index off the query path (the frozen
             #    generation keeps serving from its workers).
             index = load_index(self.path)
-            if fold:
-                index.add(fold_view.points)
-            index.delete(sorted(fold_tombs))
+            if len(fold):
+                index.add(fold.points)
+            index.delete(fold.tombstones)
             new_uid = os.urandom(8).hex()
             if armed_fault(_COMPACT_FAULT, "pre-snapshot-replace", ordinal):
                 os._exit(9)
@@ -510,14 +492,9 @@ class MutableSnapshotServer(SnapshotServer):
             with self._inflight_cond:
                 while self._inflight:
                     self._inflight_cond.wait()
-                self._roll_checkpoint(
-                    uid=new_uid, parent_uid=old_uid,
-                    fold=fold, fold_tombs=fold_tombs, ordinal=ordinal,
-                )
-                self._delta.trim(fold)
-                self._tombstones -= fold_tombs
-                self._tomb_array = None
-                self._baked = frozenset(self._baked | fold_tombs)
+                self._delta.trim(len(fold), fold.tombstones)
+                self._baked = self._baked | frozenset(fold.tombstones.tolist())
+                self._roll_checkpoint(uid=new_uid, parent_uid=old_uid, ordinal=ordinal)
                 self._base_rows = self.num_points
                 self._snapshot_uid = new_uid
                 self._compactions += 1
@@ -529,40 +506,31 @@ class MutableSnapshotServer(SnapshotServer):
             return {
                 "compacted": True,
                 "generation_uid": new_uid,
-                "folded_inserts": fold,
-                "folded_tombstones": len(fold_tombs),
+                "folded_inserts": len(fold),
+                "folded_tombstones": int(fold.tombstones.size),
                 "trigger": trigger or "manual",
                 "wal_bytes": wal_bytes,
             }
 
-    def _roll_checkpoint(
-        self,
-        uid: str,
-        parent_uid: Optional[str] = None,
-        fold: int = 0,
-        fold_tombs: Optional[set] = None,
-        ordinal: Optional[int] = None,
-    ) -> None:
+    def _roll_checkpoint(self, uid: str, parent_uid: Optional[str] = None,
+                         ordinal: Optional[int] = None) -> None:
         """Roll the live WAL onto a checkpoint segment for ``uid``.
 
-        Caller holds the mutation lock with zero in-flight mutations.
-        The new segment's first record is a checkpoint naming the
-        generation, followed by every still-pending mutation (delta rows
-        past ``fold``, tombstones not in ``fold_tombs``); once that
-        segment is durable the folded older segments are deleted — the
-        old records stay intact and replayable until the very last
-        instant, and recovery cleans up stale segments if the deletes
-        never happen.
+        Caller holds the mutation lock with zero in-flight mutations and
+        has already trimmed whatever ``uid`` folded from the delta.  The
+        new segment's first record is a checkpoint naming the
+        generation, followed by every still-pending mutation (the
+        delta's rows and tombstones); once that segment is durable the
+        folded older segments are deleted — the old records stay intact
+        and replayable until the very last instant, and recovery cleans
+        up stale segments if the deletes never happen.
         """
-        fold_tombs = fold_tombs or set()
-        pending: List = []
         live = self._delta.view()
-        for pos in range(fold, len(live)):
-            pending.append(
-                InsertRecord(int(live.ids[pos]), np.array(live.points[pos]))
-            )
-        for tomb in sorted(self._tombstones - fold_tombs):
-            pending.append(DeleteRecord(int(tomb)))
+        pending: List = [
+            InsertRecord(int(point_id), np.array(point))
+            for point_id, point in zip(live.ids, live.points)
+        ]
+        pending.extend(DeleteRecord(int(tomb)) for tomb in live.tombstones)
         self._wal.roll_checkpoint(
             snapshot_uid=uid, parent_uid=parent_uid,
             next_id=self._next_id, pending=pending,
@@ -580,8 +548,8 @@ class MutableSnapshotServer(SnapshotServer):
         """Base status plus the mutation state (``GET /status``)."""
         info = super().status()
         with self._mutation_lock:
-            delta_rows = len(self._delta) if self._delta is not None else 0
-            tombstones = len(self._tombstones)
+            delta_rows = len(self._delta)
+            tombstones = self._delta.tombstones.size
             baked = len(self._baked)
             wal_stats = self._wal.stats() if self._wal is not None else {}
             info.update({

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import DBLSH
+from repro import DBLSH, ShardedDBLSH
 from repro.data.generators import gaussian_mixture, planted_neighbors
 
 
@@ -261,12 +261,34 @@ class TestAdd:
         with pytest.raises(RuntimeError, match="fit"):
             DBLSH().add(np.zeros((1, 4)))
 
-    def test_add_requires_rstar(self):
-        data = gaussian_mixture(100, 8, seed=0)
-        for backend in ("kdtree", "grid"):
-            index = DBLSH(l_spaces=2, k_per_space=3, backend=backend, seed=0).fit(data)
-            with pytest.raises(NotImplementedError):
-                index.add(np.zeros((1, 8)))
+    @pytest.mark.parametrize("backend", ["kdtree", "grid"])
+    def test_add_delete_compact_matches_refit_on_ablation_backends(self, backend):
+        # add() touches no table, so every backend takes inserts.
+        data = gaussian_mixture(1500, 8, n_clusters=6, seed=2)
+        common = dict(l_spaces=3, k_per_space=4, t=8, seed=0, initial_radius=0.5,
+                      backend=backend)
+        doomed = np.array([3, 700, 999, 1000, 1250, 1499])
+        index = DBLSH(**common).fit(data[:1000])
+        index.add(data[1000:])
+        index.delete(doomed)
+        assert index.compact() is True
+        refit = DBLSH(**common).fit(data)
+        refit.delete(doomed)
+        queries = data[::100] + 0.05
+        for got, want in zip(index.query_batch(queries, k=5), refit.query_batch(queries, k=5)):
+            assert got.ids == want.ids
+            assert got.stats.candidates_verified == want.stats.candidates_verified
+
+    def test_index_size_counts_projected_rows_only(self):
+        data = gaussian_mixture(300, 8, n_clusters=4, seed=0)
+        for index in (DBLSH(l_spaces=3, k_per_space=4, seed=0),
+                      ShardedDBLSH(shards=2, l_spaces=3, k_per_space=4, seed=0)):
+            index.fit(data[:240])
+            assert index.index_size_floats() == 240 * 12
+            index.add(data[240:])
+            assert index.index_size_floats() == 240 * 12
+            index.compact()
+            assert index.index_size_floats() == 300 * 12
 
     def test_add_dim_mismatch(self):
         data = gaussian_mixture(100, 8, seed=0)

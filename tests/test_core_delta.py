@@ -98,8 +98,7 @@ class TestDeltaIndex:
     def test_sweep_is_exact_topk(self, rng):
         points = rng.standard_normal((40, 8))
         delta = DeltaIndex(8)
-        for i, p in enumerate(points):
-            delta.append(1000 + i, p)
+        delta.extend(1000 + np.arange(40), points)
         queries = rng.standard_normal((5, 8))
         results = delta.view().sweep(queries, k=7)
         for q, result in zip(queries, results):
@@ -111,20 +110,48 @@ class TestDeltaIndex:
             )
             assert result.stats.distance_computations == 40
 
+    def test_extend_norms_match_the_rows(self, rng):
+        points = rng.standard_normal((7, 5))
+        delta = DeltaIndex(5, capacity=2)
+        delta.extend([3, 4, 5], points[:3])
+        delta.extend(np.arange(6, 10), points[3:])
+        view = delta.view()
+        assert list(view.ids) == list(range(3, 10))
+        np.testing.assert_array_equal(view.points, points)
+        np.testing.assert_allclose(view.norms2, (points ** 2).sum(axis=1))
+
     def test_sweep_excludes_tombstones(self, rng):
         delta = DeltaIndex(4)
-        for i in range(6):
-            delta.append(i, np.full(4, float(i)))
-        # A set, and the sorted int64 array the mutable server keeps.
-        for exclude in ({0, 2}, np.array([0, 2], dtype=np.int64)):
-            results = delta.view().sweep(np.zeros((1, 4)), k=6, exclude=exclude)
-            assert results[0].ids == [1, 3, 4, 5]
-            assert results[0].stats.distance_computations == 4
+        delta.extend(np.arange(6), np.repeat(np.arange(6.0)[:, None], 4, axis=1))
+        # Tombstones of rows outside the buffer are ignored by the sweep.
+        assert delta.delete([2, 0, 99]) == 3
+        results = delta.view().sweep(np.zeros((1, 4)), k=6)
+        assert results[0].ids == [1, 3, 4, 5]
+        assert results[0].stats.distance_computations == 4
+
+    def test_delete_counts_new_ids_only(self):
+        delta = DeltaIndex(2)
+        assert delta.delete([]) == 0
+        assert delta.delete(np.array([7, 3, 7, 3, 11])) == 3
+        assert delta.delete([3, 11]) == 0
+        assert delta.delete([11, 5, 5, 1]) == 2
+        assert delta.delete(np.empty(0, dtype=np.int64)) == 0
+        tombs = delta.tombstones
+        assert tombs.dtype == np.int64
+        assert list(tombs) == [1, 3, 5, 7, 11]
+        assert not tombs.flags.writeable
+        assert delta.is_deleted(5) and not delta.is_deleted(6)
+        assert not delta.is_deleted(12) and not DeltaIndex(2).is_deleted(0)
+
+    def test_answer_without_rows_returns_base(self):
+        delta = DeltaIndex(2)
+        delta.delete([0])
+        base = [_result([(1, 0.5)], candidates_verified=4)]
+        assert delta.view().answer(base, np.zeros((1, 2)), k=1) is base
 
     def test_sweep_breaks_distance_ties_by_id(self, rng):
         delta = DeltaIndex(1)
-        for i, x in enumerate([1.0, 1.0, 0.0, 0.0]):
-            delta.append(i, np.array([x]))
+        delta.extend(np.arange(4), np.array([[1.0], [1.0], [0.0], [0.0]]))
         assert delta.view().sweep(np.zeros((1, 1)), k=1)[0].ids == [2]
         assert delta.view().sweep(np.zeros((1, 1)), k=3)[0].ids == [2, 3, 0]
         # Heavy ties: the answer is always the k smallest (distance, id).
@@ -132,28 +159,40 @@ class TestDeltaIndex:
             values = rng.integers(0, 3, size=12).astype(np.float64)
             ids = rng.permutation(50)[:12]
             delta = DeltaIndex(1)
-            for point_id, x in zip(ids, values):
-                delta.append(int(point_id), np.array([x]))
+            delta.extend(ids, values[:, None])
             k = int(rng.integers(1, 12))
             got = delta.view().sweep(np.zeros((1, 1)), k=k)[0].ids
             want = ids[np.lexsort((ids, values))][:k]
             assert got == [int(i) for i in want]
 
     def test_view_is_stable_under_append_and_trim(self, rng):
+        def rows(lo, hi):
+            return np.repeat(np.arange(lo, hi, dtype=np.float64)[:, None], 3, axis=1)
+
         delta = DeltaIndex(3, capacity=2)
-        for i in range(3):
-            delta.append(i, np.full(3, float(i)))
+        delta.extend(np.arange(3), rows(0, 3))
+        delta.delete([1, 30])
         view = delta.view()
-        # Growth past capacity and a trim both reallocate; the captured
-        # view keeps reading the state at capture time.
+        # Growth past capacity, deletes and a trim all replace arrays;
+        # the captured view keeps reading the state at capture time.
         for i in range(3, 40):
-            delta.append(i, np.full(3, float(i)))
-        delta.trim(10)
+            delta.extend([i], rows(i, i + 1))
+        delta.delete([0, 20, 35])
+        middle = delta.view()
+        delta.trim(10, np.array([0, 1]))
         assert len(view) == 3
         assert list(view.ids) == [0, 1, 2]
         assert view.points[2, 0] == 2.0
+        assert list(view.tombstones) == [1, 30]
+        assert len(middle) == 40
+        assert list(middle.tombstones) == [0, 1, 20, 30, 35]
         assert len(delta) == 30
         assert list(delta.view().ids) == list(range(10, 40))
+        assert delta.view().points[0, 0] == 10.0
+        assert list(delta.tombstones) == [20, 30, 35]
+        # The sweep reads the view's own tombstones.
+        got = view.sweep(np.zeros((1, 3)), k=3)[0].ids
+        assert got == [0, 2]
 
     def test_empty_sweep(self):
         results = DeltaIndex(4).view().sweep(np.zeros((2, 4)), k=3)

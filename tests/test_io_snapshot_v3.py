@@ -23,7 +23,6 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import asdict
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import sys
 
-import numpy as np
 import pytest
 
 from repro import DBLSH
