@@ -203,8 +203,7 @@ def bench_mutations(server, frozen, data, extra, queries, k, t, n_delete):
 def _kill_driver(snapshot, wal, fault_append, conn):
     """Child: insert until the armed WAL fault kills the process."""
     os.environ["REPRO_WAL_FAULT"] = f"torn:{fault_append}"
-    server = MutableSnapshotServer(snapshot, wal_path=wal,
-                                   compact_threshold=0, mp_context="fork")
+    server = MutableSnapshotServer(snapshot, wal_path=wal, compact_threshold=0)
     server.start()
     rng = np.random.default_rng(11)
     i = 0
@@ -234,7 +233,7 @@ def bench_recovery(snapshot_path, wal_path, acked_before_kill, k):
 
     started = time.perf_counter()
     server = MutableSnapshotServer(snapshot_path, wal_path=wal_path,
-                                   compact_threshold=0, mp_context="fork")
+                                   compact_threshold=0)
     server.start()
     recovery_seconds = time.perf_counter() - started
     try:
@@ -261,8 +260,7 @@ def bench_recovery(snapshot_path, wal_path, acked_before_kill, k):
 def _concurrent_insert_qps(snapshot_path, wal_path, points, clients):
     """Acked inserts/second with ``clients`` writer threads."""
     with MutableSnapshotServer(snapshot_path, wal_path=wal_path,
-                               compact_threshold=0,
-                               mp_context="fork") as server:
+                               compact_threshold=0) as server:
         errors = []
 
         def run(chunk):
@@ -381,9 +379,8 @@ def main(argv=None) -> int:
     save_index(DBLSH(**_fit_params(t)).fit(data), snapshot_path)
 
     with MutableSnapshotServer(snapshot_path, wal_path=wal_path,
-                               compact_threshold=0,
-                               mp_context="fork") as server, \
-            SnapshotServer(snapshot_path, mp_context="fork") as frozen:
+                               compact_threshold=0) as server, \
+            SnapshotServer(snapshot_path) as frozen:
         mutation_rows = bench_mutations(server, frozen, data, extra, queries,
                                         args.k, t, n_delete)
     recovery_rows = bench_recovery(

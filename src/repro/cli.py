@@ -264,26 +264,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     host, port = _parse_http_address(args.listen)
     state = _ServeState(args.max_requests)
-    # Workers are spawned, not forked: the gateway thread holds client
-    # sockets, and a forked worker would inherit copies of those fds.
-    # Supervision restarts and reloads spawn workers mid-serve, so this
-    # matters beyond startup.  --mp-context overrides for experiments.
     if args.mutable:
         # A mutable serve recovers snapshot + WAL on startup, acks
         # insert/delete only after the WAL fsync, and folds the delta
         # into fresh snapshot generations in the background.
         server_factory = MutableSnapshotServer(
-            args.index, query_timeout=args.query_timeout,
-            mp_context=args.mp_context, wal_path=args.wal,
+            args.index, query_timeout=args.query_timeout, wal_path=args.wal,
             compact_threshold=args.compact_threshold,
             compact_wal_bytes=args.compact_wal_bytes,
             segment_bytes=args.wal_segment_bytes,
         )
     else:
-        server_factory = SnapshotServer(
-            args.index, query_timeout=args.query_timeout,
-            mp_context=args.mp_context,
-        )
+        server_factory = SnapshotServer(args.index, query_timeout=args.query_timeout)
     with server_factory as server:
         try:
             gateway = HttpGateway(
@@ -597,12 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                            dest="http_max_connections",
                            help="cap concurrent HTTP connections; at the cap "
                                 "the least-recently-active one is evicted")
-    serve_cmd.add_argument("--mp-context", default="spawn",
-                           choices=["spawn", "fork", "forkserver"],
-                           dest="mp_context",
-                           help="worker start method (spawn keeps client "
-                                "connection fds out of workers started "
-                                "mid-serve; fork starts faster)")
 
     query_cmd = sub.add_parser(
         "query", help="answer a query set against a running serve"

@@ -38,7 +38,7 @@ import numpy as np
 from repro.core.plan import merge_live_batches
 from repro.core.result import Neighbor, QueryResult, QueryStats
 
-__all__ = ["DeltaIndex", "DeltaView"]
+__all__ = ["DeltaIndex", "DeltaView", "contains_sorted", "merge_sorted"]
 
 #: Relative tolerance under which a GEMM-expanded squared distance is
 #: recomputed exactly: ``|x|^2 - 2 x.q + |q|^2`` cancels catastrophically
@@ -50,13 +50,27 @@ _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
 
 
-def _contains(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+def contains_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Per element of ``ids``: is it in the sorted array ``sorted_ids``?"""
     if not sorted_ids.size:
         return np.zeros(ids.shape, dtype=bool)
     pos = np.searchsorted(sorted_ids, ids)
     np.minimum(pos, sorted_ids.size - 1, out=pos)
     return sorted_ids[pos] == ids
+
+
+def merge_sorted(sorted_ids: np.ndarray, ids) -> np.ndarray:
+    """``sorted_ids`` plus ``ids``: a new sorted, unique, read-only int64 array.
+
+    Only the ids not already present are inserted (at their
+    ``searchsorted`` positions), so the cost is one pass over the old
+    array however few ids arrive.
+    """
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    new = np.unique(ids[~contains_sorted(sorted_ids, ids)])
+    merged = np.insert(sorted_ids, np.searchsorted(sorted_ids, new), new)
+    merged.flags.writeable = False
+    return merged
 
 
 class DeltaView:
@@ -103,7 +117,7 @@ class DeltaView:
         m = queries.shape[0]
         ids, points, norms2 = self.ids, self.points, self.norms2
         if self.tombstones.size:
-            keep = ~_contains(self.tombstones, ids)
+            keep = ~contains_sorted(self.tombstones, ids)
             ids, points, norms2 = ids[keep], points[keep], norms2[keep]
         if ids.shape[0] == 0:
             return [QueryResult() for _ in range(m)]
@@ -189,19 +203,15 @@ class DeltaIndex:
         The tombstone array is replaced, never edited, so views captured
         earlier keep their own.
         """
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        new = ids[~_contains(self._tombs, ids)]
-        if not new.size:
-            return 0
-        new = np.unique(new)
-        tombs = np.insert(self._tombs, np.searchsorted(self._tombs, new), new)
-        tombs.flags.writeable = False
-        self._tombs = tombs
-        return int(new.size)
+        tombs = merge_sorted(self._tombs, ids)
+        added = tombs.size - self._tombs.size
+        if added:
+            self._tombs = tombs
+        return int(added)
 
     def is_deleted(self, point_id: int) -> bool:
         """True when ``point_id`` is tombstoned."""
-        return bool(_contains(self._tombs, np.array([point_id], dtype=np.int64))[0])
+        return bool(contains_sorted(self._tombs, np.array([point_id], dtype=np.int64))[0])
 
     def view(self, upto: Optional[int] = None) -> DeltaView:
         """A consistent snapshot of the first ``upto`` rows (default: all)
@@ -231,8 +241,8 @@ class DeltaIndex:
         if rows:
             self._reallocate(rows, max(self._n - rows, 256))
         if tombstones is not None and len(tombstones):
-            tombs = self._tombs[~_contains(np.asarray(tombstones, dtype=np.int64),
-                                           self._tombs)]
+            folded = np.asarray(tombstones, dtype=np.int64)
+            tombs = self._tombs[~contains_sorted(folded, self._tombs)]
             tombs.flags.writeable = False
             self._tombs = tombs
 

@@ -246,7 +246,7 @@ def evaluate_server(
     of ``repro serve``'s gateway); answers are reassembled in order and
     remain bit-identical to the single-client run.  ``server_kwargs`` are
     forwarded to the server constructor (``start_timeout=...``,
-    ``query_timeout=...``, ``mp_context=...``).
+    ``query_timeout=...``).
     """
     from repro.io.snapshot import load_data
     from repro.serve import SnapshotServer

@@ -169,24 +169,9 @@ class FlatRStarTree:
         else:
             self.leaf_ids = np.empty(0, dtype=np.int64)
             coords = np.empty((0, self.dim), dtype=np.float64)
-        # Only the concatenated [x, -x] forms are stored; the plain views
-        # below slice them back out, so coordinates exist once per sign.
+        # Only the concatenated [x, -x] form is stored, so coordinates
+        # exist once per sign.
         self._coords_cat = np.hstack([coords, -coords])
-
-    @property
-    def leaf_coords(self) -> np.ndarray:
-        """Concatenated per-leaf coordinates (a view, no copy)."""
-        return self._coords_cat[:, : self.dim]
-
-    @property
-    def leaf_low(self) -> np.ndarray:
-        """Stacked leaf MBR lower bounds (a view, no copy)."""
-        return self._leaf_cat[:, : self.dim]
-
-    @property
-    def leaf_high(self) -> np.ndarray:
-        """Stacked leaf MBR upper bounds."""
-        return -self._leaf_cat[:, self.dim :]
 
     # ------------------------------------------------------------------
     # Construction from arrays

@@ -576,14 +576,6 @@ class WriteAheadLog:
         """Live segments on disk (sealed plus the appendable one)."""
         return len(self._sealed) + 1
 
-    def segment_paths(self) -> List[str]:
-        """Paths of the live segments, oldest first."""
-        ordinals = [ordinal for ordinal, _ in self._sealed] + [self._ordinal]
-        return [
-            os.path.join(self.path, _segment_name(ordinal))
-            for ordinal in sorted(ordinals)
-        ]
-
     def stats(self) -> dict:
         """Group-commit and rotation counters (monotonic, lock-free reads)."""
         groups = self._groups

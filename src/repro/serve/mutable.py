@@ -70,7 +70,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.delta import DeltaIndex
+from repro.core.delta import DeltaIndex, contains_sorted, merge_sorted
 from repro.io.snapshot import (
     load_index,
     load_tombstones,
@@ -167,7 +167,8 @@ class MutableSnapshotServer(SnapshotServer):
         self._compact_lock = threading.Lock()
         #: Pending inserts and deletes (not yet folded into the snapshot).
         self._delta = DeltaIndex(self.dim)
-        self._baked: frozenset = frozenset()
+        #: Ids the snapshot itself marks deleted: sorted, unique int64.
+        self._baked = np.empty(0, dtype=np.int64)
         self._wal: Optional[WriteAheadLog] = None
         self._next_id = 0
         self._base_rows = 0
@@ -226,7 +227,7 @@ class MutableSnapshotServer(SnapshotServer):
                 f"snapshot {self.path!r} predates generation uids; re-save it "
                 f"(repro.io.save_index) before serving it mutably"
             )
-        baked = frozenset(int(t) for t in load_tombstones(self.path))
+        baked = load_tombstones(self.path)
         base_rows = self.num_points
         next_id = int(header.get("next_id", base_rows))
         delta = DeltaIndex(self.dim)
@@ -254,11 +255,11 @@ class MutableSnapshotServer(SnapshotServer):
                     delta.extend([record.id], record.point[None, :])
                     next_id = max(next_id, record.id + 1)
                 elif isinstance(record, DeleteRecord):
-                    if record.id in baked:
-                        continue  # already baked into the snapshot
                     deletes.append(record.id)
                 # CheckpointRecord: lineage breadcrumb, nothing to apply.
-            delta.delete(deletes)
+            # Deletes already baked into the snapshot are not pending.
+            logged = np.asarray(deletes, dtype=np.int64)
+            delta.delete(logged[~contains_sorted(baked, logged)])
             rebound = wal.snapshot_uid != uid
         else:
             wal = WriteAheadLog.create(
@@ -323,7 +324,8 @@ class MutableSnapshotServer(SnapshotServer):
                 raise ValueError(
                     f"point id {point_id} out of range [0, {self._next_id})"
                 )
-            if self._delta.is_deleted(point_id) or point_id in self._baked:
+            baked = contains_sorted(self._baked, np.array([point_id], dtype=np.int64))
+            if baked[0] or self._delta.is_deleted(point_id):
                 return False
             ticket = self._wal.submit_delete(point_id)
             self._inflight += 1
@@ -493,7 +495,7 @@ class MutableSnapshotServer(SnapshotServer):
                 while self._inflight:
                     self._inflight_cond.wait()
                 self._delta.trim(len(fold), fold.tombstones)
-                self._baked = self._baked | frozenset(fold.tombstones.tolist())
+                self._baked = merge_sorted(self._baked, fold.tombstones)
                 self._roll_checkpoint(uid=new_uid, parent_uid=old_uid, ordinal=ordinal)
                 self._base_rows = self.num_points
                 self._snapshot_uid = new_uid

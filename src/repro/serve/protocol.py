@@ -7,7 +7,7 @@ first element is the message kind:
 coordinator → worker      ``("query", req_id, queries, k, deadline,
                           tombstones)``, ``("ping", token)``,
                           ``("shutdown",)``
-worker → coordinator      ``("ready", num_points)``,
+worker → coordinator      ``("ready", num_points, {"mapped": bool})``,
                           ``("ok", req_id, results)``,
                           ``("expired", req_id)``,
                           ``("pong", token)``, ``("bye",)``,
@@ -17,6 +17,8 @@ worker → coordinator      ``("ready", num_points)``,
 
 The pipes never leave the host: network clients reach the server only
 through the HTTP gateway (:mod:`repro.serve.http`), which speaks JSON.
+Every worker is forked from its coordinator, so both ends always run
+the same code and no message carries a version or tolerates skew.
 
 ``req_id`` is a coordinator-unique integer echoed back by the worker:
 the supervision retry re-scatters a query block under a *fresh* id after
@@ -38,14 +40,13 @@ into each worker's pipe; the worker queries it as received.
 int64 ids (``None`` from a read-only server); the worker applies them
 through ``DBLSH.delete`` before answering.
 
-Results cross the pipe as plain arrays (ids, distances, stats fields)
-rather than pickled result objects, so the wire format is stable against
-refactors of the result classes and cheap to encode.
+Results cross the pipe as plain arrays (ids, distances, stats fields),
+which pickle cheaper than result objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from typing import Tuple
 
 import numpy as np
@@ -56,12 +57,6 @@ __all__ = ["decode_result", "encode_result"]
 
 #: Wire form of one query's answer: ids, distances, stats field dict.
 WireResult = Tuple[np.ndarray, np.ndarray, dict]
-
-#: Stats travel by field *name*, not position, so a peer built from a
-#: checkout where :class:`QueryStats` gained, lost, or reordered fields
-#: still decodes what both sides know instead of silently shifting
-#: counters into the wrong slots.
-_STATS_FIELDS = frozenset(f.name for f in fields(QueryStats))
 
 
 def encode_result(result: QueryResult) -> WireResult:
@@ -74,14 +69,9 @@ def encode_result(result: QueryResult) -> WireResult:
 
 
 def decode_result(wire: WireResult) -> QueryResult:
-    """Rebuild a :class:`QueryResult` from its wire form.
-
-    Unknown stats fields from a newer peer are dropped; fields the peer
-    did not send keep their defaults.
-    """
+    """Rebuild a :class:`QueryResult` from its wire form."""
     ids, dists, stats_fields = wire
-    known = {k: v for k, v in stats_fields.items() if k in _STATS_FIELDS}
     return QueryResult(
         neighbors=[Neighbor(int(i), float(d)) for i, d in zip(ids, dists)],
-        stats=QueryStats(**known),
+        stats=QueryStats(**stats_fields),
     )

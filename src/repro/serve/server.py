@@ -56,9 +56,16 @@ under a different format version, or a snapshot of different
 dimensionality is refused (the old generation keeps serving).  The CLI
 surfaces this as ``serve --watch`` and the gateway's ``POST /reload``.
 
+Workers are always forked, never spawned: a worker needs only its
+shard and its pipe, and fork starts one in milliseconds where a fresh
+interpreter re-importing ``repro`` takes seconds — a cost every reload,
+compaction flip and supervision restart would pay.  A forked worker
+closes every descriptor it inherited except its own pipe (see
+:mod:`repro.serve.worker`).
+
 Lifecycle and failure discipline:
 
-* :meth:`start` spawns one daemon worker per shard and blocks until all
+* :meth:`start` forks one daemon worker per shard and blocks until all
   report ready (or raises :class:`ServerError` carrying the failing
   worker's traceback).  Starting a started server raises; a closed
   server can be started again.
@@ -117,6 +124,19 @@ class DeadlineExceeded(ServerError):
     existing broad handlers keep working, but typed so transports can
     map it to a distinct client-visible outcome (HTTP 504).
     """
+
+
+def _await_exit(process, timeout: float) -> None:
+    """Wait up to ``timeout`` seconds for a worker process to exit.
+
+    Not ``process.join(timeout)``: that waits on ``process.sentinel``,
+    whose pipe end the worker closes with everything else it inherited
+    (see :func:`~repro.serve.worker.serve_shard`), so it would block
+    until a hung worker exits by itself.
+    """
+    deadline = time.monotonic() + timeout
+    while process.is_alive() and time.monotonic() < deadline:
+        time.sleep(0.001)
 
 
 class _WorkerGone(Exception):
@@ -273,10 +293,6 @@ class SnapshotServer:
     query_timeout:
         Seconds to wait for any single worker's answer to one scattered
         request before declaring it hung.
-    mp_context:
-        Optional :mod:`multiprocessing` context or start-method name
-        (``"fork"``/``"spawn"``/``"forkserver"``); default is the
-        platform default.
 
     Examples
     --------
@@ -293,17 +309,15 @@ class SnapshotServer:
         *,
         start_timeout: float = 60.0,
         query_timeout: float = 120.0,
-        mp_context=None,
     ) -> None:
         if start_timeout <= 0 or query_timeout <= 0:
             raise ValueError("timeouts must be positive")
         self.path = os.fspath(path)
         self.start_timeout = float(start_timeout)
         self.query_timeout = float(query_timeout)
-        if mp_context is None or isinstance(mp_context, str):
-            self._ctx = multiprocessing.get_context(mp_context)
-        else:
-            self._ctx = mp_context
+        # Named, not the platform default: that is no longer fork
+        # everywhere fork exists.
+        self._ctx = multiprocessing.get_context("fork")
 
         self._spec = _PoolSpec(self.path)  # raises SnapshotError on junk
         self.dim = self._spec.dim
@@ -336,12 +350,6 @@ class SnapshotServer:
         with self._state_lock:
             spec = self._pool.spec if self._pool is not None else self._spec
         return spec.num_shards
-
-    @property
-    def num_workers(self) -> int:
-        """Live worker processes of the current generation (0 unless serving)."""
-        with self._state_lock:
-            return len(self._pool.workers) if self._pool is not None else 0
 
     @property
     def serving(self) -> bool:
@@ -505,7 +513,7 @@ class SnapshotServer:
             }
 
     def start(self) -> "SnapshotServer":
-        """Spawn one worker per shard and wait until all are ready.
+        """Fork one worker per shard and wait until all are ready.
 
         Raises
         ------
@@ -646,13 +654,13 @@ class SnapshotServer:
     def _reap(self, workers: Sequence[_Worker], timeout: float = 5.0) -> None:
         deadline = time.monotonic() + timeout
         for worker in workers:
-            worker.process.join(max(deadline - time.monotonic(), 0.1))
+            _await_exit(worker.process, max(deadline - time.monotonic(), 0.1))
             if worker.process.is_alive():
                 worker.process.terminate()
-                worker.process.join(1.0)
+                _await_exit(worker.process, 1.0)
             if worker.process.is_alive():
                 worker.process.kill()
-                worker.process.join(1.0)
+                _await_exit(worker.process, 1.0)
             worker.state = "dead"
             try:
                 worker.conn.close()
@@ -679,12 +687,9 @@ class SnapshotServer:
 
     def _spawn_worker(self, spec: _PoolSpec, shard: int, spawn: int) -> _Worker:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        # The parent end rides along so the worker can close its
-        # inherited copy — otherwise a SIGKILL'd coordinator never EOFs
-        # the pipe and workers linger (see serve_shard).
         process = self._ctx.Process(
             target=serve_shard,
-            args=(spec.path, shard, child_conn, parent_conn, spawn),
+            args=(spec.path, shard, child_conn, spawn),
             name=f"repro-serve-{shard}",
             daemon=True,
         )
@@ -711,8 +716,7 @@ class SnapshotServer:
                 f"{worker.shard} of {spec.path!r}:\n{detail}"
             )
         worker.num_points = int(message[1])
-        if len(message) > 2 and isinstance(message[2], dict):
-            worker.mapped = bool(message[2].get("mapped", False))
+        worker.mapped = bool(message[2]["mapped"])
         if worker.num_points != spec.sizes[worker.shard]:
             raise ServerError(
                 f"{worker.describe()} loaded {worker.num_points} points for "
@@ -1136,7 +1140,7 @@ class SnapshotServer:
     def _dead_worker_detail(self, worker: _Worker, path: str) -> str:
         # The closed pipe can be seen before the exit is reaped; wait
         # briefly so the report carries the exit code.
-        worker.process.join(timeout=1.0)
+        _await_exit(worker.process, 1.0)
         code = worker.process.exitcode
         state = "is still running" if code is None else f"exited with code {code}"
         return (

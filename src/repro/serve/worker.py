@@ -19,6 +19,17 @@ loop without a report, because there is nobody left to read one.
 Workers are started as daemons, so even a killed coordinator cannot
 leave them behind.
 
+Inheritance: every worker is forked from the coordinator, so it starts
+with copies of everything the coordinator had open — the HTTP gateway's
+listener and client sockets, the WAL segments, the other workers' pipe
+ends.  A worker forked mid-serve (reload, compaction flip, supervision
+restart) would keep a closed client connection from ever seeing EOF and
+a closed gateway's port bound.  So :func:`serve_shard`'s first act closes
+every inherited descriptor except 0–2 and its own pipe, and freezes the
+inherited objects so no garbage collection in the worker runs a
+finalizer that closes a descriptor number the worker has since reused.
+The worker needs nothing else: its shard is read from ``path`` afresh.
+
 Fault injection (tests only): the ``REPRO_SERVE_FAULT`` environment
 variable arms one-shot faults so the fault-injection suite can make a
 *specific* worker incarnation die or stall at a *deterministic* point —
@@ -60,6 +71,7 @@ on its first query.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import traceback
@@ -85,39 +97,36 @@ def _armed_fault(shard: int, spawn: int) -> Optional[Tuple[str, Optional[str]]]:
     return None
 
 
-def serve_shard(path: str, shard: int, conn, peer=None, spawn: int = 0) -> None:
+def serve_shard(path: str, shard: int, conn, spawn: int = 0) -> None:
     """Load shard ``shard`` of the snapshot at ``path`` and serve ``conn``.
 
     The worker answers with shard-local ids; the coordinator owns the
     offset mapping and the global merge
     (:func:`repro.core.plan.merge_shard_batches`).
 
-    ``peer`` is the *coordinator's* end of the pipe.  On a forking
-    platform the worker inherits a copy of that file descriptor, which
-    would keep the socketpair open inside the worker itself — so a
-    SIGKILL'd coordinator would never produce the EOF the loop below
-    relies on, and the workers would linger as orphans.  Closing the
-    inherited copy first thing makes coordinator death observable:
-    ``recv`` raises ``EOFError`` and the worker exits on its own.
+    Closing what the fork inherited (see the module docstring) also
+    closes the coordinator's end of this pipe, so a SIGKILL'd
+    coordinator makes ``recv`` raise ``EOFError`` and the worker exits
+    on its own instead of lingering as an orphan.  It closes the pipe
+    behind the coordinator's ``process.sentinel`` too, which is why the
+    coordinator never waits on a worker with ``join(timeout)``.
 
     ``spawn`` counts this worker's incarnation within its pool: 0 for
     the original process, incremented by the coordinator's supervision
     each time it restarts the shard's worker (it also selects fault
     specs; see the module docstring).
     """
-    if peer is not None:
-        try:
-            peer.close()
-        except OSError:
-            pass
+    gc.freeze()
+    own = conn.fileno()
+    os.closerange(3, own)
+    os.closerange(own + 1, os.sysconf("SC_OPEN_MAX"))
     fault = _armed_fault(shard, spawn)
     try:
         from repro.io.snapshot import load_shard
 
         index = load_shard(path, shard)
-        # The info dict rides third so older coordinators (which index
-        # only [0] and [1]) keep working; "mapped" reports whether this
-        # worker serves zero-copy mapped views of the arena snapshot.
+        # "mapped": does this worker serve zero-copy mapped views of the
+        # arena snapshot?
         conn.send(
             ("ready", index.num_points,
              {"mapped": bool(getattr(index, "is_mapped", False))})

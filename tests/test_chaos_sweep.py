@@ -33,7 +33,7 @@ def _assert_invariants(report: dict) -> None:
 
 
 def test_smoke_sweep_holds_every_invariant(capsys):
-    report = chaos_sweep.run_sweep(iterations=0, seed=0, mp_context="fork",
+    report = chaos_sweep.run_sweep(iterations=0, seed=0,
                                    smoke=True)
     _assert_invariants(report)
     # Smoke mode covers every scenario exactly once.
@@ -54,7 +54,7 @@ def test_smoke_sweep_holds_every_invariant(capsys):
 
 def test_gate_checker_rejects_a_quiet_watchdog():
     """A sweep whose hang scenarios never ran must not pass the gate."""
-    report = chaos_sweep.run_sweep(iterations=0, seed=0, mp_context="fork",
+    report = chaos_sweep.run_sweep(iterations=0, seed=0,
                                    smoke=True)
     report["counters"]["watchdog_kills"] = 0
     assert any("watchdog" in v for v in gates.check_chaos(report))
@@ -62,7 +62,7 @@ def test_gate_checker_rejects_a_quiet_watchdog():
 
 @pytest.mark.slow
 def test_seeded_200_iteration_sweep():
-    report = chaos_sweep.run_sweep(iterations=200, seed=0, mp_context="fork",
+    report = chaos_sweep.run_sweep(iterations=200, seed=0,
                                    smoke=False)
     _assert_invariants(report)
     assert sum(report["scenarios"].values()) == 200

@@ -77,7 +77,7 @@ def expected(workload, snapshot_path):
 class TestValidation:
     def test_timeout_must_be_positive(self, workload, snapshot_path):
         _, queries = workload
-        with SnapshotServer(snapshot_path, mp_context="fork") as server:
+        with SnapshotServer(snapshot_path) as server:
             for bad in (0, -1, -0.5):
                 with pytest.raises(ValueError, match="timeout"):
                     server.query_batch(queries, k=5, timeout=bad)
@@ -85,7 +85,7 @@ class TestValidation:
                 server.query(queries[0], k=5, timeout=0)
 
     def test_status_reports_the_resilience_counters(self, snapshot_path):
-        with SnapshotServer(snapshot_path, mp_context="fork") as server:
+        with SnapshotServer(snapshot_path) as server:
             status = server.status()
         assert status["hang_kills"] == 0
         assert status["deadline_hits"] == 0
@@ -129,7 +129,7 @@ class TestWatchdogFaultMatrix:
         _, queries = workload
         arg = ":0.2" if fault == "sleep-on-query" else ""
         monkeypatch.setenv("REPRO_SERVE_FAULT", f"{fault}:1:0{arg}")
-        with SnapshotServer(snapshot_path, mp_context="fork",
+        with SnapshotServer(snapshot_path,
                             query_timeout=1.0) as server:
             # die: supervision restarts and re-dispatches; sleep: 0.2s
             # < the 1s silence bound, the answer just arrives; hang:
@@ -152,7 +152,7 @@ class TestHangFailDeadlineBound:
         _, queries = workload
         monkeypatch.setenv("REPRO_SERVE_FAULT", "hang-on-query:0:0")
         budget = 0.8
-        with SnapshotServer(snapshot_path, mp_context="fork",
+        with SnapshotServer(snapshot_path,
                             query_timeout=120.0) as server:
             before = set(server.worker_pids)
             started = time.monotonic()
@@ -178,7 +178,7 @@ class TestHangFailDeadlineBound:
         with: the watchdog kill must answer the typed error."""
         _, queries = workload
         monkeypatch.setenv("REPRO_SERVE_FAULT", "hang-on-query:0:0")
-        with SnapshotServer(snapshot_path, mp_context="fork",
+        with SnapshotServer(snapshot_path,
                             query_timeout=120.0) as server:
             with pytest.raises(DeadlineExceeded):
                 server.query_batch(queries, k=5, timeout=0.5)
@@ -188,10 +188,37 @@ class TestHangFailDeadlineBound:
     def test_generous_deadline_is_invisible(self, workload, snapshot_path,
                                             expected):
         _, queries = workload
-        with SnapshotServer(snapshot_path, mp_context="fork") as server:
+        with SnapshotServer(snapshot_path) as server:
             assert _same(server.query_batch(queries, k=5, timeout=60.0),
                          expected)
             assert server.deadline_hits_total == 0
+
+
+class TestCloseWithHungWorker:
+    def test_close_escalates_within_its_timeout(self, workload, snapshot_path,
+                                                monkeypatch):
+        """A hung worker ignores the polite shutdown; close() must give
+        up waiting after its timeout and kill it, not wait for the hang
+        to end (the worker closed the pipe behind ``join``)."""
+        _, queries = workload
+        monkeypatch.setenv("REPRO_SERVE_FAULT", "hang-on-query:0:0:60")
+        server = SnapshotServer(snapshot_path, query_timeout=120.0).start()
+        outcome = []
+
+        def query():
+            try:
+                server.query_batch(queries, k=5)
+            except ServerError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=query, daemon=True)
+        thread.start()
+        time.sleep(0.5)  # worker 0 is now inside its hang
+        started = time.monotonic()
+        server.close(timeout=0.5)
+        assert time.monotonic() - started < 10.0
+        thread.join(30.0)
+        assert not thread.is_alive() and outcome
 
 
 class TestHangRetryExhaustion:
@@ -200,7 +227,7 @@ class TestHangRetryExhaustion:
         _, queries = workload
         monkeypatch.setenv("REPRO_SERVE_FAULT",
                            "hang-on-query:0:0,hang-on-query:0:1")
-        with SnapshotServer(snapshot_path, mp_context="fork",
+        with SnapshotServer(snapshot_path,
                             query_timeout=0.5) as server:
             with pytest.raises(DeadlineExceeded):
                 server.query_batch(queries, k=5)
@@ -222,7 +249,7 @@ class TestQueueExpiry:
         _, queries = workload
         monkeypatch.setenv("REPRO_SERVE_FAULT", "sleep-on-query:0:0:0.6")
         outcomes = {}
-        with SnapshotServer(snapshot_path, mp_context="fork") as server:
+        with SnapshotServer(snapshot_path) as server:
             def head():
                 outcomes["head"] = server.query_batch(queries, k=5)
 
@@ -255,7 +282,6 @@ class TestMutablePassThrough:
         # worker incarnation at startup, not per query.
         monkeypatch.setenv("REPRO_SERVE_FAULT", "hang-on-query:0:0")
         with MutableSnapshotServer(snapshot_path, wal_path=wal,
-                                   mp_context="fork",
                                    query_timeout=120.0) as server:
             with pytest.raises(DeadlineExceeded):
                 server.query_batch(queries, k=5, timeout=0.5)
@@ -274,7 +300,7 @@ class TestDieStaysServerError:
         _, queries = workload
         monkeypatch.setenv("REPRO_SERVE_FAULT",
                            "die-on-query:0:0,die-on-query:0:1")
-        with SnapshotServer(snapshot_path, mp_context="fork") as server:
+        with SnapshotServer(snapshot_path) as server:
             with pytest.raises(ServerError) as excinfo:
                 server.query_batch(queries, k=5)
             assert not isinstance(excinfo.value, DeadlineExceeded)

@@ -19,7 +19,10 @@ The gateway's contract, in the order the classes below pin it:
   machine, through reloads and brokenness;
 * **operator endpoints** — ``POST /reload`` re-reads the served file
   (409 on refusal, old generation still serving) and ``POST /shutdown``
-  is loopback-only and exists only when an ``on_request`` hook does.
+  is loopback-only and exists only when an ``on_request`` hook does;
+* **inheritance** — a worker forked mid-serve (reload, compaction,
+  supervision restart) holds none of the gateway's sockets or the WAL's
+  files, so closed connections EOF and a closed gateway frees its port.
 """
 
 from __future__ import annotations
@@ -1075,3 +1078,93 @@ class TestMutableHttp:
         assert "read-only" in body["error"]
         assert _post(gateway.port, "/delete", {"id": 1})[0] == 403
         assert _post(gateway.port, "/compact", {})[0] == 403
+
+
+# ----------------------------------------------------------------------
+# Descriptors a worker forked mid-serve inherits
+# ----------------------------------------------------------------------
+
+
+_HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+def _read_response(sock) -> int:
+    """Read one HTTP response off ``sock``, leaving the socket open."""
+    response = http.client.HTTPResponse(sock)
+    response.begin()
+    response.read()
+    return response.status
+
+
+def _close_after(port, first: bytes, between) -> bool:
+    """Send ``first`` on a keep-alive connection, run ``between()``, then
+    send a ``Connection: close`` request: does EOF follow its response
+    within 1 s?"""
+    with socket.create_connection(("127.0.0.1", port), timeout=30.0) as sock:
+        sock.sendall(first)
+        assert _read_response(sock) == 200
+        between()
+        sock.sendall(
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        assert _read_response(sock) == 200
+        sock.settimeout(1.0)
+        try:
+            return sock.recv(1) == b""
+        except socket.timeout:
+            return False
+
+
+class TestInheritedDescriptors:
+    def test_connection_close_sees_eof_after_reload(self, snapshot_path):
+        with SnapshotServer(snapshot_path) as server, \
+                HttpGateway(server, batch_window=0.0) as gateway:
+            assert _close_after(gateway.port, _HEALTHZ, server.reload)
+
+    def test_closed_gateway_port_rebinds_after_reload(self, snapshot_path):
+        with SnapshotServer(snapshot_path) as server:
+            gateway = HttpGateway(server, batch_window=0.0).start()
+            port = gateway.port
+            server.reload()
+            gateway.close()
+            with HttpGateway(server, port=port, batch_window=0.0) as again:
+                assert _get(again.port, "/healthz", timeout=5.0)[0] == 200
+
+    def test_connection_close_sees_eof_after_supervision_restart(
+        self, snapshot_path, workload, monkeypatch
+    ):
+        _, queries = workload
+        monkeypatch.setenv("REPRO_SERVE_FAULT", "die-on-query:0:0")
+        body = json.dumps({"query": queries[0].tolist(), "k": 3}).encode()
+        query = (
+            b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Type: application/json"
+            b"\r\nContent-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body
+        )
+        with SnapshotServer(snapshot_path) as server, \
+                HttpGateway(server, batch_window=0.0) as gateway:
+            # The query kills worker 0; supervision forks its replacement
+            # while this connection is open.
+            assert _close_after(gateway.port, query, lambda: None)
+            assert server.restarts_total == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="reads /proc/<pid>/fd")
+    def test_workers_hold_no_socket_or_wal_file_after_compaction(
+        self, mutable_setup
+    ):
+        _, server = mutable_setup
+        wal = os.path.realpath(server.wal_path)
+        with HttpGateway(server, batch_window=0.0) as gateway, \
+                socket.create_connection(("127.0.0.1", gateway.port)) as client:
+            client.sendall(_HEALTHZ)
+            assert _read_response(client) == 200
+            server.insert(np.full(server.dim, 50.0))
+            assert server.compact()["compacted"] is True
+            for pid in server.worker_pids:
+                fd_dir = f"/proc/{pid}/fd"
+                links = [os.readlink(os.path.join(fd_dir, fd))
+                         for fd in os.listdir(fd_dir)]
+                sockets = [link for link in links if link.startswith("socket:")]
+                assert len(sockets) == 1, links  # its own pipe
+                assert not [link for link in links
+                            if link.startswith(wal + os.sep)], links

@@ -55,7 +55,7 @@ def _mutation_driver(snapshot, wal, env, conn):
     """Child-process serve loop (module-level for spawn picklability)."""
     os.environ.update(env)
     server = MutableSnapshotServer(
-        snapshot, wal_path=wal, compact_threshold=0, mp_context="fork",
+        snapshot, wal_path=wal, compact_threshold=0,
         start_timeout=120.0,
     )
     server.start()
@@ -125,7 +125,7 @@ class _Child:
 def _assert_exactly_acked(snapshot, wal, child, *, tolerate_inflight=0):
     """Restart from disk and check the served state == the acked mutations."""
     server = MutableSnapshotServer(
-        snapshot, wal_path=wal, compact_threshold=0, mp_context="fork",
+        snapshot, wal_path=wal, compact_threshold=0,
     )
     server.start()
     try:
@@ -239,7 +239,7 @@ class TestRecoveryGuards:
         data, _ = workload
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(snapshot, wal_path=wal,
-                                       compact_threshold=0, mp_context="fork")
+                                       compact_threshold=0)
         server.start()
         server.insert(data[0] + 9.0)
         server.close()
@@ -247,7 +247,7 @@ class TestRecoveryGuards:
         # lineage): replaying the old log onto it would be corruption.
         save_index(DBLSH(**PARAMS).fit(data[:200]), snapshot)
         fresh = MutableSnapshotServer(snapshot, wal_path=wal,
-                                      compact_threshold=0, mp_context="fork")
+                                      compact_threshold=0)
         with pytest.raises(WALError, match="refusing to replay"):
             fresh.start()
         assert not fresh.serving  # the refused start left no live pool
@@ -257,7 +257,7 @@ class TestRecoveryGuards:
         _, inserts = workload
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(snapshot, wal_path=wal,
-                                      compact_threshold=0, mp_context="fork")
+                                      compact_threshold=0)
         server.start()
         try:
             server.insert(inserts[0])
@@ -296,7 +296,7 @@ class TestRecoveryGuards:
         monkeypatch.setenv("REPRO_WAL_SLOW_FSYNC_MS", "20")
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(
-            snapshot, wal_path=wal, compact_threshold=0, mp_context="fork",
+            snapshot, wal_path=wal, compact_threshold=0,
         )
         server.start()
         points = {i: np.full(DIM, 80.0 + 3.0 * i) for i in range(24)}
@@ -324,7 +324,7 @@ class TestRecoveryGuards:
             server.close()
         # Restart: every concurrently-acked insert is served exactly.
         back = MutableSnapshotServer(
-            snapshot, wal_path=wal, compact_threshold=0, mp_context="fork",
+            snapshot, wal_path=wal, compact_threshold=0,
         )
         back.start()
         try:
@@ -341,7 +341,7 @@ class TestRecoveryGuards:
         data, _ = workload
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(snapshot, wal_path=wal,
-                                      compact_threshold=4, mp_context="fork")
+                                      compact_threshold=4)
         server.start()
         try:
             for i in range(4):
@@ -376,7 +376,6 @@ class TestAdaptiveCompaction:
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=100_000,
             compact_wal_bytes=700,
-            mp_context="fork",
         )
         server.start()
         try:
@@ -403,7 +402,7 @@ class TestAdaptiveCompaction:
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=100_000,
-            compact_wal_bytes=0, mp_context="fork",
+            compact_wal_bytes=0,
         )
         server.start()
         try:
@@ -425,7 +424,7 @@ class TestAdaptiveCompaction:
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=0,
-            compact_wal_bytes=1, mp_context="fork",
+            compact_wal_bytes=1,
         )
         server.start()
         try:
@@ -457,7 +456,7 @@ def misuse_server(tmp_path):
     save_index(DBLSH(**PARAMS).fit(
         gaussian_mixture(SMALL, DIM - 7, n_clusters=3, seed=0)), other)
     server = MutableSnapshotServer(
-        path, compact_threshold=0, mp_context="fork",
+        path, compact_threshold=0,
     ).start()
     try:
         assert server.delete(DELETED) is True
@@ -525,8 +524,7 @@ class TestMisuseContract:
 
         path, wal = server.path, server.wal_path
         server.close()
-        with MutableSnapshotServer(path, wal_path=wal, compact_threshold=0,
-                                   mp_context="fork") as back:
+        with MutableSnapshotServer(path, wal_path=wal, compact_threshold=0) as back:
             assert back.status()["live_points"] == 0
             assert back.query(probe[0], k=5).ids == []
 
@@ -595,7 +593,6 @@ class TestServedDeleteParity:
             monkeypatch.setenv("REPRO_SERVE_FAULT", fault)
         server = MutableSnapshotServer(
             path, wal_path=str(tmp_path / "p.wal"), compact_threshold=0,
-            mp_context="fork",
         ).start()
         try:
             for pid in doomed:
@@ -682,7 +679,6 @@ class TestServedInsertParity:
         expected = reference.query_batch(queries, k=self.K)
         server = MutableSnapshotServer(
             path, wal_path=str(tmp_path / "i.wal"), compact_threshold=0,
-            mp_context="fork",
         ).start()
         try:
             assert [server.insert(p) for p in inserts] == list(

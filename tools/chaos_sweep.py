@@ -44,6 +44,11 @@ wal-kill        a child process serving ``--mutable`` is killed at a
                 — unacked ones may or may not, which is the contract
 ==============  =====================================================
 
+Serving workers are always forked (:mod:`repro.serve.server` has no
+other start method), which keeps hundreds of supervision restarts
+cheap.  The wal-kill victim is not a worker: it is a spawned stand-in
+for a whole ``repro serve`` process, crashed and then recovered.
+
 Usage::
 
     PYTHONPATH=src python tools/chaos_sweep.py            # 200 iterations
@@ -142,12 +147,10 @@ def _build_environment(tmp: str, seed: int):
 class _Sweep:
     """One seeded sweep run: iteration loop, invariants, report."""
 
-    def __init__(self, path, queries, expected, mp_context: str,
-                 rng: random.Random) -> None:
+    def __init__(self, path, queries, expected, rng: random.Random) -> None:
         self.path = path
         self.queries = queries
         self.expected = expected
-        self.mp_context = mp_context
         self.rng = rng
         self.seen_pids: set = set()
         self.undetermined: list = []
@@ -169,7 +172,7 @@ class _Sweep:
     def _server(self, **kwargs):
         from repro.serve import SnapshotServer
 
-        return SnapshotServer(self.path, mp_context=self.mp_context, **kwargs)
+        return SnapshotServer(self.path, **kwargs)
 
     def _track(self, server) -> None:
         self.seen_pids.update(server.worker_pids)
@@ -339,8 +342,7 @@ class _Sweep:
             parent_conn, child_conn = ctx.Pipe()
             child = ctx.Process(
                 target=_wal_victim,
-                args=(self.path, wal, child_conn, f"{point}:{nth}",
-                      self.mp_context),
+                args=(self.path, wal, child_conn, f"{point}:{nth}"),
             )
             child.start()
             # Drop the parent's copy of the child end, or the pipe never
@@ -366,9 +368,7 @@ class _Sweep:
             # Recovery: every acked id must answer as its own nearest
             # neighbor; the unacked in-flight append may or may not
             # survive (torn tails are truncated), which is the contract.
-            with MutableSnapshotServer(
-                self.path, wal_path=wal, mp_context=self.mp_context,
-            ) as recovered:
+            with MutableSnapshotServer(self.path, wal_path=wal) as recovered:
                 self._track(recovered)
                 for uid, vector in acked:
                     result = recovered.query_batch(
@@ -389,7 +389,7 @@ class _Sweep:
         return sorted(pid for pid in self.seen_pids if _alive(pid))
 
 
-def _wal_victim(snapshot, wal, conn, fault_spec, mp_context) -> None:
+def _wal_victim(snapshot, wal, conn, fault_spec) -> None:
     """Child: insert far-away points, acking each, until the WAL fault
     hook (armed via the inherited environment) kills the process.
 
@@ -411,8 +411,7 @@ def _wal_victim(snapshot, wal, conn, fault_spec, mp_context) -> None:
         kwargs["segment_bytes"] = 256  # rotate every record or two
     if point == "mid-group":
         os.environ["REPRO_WAL_SLOW_FSYNC_MS"] = "25"  # slow sync: real groups
-    with MutableSnapshotServer(snapshot, wal_path=wal,
-                               mp_context=mp_context, **kwargs) as server:
+    with MutableSnapshotServer(snapshot, wal_path=wal, **kwargs) as server:
         if point == "mid-group":
             lock = threading.Lock()
 
@@ -443,12 +442,12 @@ def _wal_victim(snapshot, wal, conn, fault_spec, mp_context) -> None:
     os._exit(7)  # the fault never fired: wrong exitcode fails the gate
 
 
-def run_sweep(iterations: int, seed: int, mp_context: str, smoke: bool) -> dict:
+def run_sweep(iterations: int, seed: int, smoke: bool) -> dict:
     rng = random.Random(seed)
     started = time.time()
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         path, _, queries, expected = _build_environment(tmp, seed=seed)
-        sweep = _Sweep(path, queries, expected, mp_context, rng)
+        sweep = _Sweep(path, queries, expected, rng)
         sweep.all_wal_points = smoke
         if smoke:
             # One deterministic pass over every scenario: cheap, covers
@@ -466,7 +465,6 @@ def run_sweep(iterations: int, seed: int, mp_context: str, smoke: bool) -> dict:
         "config": {
             "iterations": len(SCENARIOS) if smoke else iterations,
             "seed": seed,
-            "mp_context": mp_context,
             "smoke": smoke,
             "elapsed_seconds": round(time.time() - started, 2),
         },
@@ -514,17 +512,12 @@ def main(argv=None) -> int:
     parser.add_argument("--iterations", type=int, default=200,
                         help="seeded fault iterations (full mode)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mp-context", default="fork", dest="mp_context",
-                        choices=["spawn", "fork", "forkserver"],
-                        help="worker start method (fork keeps hundreds of "
-                             "restarts affordable; the fault hooks behave "
-                             "identically under spawn)")
     parser.add_argument("--smoke", action="store_true",
                         help="one iteration per scenario; writes the "
                              ".smoke.json variant")
     parser.add_argument("--out", default=None, help="report path override")
     args = parser.parse_args(argv)
-    report = run_sweep(args.iterations, args.seed, args.mp_context, args.smoke)
+    report = run_sweep(args.iterations, args.seed, args.smoke)
     out = args.out or (DEFAULT_OUT.replace(".json", ".smoke.json")
                        if args.smoke else DEFAULT_OUT)
     with open(out, "w") as handle:
