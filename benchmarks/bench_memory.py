@@ -23,7 +23,7 @@ Not a paper figure — this tracks the arena-snapshot subsystem
   with ``available: false`` recorded — where it is not.
 * **reload** — arena load latency cold (page cache dropped via
   ``posix_fadvise``) vs warm (same file again, pages resident): what
-  the ``--watch`` reload path pays.
+  the ``POST /reload`` path pays.
 
 Usage::
 

@@ -24,9 +24,9 @@ admission shedding, ``POST /insert``/``/delete``/``/compact`` when
 ``--mutable``, ``POST /reload``, ``GET /healthz``/``/status``/``/metrics``
 and a loopback-only ``POST /shutdown`` — the fit → save → serve → query
 loop of the README's serving quickstart.  The server supervises its
-workers (a killed worker is restarted and the request retried once) and
-with ``--watch`` hot-reloads a new snapshot generation when the file
-changes — in-flight queries finish on the generation they started on.
+workers (a killed worker is restarted and the request retried once), and
+``POST /reload`` hot-reloads a new snapshot generation from the served
+file — in-flight queries finish on the generation they started on.
 A mutable serve acks mutations only after the write-ahead-log fsync,
 recovers them on restart, and folds them into fresh snapshot generations
 in the background.  The serve stops on ``--max-requests``, ``POST
@@ -36,17 +36,14 @@ contract: a 503 from a query or mutation (the worker pool broke) or a
 
 ``query --server HOST:PORT`` posts the query set as one batch, retrying
 its connection with exponential backoff (``--connect-timeout``) so
-scripts may start ``serve`` and ``query`` back to back; ``--timeout-ms``
-becomes the ``X-Timeout-Ms`` deadline header, and ``--shutdown`` posts
-``/shutdown`` after the answer.
+scripts may start ``serve`` and ``query`` back to back, and
+``--shutdown`` posts ``/shutdown`` after the answer.
 
-Resilience knobs: ``--query-timeout`` bounds any single worker answer
-and arms the hang watchdog (a killed hung worker's request is
-re-dispatched once on a fresh worker when its deadline allows, else
-failed with a typed deadline error, answered 504);
-``--http-default-timeout``, ``--http-idle-timeout`` and
-``--http-max-connections`` bound requests and connections at the
-gateway.
+The serve runs the library defaults of :class:`~repro.serve.SnapshotServer`,
+:class:`~repro.serve.MutableSnapshotServer` and
+:class:`~repro.serve.HttpGateway`; embed those classes to tune the
+watchdog, compaction, WAL segments or the gateway's batching and
+connection bounds.
 """
 
 from __future__ import annotations
@@ -174,14 +171,17 @@ def _cmd_load(args: argparse.Namespace) -> int:
 
 
 def _parse_http_address(addr: str) -> tuple:
-    """``HOST:PORT``/``:PORT``/``PORT`` -> (host, port).
+    """``HOST:PORT``/``[IPV6]:PORT``/``:PORT``/``PORT`` -> (host, port).
 
     A missing host defaults to loopback (the gateway carries no auth; a
-    non-loopback bind is the operator's deliberate choice).
+    non-loopback bind is the operator's deliberate choice).  Brackets
+    around an IPv6 host are stripped: sockets take the bare address.
     """
     host, _, port = addr.rpartition(":")
     if not port.isdigit():
         raise SystemExit(f"expected HOST:PORT, :PORT or PORT, got {addr!r}")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     return (host or "127.0.0.1", int(port))
 
 
@@ -221,39 +221,6 @@ class _ServeState:
             self.stop.set()
 
 
-def _watch_snapshot(server, path: str, interval: float,
-                    stop: threading.Event) -> None:
-    """Poll ``path``'s mtime and hot-reload the server when it changes.
-
-    A failed reload (half-written file, junk, version skew) keeps the
-    old generation serving and is reported on stderr; the watcher keeps
-    polling, so the next complete write still gets picked up.
-    """
-    from repro.io import SnapshotError
-    from repro.serve import ServerError
-
-    def _mtime() -> Optional[int]:
-        try:
-            return os.stat(path).st_mtime_ns
-        except OSError:
-            return None  # mid-replace (writer unlinked first); retry
-
-    last = _mtime()
-    while not stop.wait(interval):
-        stamp = _mtime()
-        if stamp is None or stamp == last:
-            continue
-        last = stamp
-        try:
-            info = server.reload(path)
-            print(f"[watch] reloaded {path} -> generation "
-                  f"{info['generation']} ({info['shards']} shard(s))",
-                  flush=True)
-        except (SnapshotError, ServerError) as exc:
-            print(f"[watch] reload of {path} failed ({exc}); the previous "
-                  f"generation keeps serving", file=sys.stderr, flush=True)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         GatewayError,
@@ -268,26 +235,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # A mutable serve recovers snapshot + WAL on startup, acks
         # insert/delete only after the WAL fsync, and folds the delta
         # into fresh snapshot generations in the background.
-        server_factory = MutableSnapshotServer(
-            args.index, query_timeout=args.query_timeout, wal_path=args.wal,
-            compact_threshold=args.compact_threshold,
-            compact_wal_bytes=args.compact_wal_bytes,
-            segment_bytes=args.wal_segment_bytes,
-        )
+        server_factory = MutableSnapshotServer(args.index, wal_path=args.wal)
     else:
-        server_factory = SnapshotServer(args.index, query_timeout=args.query_timeout)
+        server_factory = SnapshotServer(args.index)
     with server_factory as server:
         try:
-            gateway = HttpGateway(
-                server, host, port,
-                batch_window=args.http_batch_window,
-                max_batch=args.http_max_batch,
-                queue_limit=args.http_queue_limit,
-                default_timeout=args.http_default_timeout,
-                idle_timeout=args.http_idle_timeout,
-                max_connections=args.http_max_connections,
-                on_request=state.observe,
-            ).start()
+            gateway = HttpGateway(server, host, port,
+                                  on_request=state.observe).start()
         except GatewayError as exc:
             print(f"could not open the HTTP front door: {exc}", file=sys.stderr)
             return 1
@@ -299,19 +253,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"batch window {gateway.batch_window * 1e3:g} ms, "
                   f"max batch {gateway.max_batch}, "
                   f"queue limit {gateway.queue_limit})", flush=True)
-            if args.watch:
-                threading.Thread(
-                    target=_watch_snapshot,
-                    args=(server, args.index, args.watch_interval, state.stop),
-                    name="repro-serve-watch",
-                    daemon=True,
-                ).start()
             try:
                 state.stop.wait()
             except KeyboardInterrupt:
                 pass
         finally:
-            state.stop.set()  # also ends the watcher
+            state.stop.set()  # Ctrl-C: the drain's 503s are no breakage
             gateway.close()
     if state.failure is not None:
         # Exit nonzero so supervisors (systemd, CI) see the crash for
@@ -371,6 +318,10 @@ def _post_json(conn, path: str, payload: dict,
     return response.status, json.loads(response.read() or b"{}")
 
 
+#: Seconds ``repro query`` waits for the server's answer.
+_REPLY_TIMEOUT = 600.0
+
+
 def _cmd_query(args: argparse.Namespace) -> int:
     import http.client
 
@@ -378,23 +329,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
     _, queries, label = _load_points(args)
     try:
         conn = _connect_with_retry(address, args.connect_timeout,
-                                   io_timeout=args.reply_timeout)
+                                   io_timeout=_REPLY_TIMEOUT)
     except OSError as exc:
         print(f"could not connect to {args.server} within "
               f"{args.connect_timeout:.0f}s: {exc}", file=sys.stderr)
         return 1
-    # The server enforces --timeout-ms end to end and answers 504 on
-    # overrun.
-    headers = ({} if args.timeout_ms is None
-               else {"X-Timeout-Ms": f"{args.timeout_ms:g}"})
     try:
         started = time.perf_counter()
         try:
             status, reply = _post_json(
-                conn, "/query", {"queries": queries.tolist(), "k": args.k},
-                headers)
+                conn, "/query", {"queries": queries.tolist(), "k": args.k})
         except TimeoutError:
-            print(f"server did not reply within {args.reply_timeout:.0f}s",
+            print(f"server did not reply within {_REPLY_TIMEOUT:.0f}s",
                   file=sys.stderr)
             return 1
         except (OSError, http.client.HTTPException, ValueError):
@@ -517,26 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--index", required=True,
                            help="snapshot path (.npz) to serve")
     serve_cmd.add_argument("--listen", default="127.0.0.1:8080",
-                           help="HTTP address: HOST:PORT, :PORT or PORT "
-                                "(loopback when the host is omitted)")
-    serve_cmd.add_argument("--query-timeout", type=float, default=120.0,
-                           dest="query_timeout",
-                           help="seconds before a silent worker is declared "
-                                "hung; the watchdog kills it and the request "
-                                "is re-dispatched once on a fresh worker "
-                                "when its deadline allows")
+                           help="HTTP address: HOST:PORT, [IPV6]:PORT, :PORT "
+                                "or PORT (loopback when the host is omitted)")
     serve_cmd.add_argument("--max-requests", type=int, default=None,
                            dest="max_requests",
                            help="exit after this many query/mutation "
                                 "requests (default: serve until POST "
                                 "/shutdown or Ctrl-C)")
-    serve_cmd.add_argument("--watch", action="store_true",
-                           help="poll the snapshot file and hot-reload a new "
-                                "generation when it changes (in-flight "
-                                "queries finish on the old one)")
-    serve_cmd.add_argument("--watch-interval", type=float, default=1.0,
-                           dest="watch_interval",
-                           help="seconds between --watch mtime polls")
     serve_cmd.add_argument("--mutable", action="store_true",
                            help="accept insert/delete verbs, acked after the "
                                 "write-ahead-log fsync; recovers snapshot+WAL "
@@ -545,50 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument("--wal", default=None,
                            help="write-ahead log path for --mutable "
                                 "(default: <snapshot>.wal)")
-    serve_cmd.add_argument("--compact-threshold", type=int, default=4096,
-                           dest="compact_threshold",
-                           help="fold the delta buffer into a fresh snapshot "
-                                "generation once this many pending mutations "
-                                "accumulate (0 disables auto-compaction "
-                                "entirely, including the byte trigger "
-                                "below)")
-    serve_cmd.add_argument("--compact-wal-bytes", type=int,
-                           default=64 * 1024 * 1024, dest="compact_wal_bytes",
-                           metavar="BYTES",
-                           help="also compact once the live WAL segments "
-                                "total this many bytes (bounds recovery "
-                                "replay time; 0 disables this trigger)")
-    serve_cmd.add_argument("--wal-segment-bytes", type=int, default=4 << 20,
-                           dest="wal_segment_bytes", metavar="BYTES",
-                           help="rotate the WAL to a new segment file once "
-                                "the live one reaches this size; compaction "
-                                "deletes whole checkpointed segments")
-    serve_cmd.add_argument("--http-batch-window", type=float, default=0.002,
-                           dest="http_batch_window", metavar="SECONDS",
-                           help="micro-batch collection window: concurrent "
-                                "POST /query requests arriving within it are "
-                                "answered by one batched GEMM (0 = coalesce "
-                                "only what is already queued)")
-    serve_cmd.add_argument("--http-max-batch", type=int, default=32,
-                           dest="http_max_batch",
-                           help="max requests coalesced into one batch")
-    serve_cmd.add_argument("--http-queue-limit", type=int, default=256,
-                           dest="http_queue_limit",
-                           help="bounded admission queue: further requests "
-                                "are shed with 429 + Retry-After")
-    serve_cmd.add_argument("--http-default-timeout", type=float, default=None,
-                           dest="http_default_timeout", metavar="SECONDS",
-                           help="deadline applied to HTTP requests that send "
-                                "no X-Timeout-Ms header; overruns answer 504 "
-                                "(default: no deadline)")
-    serve_cmd.add_argument("--http-idle-timeout", type=float, default=60.0,
-                           dest="http_idle_timeout", metavar="SECONDS",
-                           help="close HTTP keep-alive connections idle this "
-                                "long")
-    serve_cmd.add_argument("--http-max-connections", type=int, default=512,
-                           dest="http_max_connections",
-                           help="cap concurrent HTTP connections; at the cap "
-                                "the least-recently-active one is evicted")
 
     query_cmd = sub.add_parser(
         "query", help="answer a query set against a running serve"
@@ -596,20 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
     query_cmd.set_defaults(handler=_cmd_query)
     query_cmd.add_argument("--server", required=True,
                            help="HTTP address the serve is listening on "
-                                "(HOST:PORT, :PORT or PORT)")
+                                "(HOST:PORT, [IPV6]:PORT, :PORT or PORT)")
     _add_source_args(query_cmd)
     query_cmd.add_argument("--k", type=int, default=10)
     query_cmd.add_argument("--connect-timeout", type=float, default=10.0,
                            dest="connect_timeout",
                            help="seconds to keep retrying the connection")
-    query_cmd.add_argument("--reply-timeout", type=float, default=600.0,
-                           dest="reply_timeout",
-                           help="seconds to wait for the server's answer")
-    query_cmd.add_argument("--timeout-ms", type=float, default=None,
-                           dest="timeout_ms",
-                           help="per-request deadline budget in milliseconds, "
-                                "sent as X-Timeout-Ms and enforced end to end "
-                                "by the server (overrun answers 504)")
     query_cmd.add_argument("--shutdown", action="store_true",
                            help="POST /shutdown after answering (loopback "
                                 "only)")

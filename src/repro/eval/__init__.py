@@ -8,7 +8,6 @@ from repro.eval.runner import (
     evaluate_method,
     evaluate_mutable_workload,
     evaluate_server,
-    evaluate_snapshot,
     run_comparison,
 )
 
@@ -21,6 +20,5 @@ __all__ = [
     "evaluate_method",
     "evaluate_mutable_workload",
     "evaluate_server",
-    "evaluate_snapshot",
     "run_comparison",
 ]

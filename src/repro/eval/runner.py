@@ -134,43 +134,6 @@ def evaluate_method(
     )
 
 
-def evaluate_snapshot(
-    path: str,
-    queries: np.ndarray,
-    k: int,
-    dataset_name: str = "snapshot",
-    gt_ids: Optional[np.ndarray] = None,
-    gt_dists: Optional[np.ndarray] = None,
-    batch: bool = True,
-) -> MethodResult:
-    """Load a persisted index snapshot and evaluate it without rebuilding.
-
-    The serving-side counterpart of :func:`evaluate_method`: the index
-    (single or sharded, see :mod:`repro.io.snapshot`) is restored from
-    ``path`` and the query set runs against it as-is (``fit=False``), so
-    the reported query times measure the *loaded* index — exactly what a
-    process that received the snapshot over the wire would serve.  Ground
-    truth is computed against the snapshot's own stored data unless
-    supplied.
-    """
-    from repro.io.snapshot import load_index
-
-    index = load_index(path)
-    data = index.data
-    assert data is not None  # load_index only returns fitted indexes
-    return evaluate_method(
-        index,
-        data,
-        queries,
-        k,
-        dataset_name=dataset_name,
-        gt_ids=gt_ids,
-        gt_dists=gt_dists,
-        fit=False,
-        batch=batch,
-    )
-
-
 class _ConcurrentClients:
     """Drive a :class:`~repro.serve.SnapshotServer` as N client threads.
 
@@ -231,7 +194,8 @@ def evaluate_server(
 ) -> MethodResult:
     """Serve the snapshot at ``path`` from worker processes and evaluate it.
 
-    The multi-process counterpart of :func:`evaluate_snapshot`: a
+    The multi-process counterpart of evaluating ``load_index(path)``
+    with :func:`evaluate_method` (``fit=False``): a
     :class:`repro.serve.SnapshotServer` is started over the snapshot (one
     worker process per shard, zero rebuild), the query set is answered
     over IPC, and the server is shut down afterwards.  The reported

@@ -42,10 +42,10 @@ on the old one.
 The CLI exposes the same machinery over HTTP: ``python -m repro serve``
 binds the gateway in front of a ``SnapshotServer`` (or a
 ``MutableSnapshotServer`` with ``--mutable``) and ``python -m repro
-query --server`` is its client (see :mod:`repro.cli`), with ``--watch``
-for file-change reloads — and ``repro.eval.evaluate_server`` benchmarks
-a served snapshot like any other method (``clients=N`` for concurrent
-clients).
+query --server`` is its client (see :mod:`repro.cli`), with ``POST
+/reload`` re-reading the served file — and ``repro.eval.evaluate_server``
+benchmarks a served snapshot like any other method (``clients=N`` for
+concurrent clients).
 """
 
 from repro.serve.http import GatewayError, HttpGateway

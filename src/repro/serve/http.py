@@ -42,7 +42,7 @@ On top of those, the resilience layer bounds every resource a client or
 a worker could otherwise hold forever:
 
 * **Per-request deadlines.**  A ``POST /query`` may carry an
-  ``X-Timeout-Ms`` header (``--http-default-timeout`` supplies a
+  ``X-Timeout-Ms`` header (the ``default_timeout`` keyword supplies a
   default); the budget becomes an absolute deadline that follows the
   request through the admission queue, the micro-batcher, and the
   coordinator (``query_batch(timeout=...)``) all the way into the
@@ -55,7 +55,7 @@ a worker could otherwise hold forever:
   ``idle_timeout`` are reaped; when more than ``max_connections`` are
   open, the least-recently-active one is closed to admit the newcomer;
   ``close()`` drains gracefully — stop accepting, give admitted work
-  ``drain_timeout`` seconds to finish, then fail stragglers with 503.
+  5 seconds to finish, then fail stragglers with 503.
   Every reap and the drain duration land in the metrics registry.
 
 Endpoints (all bodies JSON)::
@@ -108,6 +108,9 @@ __all__ = ["HttpGateway", "GatewayError"]
 
 _MAX_HEADER_BYTES = 16 * 1024
 _MAX_HEADERS = 64
+#: Seconds :meth:`HttpGateway.close` lets admitted work finish before
+#: failing stragglers with 503.
+_DRAIN_TIMEOUT = 5.0
 
 
 class GatewayError(RuntimeError):
@@ -209,9 +212,6 @@ class HttpGateway:
         ``--max-requests``, fails the serve on a 503/500 that breaks its
         contract, and stops on ``/shutdown``, which exists only when this
         hook is supplied.
-    drain_timeout:
-        Seconds :meth:`close` lets admitted work finish before failing
-        stragglers with 503.
 
     Examples
     --------
@@ -238,7 +238,6 @@ class HttpGateway:
         idle_timeout: float = 60.0,
         max_connections: int = 512,
         on_request: Optional[Callable[[str, int], None]] = None,
-        drain_timeout: float = 5.0,
     ) -> None:
         if batch_window < 0:
             raise ValueError(f"batch_window must be >= 0, got {batch_window}")
@@ -256,8 +255,6 @@ class HttpGateway:
             raise ValueError(
                 f"max_connections must be >= 1, got {max_connections}"
             )
-        if drain_timeout < 0:
-            raise ValueError(f"drain_timeout must be >= 0, got {drain_timeout}")
         self.server = server
         self.host = host
         self.port = int(port)
@@ -270,7 +267,6 @@ class HttpGateway:
         )
         self.idle_timeout = float(idle_timeout)
         self.max_connections = int(max_connections)
-        self.drain_timeout = float(drain_timeout)
         self.metrics = metrics if metrics is not None else GatewayMetrics()
         self._on_request = on_request
         self._thread: Optional[threading.Thread] = None
@@ -317,7 +313,7 @@ class HttpGateway:
             error = self._startup_error
             self.close()
             raise GatewayError(
-                f"could not listen on {self.host}:{self.port}: {error}"
+                f"could not listen on {self.address}: {error}"
             ) from error
         return self
 
@@ -338,7 +334,9 @@ class HttpGateway:
 
     @property
     def address(self) -> str:
-        return f"{self.host}:{self.port}"
+        """``HOST:PORT``, with an IPv6 host in brackets (``[::1]:8080``)."""
+        host = f"[{self.host}]" if ":" in self.host else self.host
+        return f"{host}:{self.port}"
 
     def __enter__(self) -> "HttpGateway":
         if self._thread is None:
@@ -388,7 +386,7 @@ class HttpGateway:
             # batched, dispatched, and answered before failing leftovers.
             self._draining = True
             drain_started = self._loop.time()
-            await self._await_inflight(self.drain_timeout)
+            await self._await_inflight()
             batcher.cancel()
             try:
                 await batcher
@@ -408,9 +406,9 @@ class HttpGateway:
                     ServerError("gateway is shutting down")
                 )
 
-    async def _await_inflight(self, timeout: float = 5.0) -> None:
+    async def _await_inflight(self) -> None:
         """Give in-flight handlers a bounded chance to write their answers."""
-        deadline = asyncio.get_running_loop().time() + timeout
+        deadline = asyncio.get_running_loop().time() + _DRAIN_TIMEOUT
         while self._inflight > 0 and asyncio.get_running_loop().time() < deadline:
             await asyncio.sleep(0.01)
 

@@ -5,12 +5,11 @@ first element is the message kind:
 
 ========================  =============================================
 coordinator → worker      ``("query", req_id, queries, k, deadline,
-                          tombstones)``, ``("ping", token)``,
-                          ``("shutdown",)``
+                          tombstones)``, ``("shutdown",)``
 worker → coordinator      ``("ready", num_points, {"mapped": bool})``,
                           ``("ok", req_id, results)``,
                           ``("expired", req_id)``,
-                          ``("pong", token)``, ``("bye",)``,
+                          ``("bye",)``,
                           ``("error", traceback_text)`` at startup /
                           ``("error", req_id, traceback_text)`` later
 ========================  =============================================

@@ -54,7 +54,7 @@ in-flight queries finish against the generation they started on, then
 the old workers retire.  A reload to a junk file, a snapshot written
 under a different format version, or a snapshot of different
 dimensionality is refused (the old generation keeps serving).  The CLI
-surfaces this as ``serve --watch`` and the gateway's ``POST /reload``.
+surfaces this as the gateway's ``POST /reload``.
 
 Workers are always forked, never spawned: a worker needs only its
 shard and its pipe, and fork starts one in milliseconds where a fresh
@@ -1004,43 +1004,6 @@ class SnapshotServer:
         with self._state_lock:
             self._deadline_hits_total += 1
 
-    def ping(self) -> float:
-        """Round-trip every current-generation worker once; wall seconds.
-
-        A liveness probe: raises :class:`ServerError` (like a query
-        would) if any worker is dead, hung, or unresponsive — but, being
-        a probe, it does **not** mark the server broken; the next query
-        gets its chance to supervise-and-recover.
-        """
-        pool = self._checkout()
-        try:
-            with pool.dispatch:
-                token = next(self._request_ids)
-                started = time.perf_counter()
-                for worker in pool.workers:
-                    try:
-                        worker.conn.send(("ping", token))
-                    except (OSError, BrokenPipeError, ValueError) as exc:
-                        worker.state = "dead"
-                        raise ServerError(
-                            self._dead_worker_detail(worker, pool.spec.path)
-                        ) from exc
-                for worker in pool.workers:
-                    try:
-                        # _recv_reply filters to a matching pong, so a
-                        # worker answering anything else surfaces as a
-                        # timeout rather than a protocol error.
-                        self._recv_reply(worker, token, kinds=("pong",))
-                    except _WorkerGone as gone:
-                        raise ServerError(
-                            self._dead_worker_detail(worker, pool.spec.path)
-                        ) from gone
-                    except _WorkerSilent as silent:
-                        raise ServerError(silent.detail) from silent
-                return time.perf_counter() - started
-        finally:
-            self._checkin(pool)
-
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
@@ -1078,7 +1041,6 @@ class SnapshotServer:
                 self._broken = reason
 
     def _recv_reply(self, worker: _Worker, req_id: int,
-                    kinds: Sequence[str] = ("ok", "error", "expired"),
                     deadline: Optional[float] = None):
         """Receive the reply tagged ``req_id``, discarding stale answers.
 
@@ -1096,11 +1058,11 @@ class SnapshotServer:
                 worker, max(bound - time.monotonic(), 0.0), during="query",
                 deadline=bound,
             )
-            if (message[0] in kinds and len(message) > 1
+            if (message[0] in ("ok", "error", "expired")
                     and message[1] == req_id):
                 return message
-            # Stale reply from an abandoned attempt (or an unpaired
-            # pong): drop it and keep waiting for ours.
+            # Stale reply from an abandoned attempt: drop it and keep
+            # waiting for ours.
 
     def _recv(self, worker: _Worker, timeout: float, during: str,
               deadline: Optional[float] = None):

@@ -5,8 +5,8 @@
 exactly one shard of the snapshot (:func:`repro.io.snapshot.load_shard`
 reads only that shard's archive members), reports readiness, and then
 answers ``("query", req_id, queries, k, deadline, tombstones)``
-requests over its pipe until told to shut down.  Every query and ping
-reply echoes the coordinator's request id, which is what lets the
+requests over its pipe until told to shut down.  Every query reply
+echoes the coordinator's request id, which is what lets the
 coordinator's supervision retry re-scatter a block after a worker death
 and discard any stale answer a surviving worker delivers late.
 
@@ -145,9 +145,7 @@ def serve_shard(path: str, shard: int, conn, spawn: int = 0) -> None:
             if kind == "shutdown":
                 _best_effort_send(conn, ("bye",))
                 break
-            if kind == "ping":
-                conn.send(("pong", message[1] if len(message) > 1 else None))
-            elif kind == "query":
+            if kind == "query":
                 _, req_id, queries, k, deadline, tombstones = message
                 if fault is not None:
                     fault_kind, arg = fault

@@ -55,9 +55,10 @@ def tiny_points() -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
+def _free_port(host: str = "127.0.0.1") -> int:
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    with socket.socket(family) as probe:
+        probe.bind((host, 0))
         return probe.getsockname()[1]
 
 
@@ -68,12 +69,17 @@ def free_port() -> int:
 
 
 class ServeRun:
-    """One ``repro serve`` main() running in a daemon thread."""
+    """One ``repro serve`` main() running in a daemon thread.
 
-    def __init__(self, argv, delay: float = 0.0) -> None:
+    ``host`` is the ``--listen`` host as an operator types it: an IPv6
+    address in brackets (``[::1]``).
+    """
+
+    def __init__(self, argv, delay: float = 0.0,
+                 host: str = "127.0.0.1") -> None:
         from repro.cli import main
 
-        self.address = f"127.0.0.1:{_free_port()}"
+        self.address = f"{host}:{_free_port(host.strip('[]'))}"
         self.rc: list = []
 
         def target():
@@ -131,8 +137,8 @@ def serve_in_thread():
     alive at teardown is shut down so no test leaks worker processes."""
     runs = []
 
-    def start(*argv, delay: float = 0.0) -> ServeRun:
-        run = ServeRun(argv, delay)
+    def start(*argv, delay: float = 0.0, host: str = "127.0.0.1") -> ServeRun:
+        run = ServeRun(argv, delay, host)
         runs.append(run)
         return run
 

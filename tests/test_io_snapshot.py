@@ -282,12 +282,14 @@ class TestRejection:
 
 class TestEvaluateSnapshot:
     def test_runner_evaluates_loaded_index(self, workload, fitted, tmp_path):
-        from repro.eval import evaluate_snapshot
+        from repro.eval import evaluate_method
 
         data, queries = workload
         path = str(tmp_path / "eval.npz")
         save_index(fitted, path)
-        result = evaluate_snapshot(path, queries, k=5, dataset_name="snap")
+        index = load_index(path)
+        result = evaluate_method(index, index.data, queries, k=5,
+                                 dataset_name="snap", fit=False)
         assert result.dataset == "snap"
         assert result.n == data.shape[0]
         assert result.recall > 0.5

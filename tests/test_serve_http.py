@@ -870,8 +870,6 @@ class TestConnectionLifecycle:
             HttpGateway(server, idle_timeout=0)
         with pytest.raises(ValueError, match="max_connections"):
             HttpGateway(server, max_connections=0)
-        with pytest.raises(ValueError, match="drain_timeout"):
-            HttpGateway(server, drain_timeout=-1)
 
 
 class TestGracefulDrain:

@@ -15,9 +15,9 @@ The reload contract of :meth:`repro.serve.SnapshotServer.reload`:
   refusal case the old generation keeps serving;
 * answers always stay bit-identical to ``load_index().query_batch()``
   on whichever generation answered;
-* the CLI surfaces the same machinery as ``serve --watch`` (mtime poll)
-  and the gateway's ``POST /reload`` (exercised in
-  ``tests/test_serve_http.py`` and ``tests/test_serve_concurrency.py``).
+* the CLI surfaces the same machinery as the gateway's ``POST /reload``
+  (exercised in ``tests/test_serve_http.py`` and
+  ``tests/test_serve_concurrency.py``).
 """
 
 from __future__ import annotations
@@ -256,41 +256,3 @@ class TestReloadRefusals:
         server = SnapshotServer(path_a)
         with pytest.raises(ServerError, match="not serving"):
             server.reload(path_b)
-
-
-class TestWatch:
-    def test_serve_watch_reloads_on_overwrite(self, snapshots, queries,
-                                              expected, tmp_path,
-                                              serve_in_thread):
-        path_a, path_b = snapshots
-        expected_a, expected_b = expected
-        live = str(tmp_path / "watched.npz")
-        with open(path_a, "rb") as src, open(live, "wb") as dst:
-            dst.write(src.read())
-        serve = serve_in_thread("--index", live, "--watch",
-                                "--watch-interval", "0.1")
-        batch = {"queries": queries.tolist(), "k": 5}
-        conn = serve.connect()
-        try:
-            status, body = serve.post(conn, "/query", batch)
-            assert status == 200
-            assert _same(serve.rows(body), expected_a)
-            # Overwrite the watched file; the watcher must flip within
-            # a few poll intervals.
-            with open(path_b, "rb") as src, open(live, "wb") as dst:
-                dst.write(src.read())
-            deadline = time.monotonic() + 30
-            while True:
-                status, info = serve.get(conn, "/status")
-                assert status == 200
-                if info["generation"] >= 2:
-                    break
-                assert time.monotonic() < deadline, "watcher never reloaded"
-                time.sleep(0.05)
-            assert info["shards"] == 3
-            status, body = serve.post(conn, "/query", batch)
-            assert status == 200
-            assert _same(serve.rows(body), expected_b)
-        finally:
-            conn.close()
-        assert serve.shutdown() == 0
