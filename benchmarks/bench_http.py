@@ -11,9 +11,11 @@ questions, each a CI gate:
 * **Throughput** — QPS for concurrent clients × batch windows, next to
   the mean coalesced batch size per cell.  The interesting shape: a
   wider window coalesces more single-query requests into each GEMM, so
-  QPS under concurrency should *rise* with the window while the
-  one-client column pays the window as pure added latency — the
-  operator's dial, measured.
+  QPS under concurrency should *rise* with the window.  The window
+  closes once every open connection has a request in the batch, so the
+  one-client column no longer pays it, and the clients of a
+  concurrent cell wait only for each other — the operator's dial,
+  measured.
 * **Shedding** — an overload scenario (a deliberately slow backend, a
   tiny admission queue, a client stampede) must record at least one 429
   while every admitted request still completes with exact answers:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import socket
 import sys
 import threading
 import time
@@ -330,6 +331,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     try:
         conn = _connect_with_retry(address, args.connect_timeout,
                                    io_timeout=_REPLY_TIMEOUT)
+    except socket.gaierror as exc:
+        # Not retried: a name that does not resolve is no start-up race.
+        print(f"cannot resolve {address[0]}: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"could not connect to {args.server} within "
               f"{args.connect_timeout:.0f}s: {exc}", file=sys.stderr)

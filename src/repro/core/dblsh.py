@@ -43,8 +43,11 @@ The round loop
     lazily.  The ablation backends feed the same loop from their
     per-space iterators.  Each query then consumes its spaces in order:
     the seen filter (a generation-stamped
-    :class:`~repro.utils.scratch.GenerationMask`
-    per lockstep slot, reused across queries), one GEMV per chunk with
+    :class:`~repro.utils.scratch.GenerationMask` per lockstep slot, the
+    rows of one :class:`~repro.utils.scratch.MaskStack` reused across
+    queries; the forest already drops the rows stamped before a chunk
+    is read, so this catches the ones the query's earlier spaces of the
+    same round marked), one GEMV per chunk with
     precomputed squared norms, and heap consumption that emulates the
     sequential per-candidate loop exactly (budget / radius / patience
     stop at the same candidate boundary).  Results therefore match
@@ -88,7 +91,7 @@ from repro.index.str_build import build_flat_str
 from repro.utils.heaps import BoundedMaxHeap
 from repro.utils.rng import SeedLike
 from repro.utils.scale import estimate_nn_distance
-from repro.utils.scratch import GenerationMask
+from repro.utils.scratch import MaskStack
 from repro.utils.validation import (
     check_dataset,
     check_positive,
@@ -156,6 +159,7 @@ class _Slot:
         "reason",
         "stats",
         "seen",
+        "row",
     )
 
 
@@ -345,21 +349,14 @@ class DBLSH:
             return GridIndex(projected, cell_width=self.params.w0)
         raise AssertionError(f"unknown backend {self.backend!r}")
 
-    def _get_scratch(self, count: int) -> List[GenerationMask]:
-        """This thread's first ``count`` reusable seen masks, sized to the buffer."""
+    def _get_scratch(self, count: int) -> MaskStack:
+        """This thread's seen-mask stack, with ``count`` rows sized to the buffer."""
         assert self._buffer is not None
-        masks: Optional[List[GenerationMask]] = getattr(
-            self._scratch_locals, "masks", None
-        )
-        if masks is None:
-            masks = self._scratch_locals.masks = []
-        capacity = self._buffer.shape[0]
-        for mask in masks[:count]:
-            if len(mask) < capacity:
-                mask.grow(capacity)
-        while len(masks) < count:
-            masks.append(GenerationMask(capacity))
-        return masks[:count]
+        stack: Optional[MaskStack] = getattr(self._scratch_locals, "stack", None)
+        if stack is None:
+            stack = self._scratch_locals.stack = MaskStack()
+        stack.grow(count, self._buffer.shape[0])
+        return stack
 
     def add(self, points: np.ndarray) -> None:
         """Incrementally index new points.
@@ -535,20 +532,19 @@ class DBLSH:
         the query finished in.
         """
         assert self.params is not None and self._hasher is not None
-        masks = self._get_scratch(min(queries.shape[0], _BLOCK))
+        stack = self._get_scratch(min(queries.shape[0], _BLOCK))
         # Only indexed rows have a place in the seen masks.
         tombs = tombs[: np.searchsorted(tombs, self._buffer.shape[0])]
         slots: List[_Slot] = []
         for start in range(0, queries.shape[0], _BLOCK):
             started = time.perf_counter()
             block = [
-                self._open_slot(queries[j], q_projs[:, j, :], k, mask, radius, tombs)
-                for j, mask in zip(range(start, start + _BLOCK), masks)
-                if j < queries.shape[0]
+                self._open_slot(queries[j], q_projs[:, j, :], k, stack, row, radius, tombs)
+                for row, j in enumerate(range(start, min(start + _BLOCK, queries.shape[0])))
             ]
             live = block
             while live:
-                self._round(live)
+                self._round(live, stack.stamps)
                 running = []
                 for slot in live:
                     if self._next_round(slot, radius is None):
@@ -564,13 +560,15 @@ class DBLSH:
         query: np.ndarray,
         q_proj: np.ndarray,
         k: int,
-        mask: GenerationMask,
+        stack: MaskStack,
+        row: int,
         radius: Optional[float],
         tombs: np.ndarray,
     ) -> "_Slot":
         """A fresh in-flight query: empty heap, reset seen set.
 
-        The indexed ``tombs`` count as already seen, so deleted rows are
+        Its seen mask is row ``row`` of the thread's ``stack``.  The
+        indexed ``tombs`` count as already seen, so deleted rows are
         never verified, never charged against the budget and never enter
         the heap.
         """
@@ -586,8 +584,9 @@ class DBLSH:
         slot.reason = None
         slot.stats = QueryStats()
         slot.stats.hash_evaluations = self._hasher.num_functions
-        slot.seen = mask.begin()
+        slot.seen = stack.masks[row].begin()
         slot.seen.mark(tombs)
+        slot.row = row
         slot.q_norm2 = float(query @ query)
         return slot
 
@@ -606,7 +605,7 @@ class DBLSH:
         slot.radius *= self.c
         return True
 
-    def _round(self, live: List["_Slot"]) -> None:
+    def _round(self, live: List["_Slot"], stamps: np.ndarray) -> None:
         """One (r, c)-NN pass over the L windows of every live query.
 
         Each pair's eager point test is capped from its query's state at
@@ -619,6 +618,11 @@ class DBLSH:
         never pays the leaf and point tests of the others.  The ablation
         backends hand in their per-space iterators.  Each query consumes
         its spaces in order (:meth:`_consume_round`).
+
+        ``stamps`` is the :class:`MaskStack` matrix the slots' seen masks
+        are rows of: the forest skips a query's already-seen rows before
+        their point test.  ``fresh()`` still filters what the query's
+        earlier spaces of the round mark, so the answers do not change.
         """
         assert self.params is not None
         n_spaces = self.params.l_spaces
@@ -646,9 +650,12 @@ class DBLSH:
             width = stop - first
             if scan is not None:
                 pairs = np.asarray(go, dtype=np.int64)[:, None] * n_spaces
+                rows = np.repeat([live[j].row for j in go], width)
+                gens = np.repeat([live[j].seen.generation for j in go], width)
                 streams, leaves = scan.streams(
                     (pairs + np.arange(first, stop)).ravel(),
                     np.repeat([caps[j] for j in go], width),
+                    (stamps, rows, gens),
                 )
                 tested = leaves.reshape(len(go), width).sum(axis=1).tolist()
             else:

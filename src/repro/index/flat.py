@@ -31,8 +31,14 @@ Two ways to traverse:
   one compare tests the candidate leaves of the whole group, and the
   point test runs eagerly for each pair's leaves up to that pair's
   ``cap`` points; the remaining leaves are scanned lazily, per pair, in
-  chunks that double from ``2 * cap`` up to ``chunk_points``.  Pairs
-  that are never drawn cost their descent only.
+  chunks that double from ``2 * cap`` up to ``chunk_points``.  Given
+  each pair's seen stamps (a row of a
+  :class:`~repro.utils.scratch.MaskStack` and its generation), the
+  draw drops rows the consumer has already seen before their point
+  test — the eager rows in one gather, each lazy chunk when it is
+  read — so a query pays no float64 test for the rows its previous,
+  nested window already verified.  Pairs that are never drawn cost
+  their descent only.
 * :meth:`FlatRStarTree.window_query_iter` streams one root's window —
   a one-pair scan — for the per-candidate reference loop and the tests.
 
@@ -51,7 +57,7 @@ insertable structure, and must be re-frozen after updates (see
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -350,13 +356,20 @@ class FlatRStarTree:
         return WindowScan(self, roots, w_low, w_high)
 
     def _stream(
-        self, first: np.ndarray, rest: np.ndarray, w_pt: np.ndarray, target: int
+        self,
+        first: np.ndarray,
+        rest: np.ndarray,
+        w_pt: np.ndarray,
+        target: int,
+        seen: Optional[Tuple[np.ndarray, int]] = None,
     ) -> Iterator[np.ndarray]:
         """One pair's chunks: the eager first chunk, then ``rest`` lazily.
 
         ``rest`` holds leaves that already passed the MBR test, in scan
         order; each later chunk covers leaves until it reaches ``target``
-        points, and the target doubles up to ``chunk_points``.
+        points, and the target doubles up to ``chunk_points``.  With
+        ``seen = (stamp, generation)``, a lazy chunk drops the rows
+        stamped when it is read before their point test.
         """
         if first.shape[0]:
             yield first
@@ -372,9 +385,13 @@ class FlatRStarTree:
             stop = min(max(stop, pos) + 1, n_leaves)
             end = int(ends[stop - 1])
             part = idx[start:end]
+            ids = self.leaf_ids[part]
+            if seen is not None:
+                unseen = np.flatnonzero(seen[0][ids] != seen[1])
+                part, ids = part[unseen], ids[unseen]
             mask = rows_all(self._coords_cat[part] >= w_pt)
             if mask.any():
-                yield self.leaf_ids[part[mask]]
+                yield ids[mask]
             pos, start = stop, end
             target = min(target * 2, self.chunk_points)
 
@@ -474,7 +491,10 @@ class WindowScan:
         self._bounds = _segments(pair, n_pairs)
 
     def streams(
-        self, pairs: np.ndarray, caps: np.ndarray
+        self,
+        pairs: np.ndarray,
+        caps: np.ndarray,
+        seen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ) -> Tuple[List[Iterator[np.ndarray]], np.ndarray]:
         """One chunk stream per entry of ``pairs``, and the leaves each tested.
 
@@ -486,6 +506,13 @@ class WindowScan:
         ``2 * cap``, so a consumer that stops early never pays for them.
         A stream's chunk boundaries depend only on its pair and its cap,
         never on the other pairs drawn with it.
+
+        ``seen = (stamps, rows, gens)`` skips rows a consumer has already
+        seen: entry ``i``'s ids whose stamp ``stamps[rows[i], id]``
+        equals ``gens[i]`` are dropped before the point test — the eager
+        rows in one lookup against the stamps as they are now, each lazy
+        chunk against the stamps when it is read.  The chunk boundaries
+        stay those of the unfiltered stream.
         """
         forest = self.forest
         n = pairs.shape[0]
@@ -510,6 +537,13 @@ class WindowScan:
         first_leaf = leaf[eager]
         idx = concat_ranges(ptr[first_leaf], ptr[first_leaf + 1])
         point_group = np.repeat(group[eager], sizes[eager])
+        ids = forest.leaf_ids[idx]
+        if seen is not None:
+            stamps, rows, gens = seen
+            # One index list, three gathers: faster than three boolean
+            # compressions of the same mask.
+            unseen = np.flatnonzero(stamps[rows[point_group], ids] != gens[point_group])
+            idx, ids, point_group = idx[unseen], ids[unseen], point_group[unseen]
         w_pt = self._w_pt
         inside = np.empty(idx.shape[0], dtype=bool)
         for start in range(0, idx.shape[0], _POINT_TEST_ROWS):
@@ -517,7 +551,7 @@ class WindowScan:
             inside[part] = rows_all(
                 forest._coords_cat[idx[part]] >= w_pt[pairs[point_group[part]]]
             )
-        first_ids = forest.leaf_ids[idx[inside]]
+        first_ids = ids[inside]
         first_bounds = _segments((n - 1) - point_group[inside], n)
         rest_leaf = leaf[~eager]
         rest_bounds = _segments(rank[~eager], n)
@@ -530,6 +564,7 @@ class WindowScan:
                     rest_leaf[rest_bounds[r] : rest_bounds[r + 1]],
                     w_pt[pairs[i]],
                     min(2 * int(caps[i]), forest.chunk_points),
+                    None if seen is None else (stamps[rows[i]], gens[i]),
                 )
             )
         return streams, hi - lo

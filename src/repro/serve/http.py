@@ -12,9 +12,13 @@ carry the design:
   barely more than projecting one.  Concurrent ``POST /query`` requests
   are therefore *coalesced*: a request entering an empty batcher opens a
   collection window (``batch_window`` seconds); everything that arrives
-  inside the window — or until ``max_batch`` coalesced requests — is
+  inside the window — or until ``max_batch`` coalesced requests, or
+  until the batch holds one request from every open connection — is
   concatenated into a single ``query_batch`` call and the answers are
-  demultiplexed back to the callers.  Per-query answers are independent
+  demultiplexed back to the callers.  A connection reads its next
+  request only after answering the current one, so once every open
+  connection is in the batch nothing else can join and the window
+  closes: a lone client never waits it out.  Per-query answers are independent
   of their batch peers (the engine's batched path is the same math per
   row, pinned by the PR 5 concurrency parity tests), so coalescing is
   invisible in the results: every response is bit-identical to
@@ -181,8 +185,10 @@ class HttpGateway:
         :attr:`port` reports the real one after :meth:`start`.
     batch_window:
         Seconds the micro-batcher keeps collecting after the first
-        request of a batch arrives.  ``0.0`` still coalesces whatever is
-        *already* queued (natural batching under load) but never waits.
+        request of a batch arrives, at most: collection stops early once
+        the batch holds one request from every open connection.  ``0.0``
+        still coalesces whatever is *already* queued (natural batching
+        under load) but never waits.
     max_batch:
         Coalesced requests per dispatch, at most.
     queue_limit:
@@ -423,7 +429,10 @@ class HttpGateway:
             first = await self._queue.get()
             batch: List[_Pending] = [first]
             deadline = loop.time() + self.batch_window
-            while len(batch) < self.max_batch:
+            # A connection reads its next request only after answering
+            # the current one, so once the batch holds one request per
+            # open connection nothing else can join: stop waiting.
+            while len(batch) < min(self.max_batch, len(self._connections)):
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     # Window spent (or zero): still take whatever already

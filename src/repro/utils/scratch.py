@@ -11,9 +11,16 @@ reused across queries: starting a query bumps the generation counter, and
 an id counts as *seen* when its stamp equals the current generation.
 Resetting is O(1); the buffer is only re-zeroed when the 31-bit counter
 would overflow (once every ~2 billion queries).
+
+:class:`MaskStack` holds the masks of the round loop's lockstep slots as
+the rows of one ``(rows, size)`` stamp matrix, so the window scan can
+look up many (query, id) pairs in one gather — ``stamps[row, id] ==
+generation`` — and skip the rows a query has already seen.
 """
 
 from __future__ import annotations
+
+from typing import List
 
 import numpy as np
 
@@ -41,14 +48,6 @@ class GenerationMask:
     @property
     def generation(self) -> int:
         return self._gen
-
-    def grow(self, size: int) -> None:
-        """Extend the id space to ``size`` (new ids start unseen)."""
-        extra = int(size) - len(self)
-        if extra > 0:
-            self._stamp = np.concatenate(
-                [self._stamp, np.zeros(extra, dtype=np.int32)]
-            )
 
     def begin(self) -> "GenerationMask":
         """Start a new query: O(1) reset of the whole mask."""
@@ -81,3 +80,37 @@ class GenerationMask:
         footprint it would have in a from-scratch rebuild without it.
         """
         self._stamp[ids] = self._gen
+
+
+class MaskStack:
+    """Seen masks whose stamp buffers are the rows of one int32 matrix.
+
+    ``masks[i]`` stamps into row ``i`` of :attr:`stamps` and keeps its
+    own generation, so the rows stay independent queries.  Not
+    thread-safe: each thread owns its stack.
+    """
+
+    __slots__ = ("stamps", "masks")
+
+    def __init__(self) -> None:
+        self.stamps = np.zeros((0, 0), dtype=np.int32)
+        self.masks: List[GenerationMask] = []
+
+    def grow(self, rows: int, size: int) -> List[GenerationMask]:
+        """The first ``rows`` masks, each covering at least ``size`` ids.
+
+        A stack too small is reallocated; every stamp and generation is
+        kept, and new rows and ids start unseen.
+        """
+        have_rows, have_size = self.stamps.shape
+        if rows > have_rows or size > have_size:
+            stamps = np.zeros(
+                (max(rows, have_rows), max(size, have_size)), dtype=np.int32
+            )
+            stamps[:have_rows, :have_size] = self.stamps
+            self.stamps = stamps
+            while len(self.masks) < stamps.shape[0]:
+                self.masks.append(GenerationMask(0))
+            for mask, row in zip(self.masks, stamps):
+                mask._stamp = row
+        return self.masks[:rows]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.index.flat import FlatRStarTree, concat_ranges
 from repro.index.rstar import RStarTree
+from repro.utils.scratch import MaskStack
 
 
 def _legacy_stream(tree, w_low, w_high):
@@ -233,3 +234,42 @@ class TestStackedForest:
         _, all_leaves = scan.streams(np.arange(4), np.full(4, 10))
         _, some_leaves = scan.streams(np.array([2, 0]), np.full(2, 10))
         assert some_leaves.tolist() == [all_leaves[2], all_leaves[0]]
+
+    @pytest.mark.parametrize("cap", [1, 40])
+    def test_seen_rows_are_dropped_before_the_point_test(self, rng, trees, cap):
+        # A stamped id never leaves a stream; unstamped ones keep today's
+        # chunks, so a consumer's fresh() filter sees the same rows.
+        forest = FlatRStarTree.stack(trees)
+        centers = rng.standard_normal((4, 3))
+        roots = np.arange(4, dtype=np.int64)
+        lo, hi = centers - 1.5, centers + 1.5
+        caps = np.full(4, cap, dtype=np.int64)
+        scan = forest.window_scan(roots, lo, hi)
+        today = [_chunks(s) for s in scan.streams(roots, caps)[0]]
+        assert sum(len(c) for c in today[0]) > 64  # lazy chunks exist
+
+        stack = MaskStack()
+        masks = stack.grow(4, 700)
+        rows = np.array([2, 0, 3, 1], dtype=np.int64)
+        for mask in masks:
+            mask.begin()
+        gens = np.array([masks[r].generation for r in rows], dtype=np.int64)
+        seen = (stack.stamps, rows, gens)
+        assert [_chunks(s) for s in scan.streams(roots, caps, seen)[0]] == today
+
+        for mask in masks:
+            mask.mark(np.arange(700))
+        streams, _ = scan.streams(roots, caps, seen)
+        assert all(_chunks(s) == [] for s in streams)
+
+        # Stamps are read when a lazy chunk is: ids marked after the
+        # first chunk was read are dropped from the later ones.
+        for mask in masks:
+            mask.begin()
+        gens = np.array([masks[r].generation for r in rows], dtype=np.int64)
+        streams, _ = scan.streams(roots, caps, (stack.stamps, rows, gens))
+        for p in range(4):
+            assert next(streams[p]).tolist() == today[p][0]
+            masks[rows[p]].mark(np.arange(0, 700, 3))
+            expected = [[i for i in c if i % 3] for c in today[p][1:]]
+            assert _chunks(streams[p]) == [c for c in expected if c]

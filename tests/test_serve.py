@@ -521,6 +521,32 @@ class TestCLIFailurePaths:
             conn.close()
         assert serve.shutdown() == 0
 
+    def test_query_reports_an_unresolvable_host(self, workload, tmp_path,
+                                                 capsys, monkeypatch):
+        """A host name that does not resolve fails at once, and says so:
+        it is not a server that missed the connect timeout."""
+        import socket
+
+        from repro.cli import main
+        from repro.data.loaders import write_fvecs
+
+        def no_such_host(host, *args, **kwargs):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(socket, "getaddrinfo", no_such_host)
+        fvecs = str(tmp_path / "queries.fvecs")
+        write_fvecs(fvecs, workload[1])
+        started = time.monotonic()
+        rc = main([
+            "query", "--server", "no-such-host.invalid:8080", "--fvecs", fvecs,
+            "--queries", "1", "--k", "1", "--connect-timeout", "30",
+        ])
+        assert rc == 1
+        assert time.monotonic() - started < 10  # not retried to the timeout
+        err = capsys.readouterr().err
+        assert "cannot resolve no-such-host.invalid:" in err
+        assert "within" not in err
+
     def test_serve_exits_nonzero_when_server_breaks(self, snapshot_path,
                                                     workload, tmp_path,
                                                     serve_in_thread, capsys,

@@ -237,30 +237,111 @@ class TestParity:
 # ----------------------------------------------------------------------
 
 
+def _open_connections(gateway, count):
+    """``count`` keep-alive connections the gateway has registered."""
+    conns = [
+        http.client.HTTPConnection("127.0.0.1", gateway.port, timeout=30)
+        for _ in range(count)
+    ]
+    for conn in conns:
+        conn.connect()
+    deadline = time.monotonic() + 10
+    while gateway.metrics.snapshot()["connections"]["open"] < count:
+        assert time.monotonic() < deadline, "gateway never saw the connections"
+        time.sleep(0.005)
+    return conns
+
+
+def _send_query(conn, query, k=2):
+    conn.request("POST", "/query", body=json.dumps({"query": query.tolist(), "k": k}))
+
+
+def _read_status(conn):
+    response = conn.getresponse()
+    response.read()
+    return response.status
+
+
 class TestBatching:
     def test_window_coalesces_concurrent_requests(self, workload, fake_server):
         """Two requests inside one window -> one dispatch of 2 requests."""
         _, queries = workload
         with HttpGateway(fake_server, batch_window=0.5, max_batch=2) as gateway:
+            # Both connections are open before either request is sent:
+            # a window closes once every open connection is in the batch.
+            conns = _open_connections(gateway, 2)
             results = []
 
             def post_one(i):
-                results.append(
-                    _post(gateway.port, "/query", {"query": queries[i].tolist(), "k": 2})
-                )
+                _send_query(conns[i], queries[i])
+                results.append(_read_status(conns[i]))
 
             threads = [threading.Thread(target=post_one, args=(i,)) for i in range(2)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(60)
-            assert [status for status, _, _ in results] == [200, 200]
+            for conn in conns:
+                conn.close()
+            assert results == [200, 200]
             snap = gateway.metrics.snapshot()
             # max_batch=2 closed the window as soon as both arrived; the
             # histogram must have seen the coalesced pair.
             assert snap["batch"]["max"] == 2
             # ...and the server saw them as ONE query_batch call of 2 rows.
             assert 2 in fake_server.calls
+
+    def test_lone_connection_skips_the_window(self, workload, fake_server):
+        """With one open connection the batch is complete at its first
+        request: it dispatches at once, not after ``batch_window``."""
+        _, queries = workload
+        with HttpGateway(fake_server, batch_window=5.0) as gateway:
+            (conn,) = _open_connections(gateway, 1)
+            try:
+                started = time.monotonic()
+                _send_query(conn, queries[0])
+                assert _read_status(conn) == 200
+                assert time.monotonic() - started < 1.0
+            finally:
+                conn.close()
+        assert fake_server.calls == [1]
+
+    def test_window_closes_once_every_open_connection_joined(
+        self, workload, fake_server
+    ):
+        """Conn A's request waits for conn B's; then both go as one call."""
+        _, queries = workload
+        with HttpGateway(fake_server, batch_window=5.0) as gateway:
+            a, b = _open_connections(gateway, 2)
+            try:
+                started = time.monotonic()
+                _send_query(a, queries[0])
+                time.sleep(0.3)
+                assert fake_server.calls == []  # A is held for B
+                _send_query(b, queries[1])
+                assert _read_status(a) == 200
+                assert _read_status(b) == 200
+                assert time.monotonic() - started < 2.5
+            finally:
+                a.close()
+                b.close()
+        assert fake_server.calls == [2]
+
+    def test_idle_connection_keeps_the_window_open(self, workload, fake_server):
+        """An open connection that sends nothing could still join, so the
+        window runs its full length."""
+        _, queries = workload
+        with HttpGateway(fake_server, batch_window=0.3) as gateway:
+            busy, idle = _open_connections(gateway, 2)
+            try:
+                started = time.monotonic()
+                _send_query(busy, queries[0])
+                assert _read_status(busy) == 200
+                assert time.monotonic() - started >= 0.3
+            finally:
+                busy.close()
+                idle.close()
+        assert fake_server.calls == [1]
 
     def test_zero_window_serves_sequential_requests_alone(
         self, workload, fake_server
