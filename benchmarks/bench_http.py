@@ -8,8 +8,9 @@ questions, each a CI gate:
   ``load_index(path).query_batch(...)`` in process?  Measured per cell
   of the whole grid: micro-batching must be invisible in the results no
   matter how aggressively requests coalesce.
-* **Throughput** — QPS for concurrent clients × batch windows, next to
-  the mean coalesced batch size per cell.  The interesting shape: a
+* **Throughput** — QPS for concurrent clients × batch windows (the
+  median of ``--reps`` timed runs, 5 by default, with their min and
+  max), next to the mean coalesced batch size per cell.  The interesting shape: a
   wider window coalesces more single-query requests into each GEMM, so
   QPS under concurrency should *rise* with the window.  The window
   closes once every open connection has a request in the batch, so the
@@ -116,12 +117,11 @@ def bench_grid(server, queries, expected, k, clients_list, windows_ms, reps):
             try:
                 seconds, answers, failures = _run_clients(
                     gateway.port, queries, k, clients
-                )  # timed run doubles as the parity run
-                for _ in range(reps - 1):
-                    seconds = min(
-                        seconds,
-                        _run_clients(gateway.port, queries, k, clients)[0],
-                    )
+                )  # the first timed run doubles as the parity run
+                rates = [m / seconds] + [
+                    m / _run_clients(gateway.port, queries, k, clients)[0]
+                    for _ in range(reps - 1)
+                ]
                 batch = gateway.metrics.snapshot()["batch"]
             finally:
                 gateway.close()
@@ -129,14 +129,17 @@ def bench_grid(server, queries, expected, k, clients_list, windows_ms, reps):
                 _row_matches(answers[i], expected[i]) for i in range(m)
             )
             column[str(clients)] = {
-                "qps": round(m / seconds, 1),
+                "qps": round(float(np.median(rates)), 1),
+                "qps_min": round(min(rates), 1),
+                "qps_max": round(max(rates), 1),
                 "mean_batch": round(batch["sum"] / max(batch["count"], 1), 2),
                 "matches_inprocess": bool(matches),
                 "failures": failures[:3],
             }
             cell = column[str(clients)]
             print(f"  window={window_ms}ms clients={clients}: "
-                  f"{cell['qps']} qps, mean batch {cell['mean_batch']}, "
+                  f"{cell['qps']} qps ({cell['qps_min']}-{cell['qps_max']}), "
+                  f"mean batch {cell['mean_batch']}, "
                   f"parity={matches}")
         grid[f"{window_ms:g}"] = column
     return grid
@@ -242,7 +245,7 @@ def main(argv=None) -> int:
     parser.add_argument("--queries", type=int, default=None)
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--reps", type=int, default=None,
-                        help="timing repetitions (best taken)")
+                        help="timed runs per grid cell (median reported)")
     parser.add_argument("--clients", default=None,
                         help="comma-separated concurrent-client counts")
     parser.add_argument("--windows-ms", default=None,
@@ -256,7 +259,9 @@ def main(argv=None) -> int:
 
     n = args.n if args.n is not None else (4_000 if args.smoke else 100_000)
     m = args.queries if args.queries is not None else (16 if args.smoke else 64)
-    reps = args.reps if args.reps is not None else (1 if args.smoke else 3)
+    reps = args.reps if args.reps is not None else (1 if args.smoke else 5)
+    if reps < 1:
+        parser.error(f"--reps must be >= 1, got {reps}")
     clients_list = [int(x) for x in (
         args.clients or ("1,2,4" if args.smoke else "1,2,4,8")
     ).split(",") if x.strip()]

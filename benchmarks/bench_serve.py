@@ -230,7 +230,7 @@ def bench_supervision(data, queries, k, t, snapshot_stem):
     for thread in threads:
         thread.join(timeout=300)
     final_matches = _identical(server.query_batch(queries, k=k), expected_b)
-    restarts = server.restarts_total
+    restarts = server.status()["restarts"]
     generation = server.generation
     server.close()
 

@@ -59,7 +59,6 @@ from typing import Optional
 import numpy as np
 
 from repro import DBLSH, ShardedDBLSH, derive_parameters
-from repro.baselines import FBLSH, LinearScan, PMLSH, QALSH
 from repro.data.analysis import hardness_report
 from repro.data.datasets import DATASET_REGISTRY, make_dataset
 from repro.data.loaders import read_fvecs
@@ -102,6 +101,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    # Imported here: PMLSH and SRS pull in scipy.stats, which no other
+    # command needs.
+    from repro.baselines import FBLSH, LinearScan, PMLSH, QALSH
+
     data, queries, label = _load_points(args)
     methods = [
         DBLSH(c=args.c, l_spaces=5, k_per_space=10, t=args.t, seed=args.seed,

@@ -49,6 +49,9 @@ _RECOMPUTE_RTOL = 1e-7
 _NO_IDS = np.empty(0, dtype=np.int64)
 _NO_IDS.flags.writeable = False
 
+#: Rows a fresh (or freshly trimmed) buffer holds before it first grows.
+_CAPACITY = 256
+
 
 def contains_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Per element of ``ids``: is it in the sorted array ``sorted_ids``?"""
@@ -165,14 +168,13 @@ class DeltaView:
 class DeltaIndex:
     """Pending rows (global id, point, squared norm) plus the tombstones."""
 
-    def __init__(self, dim: int, capacity: int = 256) -> None:
+    def __init__(self, dim: int) -> None:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
-        capacity = max(int(capacity), 1)
-        self._ids = np.zeros(capacity, dtype=np.int64)
-        self._points = np.zeros((capacity, self.dim), dtype=np.float64)
-        self._norms2 = np.zeros(capacity, dtype=np.float64)
+        self._ids = np.zeros(_CAPACITY, dtype=np.int64)
+        self._points = np.zeros((_CAPACITY, self.dim), dtype=np.float64)
+        self._norms2 = np.zeros(_CAPACITY, dtype=np.float64)
         self._n = 0
         self._tombs = _NO_IDS
 
@@ -213,9 +215,8 @@ class DeltaIndex:
         """True when ``point_id`` is tombstoned."""
         return bool(contains_sorted(self._tombs, np.array([point_id], dtype=np.int64))[0])
 
-    def view(self, upto: Optional[int] = None) -> DeltaView:
-        """A consistent snapshot of the first ``upto`` rows (default: all)
-        and the current tombstones.
+    def view(self) -> DeltaView:
+        """A consistent snapshot of the rows and the current tombstones.
 
         The captured slices are marked read-only: a view is a promise of
         immutability, and handing out writeable windows into the live
@@ -224,7 +225,7 @@ class DeltaIndex:
         writeable for :meth:`extend`, matching how snapshot loads hand
         the query engine read-only mapped arrays.)
         """
-        n = self._n if upto is None else min(int(upto), self._n)
+        n = self._n
         arrays = (self._ids[:n], self._points[:n], self._norms2[:n])
         for array in arrays:
             array.flags.writeable = False
@@ -239,7 +240,7 @@ class DeltaIndex:
         """
         rows = max(0, min(int(rows), self._n))
         if rows:
-            self._reallocate(rows, max(self._n - rows, 256))
+            self._reallocate(rows, max(self._n - rows, _CAPACITY))
         if tombstones is not None and len(tombstones):
             folded = np.asarray(tombstones, dtype=np.int64)
             tombs = self._tombs[~contains_sorted(folded, self._tombs)]

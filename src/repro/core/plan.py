@@ -41,11 +41,24 @@ from typing import List, Sequence
 from repro.core.result import Neighbor, QueryResult, QueryStats
 
 __all__ = [
+    "shard_offsets",
     "merge_shard_results",
     "merge_shard_batches",
     "merge_live_results",
     "merge_live_batches",
 ]
+
+
+def shard_offsets(sizes: Sequence[int]) -> List[int]:
+    """Global id of each shard's first point: the sizes summed before it.
+
+    >>> shard_offsets([3, 4, 2])
+    [0, 3, 7]
+    """
+    offsets = [0]
+    for size in sizes[:-1]:
+        offsets.append(offsets[-1] + int(size))
+    return offsets
 
 
 def merge_shard_results(

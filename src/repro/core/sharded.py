@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.dblsh import DBLSH, estimate_initial_radius
 from repro.core.params import DBLSHParams, derive_parameters
-from repro.core.plan import merge_shard_batches
+from repro.core.plan import merge_shard_batches, shard_offsets
 from repro.core.result import QueryResult
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_dataset, check_queries, check_query
@@ -194,7 +194,7 @@ class ShardedDBLSH:
                 data, self.c, self.initial_radius
             )
         sizes = [part.shape[0] for part in np.array_split(np.arange(n), self.shards)]
-        self._offsets = [int(v) for v in np.concatenate(([0], np.cumsum(sizes)[:-1]))]
+        self._offsets = shard_offsets(sizes)
         self._shards = self._fit_threads(data, sizes)
         self.build_seconds = time.perf_counter() - started
         return self
@@ -369,7 +369,7 @@ class ShardedDBLSH:
         index.dim = first.dim
         index._shards = list(shards)
         sizes = [shard.num_points for shard in shards]
-        index._offsets = [int(v) for v in np.concatenate(([0], np.cumsum(sizes)[:-1]))]
+        index._offsets = shard_offsets(sizes)
         index.params = derive_parameters(
             sum(sizes),
             c=first.c,

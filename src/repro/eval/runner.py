@@ -190,7 +190,6 @@ def evaluate_server(
     gt_dists: Optional[np.ndarray] = None,
     batch: bool = True,
     clients: int = 1,
-    **server_kwargs,
 ) -> MethodResult:
     """Serve the snapshot at ``path`` from worker processes and evaluate it.
 
@@ -208,9 +207,7 @@ def evaluate_server(
     ``clients`` > 1 splits the query set across that many concurrent
     client threads sharing the one server (the concurrent-client shape
     of ``repro serve``'s gateway); answers are reassembled in order and
-    remain bit-identical to the single-client run.  ``server_kwargs`` are
-    forwarded to the server constructor (``start_timeout=...``,
-    ``query_timeout=...``).
+    remain bit-identical to the single-client run.
     """
     from repro.io.snapshot import load_data
     from repro.serve import SnapshotServer
@@ -220,7 +217,7 @@ def evaluate_server(
         # measure serial single queries while claiming N clients.
         raise ValueError("clients > 1 requires batch=True (the concurrent "
                          "clients split one query batch)")
-    with SnapshotServer(path, **server_kwargs) as server:
+    with SnapshotServer(path) as server:
         if gt_ids is None or gt_dists is None:
             data = load_data(path)
         else:

@@ -26,12 +26,16 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy import integrate, special, stats
 
 from repro.utils.validation import check_positive
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: ``math.erf`` over arrays.  Parameter derivation needs only Eq. 4, and
+#: importing ``scipy.special`` for it would cost every ``import repro``
+#: about a second; the static and numeric functions import scipy
+#: themselves.
+_ERF = np.frompyfunc(math.erf, 1, 1)
 
 
 def _normal_pdf(x: np.ndarray) -> np.ndarray:
@@ -54,7 +58,7 @@ def collision_probability_dynamic(tau, w) -> np.ndarray:
         raise ValueError("w must be positive")
     with np.errstate(divide="ignore"):
         ratio = np.where(tau > 0, w / (2.0 * _SQRT2 * np.where(tau > 0, tau, 1.0)), np.inf)
-    return special.erf(ratio)
+    return np.asarray(_ERF(ratio), dtype=np.float64)[()]
 
 
 def collision_probability_static(tau, w) -> np.ndarray:
@@ -63,6 +67,8 @@ def collision_probability_static(tau, w) -> np.ndarray:
     Closed form of ``2 int_0^w (1/tau) f(t/tau) (1 - t/w) dt`` for the
     2-stable (Gaussian) case, from Datar et al. (2004).
     """
+    from scipy import stats
+
     tau = np.asarray(tau, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if np.any(tau < 0):
@@ -79,6 +85,8 @@ def collision_probability_static(tau, w) -> np.ndarray:
 
 def collision_probability_static_numeric(tau: float, w: float) -> float:
     """Eq. 2 evaluated by direct numeric quadrature (for cross-validation)."""
+    from scipy import integrate
+
     tau = check_positive("tau", tau)
     w = check_positive("w", w)
 
@@ -91,6 +99,8 @@ def collision_probability_static_numeric(tau: float, w: float) -> float:
 
 def collision_probability_dynamic_numeric(tau: float, w: float) -> float:
     """Eq. 4 evaluated by direct numeric quadrature (for cross-validation)."""
+    from scipy import integrate
+
     tau = check_positive("tau", tau)
     w = check_positive("w", w)
     half = w / (2.0 * tau)
@@ -134,6 +144,8 @@ def alpha_for_gamma(gamma: float) -> float:
     ``xi`` is the Gaussian hazard (inverse Mills) ratio scaled by ``gamma``;
     e.g. ``alpha_for_gamma(2.0) ~= 4.746`` as quoted in the abstract.
     """
+    from scipy import stats
+
     gamma = check_positive("gamma", gamma)
     tail = stats.norm.sf(gamma)  # int_gamma^inf f(x) dx
     return float(gamma * _normal_pdf(np.asarray(gamma)) / tail)
@@ -193,5 +205,7 @@ def optimal_rho_curves(
 
 def xi(v: float) -> float:
     """The monotone function ``xi(v) = v f(v) / int_v^inf f(x) dx`` from Lemma 3."""
+    from scipy import stats
+
     v = check_positive("v", v)
     return float(v * _normal_pdf(np.asarray(v)) / stats.norm.sf(v))

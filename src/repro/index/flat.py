@@ -31,7 +31,7 @@ Two ways to traverse:
   one compare tests the candidate leaves of the whole group, and the
   point test runs eagerly for each pair's leaves up to that pair's
   ``cap`` points; the remaining leaves are scanned lazily, per pair, in
-  chunks that double from ``2 * cap`` up to ``chunk_points``.  Given
+  chunks that double from ``2 * cap`` up to ``CHUNK_POINTS``.  Given
   each pair's seen stamps (a row of a
   :class:`~repro.utils.scratch.MaskStack` and its generation), the
   draw drops rows the consumer has already seen before their point
@@ -64,7 +64,8 @@ import numpy as np
 from repro.index.rstar import RStarTree
 
 #: Maximum number of points per yielded chunk (merged across leaves).
-DEFAULT_CHUNK_POINTS = 4096
+#: Arena snapshots record it in the flat-tree ``meta`` (slot 3).
+CHUNK_POINTS = 4096
 
 #: Rows per slice of the eager point test: the gathered coordinates and
 #: windows of one slice stay cache-resident and small (a whole round's
@@ -132,16 +133,12 @@ class FlatRStarTree:
         "leaf_ids",
         "_leaf_cat",
         "_coords_cat",
-        "chunk_points",
     )
 
-    def __init__(self, tree: RStarTree, chunk_points: int = DEFAULT_CHUNK_POINTS) -> None:
-        if chunk_points < 1:
-            raise ValueError(f"chunk_points must be >= 1, got {chunk_points}")
+    def __init__(self, tree: RStarTree) -> None:
         self.dim = tree.dim
         self.count = tree.count
         self.height = tree.height
-        self.chunk_points = int(chunk_points)
         self.roots = np.zeros(1, dtype=np.int64)
 
         # BFS flattening: children of consecutive parents land consecutively,
@@ -190,7 +187,7 @@ class FlatRStarTree:
         Level ``j`` of the forest is level ``j`` of every tree in turn,
         child ranges and leaf pointers shifted by the rows of the trees
         before; ``roots[i]`` is tree ``i``'s root.  The trees must share
-        ``dim``, ``height`` and ``chunk_points`` — STR packing gives every
+        ``dim`` and ``height`` — STR packing gives every
         space of a DB-LSH index the same shape, because the shape depends
         only on the point count and the node capacity.
         """
@@ -198,14 +195,8 @@ class FlatRStarTree:
             raise ValueError("cannot stack an empty list of trees")
         first = trees[0]
         for tree in trees[1:]:
-            if (tree.dim, tree.height, tree.chunk_points) != (
-                first.dim,
-                first.height,
-                first.chunk_points,
-            ):
-                raise ValueError(
-                    "stacked trees must share dim, height and chunk_points"
-                )
+            if (tree.dim, tree.height) != (first.dim, first.height):
+                raise ValueError("stacked trees must share dim and height")
         n_levels = len(first._levels)
         # Row offsets of each tree on every level (internal levels, then leaves).
         sizes = [
@@ -236,7 +227,6 @@ class FlatRStarTree:
             leaf_ids=np.concatenate([t.leaf_ids for t in trees]),
             leaf_cat=np.concatenate([t._leaf_cat for t in trees]),
             coords_cat=np.concatenate([t._coords_cat for t in trees]),
-            chunk_points=first.chunk_points,
             roots=np.concatenate(
                 [t.roots + offsets[0][i] for i, t in enumerate(trees)]
             ).astype(np.int64),
@@ -254,7 +244,7 @@ class FlatRStarTree:
         """
         arrays: Dict[str, np.ndarray] = {
             "meta": np.array(
-                [self.dim, self.count, self.height, self.chunk_points, len(self._levels)],
+                [self.dim, self.count, self.height, CHUNK_POINTS, len(self._levels)],
                 dtype=np.int64,
             ),
             "roots": self.roots,
@@ -281,7 +271,6 @@ class FlatRStarTree:
         leaf_ids: np.ndarray,
         leaf_cat: np.ndarray,
         coords_cat: np.ndarray,
-        chunk_points: int = DEFAULT_CHUNK_POINTS,
         roots: np.ndarray | None = None,
     ) -> "FlatRStarTree":
         """Adopt arrays produced by an array-native builder (no tree walk).
@@ -294,13 +283,10 @@ class FlatRStarTree:
         which constructs these arrays straight from the points being
         packed, and by :meth:`stack`.
         """
-        if chunk_points < 1:
-            raise ValueError(f"chunk_points must be >= 1, got {chunk_points}")
         flat = cls.__new__(cls)
         flat.dim = int(dim)
         flat.count = int(count)
         flat.height = int(height)
-        flat.chunk_points = int(chunk_points)
         flat.roots = np.zeros(1, dtype=np.int64) if roots is None else roots
         flat._levels = list(levels)
         flat.leaf_ptr = leaf_ptr
@@ -315,12 +301,17 @@ class FlatRStarTree:
 
         No tree construction happens and nothing is copied — the arrays
         are adopted as-is, so loading from a mapped arena snapshot costs
-        O(1), never an STR bulk load.
+        O(1), never an STR bulk load.  The recorded chunk size must be
+        :data:`CHUNK_POINTS`.
         """
         meta = np.asarray(arrays["meta"], dtype=np.int64).reshape(-1)
         if meta.shape[0] != 5:
             raise ValueError("flat-tree meta must have 5 entries")
         dim, count, height, chunk_points, n_levels = (int(v) for v in meta)
+        if chunk_points != CHUNK_POINTS:
+            raise ValueError(
+                f"flat-tree chunk size is {chunk_points}, expected {CHUNK_POINTS}"
+            )
         return cls.from_build(
             dim=dim,
             count=count,
@@ -337,7 +328,6 @@ class FlatRStarTree:
             leaf_ids=np.ascontiguousarray(arrays["leaf_ids"], dtype=np.int64),
             leaf_cat=np.ascontiguousarray(arrays["leaf_cat"], dtype=np.float64),
             coords_cat=np.ascontiguousarray(arrays["coords_cat"], dtype=np.float64),
-            chunk_points=max(1, chunk_points),
             roots=np.ascontiguousarray(arrays["roots"], dtype=np.int64),
         )
 
@@ -367,7 +357,7 @@ class FlatRStarTree:
 
         ``rest`` holds leaves that already passed the MBR test, in scan
         order; each later chunk covers leaves until it reaches ``target``
-        points, and the target doubles up to ``chunk_points``.  With
+        points, and the target doubles up to :data:`CHUNK_POINTS`.  With
         ``seen = (stamp, generation)``, a lazy chunk drops the rows
         stamped when it is read before their point test.
         """
@@ -393,7 +383,7 @@ class FlatRStarTree:
             if mask.any():
                 yield ids[mask]
             pos, start = stop, end
-            target = min(target * 2, self.chunk_points)
+            target = min(target * 2, CHUNK_POINTS)
 
     def window_query_iter(
         self, w_low: np.ndarray, w_high: np.ndarray, root: int = 0
@@ -403,7 +393,7 @@ class FlatRStarTree:
         Chunk *contents* follow the pointer-based traversal's candidate
         order (descending leaf, ascending within each leaf); only the
         chunk boundaries differ (merged leaf spans of up to
-        ``chunk_points`` points instead of single leaves).
+        :data:`CHUNK_POINTS` points instead of single leaves).
         """
         w_low = np.asarray(w_low, dtype=np.float64).reshape(1, -1)
         w_high = np.asarray(w_high, dtype=np.float64).reshape(1, -1)
@@ -414,7 +404,7 @@ class FlatRStarTree:
         scan = self.window_scan(self.roots[root : root + 1], w_low, w_high)
         # Start at a sixteenth of a full chunk: a per-candidate consumer
         # often stops within the first few hundred points.
-        cap = np.array([max(1, self.chunk_points // 16)], dtype=np.int64)
+        cap = np.array([max(1, CHUNK_POINTS // 16)], dtype=np.int64)
         streams, _ = scan.streams(np.zeros(1, dtype=np.int64), cap)
         yield from streams[0]
 
@@ -500,7 +490,7 @@ class WindowScan:
 
         The leaf-MBR test runs for the candidate leaves of every listed
         pair together, and so does the point test of each pair's leaves
-        up to ``caps[i]`` points (clamped to ``[1, chunk_points]``): that
+        up to ``caps[i]`` points (clamped to ``[1, CHUNK_POINTS]``): that
         is the stream's first chunk.  The stream's remaining leaves are
         scanned lazily when it is consumed, in chunks doubling from
         ``2 * cap``, so a consumer that stops early never pays for them.
@@ -516,7 +506,7 @@ class WindowScan:
         """
         forest = self.forest
         n = pairs.shape[0]
-        caps = np.clip(caps, 1, forest.chunk_points)
+        caps = np.clip(caps, 1, CHUNK_POINTS)
         lo, hi = self._bounds[pairs], self._bounds[pairs + 1]
         node = self._leaves[concat_ranges(lo, hi)]
         group = np.repeat(np.arange(n, dtype=np.int64), hi - lo)
@@ -563,7 +553,7 @@ class WindowScan:
                     first_ids[first_bounds[r] : first_bounds[r + 1]],
                     rest_leaf[rest_bounds[r] : rest_bounds[r + 1]],
                     w_pt[pairs[i]],
-                    min(2 * int(caps[i]), forest.chunk_points),
+                    min(2 * int(caps[i]), CHUNK_POINTS),
                     None if seen is None else (stamps[rows[i]], gens[i]),
                 )
             )

@@ -539,18 +539,15 @@ class RStarTree:
         """Number of points inside the window."""
         return sum(len(chunk) for chunk in self.window_query_iter(w_low, w_high))
 
-    def freeze(self, chunk_points: Optional[int] = None):
+    def freeze(self):
         """Snapshot into a :class:`~repro.index.flat.FlatRStarTree`.
 
         The frozen form answers the same window queries with level-wise
         vectorised masks; it does not track subsequent ``insert`` calls.
         """
-        from repro.index.flat import DEFAULT_CHUNK_POINTS, FlatRStarTree
+        from repro.index.flat import FlatRStarTree
 
-        return FlatRStarTree(
-            self,
-            chunk_points=DEFAULT_CHUNK_POINTS if chunk_points is None else chunk_points,
-        )
+        return FlatRStarTree(self)
 
     # ------------------------------------------------------------------
     # Introspection

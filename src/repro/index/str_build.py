@@ -43,7 +43,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.index.flat import DEFAULT_CHUNK_POINTS, FlatRStarTree, concat_ranges
+from repro.index.flat import FlatRStarTree, concat_ranges
 
 #: Above this many active slabs the per-level sort switches from a Python
 #: loop of per-slab argsorts to the batched row-wise sort — the loop's
@@ -266,7 +266,6 @@ def build_flat_str(
     points: np.ndarray,
     ids: Optional[np.ndarray] = None,
     max_entries: int = 32,
-    chunk_points: Optional[int] = None,
 ) -> FlatRStarTree:
     """Build a :class:`FlatRStarTree` straight from points via STR packing.
 
@@ -284,8 +283,6 @@ def build_flat_str(
         ids = np.asarray(ids, dtype=np.int64)
         if ids.shape[0] != n:
             raise ValueError("ids length must match number of points")
-    if chunk_points is None:
-        chunk_points = DEFAULT_CHUNK_POINTS
 
     if n == 0:
         # Mirror freezing an empty tree: one empty leaf whose MBR is the
@@ -299,7 +296,6 @@ def build_flat_str(
             leaf_ids=np.empty(0, dtype=np.int64),
             leaf_cat=np.full((1, 2 * dim), np.inf),
             coords_cat=np.empty((0, 2 * dim), dtype=np.float64),
-            chunk_points=chunk_points,
         )
 
     order = str_order(points, max_entries)
@@ -342,5 +338,4 @@ def build_flat_str(
         leaf_ids=leaf_ids,
         leaf_cat=leaf_cat,
         coords_cat=coords_cat,
-        chunk_points=chunk_points,
     )

@@ -28,7 +28,7 @@ from repro.io.snapshot import (
     load_tombstones,
     read_header,
     save_index,
-    shard_headers,
+    shard_layout,
     verify_snapshot,
 )
 from repro.io.wal import (
@@ -51,7 +51,7 @@ __all__ = [
     "load_tombstones",
     "read_header",
     "save_index",
-    "shard_headers",
+    "shard_layout",
     "verify_snapshot",
     "CheckpointRecord",
     "CommitTicket",

@@ -68,12 +68,14 @@ from __future__ import annotations
 import json
 import os
 import struct
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 from zlib import crc32
 
 import numpy as np
 
 from repro.core.dblsh import DBLSH
+from repro.core.plan import shard_offsets
 from repro.index.flat import FlatRStarTree
 from repro.io.wal import fsync_dir
 
@@ -534,23 +536,41 @@ def read_header(path: str) -> dict:
         return archive.header
 
 
-def shard_headers(header: dict) -> List[dict]:
-    """The per-shard index headers of a parsed snapshot header.
+@contextmanager
+def _reading(path: str) -> Iterator[_ArenaArchive]:
+    """Open ``path`` for a payload read; a missing member or header entry
+    (a truncated or hand-edited file) becomes a :class:`SnapshotError`."""
+    with _open_archive(path) as archive:
+        try:
+            yield archive
+        except KeyError as exc:
+            raise SnapshotError(
+                f"{path!r} is missing snapshot payload entry {exc.args[0]!r}"
+            ) from exc
 
-    Uniform view over both snapshot kinds: a ``"sharded"`` snapshot
-    yields one header per shard, a ``"dblsh"`` snapshot yields its
-    single index header (a one-shard deployment).  Each entry carries
-    the scalars serving needs before any payload is read — ``n``,
-    ``dim``, ``k_per_space``, ``l_spaces``, ``t`` — so a coordinator can
-    compute shard offsets and validate query shapes from
-    :func:`read_header` alone.
+
+def shard_layout(header: dict) -> List[Tuple[str, dict, int]]:
+    """``(member prefix, shard header, global id offset)`` per shard.
+
+    The one walk over a snapshot's shards, from its parsed header alone
+    (:func:`read_header`, no payload read).  A ``"sharded"`` snapshot
+    stores shard ``i`` under the ``shard{i}.`` prefix; a ``"dblsh"``
+    snapshot is one shard with unprefixed members.  Each shard header
+    carries the scalars serving needs — ``n``, ``dim``,
+    ``k_per_space``, ``l_spaces``, ``t`` — and the offsets are the
+    running sums of the ``n`` values, as
+    :class:`~repro.core.sharded.ShardedDBLSH` assigns global ids.
     """
     kind = header.get("kind")
     if kind == "dblsh":
-        return [header["index"]]
-    if kind == "sharded":
-        return list(header["shard_headers"])
-    raise SnapshotError(f"unknown snapshot kind {kind!r}")
+        prefixes, headers = [""], [header["index"]]
+    elif kind == "sharded":
+        headers = list(header["shard_headers"])
+        prefixes = [f"shard{i}." for i in range(len(headers))]
+    else:
+        raise SnapshotError(f"unknown snapshot kind {kind!r}")
+    offsets = shard_offsets([int(h["n"]) for h in headers])
+    return list(zip(prefixes, headers, offsets))
 
 
 def load_index(path: str):
@@ -592,30 +612,20 @@ def load_index(path: str):
     ...     print("rejected")
     rejected
     """
-    with _open_archive(path) as archive:
+    with _reading(path) as archive:
         header = archive.header
-        kind = header.get("kind")
-        try:
-            if kind == "dblsh":
-                return _unpack_dblsh(header["index"], archive, "")
-            if kind == "sharded":
-                from repro.core.sharded import ShardedDBLSH
+        shards = [
+            _unpack_dblsh(shard_header, archive, prefix)
+            for prefix, shard_header, _ in shard_layout(header)
+        ]
+        if header["kind"] == "dblsh":
+            return shards[0]
+        from repro.core.sharded import ShardedDBLSH
 
-                shards = [
-                    _unpack_dblsh(shard_header, archive, f"shard{i}.")
-                    for i, shard_header in enumerate(header["shard_headers"])
-                ]
-                return ShardedDBLSH._restore(
-                    shards=shards,
-                    build_seconds=float(header.get("build_seconds", 0.0)),
-                )
-        except KeyError as exc:
-            # A valid header whose payload member is missing: truncated
-            # write or hand-edited archive, not a compatible snapshot.
-            raise SnapshotError(
-                f"{path!r} is missing snapshot payload entry {exc.args[0]!r}"
-            ) from exc
-        raise SnapshotError(f"{path!r} has unknown snapshot kind {kind!r}")
+        return ShardedDBLSH._restore(
+            shards=shards,
+            build_seconds=float(header.get("build_seconds", 0.0)),
+        )
 
 
 def load_shard(path: str, shard: int) -> DBLSH:
@@ -626,7 +636,7 @@ def load_shard(path: str, shard: int) -> DBLSH:
     members — the other shards' pages are never faulted in — and
     answers queries against it with
     shard-local ids.  The coordinator maps ids back to global through
-    the shard offsets (:func:`shard_headers` gives the sizes).
+    the shard offsets (:func:`shard_layout` gives them).
 
     A ``"dblsh"``-kind snapshot is served as a single shard: only
     ``shard == 0`` is valid and returns the whole index.
@@ -651,20 +661,14 @@ def load_shard(path: str, shard: int) -> DBLSH:
         If the file is not a compatible snapshot, or ``shard`` is out of
         range for it.
     """
-    with _open_archive(path) as archive:
-        header = archive.header
-        headers = shard_headers(header)
-        if not 0 <= int(shard) < len(headers):
+    with _reading(path) as archive:
+        layout = shard_layout(archive.header)
+        if not 0 <= int(shard) < len(layout):
             raise SnapshotError(
-                f"{path!r} holds {len(headers)} shard(s); shard {shard} requested"
+                f"{path!r} holds {len(layout)} shard(s); shard {shard} requested"
             )
-        prefix = "" if header["kind"] == "dblsh" else f"shard{int(shard)}."
-        try:
-            return _unpack_dblsh(headers[int(shard)], archive, prefix)
-        except KeyError as exc:
-            raise SnapshotError(
-                f"{path!r} is missing snapshot payload entry {exc.args[0]!r}"
-            ) from exc
+        prefix, shard_header, _ = layout[int(shard)]
+        return _unpack_dblsh(shard_header, archive, prefix)
 
 
 def load_data(path: str) -> np.ndarray:
@@ -675,50 +679,30 @@ def load_data(path: str) -> np.ndarray:
     against a served snapshot without restoring a queryable index in the
     evaluating process.
     """
-    with _open_archive(path) as archive:
-        header = archive.header
-        try:
-            if header["kind"] == "dblsh":
-                return archive["data"]
-            return np.concatenate(
-                [
-                    archive[f"shard{i}.data"]
-                    for i in range(len(shard_headers(header)))
-                ]
-            )
-        except KeyError as exc:
-            raise SnapshotError(
-                f"{path!r} is missing snapshot payload entry {exc.args[0]!r}"
-            ) from exc
+    with _reading(path) as archive:
+        parts = [
+            archive[prefix + "data"]
+            for prefix, _, _ in shard_layout(archive.header)
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def load_tombstones(path: str) -> np.ndarray:
     """Global ids of the snapshot's logically deleted rows (sorted int64).
 
     Reads only the per-shard ``tombstones`` members (shard-local ids are
-    mapped to global through the header's shard sizes; each member is
-    sorted and the shards follow id order) — no traversal arrays, no
-    data.  Recovery uses this to replay a write-ahead log
-    idempotently over a freshly compacted snapshot: a logged delete whose
-    id is already baked in here is a no-op.
+    mapped to global through the shard offsets; each member is sorted
+    and the shards follow id order) — no traversal arrays, no data.
+    Recovery uses this to replay a write-ahead log idempotently over a
+    freshly compacted snapshot: a logged delete whose id is already
+    baked in here is a no-op.
     """
-    with _open_archive(path) as archive:
-        header = archive.header
-        parts: List[np.ndarray] = []
-        offset = 0
-        try:
-            for i, shard_header in enumerate(shard_headers(header)):
-                prefix = "" if header["kind"] == "dblsh" else f"shard{i}."
-                if shard_header.get("has_tombstones"):
-                    local = np.asarray(
-                        archive[prefix + "tombstones"], dtype=np.int64
-                    )
-                    parts.append(local + offset)
-                offset += int(shard_header["n"])
-        except KeyError as exc:
-            raise SnapshotError(
-                f"{path!r} is missing snapshot payload entry {exc.args[0]!r}"
-            ) from exc
+    with _reading(path) as archive:
+        parts = [
+            np.asarray(archive[prefix + "tombstones"], dtype=np.int64) + offset
+            for prefix, shard_header, offset in shard_layout(archive.header)
+            if shard_header.get("has_tombstones")
+        ]
         if not parts:
             return np.empty(0, dtype=np.int64)
         return np.concatenate(parts)

@@ -600,18 +600,6 @@ class WriteAheadLog:
         """Enqueue a delete; the ticket resolves after its group's fsync."""
         return self._submit(_encode_delete(point_id))
 
-    def append_insert(self, point_id: int, point: np.ndarray) -> int:
-        """Durably log an insert; returns the log size after the fsync."""
-        return self.submit_insert(point_id, point).wait()
-
-    def append_delete(self, point_id: int) -> int:
-        """Durably log a delete; returns the log size after the fsync."""
-        return self.submit_delete(point_id).wait()
-
-    def append_checkpoint(self, uid: str) -> int:
-        """Durably log that snapshot ``uid`` folds all prior records."""
-        return self._submit(_encode_checkpoint(uid)).wait()
-
     def _submit(self, payload: bytes) -> CommitTicket:
         ticket = CommitTicket()
         with self._cond:

@@ -46,8 +46,8 @@ On top of those, the resilience layer bounds every resource a client or
 a worker could otherwise hold forever:
 
 * **Per-request deadlines.**  A ``POST /query`` may carry an
-  ``X-Timeout-Ms`` header (the ``default_timeout`` keyword supplies a
-  default); the budget becomes an absolute deadline that follows the
+  ``X-Timeout-Ms`` header (without one the request is unbounded); the
+  budget becomes an absolute deadline that follows the
   request through the admission queue, the micro-batcher, and the
   coordinator (``query_batch(timeout=...)``) all the way into the
   worker protocol.  A request whose deadline passes — queued, batched,
@@ -56,10 +56,11 @@ a worker could otherwise hold forever:
   504 lands within the budget even when the server side is stuck, and
   the coordinator's watchdog kills the stuck worker underneath.
 * **Connection lifecycle.**  Keep-alive connections idle past
-  ``idle_timeout`` are reaped; when more than ``max_connections`` are
-  open, the least-recently-active one is closed to admit the newcomer;
-  ``close()`` drains gracefully — stop accepting, give admitted work
-  5 seconds to finish, then fail stragglers with 503.
+  ``_IDLE_TIMEOUT`` (60 s) are reaped; when more than
+  ``_MAX_CONNECTIONS`` (512) are open, the least-recently-active one is
+  closed to admit the newcomer; a body above ``_MAX_BODY_BYTES``
+  (64 MiB) answers 413; ``close()`` drains gracefully — stop accepting,
+  give admitted work 5 seconds to finish, then fail stragglers with 503.
   Every reap and the drain duration land in the metrics registry.
 
 Endpoints (all bodies JSON)::
@@ -115,6 +116,14 @@ _MAX_HEADERS = 64
 #: Seconds :meth:`HttpGateway.close` lets admitted work finish before
 #: failing stragglers with 503.
 _DRAIN_TIMEOUT = 5.0
+#: Request bodies above this many bytes answer 413.
+_MAX_BODY_BYTES = 64 * 1024 * 1024
+#: Seconds a keep-alive connection may stay silent (or trickle one
+#: request) before it is reaped (``metrics.reaped_idle``).
+_IDLE_TIMEOUT = 60.0
+#: Open-connection cap; a newcomer beyond it evicts the
+#: least-recently-active connection (``metrics.reaped_overflow``).
+_MAX_CONNECTIONS = 512
 
 
 class GatewayError(RuntimeError):
@@ -194,22 +203,6 @@ class HttpGateway:
     queue_limit:
         Bounded admission queue: requests beyond this many pending are
         shed with ``429``.
-    metrics:
-        Optional externally owned registry (tests); default: a fresh
-        :class:`GatewayMetrics`.
-    max_body_bytes:
-        Request bodies above this answer ``413``.
-    default_timeout:
-        Default per-request deadline in seconds for ``POST /query``
-        when the client sends no ``X-Timeout-Ms`` header.  ``None``
-        (default) means unbounded unless the client asks.
-    idle_timeout:
-        Keep-alive connections silent this many seconds are closed
-        (counted in ``metrics.reaped_idle``).  A slow client mid-request
-        is held to the same bound.
-    max_connections:
-        Open-connection cap; a newcomer beyond it evicts the
-        least-recently-active connection (``metrics.reaped_overflow``).
     on_request:
         Optional callable invoked (from the event-loop thread, after the
         response is written) with ``(endpoint, status)`` for every
@@ -238,11 +231,6 @@ class HttpGateway:
         batch_window: float = 0.002,
         max_batch: int = 32,
         queue_limit: int = 256,
-        metrics: Optional[GatewayMetrics] = None,
-        max_body_bytes: int = 64 * 1024 * 1024,
-        default_timeout: Optional[float] = None,
-        idle_timeout: float = 60.0,
-        max_connections: int = 512,
         on_request: Optional[Callable[[str, int], None]] = None,
     ) -> None:
         if batch_window < 0:
@@ -251,29 +239,13 @@ class HttpGateway:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        if default_timeout is not None and default_timeout <= 0:
-            raise ValueError(
-                f"default_timeout must be positive, got {default_timeout}"
-            )
-        if idle_timeout <= 0:
-            raise ValueError(f"idle_timeout must be positive, got {idle_timeout}")
-        if max_connections < 1:
-            raise ValueError(
-                f"max_connections must be >= 1, got {max_connections}"
-            )
         self.server = server
         self.host = host
         self.port = int(port)
         self.batch_window = float(batch_window)
         self.max_batch = int(max_batch)
         self.queue_limit = int(queue_limit)
-        self.max_body_bytes = int(max_body_bytes)
-        self.default_timeout = (
-            float(default_timeout) if default_timeout is not None else None
-        )
-        self.idle_timeout = float(idle_timeout)
-        self.max_connections = int(max_connections)
-        self.metrics = metrics if metrics is not None else GatewayMetrics()
+        self.metrics = GatewayMetrics()
         self._on_request = on_request
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -521,7 +493,7 @@ class HttpGateway:
     def _admit_connection(self, writer) -> None:
         """Register a new connection, evicting the LRA one over the cap."""
         assert self._loop is not None
-        if len(self._connections) >= self.max_connections:
+        if len(self._connections) >= _MAX_CONNECTIONS:
             victim = min(self._connections, key=self._connections.get)
             self._connections.pop(victim, None)
             self.metrics.reaped_overflow.add()
@@ -541,7 +513,7 @@ class HttpGateway:
             while True:
                 try:
                     request = await asyncio.wait_for(
-                        self._read_request(reader), self.idle_timeout
+                        self._read_request(reader), _IDLE_TIMEOUT
                     )
                 except asyncio.TimeoutError:
                     # Idle keep-alive (or a client trickling a request):
@@ -671,11 +643,11 @@ class HttpGateway:
                 raise _BadRequest(400, "bad Content-Length") from exc
             if length < 0:
                 raise _BadRequest(400, "bad Content-Length")
-            if length > self.max_body_bytes:
+            if length > _MAX_BODY_BYTES:
                 raise _BadRequest(
                     413,
                     f"body of {length} bytes exceeds the "
-                    f"{self.max_body_bytes}-byte limit",
+                    f"{_MAX_BODY_BYTES}-byte limit",
                 )
             body = await reader.readexactly(length)
         path = target.split("?", 1)[0]
@@ -686,7 +658,7 @@ class HttpGateway:
 
         Chunk extensions are ignored; trailers are consumed and
         discarded.  The running total is checked against
-        ``max_body_bytes`` *before* each chunk is read, so an
+        ``_MAX_BODY_BYTES`` *before* each chunk is read, so an
         oversized upload is refused without buffering it.
         """
         chunks: List[bytes] = []
@@ -708,11 +680,11 @@ class HttpGateway:
             if size < 0:
                 raise _BadRequest(400, f"negative chunk size {size_token!r}")
             total += size
-            if total > self.max_body_bytes:
+            if total > _MAX_BODY_BYTES:
                 raise _BadRequest(
                     413,
                     f"chunked body exceeds the "
-                    f"{self.max_body_bytes}-byte limit",
+                    f"{_MAX_BODY_BYTES}-byte limit",
                 )
             if size == 0:
                 # Trailer section: discard header lines up to the blank.
@@ -835,9 +807,8 @@ class HttpGateway:
             "queue_limit": self.queue_limit,
             "queue_depth": self._queue.qsize() if self._queue is not None else 0,
             "mutable": self._mutable,
-            "default_timeout_seconds": self.default_timeout,
-            "idle_timeout_seconds": self.idle_timeout,
-            "max_connections": self.max_connections,
+            "idle_timeout_seconds": _IDLE_TIMEOUT,
+            "max_connections": _MAX_CONNECTIONS,
             "open_connections": len(self._connections),
             "draining": self._draining,
         }
@@ -857,7 +828,7 @@ class HttpGateway:
         """Seconds of deadline budget for this request, or ``None``."""
         raw = headers.get("x-timeout-ms")
         if raw is None:
-            return self.default_timeout
+            return None
         try:
             millis = float(raw)
         except ValueError as exc:

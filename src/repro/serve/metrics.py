@@ -167,8 +167,8 @@ class Histogram:
             cumulative += bucket_count
         return self._bounds[-1]  # pragma: no cover - rank <= count always hits
 
-    def snapshot(self, quantiles: Sequence[float] = (0.5, 0.9, 0.99)) -> dict:
-        """Plain-dict copy: count/sum/max, requested quantiles, buckets."""
+    def snapshot(self) -> dict:
+        """Plain-dict copy: count/sum/max, p50/p90/p99, buckets."""
         snap = {
             "count": self._count,
             "sum": self._sum,
@@ -178,7 +178,7 @@ class Histogram:
                 "le_inf": self._counts[-1],
             },
         }
-        for q in quantiles:
+        for q in (0.5, 0.9, 0.99):
             snap[f"p{round(q * 100):g}"] = self.quantile(q)
         return snap
 
@@ -209,19 +209,14 @@ class GatewayMetrics:
     1
     """
 
-    def __init__(
-        self,
-        latency_buckets: Sequence[float] = LATENCY_BUCKETS,
-        batch_buckets: Sequence[float] = BATCH_SIZE_BUCKETS,
-    ) -> None:
-        self._latency_buckets = tuple(latency_buckets)
+    def __init__(self) -> None:
         self._started = time.monotonic()
         self._latencies: Dict[str, Histogram] = {}
         self._statuses: Dict[str, Dict[int, Counter]] = {}
         self.shed = Counter()
-        self.batch_sizes = Histogram(batch_buckets)
+        self.batch_sizes = Histogram(BATCH_SIZE_BUCKETS)
         #: Wall seconds per dispatched micro-batch (queue → answer).
-        self.batch_latency = Histogram(latency_buckets)
+        self.batch_latency = Histogram(LATENCY_BUCKETS)
         #: Requests that ran out of their deadline budget (HTTP 504s and
         #: server-side ``DeadlineExceeded`` surfaced through the gateway).
         self.deadline_hits = Counter()
@@ -231,7 +226,7 @@ class GatewayMetrics:
         self.reaped_overflow = Counter()
         #: Wall seconds a mutation client waited for its group fsync ack
         #: (insert/delete request → WAL durable → response).
-        self.mutation_ack_latency = Histogram(latency_buckets)
+        self.mutation_ack_latency = Histogram(LATENCY_BUCKETS)
         #: Snapshot-time probes (queue depth, open connections) that
         #: raised instead of returning a sample.  Gauges stay clamped at
         #: zero when a probe fails; this counter is the failure signal,
@@ -260,7 +255,7 @@ class GatewayMetrics:
             # Benign creation race: two first-requests to one endpoint may
             # both build a histogram and one observation lands in the
             # loser's — same lost-increment budget as the counters.
-            histogram = Histogram(self._latency_buckets)
+            histogram = Histogram(LATENCY_BUCKETS)
             self._latencies[endpoint] = histogram
             self._statuses[endpoint] = {}
         return histogram

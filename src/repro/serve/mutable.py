@@ -29,10 +29,10 @@ worker processes untouched; mutations follow the classic LSM discipline:
 3. **compact** — a background thread folds delta + tombstones into a
    fresh snapshot generation when the scheduler says so: pending
    mutation count (``compact_threshold``) or total WAL bytes
-   (``compact_wal_bytes``), whichever trips first.  The fold rebuilds the
-   index (base rows + folded delta, tombstones applied), writes it
-   atomically with a new ``uid`` whose ``parent_uid`` is the old
-   generation, hot-flips the workers through :meth:`reload` (in-flight
+   (``_COMPACT_WAL_BYTES``, 64 MiB), whichever trips first.  The fold
+   rebuilds the index (base rows + folded delta, tombstones applied),
+   writes it atomically with a new ``uid`` whose ``parent_uid`` is the
+   old generation, hot-flips the workers through :meth:`reload` (in-flight
    queries drain on the generation they checked out), then **rolls the
    WAL onto a checkpoint segment**: a fresh segment bound to the new
    uid whose first record is a checkpoint, the still-pending mutations
@@ -94,6 +94,9 @@ __all__ = ["MutableSnapshotServer"]
 #: (reported as ``status()["sweep_overhead_ema"]``).
 _OVERHEAD_ALPHA = 0.2
 
+#: Compact once the WAL's live segments reach this many bytes.
+_COMPACT_WAL_BYTES = 64 << 20
+
 
 #: Environment variable arming the compaction kill points (module docstring).
 _COMPACT_FAULT = "REPRO_COMPACT_FAULT"
@@ -113,10 +116,7 @@ class MutableSnapshotServer(SnapshotServer):
         Fold the delta buffer and tombstones into a fresh snapshot
         generation once their combined count reaches this; ``0``
         disables automatic compaction entirely (``compact()`` still
-        works, and the byte trigger below is inert too).
-    compact_wal_bytes:
-        Also compact once the WAL's live segments exceed this many
-        bytes (``0`` disables the byte trigger).
+        works, and the ``_COMPACT_WAL_BYTES`` trigger is inert too).
     segment_bytes:
         Rotate WAL segments at this size (must be > 0).
 
@@ -132,18 +132,13 @@ class MutableSnapshotServer(SnapshotServer):
         *,
         wal_path: Optional[str] = None,
         compact_threshold: int = 4096,
-        compact_wal_bytes: int = 64 << 20,
         segment_bytes: int = 4 << 20,
-        **kwargs,
+        query_timeout: float = 120.0,
     ) -> None:
-        super().__init__(path, **kwargs)
+        super().__init__(path, query_timeout=query_timeout)
         if compact_threshold < 0:
             raise ValueError(
                 f"compact_threshold must be >= 0, got {compact_threshold}"
-            )
-        if compact_wal_bytes < 0:
-            raise ValueError(
-                f"compact_wal_bytes must be >= 0, got {compact_wal_bytes}"
             )
         if segment_bytes <= 0:
             raise ValueError(
@@ -153,7 +148,6 @@ class MutableSnapshotServer(SnapshotServer):
             os.fspath(wal_path) if wal_path is not None else self.path + ".wal"
         )
         self.compact_threshold = int(compact_threshold)
-        self.compact_wal_bytes = int(compact_wal_bytes)
         self.segment_bytes = int(segment_bytes)
         #: Guards every mutable view: delta, tombstones, WAL handle,
         #: id counter, base-generation bookkeeping.
@@ -399,7 +393,7 @@ class MutableSnapshotServer(SnapshotServer):
 
         * ``count`` — pending delta rows + tombstones ≥ threshold (the
           classic fixed-count trigger);
-        * ``wal-bytes`` — live WAL segments ≥ ``compact_wal_bytes``.
+        * ``wal-bytes`` — live WAL segments ≥ ``_COMPACT_WAL_BYTES``.
         """
         if self.compact_threshold <= 0:
             return None
@@ -407,9 +401,8 @@ class MutableSnapshotServer(SnapshotServer):
         if pending >= self.compact_threshold:
             return "count"
         if (
-            self.compact_wal_bytes > 0
-            and self._wal is not None
-            and self._wal.size_bytes >= self.compact_wal_bytes
+            self._wal is not None
+            and self._wal.size_bytes >= _COMPACT_WAL_BYTES
             and pending > 0
         ):
             return "wal-bytes"
@@ -576,7 +569,7 @@ class MutableSnapshotServer(SnapshotServer):
                 "last_compaction_trigger": self._last_compaction_trigger,
                 "compact_policy": {
                     "threshold": self.compact_threshold,
-                    "wal_bytes": self.compact_wal_bytes,
+                    "wal_bytes": _COMPACT_WAL_BYTES,
                 },
                 "sweep_overhead_ema": self._sweep_overhead_ema,
             })

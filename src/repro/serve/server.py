@@ -96,7 +96,7 @@ import numpy as np
 
 from repro.core.plan import merge_shard_batches
 from repro.core.result import QueryResult
-from repro.io.snapshot import read_header, shard_headers
+from repro.io.snapshot import read_header, shard_layout
 from repro.serve.protocol import decode_result
 from repro.serve.worker import serve_shard
 from repro.utils.meminfo import mapping_memory, process_memory
@@ -107,6 +107,10 @@ __all__ = ["DeadlineExceeded", "ServerError", "SnapshotServer"]
 #: Dispatch attempts per request: the first, plus one re-dispatch on a
 #: fresh worker after a death or a watchdog kill.
 _ATTEMPTS = 2
+#: Seconds all workers get to load their shards and report ready before
+#: :meth:`SnapshotServer.start` (or a supervision restart, or a
+#: :meth:`SnapshotServer.reload`) fails.
+_START_TIMEOUT = 60.0
 
 
 class ServerError(RuntimeError):
@@ -217,14 +221,12 @@ class _PoolSpec:
     def __init__(self, path: str) -> None:
         self.path = os.fspath(path)
         header = read_header(self.path)  # raises SnapshotError on junk
-        headers = shard_headers(header)
-        first = headers[0]
+        layout = shard_layout(header)
+        first = layout[0][1]
         self.kind = header["kind"]
         self.dim = int(first["dim"])
-        self.sizes = [int(h["n"]) for h in headers]
-        self.offsets: List[int] = [0]
-        for size in self.sizes[:-1]:
-            self.offsets.append(self.offsets[-1] + size)
+        self.sizes = [int(h["n"]) for _, h, _ in layout]
+        self.offsets = [offset for _, _, offset in layout]
         self.num_points = sum(self.sizes)
         self.hash_fns = int(first["k_per_space"]) * int(first["l_spaces"])
 
@@ -286,10 +288,6 @@ class SnapshotServer:
         single-index (a single-index snapshot is served by one worker).
         The header is read eagerly (shape validation, offsets); the
         payload is only ever read inside the workers.
-    start_timeout:
-        Seconds to wait for all workers to load their shards and report
-        ready before :meth:`start` (or a supervision restart, or a
-        :meth:`reload`) fails.
     query_timeout:
         Seconds to wait for any single worker's answer to one scattered
         request before declaring it hung.
@@ -307,13 +305,11 @@ class SnapshotServer:
         self,
         path: str,
         *,
-        start_timeout: float = 60.0,
         query_timeout: float = 120.0,
     ) -> None:
-        if start_timeout <= 0 or query_timeout <= 0:
-            raise ValueError("timeouts must be positive")
+        if query_timeout <= 0:
+            raise ValueError("query_timeout must be positive")
         self.path = os.fspath(path)
-        self.start_timeout = float(start_timeout)
         self.query_timeout = float(query_timeout)
         # Named, not the platform default: that is no longer fork
         # everywhere fork exists.
@@ -321,7 +317,6 @@ class SnapshotServer:
 
         self._spec = _PoolSpec(self.path)  # raises SnapshotError on junk
         self.dim = self._spec.dim
-        self._kind = self._spec.kind
 
         #: Guards the pool pointer, drain lists, broken flag, counters.
         self._state_lock = threading.Lock()
@@ -425,24 +420,6 @@ class SnapshotServer:
             return self._generation
 
     @property
-    def restarts_total(self) -> int:
-        """Worker restarts performed by supervision over the server's life."""
-        with self._state_lock:
-            return self._restarts_total
-
-    @property
-    def hang_kills_total(self) -> int:
-        """Hung workers SIGKILLed by the watchdog over the server's life."""
-        with self._state_lock:
-            return self._hang_kills_total
-
-    @property
-    def deadline_hits_total(self) -> int:
-        """Requests failed with :class:`DeadlineExceeded` over the life."""
-        with self._state_lock:
-            return self._deadline_hits_total
-
-    @property
     def num_points(self) -> int:
         with self._state_lock:
             spec = self._pool.spec if self._pool is not None else self._spec
@@ -519,8 +496,8 @@ class SnapshotServer:
         ------
         ServerError
             On double-start, or when any worker fails to come up within
-            ``start_timeout`` (the error carries the worker's traceback
-            when it reported one).
+            ``_START_TIMEOUT`` seconds (the error carries the worker's
+            traceback when it reported one).
         """
         with self._state_lock:
             if self._pool is not None:
@@ -730,7 +707,7 @@ class SnapshotServer:
         try:
             for shard in range(spec.num_shards):
                 workers.append(self._spawn_worker(spec, shard, 0))
-            deadline = time.monotonic() + self.start_timeout
+            deadline = time.monotonic() + _START_TIMEOUT
             for worker in workers:
                 self._await_ready(worker, deadline, spec)
         except BaseException:
@@ -763,7 +740,7 @@ class SnapshotServer:
             replacement.state = "restarting"
             try:
                 self._await_ready(
-                    replacement, time.monotonic() + self.start_timeout,
+                    replacement, time.monotonic() + _START_TIMEOUT,
                     pool.spec,
                 )
             except ServerError as exc:

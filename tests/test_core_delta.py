@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import DBLSH
+from repro.core import delta as delta_module
 from repro.core.delta import DeltaIndex
 from repro.core.plan import merge_live_batches, merge_live_results
 from repro.core.result import Neighbor, QueryResult, QueryStats
@@ -110,9 +111,10 @@ class TestDeltaIndex:
             )
             assert result.stats.distance_computations == 40
 
-    def test_extend_norms_match_the_rows(self, rng):
+    def test_extend_norms_match_the_rows(self, rng, monkeypatch):
+        monkeypatch.setattr(delta_module, "_CAPACITY", 2)
         points = rng.standard_normal((7, 5))
-        delta = DeltaIndex(5, capacity=2)
+        delta = DeltaIndex(5)
         delta.extend([3, 4, 5], points[:3])
         delta.extend(np.arange(6, 10), points[3:])
         view = delta.view()
@@ -165,11 +167,12 @@ class TestDeltaIndex:
             want = ids[np.lexsort((ids, values))][:k]
             assert got == [int(i) for i in want]
 
-    def test_view_is_stable_under_append_and_trim(self, rng):
+    def test_view_is_stable_under_append_and_trim(self, rng, monkeypatch):
         def rows(lo, hi):
             return np.repeat(np.arange(lo, hi, dtype=np.float64)[:, None], 3, axis=1)
 
-        delta = DeltaIndex(3, capacity=2)
+        monkeypatch.setattr(delta_module, "_CAPACITY", 2)
+        delta = DeltaIndex(3)
         delta.extend(np.arange(3), rows(0, 3))
         delta.delete([1, 30])
         view = delta.view()

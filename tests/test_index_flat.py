@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.index import flat as flat_module
 from repro.index.flat import FlatRStarTree, concat_ranges
 from repro.index.rstar import RStarTree
 from repro.utils.scratch import MaskStack
@@ -84,10 +85,13 @@ class TestFreeze:
         assert len(flat) == 100
         assert 100 not in set(flat.all_ids().tolist())
 
-    def test_bad_chunk_points(self, rng):
-        tree = RStarTree.bulk_load(rng.standard_normal((50, 2)))
-        with pytest.raises(ValueError, match="chunk_points"):
-            FlatRStarTree(tree, chunk_points=0)
+    def test_arrays_of_another_chunk_size_refused(self, rng):
+        arrays = RStarTree.bulk_load(rng.standard_normal((50, 2))).freeze().to_arrays()
+        assert arrays["meta"][3] == flat_module.CHUNK_POINTS
+        arrays["meta"] = arrays["meta"].copy()
+        arrays["meta"][3] = flat_module.CHUNK_POINTS // 2
+        with pytest.raises(ValueError, match="chunk size"):
+            FlatRStarTree.from_arrays(arrays)
 
     def test_window_dim_mismatch(self, rng):
         flat = RStarTree.bulk_load(rng.standard_normal((50, 3))).freeze()
@@ -119,12 +123,14 @@ class TestTraversalEquivalence:
         assert out.shape[0] == 800
         assert np.array_equal(_legacy_stream(tree, lo, hi), out)
 
-    def test_chunk_points_changes_chunking_not_results(self, rng):
+    def test_chunk_points_changes_chunking_not_results(self, rng, monkeypatch):
         points = rng.standard_normal((2000, 4))
-        tree = RStarTree.bulk_load(points, max_entries=16)
+        flat = RStarTree.bulk_load(points, max_entries=16).freeze()
         lo, hi = points.min(axis=0), points.max(axis=0)
-        small = list(tree.freeze(chunk_points=8).window_query_iter(lo, hi))
-        large = list(tree.freeze(chunk_points=10**6).window_query_iter(lo, hi))
+        monkeypatch.setattr(flat_module, "CHUNK_POINTS", 8)
+        small = list(flat.window_query_iter(lo, hi))
+        monkeypatch.setattr(flat_module, "CHUNK_POINTS", 10**6)
+        large = list(flat.window_query_iter(lo, hi))
         assert len(small) > len(large)
         assert np.array_equal(np.concatenate(small), np.concatenate(large))
 
@@ -155,11 +161,10 @@ class TestStackedForest:
     """L trees stacked into one set of arrays, one root per tree."""
 
     @pytest.fixture
-    def trees(self, rng):
+    def trees(self, rng, monkeypatch):
+        monkeypatch.setattr(flat_module, "CHUNK_POINTS", 64)
         return [
-            RStarTree.bulk_load(rng.standard_normal((700, 3)) * 2.0, max_entries=8).freeze(
-                chunk_points=64
-            )
+            RStarTree.bulk_load(rng.standard_normal((700, 3)) * 2.0, max_entries=8).freeze()
             for _ in range(4)
         ]
 

@@ -40,7 +40,7 @@ from repro.io import (
     WriteAheadLog,
     wal_present,
 )
-from repro.io.wal import armed_fault, parse_faults
+from repro.io.wal import _encode_checkpoint, armed_fault, parse_faults
 
 
 @pytest.fixture
@@ -66,11 +66,14 @@ class TestRoundtrip:
         points = rng.standard_normal((3, 8))
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0",
                                   next_id=100) as wal:
-            wal.append_insert(100, points[0])
-            wal.append_delete(7)
-            wal.append_insert(101, points[1])
-            wal.append_checkpoint("gen1")
-            wal.append_insert(102, points[2])
+            wal.submit_insert(100, points[0]).wait()
+            wal.submit_delete(7).wait()
+            wal.submit_insert(101, points[1]).wait()
+            # No public verb logs a bare checkpoint mid-segment (the
+            # compaction roll writes one at a segment head); the decoder
+            # must still read one anywhere.
+            wal._submit(_encode_checkpoint("gen1")).wait()
+            wal.submit_insert(102, points[2]).wait()
 
         recovered = WriteAheadLog.open(wal_path)
         assert recovered.snapshot_uid == "gen0"
@@ -92,15 +95,15 @@ class TestRoundtrip:
 
     def test_appends_resume_after_recovery(self, wal_path, rng):
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0") as wal:
-            wal.append_insert(0, rng.standard_normal(4))
+            wal.submit_insert(0, rng.standard_normal(4)).wait()
         with WriteAheadLog.open(wal_path) as wal:
-            wal.append_insert(1, rng.standard_normal(4))
+            wal.submit_insert(1, rng.standard_normal(4)).wait()
         with WriteAheadLog.open(wal_path) as wal:
             assert [r.id for r in wal.recovered] == [0, 1]
 
     def test_size_grows_monotonically(self, wal_path, rng):
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0") as wal:
-            sizes = [wal.append_insert(i, rng.standard_normal(4))
+            sizes = [wal.submit_insert(i, rng.standard_normal(4)).wait()
                      for i in range(4)]
         assert sizes == sorted(sizes) and len(set(sizes)) == 4
         assert os.path.getsize(_last_segment(wal_path)) == sizes[-1]
@@ -128,7 +131,7 @@ class TestGroupCommit:
         ids = list(range(48))
 
         def append(i):
-            wal.append_insert(i, np.full(4, float(i)))
+            wal.submit_insert(i, np.full(4, float(i))).wait()
 
         threads = [threading.Thread(target=append, args=(i,)) for i in ids]
         with wal._io_lock:  # the disk is "busy": every record queues
@@ -157,7 +160,7 @@ class TestGroupCommit:
         def append(worker):
             for i in range(per_writer):
                 pid = worker * per_writer + i
-                sizes.append(wal.append_insert(pid, np.full(2, float(pid))))
+                sizes.append(wal.submit_insert(pid, np.full(2, float(pid))).wait())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -183,7 +186,7 @@ class TestGroupCommit:
         """No window: a serial writer's record commits alone, at once."""
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0") as wal:
             for i in range(5):
-                wal.append_insert(i, np.zeros(4))
+                wal.submit_insert(i, np.zeros(4)).wait()
             stats = wal.stats()
         assert stats["groups_committed"] == 5
         assert stats["mean_group_records"] == 1.0
@@ -215,7 +218,7 @@ class TestGroupCommit:
         not a checkpoint roll — because a retried fsync can succeed over
         pages the kernel already dropped."""
         wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0")
-        wal.append_insert(0, np.zeros(4))
+        wal.submit_insert(0, np.zeros(4)).wait()
         real_fsync = os.fsync
         entered, release = threading.Event(), threading.Event()
 
@@ -235,9 +238,9 @@ class TestGroupCommit:
         with pytest.raises(WALError, match="injected writeback error"):
             queued.wait(timeout=5.0)
         with pytest.raises(WALError, match="injected writeback error"):
-            wal.append_insert(3, np.full(4, 3.0))
+            wal.submit_insert(3, np.full(4, 3.0)).wait()
         with pytest.raises(WALError, match="injected writeback error"):
-            wal.append_delete(0)
+            wal.submit_delete(0).wait()
         with pytest.raises(WALError, match="injected writeback error"):
             wal.roll_checkpoint("gen1", parent_uid="gen0", next_id=4)
         wal.close()
@@ -253,7 +256,7 @@ class TestSegments:
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0",
                                   segment_bytes=segment_bytes) as wal:
             for i in range(n):
-                wal.append_insert(i, rng.standard_normal(6))
+                wal.submit_insert(i, rng.standard_normal(6)).wait()
             count = wal.segment_count
         return count
 
@@ -268,7 +271,7 @@ class TestSegments:
     def test_appends_resume_in_the_last_segment(self, wal_path, rng):
         self._filled(wal_path, rng)
         with WriteAheadLog.open(wal_path) as wal:
-            wal.append_insert(24, rng.standard_normal(6))
+            wal.submit_insert(24, rng.standard_normal(6)).wait()
         with WriteAheadLog.open(wal_path) as wal:
             assert [r.id for r in wal.recovered] == list(range(25))
 
@@ -304,7 +307,7 @@ class TestSegments:
         self, wal_path, rng
     ):
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0") as wal:
-            sizes = [wal.append_insert(i, rng.standard_normal(6))
+            sizes = [wal.submit_insert(i, rng.standard_normal(6)).wait()
                      for i in range(4)]
         seg = _last_segment(wal_path)
         with open(seg, "r+b") as handle:
@@ -318,7 +321,7 @@ class TestSegments:
 
     def test_absurd_length_field_is_torn_tail(self, wal_path, rng):
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0") as wal:
-            sizes = [wal.append_insert(i, rng.standard_normal(6))
+            sizes = [wal.submit_insert(i, rng.standard_normal(6)).wait()
                      for i in range(4)]
         with open(_last_segment(wal_path), "r+b") as handle:
             handle.seek(sizes[2])
@@ -328,7 +331,7 @@ class TestSegments:
 
     def test_recovery_is_idempotent(self, wal_path, rng):
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0") as wal:
-            sizes = [wal.append_insert(i, rng.standard_normal(6))
+            sizes = [wal.submit_insert(i, rng.standard_normal(6)).wait()
                      for i in range(4)]
         with open(_last_segment(wal_path), "r+b") as handle:
             handle.truncate(sizes[-1] - 3)
@@ -343,7 +346,7 @@ class TestCheckpointRoll:
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0",
                                   segment_bytes=400) as wal:
             for i in range(24):
-                wal.append_insert(i, rng.standard_normal(6))
+                wal.submit_insert(i, rng.standard_normal(6)).wait()
             assert wal.segment_count > 1
             wal.roll_checkpoint(
                 "gen1", parent_uid="gen0", next_id=24,
@@ -364,7 +367,7 @@ class TestCheckpointRoll:
         checkpoint + pending records — folded history never returns."""
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0") as wal:
             for i in range(8):
-                wal.append_insert(i, rng.standard_normal(4))
+                wal.submit_insert(i, rng.standard_normal(4)).wait()
             wal.roll_checkpoint("gen1", parent_uid="gen0", next_id=8,
                                 pending=[InsertRecord(7, np.zeros(4))])
         for _ in range(2):
@@ -445,7 +448,7 @@ class TestRejection:
         """A segment size <= 0 is a typo, not a request to rotate on
         every record: refused before anything on disk is touched."""
         with WriteAheadLog.create(wal_path, snapshot_uid="gen0") as wal:
-            wal.append_insert(0, np.zeros(4))
+            wal.submit_insert(0, np.zeros(4)).wait()
         with pytest.raises(ValueError, match="segment_bytes"):
             WriteAheadLog.create(wal_path, snapshot_uid="gen1",
                                  segment_bytes=segment_bytes)
@@ -459,7 +462,7 @@ class TestRejection:
         wal = WriteAheadLog.create(wal_path, snapshot_uid="gen0")
         wal.close()
         with pytest.raises(WALError, match="closed"):
-            wal.append_delete(0)
+            wal.submit_delete(0).wait()
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +476,7 @@ def _append_under_fault(path, fault, count, conn):
     acked = []
     wal = WriteAheadLog.create(path, snapshot_uid="gen0")
     for i in range(count):
-        wal.append_insert(i, np.full(4, float(i)))
+        wal.submit_insert(i, np.full(4, float(i))).wait()
         acked.append(i)
         conn.send(("acked", i))
     conn.send(("done", acked))
@@ -503,7 +506,7 @@ def _between_segment_driver(path, conn):
     os.environ["REPRO_WAL_FAULT"] = "between-segment:0"
     wal = WriteAheadLog.create(path, snapshot_uid="gen0", segment_bytes=300)
     for i in range(12):
-        wal.append_insert(i, np.full(4, float(i)))
+        wal.submit_insert(i, np.full(4, float(i))).wait()
         conn.send(("acked", i))
     conn.send(("done", None))
     conn.close()
@@ -515,7 +518,7 @@ def _roll_fault_driver(path, conn):
     os.environ["REPRO_WAL_FAULT"] = "pre-segment-delete:0"
     wal = WriteAheadLog.create(path, snapshot_uid="gen0")
     for i in range(6):
-        wal.append_insert(i, np.full(4, float(i)))
+        wal.submit_insert(i, np.full(4, float(i))).wait()
         conn.send(("acked", i))
     wal.roll_checkpoint("gen1", parent_uid="gen0", next_id=6,
                         pending=[InsertRecord(5, np.full(4, 5.0))])
@@ -622,4 +625,4 @@ class TestFaultInjection:
         with WriteAheadLog.open(path) as wal:
             recovered = [r.id for r in wal.recovered]
             assert recovered == acked  # nothing acked was lost
-            wal.append_insert(len(acked), np.zeros(4))  # appends resume
+            wal.submit_insert(len(acked), np.zeros(4)).wait()  # appends resume

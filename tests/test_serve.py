@@ -74,7 +74,7 @@ def snapshot_path(workload, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def server(snapshot_path):
-    server = SnapshotServer(snapshot_path, start_timeout=30, query_timeout=30)
+    server = SnapshotServer(snapshot_path, query_timeout=30)
     server.start()
     yield server
     server.close()

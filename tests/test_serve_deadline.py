@@ -137,7 +137,7 @@ class TestWatchdogFaultMatrix:
             results = server.query_batch(queries, k=5)
             assert _same(results, expected)
             if fault == "hang-on-query":
-                assert server.hang_kills_total == 1
+                assert server.status()["hang_kills"] == 1
             monkeypatch.delenv("REPRO_SERVE_FAULT")
             # Recovery invariant, every cell: the next request answers
             # bit-identically and the server reports itself serving.
@@ -162,15 +162,15 @@ class TestHangFailDeadlineBound:
             assert elapsed < 2 * budget, (
                 f"typed failure took {elapsed:.2f}s for a {budget}s budget"
             )
-            assert server.hang_kills_total == 1
-            assert server.deadline_hits_total >= 1
+            assert server.status()["hang_kills"] == 1
+            assert server.status()["deadline_hits"] >= 1
             monkeypatch.delenv("REPRO_SERVE_FAULT")
             # The killed worker is revived lazily: the next request
             # restarts it and answers exactly.
             assert _same(server.query_batch(queries, k=5), expected)
             after = set(server.worker_pids)
             assert after != before, "the hung worker was never replaced"
-            assert server.restarts_total >= 1
+            assert server.status()["restarts"] >= 1
 
     def test_deadline_under_retry_policy_still_fails_typed(
             self, workload, snapshot_path, expected, monkeypatch):
@@ -191,7 +191,7 @@ class TestHangFailDeadlineBound:
         with SnapshotServer(snapshot_path) as server:
             assert _same(server.query_batch(queries, k=5, timeout=60.0),
                          expected)
-            assert server.deadline_hits_total == 0
+            assert server.status()["deadline_hits"] == 0
 
 
 class TestCloseWithHungWorker:
@@ -231,7 +231,7 @@ class TestHangRetryExhaustion:
                             query_timeout=0.5) as server:
             with pytest.raises(DeadlineExceeded):
                 server.query_batch(queries, k=5)
-            assert server.hang_kills_total == 2
+            assert server.status()["hang_kills"] == 2
             # Unlike death-retry exhaustion, hang exhaustion does NOT
             # break the server: the snapshot is immutable, a fresh
             # worker (spawn 2, unarmed) serves exactly.
@@ -269,7 +269,7 @@ class TestQueueExpiry:
             assert _same(outcomes["head"], expected)
             assert "waiting for dispatch" in outcomes["waiter"]
             # The expired waiter never reached a worker: no kills.
-            assert server.hang_kills_total == 0
+            assert server.status()["hang_kills"] == 0
 
 
 class TestMutablePassThrough:

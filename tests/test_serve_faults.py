@@ -90,8 +90,7 @@ class TestSigkillRecovery:
     def test_sigkill_between_requests_recovers_bit_identical(
             self, workload, snapshot_path, expected):
         _, queries = workload
-        server = SnapshotServer(snapshot_path, start_timeout=30,
-                                query_timeout=30).start()
+        server = SnapshotServer(snapshot_path, query_timeout=30).start()
         seen_pids = set(server.worker_pids)
         try:
             victim = server.worker_pids[1]
@@ -100,12 +99,12 @@ class TestSigkillRecovery:
             # Exactly once, and exactly right: the retry's answers are
             # the answers, not a duplicate or a partial set.
             assert _same(got, expected)
-            assert server.restarts_total == 1
+            assert server.status()["restarts"] == 1
             assert victim not in server.worker_pids
             seen_pids |= set(server.worker_pids)
             # The server is healthy, not limping: next query needs no retry.
             assert _same(server.query_batch(queries, k=5), expected)
-            assert server.restarts_total == 1
+            assert server.status()["restarts"] == 1
             assert server.serving
         finally:
             server.close()
@@ -113,8 +112,7 @@ class TestSigkillRecovery:
 
     def test_status_tracks_restart(self, workload, snapshot_path, expected):
         _, queries = workload
-        server = SnapshotServer(snapshot_path, start_timeout=30,
-                                query_timeout=30).start()
+        server = SnapshotServer(snapshot_path, query_timeout=30).start()
         seen_pids = set(server.worker_pids)
         try:
             os.kill(server.worker_pids[0], 9)
@@ -139,13 +137,12 @@ class TestMidQueryDeath:
         mid-request death that os.kill from a test cannot time."""
         _, queries = workload
         monkeypatch.setenv("REPRO_SERVE_FAULT", "die-on-query:0:0")
-        server = SnapshotServer(snapshot_path, start_timeout=30,
-                                query_timeout=30).start()
+        server = SnapshotServer(snapshot_path, query_timeout=30).start()
         seen_pids = set(server.worker_pids)
         try:
             got = server.query_batch(queries, k=5)
             assert _same(got, expected)
-            assert server.restarts_total == 1
+            assert server.status()["restarts"] == 1
             seen_pids |= set(server.worker_pids)
         finally:
             server.close()
@@ -160,8 +157,7 @@ class TestMidQueryDeath:
         monkeypatch.setenv(
             "REPRO_SERVE_FAULT", "die-on-query:1:0:7,die-on-query:1:1:7"
         )
-        server = SnapshotServer(snapshot_path, start_timeout=30,
-                                query_timeout=30).start()
+        server = SnapshotServer(snapshot_path, query_timeout=30).start()
         seen_pids = set(server.worker_pids)
         try:
             with pytest.raises(ServerError, match=r"worker 1 .*code 7"):
@@ -179,8 +175,7 @@ class TestMidQueryDeath:
         monkeypatch.setenv(
             "REPRO_SERVE_FAULT", "die-on-query:0:0,die-on-query:0:1"
         )
-        server = SnapshotServer(snapshot_path, start_timeout=30,
-                                query_timeout=30).start()
+        server = SnapshotServer(snapshot_path, query_timeout=30).start()
         seen_pids = set(server.worker_pids)
         with pytest.raises(ServerError):
             server.query_batch(queries, k=5)

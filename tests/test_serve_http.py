@@ -47,6 +47,7 @@ from repro.serve import (
     MutableSnapshotServer,
     SnapshotServer,
 )
+from repro.serve import http as gateway_module
 from repro.serve.metrics import Counter, Histogram
 
 COMMON = dict(c=1.5, l_spaces=3, k_per_space=6, t=32, seed=0, auto_initial_radius=True)
@@ -126,7 +127,7 @@ def snapshot_path(workload, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def server(snapshot_path):
-    server = SnapshotServer(snapshot_path, start_timeout=60, query_timeout=60)
+    server = SnapshotServer(snapshot_path, query_timeout=60)
     server.start()
     yield server
     server.close()
@@ -491,10 +492,7 @@ class TestShedding:
 class TestMetrics:
     def test_registry_reconciles_with_requests_made(self, workload, server):
         _, queries = workload
-        metrics = GatewayMetrics()
-        with HttpGateway(
-            server, batch_window=0.0, metrics=metrics
-        ) as gateway:
+        with HttpGateway(server, batch_window=0.0) as gateway:
             for i in range(3):
                 status, _, _ = _post(
                     gateway.port, "/query", {"query": queries[i].tolist(), "k": 2}
@@ -744,9 +742,10 @@ class TestProtocol:
         assert b"400" in _raw(gateway.port, garbage).split(b"\r\n")[0]
 
     def test_chunked_body_hits_the_413_cap_without_buffering(
-        self, workload, server
+        self, workload, server, monkeypatch
     ):
-        with HttpGateway(server, batch_window=0.0, max_body_bytes=64) as gateway:
+        monkeypatch.setattr(gateway_module, "_MAX_BODY_BYTES", 64)
+        with HttpGateway(server, batch_window=0.0) as gateway:
             # Declared chunk sizes alone trip the cap: the data bytes for
             # the oversized chunk are never sent, yet the refusal arrives.
             request = (
@@ -756,9 +755,10 @@ class TestProtocol:
             )
             assert b"413" in _raw(gateway.port, request).split(b"\r\n")[0]
 
-    def test_oversized_body_is_413(self, workload, server):
+    def test_oversized_body_is_413(self, workload, server, monkeypatch):
         _, queries = workload
-        with HttpGateway(server, batch_window=0.0, max_body_bytes=64) as gateway:
+        monkeypatch.setattr(gateway_module, "_MAX_BODY_BYTES", 64)
+        with HttpGateway(server, batch_window=0.0) as gateway:
             status, body, _ = _post(
                 gateway.port, "/query", {"queries": queries.tolist(), "k": 2}
             )
@@ -814,19 +814,6 @@ class TestDeadlines:
             snap = gateway.metrics.snapshot()
             assert snap["deadline_exceeded_total"] == 1
             assert snap["endpoints"]["query"]["statuses"]["504"] == 1
-
-    def test_default_timeout_applies_without_a_header(
-        self, workload, fake_server
-    ):
-        _, queries = workload
-        fake_server.release.clear()
-        with HttpGateway(fake_server, batch_window=0.0,
-                         default_timeout=0.3) as gateway:
-            status, body, _ = _post(
-                gateway.port, "/query", {"query": queries[0].tolist(), "k": 2}
-            )
-            assert status == 504
-            fake_server.release.set()
 
     def test_generous_budget_is_invisible(self, workload, snapshot_path,
                                           gateway):
@@ -899,9 +886,9 @@ class TestDeadlines:
 
 
 class TestConnectionLifecycle:
-    def test_idle_connections_are_reaped(self, server):
-        with HttpGateway(server, batch_window=0.0,
-                         idle_timeout=0.3) as gateway:
+    def test_idle_connections_are_reaped(self, server, monkeypatch):
+        monkeypatch.setattr(gateway_module, "_IDLE_TIMEOUT", 0.3)
+        with HttpGateway(server, batch_window=0.0) as gateway:
             with socket.create_connection(
                 ("127.0.0.1", gateway.port), timeout=10.0
             ) as idle:
@@ -910,9 +897,10 @@ class TestConnectionLifecycle:
             snap = gateway.metrics.snapshot()
             assert snap["connections"]["reaped_idle"] >= 1
 
-    def test_connection_cap_evicts_least_recently_active(self, server):
-        with HttpGateway(server, batch_window=0.0,
-                         max_connections=1) as gateway:
+    def test_connection_cap_evicts_least_recently_active(self, server,
+                                                         monkeypatch):
+        monkeypatch.setattr(gateway_module, "_MAX_CONNECTIONS", 1)
+        with HttpGateway(server, batch_window=0.0) as gateway:
             first = socket.create_connection(
                 ("127.0.0.1", gateway.port), timeout=10.0
             )
@@ -934,23 +922,17 @@ class TestConnectionLifecycle:
         # The probing connection itself is open at snapshot time.
         assert snap["connections"]["open"] >= 1
 
-    def test_status_reports_the_lifecycle_knobs(self, workload, fake_server):
-        with HttpGateway(fake_server, batch_window=0.0, default_timeout=1.5,
-                         idle_timeout=7.0, max_connections=9) as gateway:
+    def test_status_reports_the_lifecycle_knobs(self, workload, fake_server,
+                                                monkeypatch):
+        monkeypatch.setattr(gateway_module, "_IDLE_TIMEOUT", 7.0)
+        monkeypatch.setattr(gateway_module, "_MAX_CONNECTIONS", 9)
+        with HttpGateway(fake_server, batch_window=0.0) as gateway:
             _, body, _ = _get(gateway.port, "/status")
             block = body["gateway"]
-            assert block["default_timeout_seconds"] == 1.5
+            assert "default_timeout_seconds" not in block
             assert block["idle_timeout_seconds"] == 7.0
             assert block["max_connections"] == 9
             assert block["draining"] is False
-
-    def test_lifecycle_constructor_validation(self, server):
-        with pytest.raises(ValueError, match="default_timeout"):
-            HttpGateway(server, default_timeout=0)
-        with pytest.raises(ValueError, match="idle_timeout"):
-            HttpGateway(server, idle_timeout=0)
-        with pytest.raises(ValueError, match="max_connections"):
-            HttpGateway(server, max_connections=0)
 
 
 class TestGracefulDrain:
@@ -1022,7 +1004,7 @@ def reload_setup(workload, snapshot_path, tmp_path):
     successor = str(tmp_path / "successor.npz")
     other = gaussian_mixture(700, workload[0].shape[1], n_clusters=4, seed=29)
     save_index(DBLSH(**COMMON).fit(other), successor)
-    server = SnapshotServer(live, start_timeout=60, query_timeout=60).start()
+    server = SnapshotServer(live, query_timeout=60).start()
     yield live, successor, server
     server.close()
 
@@ -1224,7 +1206,7 @@ class TestInheritedDescriptors:
             # The query kills worker 0; supervision forks its replacement
             # while this connection is open.
             assert _close_after(gateway.port, query, lambda: None)
-            assert server.restarts_total == 1
+            assert server.status()["restarts"] == 1
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="reads /proc/<pid>/fd")

@@ -28,6 +28,7 @@ from repro.cli import _post_json
 from repro.data.generators import gaussian_mixture
 from repro.io import WALError, WriteAheadLog, load_index, read_header, save_index
 from repro.serve import HttpGateway, MutableSnapshotServer
+from repro.serve import mutable as mutable_module
 from repro.serve.server import ServerError
 
 N, DIM = 400, 12
@@ -56,7 +57,6 @@ def _mutation_driver(snapshot, wal, env, conn):
     os.environ.update(env)
     server = MutableSnapshotServer(
         snapshot, wal_path=wal, compact_threshold=0,
-        start_timeout=120.0,
     )
     server.start()
     conn.send(("ready", None))
@@ -368,14 +368,14 @@ class TestAdaptiveCompaction:
     delta-sweep overhead that ``status()`` reports."""
 
     def test_wal_bytes_trigger_fires_and_is_reported(self, snapshot, tmp_path,
-                                                     workload):
+                                                     workload, monkeypatch):
         data, _ = workload
         wal = str(tmp_path / "m.wal")
         # Count trigger far away; the byte budget trips after a few
         # ~120-byte insert records.
+        monkeypatch.setattr(mutable_module, "_COMPACT_WAL_BYTES", 700)
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=100_000,
-            compact_wal_bytes=700,
         )
         server.start()
         try:
@@ -402,7 +402,6 @@ class TestAdaptiveCompaction:
         wal = str(tmp_path / "m.wal")
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=100_000,
-            compact_wal_bytes=0,
         )
         server.start()
         try:
@@ -418,13 +417,13 @@ class TestAdaptiveCompaction:
             server.close()
 
     def test_compact_threshold_zero_disables_every_trigger(
-        self, snapshot, tmp_path, workload
+        self, snapshot, tmp_path, workload, monkeypatch
     ):
         data, _ = workload
         wal = str(tmp_path / "m.wal")
+        monkeypatch.setattr(mutable_module, "_COMPACT_WAL_BYTES", 1)
         server = MutableSnapshotServer(
             snapshot, wal_path=wal, compact_threshold=0,
-            compact_wal_bytes=1,
         )
         server.start()
         try:
@@ -599,7 +598,7 @@ class TestServedDeleteParity:
                 assert server.delete(pid) is True
             served = server.query_batch(queries, k=self.K)
             if fault is not None:
-                assert server.restarts_total == 1
+                assert server.status()["restarts"] == 1
             assert [r.ids for r in served] == [r.ids for r in expected]
             assert [r.distances for r in served] == [r.distances for r in expected]
             assert [r.stats.candidates_verified for r in served] == [

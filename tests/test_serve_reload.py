@@ -158,8 +158,7 @@ class TestReloadFlip:
         # Arm gen 1's shard-0 worker to stall its first query long
         # enough for the reload to flip underneath it.
         monkeypatch.setenv("REPRO_SERVE_FAULT", "sleep-on-query:0:0:0.6")
-        server = SnapshotServer(path_a, start_timeout=30,
-                                query_timeout=30).start()
+        server = SnapshotServer(path_a, query_timeout=30).start()
         monkeypatch.delenv("REPRO_SERVE_FAULT")  # gen 2 spawns clean
         old_pids = server.worker_pids
         box = {}
